@@ -17,7 +17,7 @@ from . import covering as covering_mod
 from . import groups as groups_mod
 from . import measure as measure_mod
 from . import plane as plane_mod
-from .errors import HaarlabError
+from .errors import HaarlabError, TooLarge
 from .topology import FiniteSpace, bit_indices, mask_of
 
 SCHEMA_VERSION = "1"
@@ -220,9 +220,7 @@ def cmd_verify_haar(data, max_order):
     witnesses = [
         {
             "kind": kind,
-            "set": points_list(
-                _atoms_to_points(tg, sel) if sel is not None else 0
-            ),
+            "set": points_list(tg.preimage(sel) if sel is not None else 0),
             "element": elem,
         }
         for kind, sel, elem in report.witnesses
@@ -241,13 +239,6 @@ def cmd_verify_haar(data, max_order):
     return results, report.is_haar
 
 
-def _atoms_to_points(tg, sel):
-    acc = 0
-    for i in bit_indices(sel):
-        acc |= tg.atoms[i]
-    return acc
-
-
 def cmd_construct(data, max_order):
     _require_keys(data, {"group", "topology", "k0"}, {"group", "topology", "k0"}, "input")
     tg = load_top_group(data["group"], data["topology"], max_order)
@@ -258,6 +249,9 @@ def cmd_construct(data, max_order):
         raise InputError(str(exc)) from exc
     if tg.space.interior(k0) == 0 or not tg.space.is_closed(k0):
         raise InputError("k0 must be closed with nonempty interior")
+    k_atoms = len(tg.atoms)
+    if k_atoms > measure_mod.MAX_ATOMS_CHECK:
+        raise TooLarge(f"{k_atoms} atoms exceeds the exhaustive-check cap")
     mu = covering_mod.existence_via_covering(tg, k0)
     canon = measure_mod.canonical_haar(tg)
     scalar = None
@@ -268,7 +262,6 @@ def cmd_construct(data, max_order):
         scalar = mu.atom_mass[0] / canon.atom_mass[0]
     # full (K:U) table over closed sets and open identity neighborhoods,
     # truncated to atoms and the full set past the size cap
-    k_atoms = len(tg.atoms)
     truncated = k_atoms > 6
     if truncated:
         closed_sets = list(tg.atoms) + [tg.space.full]

@@ -8,6 +8,7 @@ verified by the continuity checks at construction and by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InternalInconsistency,
@@ -18,9 +19,6 @@ from .errors import (
 from .topology import FiniteSpace, bit_indices, mask_of
 
 MAX_ORDER = 64
-
-# Materializing a coset topology needs 2^(#cosets) open sets; cap it.
-MAX_ATOMS_EXPLICIT = 16
 
 
 class FiniteGroup:
@@ -279,34 +277,50 @@ class FiniteTopGroup:
                 )
         self.group = group
         self.space = space
-        self._atoms = None
 
     @property
     def identity_closure_mask(self) -> int:
         return self.space.closure(1 << self.group.identity)
 
+    @cached_property
+    def _partition(self):
+        n_mask = identity_closure(self)
+        cosets = sorted(
+            {
+                self.group.translate(x, n_mask, "left")
+                for x in range(self.group.order)
+            },
+            key=lambda c: min(bit_indices(c)),
+        )
+        ident = self.group.translate(self.group.identity, n_mask, "left")
+        cosets.remove(ident)
+        atoms = tuple([ident] + cosets)
+        atom_of = [None] * self.group.order
+        for i, a in enumerate(atoms):
+            for x in bit_indices(a):
+                atom_of[x] = i
+        return atoms, tuple(atom_of)
+
     @property
     def atoms(self):
         """The N-cosets, identity coset first then by smallest member."""
-        if self._atoms is None:
-            n_mask = identity_closure(self)
-            cosets = sorted(
-                {
-                    self.group.translate(x, n_mask, "left")
-                    for x in range(self.group.order)
-                },
-                key=lambda c: min(bit_indices(c)),
-            )
-            ident = self.group.translate(self.group.identity, n_mask, "left")
-            cosets.remove(ident)
-            self._atoms = tuple([ident] + cosets)
-        return self._atoms
+        return self._partition[0]
 
-    def atom_index_of(self, point: int) -> int:
-        for i, a in enumerate(self.atoms):
-            if a >> point & 1:
-                return i
-        raise InternalInconsistency("atoms do not partition the points")
+    @property
+    def atom_of(self):
+        """Point -> index of the atom containing it."""
+        return self._partition[1]
+
+    def image(self, mask: int) -> int:
+        """Atom-index mask of the atoms meeting a point mask."""
+        return mask_of(self.atom_of[x] for x in bit_indices(mask))
+
+    def preimage(self, sel: int) -> int:
+        """Point mask of the union of the atoms selected by sel."""
+        acc = 0
+        for i in bit_indices(sel):
+            acc |= self.atoms[i]
+        return acc
 
     def __repr__(self):
         return (
@@ -347,20 +361,10 @@ def coset_topology(group: FiniteGroup, n_mask: int) -> FiniteSpace:
     """The topology whose opens are all unions of cosets of a normal subgroup."""
     if not group.is_subgroup(n_mask) or not group.is_normal(n_mask):
         raise ValueError("mask is not a normal subgroup")
-    cosets = sorted({group.translate(x, n_mask, "left") for x in range(group.order)})
-    k = len(cosets)
-    if k > MAX_ATOMS_EXPLICIT:
-        raise TooLarge(
-            f"{k} cosets would need 2^{k} explicit opens "
-            f"(cap {MAX_ATOMS_EXPLICIT})"
-        )
-    opens = []
-    for sel in range(1 << k):
-        acc = 0
-        for i in bit_indices(sel):
-            acc |= cosets[i]
-        opens.append(acc)
-    return FiniteSpace(group.order, opens)
+    return FiniteSpace.from_min_open(
+        group.order,
+        [group.translate(x, n_mask, "left") for x in range(group.order)],
+    )
 
 
 def group_topologies(group: FiniteGroup):
@@ -401,14 +405,12 @@ def quotient(g: FiniteTopGroup) -> QuotientData:
     atoms = g.atoms
     k = len(atoms)
     reps = [min(bit_indices(a)) for a in atoms]
-    proj = [None] * group.order
-    for i, a in enumerate(atoms):
-        for x in bit_indices(a):
-            proj[x] = i
+    proj = g.atom_of
+    image, preimage = g.image, g.preimage
     qtable = [
         [proj[group.mul(reps[i], reps[j])] for j in range(k)] for i in range(k)
     ]
-    qspace = FiniteSpace(k, range(1 << k))  # discrete
+    qspace = FiniteSpace.from_min_open(k, [1 << i for i in range(k)])  # discrete
     qgroup = FiniteGroup(qtable, name=f"{group.name}/N")
     qtg = validate_top_group(qgroup, qspace)
 
@@ -419,15 +421,6 @@ def quotient(g: FiniteTopGroup) -> QuotientData:
                 raise InternalInconsistency("projection is not a homomorphism")
     if set(proj) != set(range(k)):
         raise InternalInconsistency("projection is not surjective")
-
-    def image(mask):
-        return mask_of(proj[x] for x in bit_indices(mask))
-
-    def preimage(qmask):
-        acc = 0
-        for i in bit_indices(qmask):
-            acc |= atoms[i]
-        return acc
 
     # statements: projection open and closed; quotient Hausdorff
     for u in g.space.opens:
@@ -450,7 +443,7 @@ def quotient(g: FiniteTopGroup) -> QuotientData:
         lift = preimage(c)
         if image(lift) != c or not g.space.is_closed(lift):
             raise InternalInconsistency("compact lifting failed")
-    return QuotientData(base=g, quotient=qtg, proj=tuple(proj))
+    return QuotientData(base=g, quotient=qtg, proj=proj)
 
 
 def borel_atoms(g: FiniteTopGroup) -> BorelAtoms:
@@ -477,27 +470,15 @@ def borel_atoms(g: FiniteTopGroup) -> BorelAtoms:
         raise InternalInconsistency("atoms do not cover the points")
     # saturation: x in E implies closure(x) <= E, for opens (and hence for
     # every union of atoms)
+    point_closure = [space.closure(1 << x) for x in range(space.n)]
     for u in space.opens:
         for x in bit_indices(u):
-            if space.closure(1 << x) & ~u:
+            if point_closure[x] & ~u:
                 raise InternalInconsistency("open set is not saturated")
-
-    def image(mask):
-        return mask_of(g.atom_index_of(x) for x in bit_indices(mask))
-
-    def preimage(qmask):
-        out = 0
-        for i in bit_indices(qmask):
-            out |= atoms[i]
-        return out
+    image, preimage = g.image, g.preimage
 
     if k <= 8:
-        sets = []
-        for sel in range(1 << k):
-            m = 0
-            for i in bit_indices(sel):
-                m |= atoms[i]
-            sets.append(m)
+        sets = [preimage(sel) for sel in range(1 << k)]
         for e1 in sets:
             if preimage(image(e1)) != e1:
                 raise InternalInconsistency("preimage round trip failed")

@@ -65,18 +65,12 @@ class FiniteMeasure:
 
 
 def _atom_selection(g: FiniteTopGroup, point_mask: int) -> int:
-    atoms = g.atoms
-    sel = 0
-    covered = 0
-    for i, a in enumerate(atoms):
-        if a & point_mask:
-            if a & ~point_mask:
-                raise NotMeasurable(
-                    f"set {point_mask:#x} cuts atom {a:#x}"
-                )
-            sel |= 1 << i
-            covered |= a
-    if covered != point_mask:
+    sel = g.image(point_mask & g.space.full)
+    for i in bit_indices(sel):
+        a = g.atoms[i]
+        if a & ~point_mask:
+            raise NotMeasurable(f"set {point_mask:#x} cuts atom {a:#x}")
+    if g.preimage(sel) != point_mask:
         raise NotMeasurable(f"set {point_mask:#x} is not a union of atoms")
     return sel
 
@@ -116,7 +110,7 @@ def _atom_perm(g: FiniteTopGroup, elem: int, side: str):
         moved = (
             g.group.mul(elem, rep) if side == "left" else g.group.mul(rep, elem)
         )
-        perm.append(g.atom_index_of(moved))
+        perm.append(g.atom_of[moved])
     return perm
 
 
@@ -281,8 +275,8 @@ def invert_measure(g: FiniteTopGroup, mu: FiniteMeasure) -> FiniteMeasure:
     atoms = g.atoms
     masses = []
     for a in atoms:
-        inv_a = g.group.inv_set(a)
-        masses.append(mu.atom_mass[g.atoms.index(inv_a)])
+        inv_rep = g.group.inv(next(bit_indices(a)))
+        masses.append(mu.atom_mass[g.atom_of[inv_rep]])
     return FiniteMeasure(g, tuple(masses))
 
 
@@ -296,7 +290,7 @@ def pushforward(q: QuotientData, mu: FiniteMeasure) -> FiniteMeasure:
     for i, a in enumerate(base_atoms):
         rep = next(bit_indices(a))
         qpoint = q.proj[rep]
-        qatom = q.quotient.atom_index_of(qpoint)
+        qatom = q.quotient.atom_of[qpoint]
         masses[qatom] += mu.atom_mass[i]
     return FiniteMeasure(q.quotient, tuple(masses))
 
@@ -308,7 +302,7 @@ def pullback(q: QuotientData, nu: FiniteMeasure) -> FiniteMeasure:
     masses = []
     for a in q.base.atoms:
         rep = next(bit_indices(a))
-        qatom = q.quotient.atom_index_of(q.proj[rep])
+        qatom = q.quotient.atom_of[q.proj[rep]]
         masses.append(nu.atom_mass[qatom])
     return FiniteMeasure(q.base, tuple(masses))
 

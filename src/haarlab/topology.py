@@ -1,15 +1,21 @@
 """Finite topological spaces over bitmask-encoded point sets.
 
 Points of a space on n points are the indices 0..n-1; a subset is an int
-whose bit i records membership of point i.  Open families are stored
-explicitly, canonically sorted, so every quantifier in the separation
-predicates can be eliminated by direct enumeration.
+whose bit i records membership of point i.  A finite topology is the same
+thing as a preorder (Alexandroff): it is fully given by each point's
+minimal open set U_x, the intersection of all opens containing x, and the
+opens are exactly the unions of the U_x.  A space stores only these n
+masks; closure, interior and openness are O(n) scans of them, the open
+family is listed only on request, and each separation flag is computed on
+first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 
 from .errors import (
     InternalInconsistency,
@@ -24,6 +30,10 @@ from .errors import (
 )
 
 MAX_POINTS = 64
+
+#: Listing the opens of a space with k distinct minimal opens can take 2^k
+#: sets; spaces with more than this many distinct minimal opens refuse.
+MAX_LISTED_GENERATORS = 16
 
 #: Number of topologies on n labeled points, n = 0..5 (used as a sanity oracle).
 TOPOLOGY_COUNTS = (1, 1, 4, 29, 355, 6942)
@@ -44,13 +54,30 @@ def mask_of(points) -> int:
     return m
 
 
-class FiniteSpace:
-    """A topology on points 0..n-1, given by its full family of open sets.
+def _unions(rows):
+    """All unions of the given masks (the empty union included), sorted."""
+    generators = sorted(set(rows))
+    if len(generators) > MAX_LISTED_GENERATORS:
+        k = len(generators)
+        raise TooLarge(
+            f"{k} distinct minimal opens would list up to 2^{k} opens "
+            f"(cap {MAX_LISTED_GENERATORS})"
+        )
+    family = {0}
+    for r in generators:
+        family |= {u | r for u in family}
+    return tuple(sorted(family))
 
-    Validation checks that the family contains the empty and full sets and
-    is closed under pairwise union and intersection; the check runs in
-    O(#opens * n) by generating the family from the minimal open
-    neighborhoods of the points and comparing.
+
+class FiniteSpace:
+    """A topology on points 0..n-1, stored as the minimal open set of each
+    point (``min_open[x]``, a mask containing x).
+
+    ``FiniteSpace(n, opens)`` validates an explicit open family: it must
+    contain the empty and full sets and be closed under pairwise union and
+    intersection.  ``FiniteSpace.from_min_open(n, rows)`` builds a space
+    from the minimal opens directly.  ``opens`` lists the open family on
+    first use.
     """
 
     def __init__(self, n: int, opens):
@@ -76,38 +103,60 @@ class FiniteSpace:
                 raise ValueError(
                     f"opens not closed under intersection near point {x}"
                 )
-        # The family is a topology iff it equals the set of all unions of
-        # minimal point neighborhoods (which is one by construction).
-        generated = {0}
-        frontier = [0]
-        distinct_min = sorted(set(min_open))
-        while frontier:
-            cur = frontier.pop()
-            for u in distinct_min:
-                nxt = cur | u
-                if nxt not in generated:
-                    generated.add(nxt)
-                    frontier.append(nxt)
-        if generated != set(fam):
+        # Every open u is the union of the minimal opens of its points, so
+        # with each U_x inside, the family is a topology iff it holds every
+        # union of them: iff adding one U_x to a member stays inside.  This
+        # never builds more sets than the input has.
+        distinct_min = set(min_open)
+        if any(u | r not in fam_set for u in fam for r in distinct_min):
             raise ValueError("opens not closed under pairwise union")
+        self._set(n, min_open)
 
+    @classmethod
+    def from_min_open(cls, n: int, rows) -> "FiniteSpace":
+        """The space whose minimal opens are rows[x]; they must form a
+        preorder: x in U_x, and U_y <= U_x for every y in U_x."""
+        if not 1 <= n <= MAX_POINTS:
+            raise TooLarge(f"point count {n} outside 1..{MAX_POINTS}")
+        rows = tuple(rows)
+        full = (1 << n) - 1
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} minimal opens for {n} points")
+        for x, r in enumerate(rows):
+            if r < 0 or r > full or not r >> x & 1:
+                raise ValueError(f"minimal open {r:#x} does not contain point {x}")
+            for y in bit_indices(r):
+                if rows[y] & ~r:
+                    raise ValueError(
+                        f"minimal open of {y} not inside that of {x}"
+                    )
+        space = cls.__new__(cls)
+        space._set(n, rows)
+        return space
+
+    def _set(self, n, min_open):
         self.n = n
-        self.full = full
-        self.opens = tuple(fam)
-        self._open_set = fam_set
+        self.full = (1 << n) - 1
         self.min_open = tuple(min_open)
-        self._flags = None
+
+    # -- the open family, listed on request ---------------------------------
+
+    @cached_property
+    def opens(self):
+        """Every open set, ascending; TooLarge past MAX_LISTED_GENERATORS."""
+        return _unions(self.min_open)
+
+    def closed_sets(self):
+        return tuple(sorted(self.full ^ u for u in self.opens))
 
     # -- basic predicates ------------------------------------------------
 
     def is_open(self, mask: int) -> bool:
-        return mask in self._open_set
+        """Open sets are the up-closed ones: each point brings its U_x."""
+        return 0 <= mask <= self.full and self.smallest_open_superset(mask) == mask
 
     def is_closed(self, mask: int) -> bool:
-        return (self.full ^ mask) in self._open_set
-
-    def closed_sets(self):
-        return tuple(sorted(self.full ^ u for u in self.opens))
+        return self.is_open(self.full ^ mask)
 
     def check_subset(self, mask: int) -> int:
         if mask < 0 or mask > self.full:
@@ -117,13 +166,10 @@ class FiniteSpace:
     # -- closure / interior ----------------------------------------------
 
     def closure(self, mask: int) -> int:
-        """Smallest closed superset: intersection of all closed supersets."""
+        """Smallest closed superset: y is in it iff every open around y,
+        hence U_y, meets mask."""
         self.check_subset(mask)
-        acc = self.full
-        for u in self.opens:
-            if u & mask == 0:  # complement of u is a closed superset
-                acc &= self.full ^ u
-        return acc
+        return mask_of(y for y, u in enumerate(self.min_open) if u & mask)
 
     def interior(self, mask: int) -> int:
         """Largest open subset: union of minimal opens contained in mask."""
@@ -145,62 +191,11 @@ class FiniteSpace:
     # -- separation flags -------------------------------------------------
 
     def separation_flags(self) -> "SeparationFlags":
-        if self._flags is None:
-            self._flags = self._compute_flags()
         return self._flags
 
-    def _compute_flags(self) -> "SeparationFlags":
-        n = self.n
-        mo = self.min_open
-        # Two sets admit disjoint open supersets iff their smallest open
-        # supersets are disjoint (opens are intersection-closed).
-        hausdorff = all(
-            mo[x] & mo[y] == 0 for x in range(n) for y in range(x + 1, n)
-        )
-        closed = self.closed_sets()
-        sos_closed = {c: self.smallest_open_superset(c) for c in closed}
-        regular = all(
-            mo[x] & sos_closed[c] == 0
-            for c in closed
-            for x in range(n)
-            if not c >> x & 1
-        )
-        normal = all(
-            sos_closed[c1] & sos_closed[c2] == 0
-            for c1 in closed
-            for c2 in closed
-            if c1 & c2 == 0
-        )
-        # Every subset of a finite space is compact, so the full set is a
-        # compact neighborhood of every point.
-        locally_compact = True
-        # A closed compact neighborhood of x: any closed superset of an open
-        # set containing x; the full set always qualifies.
-        strongly_locally_compact = all(
-            any(self.closure(mo[x]) & ~c == 0 for c in closed) for x in range(n)
-        )
-        # Minimal opens are compact, so they form a base of compact nbhds.
-        base_compact = all(
-            mo[x] & ~w == 0 for x in range(n) for w in self.opens if w >> x & 1
-        )
-        # Base of closed compact nbhds: inside every open W containing x there
-        # must be a closed set containing an open neighborhood of x; the
-        # smallest candidate is the closure of the minimal open of x.
-        base_closed_compact = all(
-            self.closure(mo[x]) & ~w == 0
-            for x in range(n)
-            for w in self.opens
-            if w >> x & 1
-        )
-        return SeparationFlags(
-            hausdorff=hausdorff,
-            regular=regular,
-            normal=normal,
-            locally_compact=locally_compact,
-            strongly_locally_compact=strongly_locally_compact,
-            base_compact_nbhds=base_compact,
-            base_closed_compact_nbhds=base_closed_compact,
-        )
+    @cached_property
+    def _flags(self) -> "SeparationFlags":
+        return SeparationFlags(self)
 
     # -- dunder ------------------------------------------------------------
 
@@ -208,25 +203,68 @@ class FiniteSpace:
         return (
             isinstance(other, FiniteSpace)
             and self.n == other.n
-            and self.opens == other.opens
+            and self.min_open == other.min_open
         )
 
     def __hash__(self):
-        return hash((self.n, self.opens))
+        return hash((self.n, self.min_open))
 
     def __repr__(self):
-        return f"FiniteSpace(n={self.n}, opens={len(self.opens)} sets)"
+        return f"FiniteSpace(n={self.n}, min_open={[hex(u) for u in self.min_open]})"
 
 
-@dataclass(frozen=True)
 class SeparationFlags:
-    hausdorff: bool
-    regular: bool
-    normal: bool
-    locally_compact: bool
-    strongly_locally_compact: bool
-    base_compact_nbhds: bool
-    base_closed_compact_nbhds: bool
+    """The separation and local-compactness flags of a space, each computed
+    on first access.
+
+    Two sets have disjoint open supersets iff their smallest open supersets
+    are disjoint (opens are intersection-closed), and every subset of a
+    finite space is compact; each flag below reduces its definition to the
+    minimal opens with these two facts.
+    """
+
+    def __init__(self, space: FiniteSpace):
+        self._space = space
+
+    # The full set is a closed compact neighborhood of every point, and U_x
+    # is a compact neighborhood of x inside every open containing x.
+    locally_compact = strongly_locally_compact = base_compact_nbhds = True
+
+    @cached_property
+    def hausdorff(self) -> bool:
+        # Disjoint U_x, U_y for x != y leave U_x = {x}: the space is discrete.
+        return all(u == 1 << x for x, u in enumerate(self._space.min_open))
+
+    @cached_property
+    def regular(self) -> bool:
+        # The largest closed set missing x is the complement of U_x, and the
+        # smallest open superset is monotone, so that set is the hardest.
+        s = self._space
+        return all(
+            u & s.smallest_open_superset(s.full ^ u) == 0 for u in s.min_open
+        )
+
+    @cached_property
+    def normal(self) -> bool:
+        # Disjoint closed sets C1, C2 with overlapping smallest open
+        # supersets contain points a, b with U_a, U_b overlapping; then
+        # cl{a} <= C1 and cl{b} <= C2 fail already.
+        s = self._space
+        cl = [s.closure(1 << x) for x in range(s.n)]
+        sos = [s.smallest_open_superset(c) for c in cl]
+        return all(
+            sos[a] & sos[b] == 0
+            for a in range(s.n)
+            for b in range(a + 1, s.n)
+            if cl[a] & cl[b] == 0
+        )
+
+    @cached_property
+    def base_closed_compact_nbhds(self) -> bool:
+        # Every open W around x contains U_x, itself an open around x, so
+        # the condition is cl(U_x) <= U_x: each minimal open is closed.
+        s = self._space
+        return all(s.closure(u) == u for u in s.min_open)
 
 
 @dataclass(frozen=True)
@@ -357,38 +395,12 @@ def enumerate_topologies(n: int, max_points: int = 4):
     """
     if n < 1 or n > max_points:
         raise TooLarge(f"n={n} exceeds the enumeration bound {max_points}")
-    full = (1 << n) - 1
+    candidates = [[r for r in range(1 << n) if r >> x & 1] for x in range(n)]
     spaces = []
-    rows = [0] * n
-
-    def rec(i):
-        if i == n:
-            for x in range(n):
-                rx = rows[x]
-                ok = True
-                for y in bit_indices(rx):
-                    if rows[y] & ~rx:
-                        ok = False
-                        break
-                if not ok:
-                    return
-            opens = {0}
-            frontier = [0]
-            distinct = sorted(set(rows))
-            while frontier:
-                cur = frontier.pop()
-                for r in distinct:
-                    nxt = cur | r
-                    if nxt not in opens:
-                        opens.add(nxt)
-                        frontier.append(nxt)
-            spaces.append(FiniteSpace(n, opens))
-            return
-        for r in range(full + 1):
-            if r >> i & 1:
-                rows[i] = r
-                rec(i + 1)
-
-    rec(0)
+    for rows in product(*candidates):
+        try:
+            spaces.append(FiniteSpace.from_min_open(n, rows))
+        except ValueError:  # not a preorder
+            pass
     spaces.sort(key=lambda s: s.opens)
     return spaces

@@ -3,6 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from haarlab import cli, plane
+
 
 def run_cli(tmp_path, command, payload, *extra, name="input.json"):
     path = tmp_path / name
@@ -92,6 +96,26 @@ def test_quotient(tmp_path):
     assert r["projection"] == [0, 1, 0, 1]
     assert r["pullback_roundtrip_ok"] is True
 
+def test_counterexample_verifies_once(tmp_path, monkeypatch):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"c": "1/3", "probe_bound": "10/1"}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    verdicts = []
+    verify = plane.verify_bk_certificate
+
+    def counting_verify(cert):
+        verdicts.append(verify(cert))
+        return verdicts[-1]
+
+    monkeypatch.setattr(plane, "verify_bk_certificate", counting_verify)
+    argv = ["counterexample", "--input", str(path), "--output", str(out)]
+    assert cli.run(argv) == 0
+    assert verdicts == [True]
+    # a certificate that fails verification is reported, with exit 1
+    monkeypatch.setattr(plane, "verify_bk_certificate", lambda cert: False)
+    assert cli.run(argv) == 1
+    assert json.loads(out.read_text())["results"]["verified"] is False
+
 def test_fubini(tmp_path):
     payload = {
         "group1": dict(Z4_COSET),
@@ -121,6 +145,50 @@ def test_plane(tmp_path):
     assert r["outer"] == [
         {"lo": "-1/20", "hi": "21/20", "lo_closed": False, "hi_closed": False}
     ]
+
+
+# Normal subgroup counts: divisors of 24 and 64; Z2xZ16 has 10 cyclic
+# subgroups and the 4 non-cyclic Z2 x Z(2^j), j = 1..4.
+LARGE_GROUPS = [
+    ({"family": "cyclic", "params": {"n": 24}}, 24, 8),
+    (
+        {
+            "family": "product",
+            "params": {
+                "factors": [
+                    {"family": "cyclic", "params": {"n": 2}},
+                    {"family": "cyclic", "params": {"n": 16}},
+                ]
+            },
+        },
+        32,
+        14,
+    ),
+    ({"family": "cyclic", "params": {"n": 64}}, 64, 7),
+]
+
+@pytest.mark.parametrize(
+    "group,order,n_normal", LARGE_GROUPS, ids=["Z24", "Z2xZ16", "Z64"]
+)
+def test_more_than_16_atoms(tmp_path, group, order, n_normal):
+    proc, report = run_cli(tmp_path, "enumerate", {"group": group})
+    assert proc.returncode == 0 and proc.stderr == ""
+    topos = report["results"]["topologies"]
+    assert len(topos) == n_normal
+    assert len({tuple(t["normal_subgroup"]) for t in topos}) == n_normal
+    for t in topos:
+        assert t["haar_dimension"] == 1
+        assert t["canonical_masses"] == ["1/1"] * len(t["atoms"])
+    # the discrete topology has one atom per element: past every cap
+    base = {"group": group, "topology": {"normal_subgroup": [0]}}
+    for command, extra in (
+        ("quotient", {}),
+        ("verify-haar", {"measure": {"atom_masses": ["1/1"] * order}}),
+        ("construct", {"k0": [0]}),
+    ):
+        proc, report = run_cli(tmp_path, command, dict(base, **extra))
+        assert proc.returncode == 2 and proc.stderr == "", command
+        assert report["error"].startswith("TooLarge: "), command
 
 
 # -- input errors -> exit 2 ---------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from haarlab import (
     FiniteGroup,
     FiniteSpace,
+    SeparationFlags,
     borel_atoms,
     coset_topology,
     cyclic,
@@ -192,6 +193,37 @@ def test_quotient_projection_open_closed_hausdorff(corpus_instances):
     for tg in corpus_instances:
         q = quotient(tg)
         assert q.quotient.space.separation_flags().hausdorff
+
+def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
+    """Counter bound: closure calls per quotient, and no flag but hausdorff."""
+    calls = 0
+    closure = FiniteSpace.closure
+
+    def counting_closure(self, mask):
+        nonlocal calls
+        calls += 1
+        return closure(self, mask)
+
+    def unexpected_flag(self):
+        raise AssertionError("quotient read a flag other than hausdorff")
+
+    monkeypatch.setattr(FiniteSpace, "closure", counting_closure)
+    for name in (
+        "regular",
+        "normal",
+        "locally_compact",
+        "strongly_locally_compact",
+        "base_compact_nbhds",
+        "base_closed_compact_nbhds",
+    ):
+        monkeypatch.setattr(SeparationFlags, name, property(unexpected_flag))
+    for group in corpus:
+        for tg in group_topologies(group):
+            calls = 0
+            quotient(tg)
+            # measured: order + 1 (one closure per point for the atoms,
+            # plus the identity's); the bound doubles it
+            assert calls <= 2 * group.order + 2, (group.name, calls)
 
 def test_quotient_of_hausdorff_group_is_isomorphic_copy():
     for group in (cyclic(5), symmetric3()):

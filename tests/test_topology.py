@@ -56,6 +56,31 @@ def test_rejects_too_many_points():
     with pytest.raises(TooLarge):
         FiniteSpace(65, [0])
 
+def test_rejects_non_topology_without_generating_its_unions():
+    # 64 singleton minimal opens would generate 2^64 unions
+    full = (1 << 64) - 1
+    with pytest.raises(ValueError, match="pairwise union"):
+        FiniteSpace(64, [0, full] + [1 << x for x in range(64)])
+
+def test_from_min_open_validation():
+    assert FiniteSpace.from_min_open(2, [0b11, 0b10]) == sierpinski()
+    with pytest.raises(ValueError):
+        FiniteSpace.from_min_open(2, [0b10, 0b10])  # 0 not in U_0
+    with pytest.raises(ValueError):
+        FiniteSpace.from_min_open(3, [0b011, 0b110, 0b100])  # U_1 not in U_0
+    with pytest.raises(ValueError):
+        FiniteSpace.from_min_open(2, [0b11])
+    with pytest.raises(TooLarge):
+        FiniteSpace.from_min_open(65, [0] * 65)
+
+def test_opens_listed_lazily_under_cap():
+    space = FiniteSpace.from_min_open(17, [1 << x for x in range(17)])
+    assert "opens" not in repr(space)
+    assert space.closure(0b101) == 0b101 and space.is_open(0b101)
+    assert space.separation_flags().hausdorff
+    with pytest.raises(TooLarge):
+        space.opens
+
 
 # -- closure / interior ------------------------------------------------------
 
@@ -91,6 +116,34 @@ def test_closure_interior_duality_all_small_spaces():
             comp = space.full ^ s
             assert space.interior(s) == space.full ^ space.closure(comp)
 
+def literal_closure(space, s):
+    """Reference: the intersection of every closed superset."""
+    acc = space.full
+    for c in space.closed_sets():
+        if s & ~c == 0:
+            acc &= c
+    return acc
+
+def literal_interior(space, s):
+    """Reference: the union of every open subset."""
+    acc = 0
+    for u in space.opens:
+        if u & ~s == 0:
+            acc |= u
+    return acc
+
+def test_predicates_match_literal_definitions(corpus_instances):
+    spaces = set(enumerate_topologies(4)) | {tg.space for tg in corpus_instances}
+    for space in spaces:
+        opens = set(space.opens)
+        for s in range(space.full + 1):
+            assert space.closure(s) == literal_closure(space, s)
+            assert space.interior(s) == literal_interior(space, s)
+            assert space.is_open(s) == (s in opens)
+            assert space.is_closed(s) == (space.full ^ s in opens)
+        for bad in (-1, space.full + 1):
+            assert not space.is_open(bad) and not space.is_closed(bad)
+
 def test_closure_idempotent_monotone():
     for space in enumerate_topologies(3):
         for s in range(space.full + 1):
@@ -117,6 +170,14 @@ def brute_force_flags(space):
             for v in opens
         )
 
+    def nbhd_inside(x, w, candidates):
+        """Some candidate K has an open U with x in U <= K <= w."""
+        return any(
+            u >> x & 1 and u & ~k == 0 and k & ~w == 0
+            for u in opens
+            for k in candidates
+        )
+
     hausdorff = all(
         separable(1 << x, 1 << y) for x in range(n) for y in range(x + 1, n)
     )
@@ -129,12 +190,32 @@ def brute_force_flags(space):
     normal = all(
         separable(c1, c2) for c1 in closed for c2 in closed if c1 & c2 == 0
     )
-    return hausdorff, regular, normal
+    # every subset of a finite space is compact
+    subsets = range(space.full + 1)
+    locally_compact = all(nbhd_inside(x, space.full, subsets) for x in range(n))
+    strongly = all(nbhd_inside(x, space.full, closed) for x in range(n))
+    base = all(
+        nbhd_inside(x, w, subsets) for x in range(n) for w in opens if w >> x & 1
+    )
+    base_closed = all(
+        nbhd_inside(x, w, closed) for x in range(n) for w in opens if w >> x & 1
+    )
+    return (
+        hausdorff, regular, normal, locally_compact, strongly, base, base_closed
+    )
 
 def test_flags_match_brute_force_oracle():
-    for space in enumerate_topologies(3):
+    for space in enumerate_topologies(3) + enumerate_topologies(4):
         f = space.separation_flags()
-        assert (f.hausdorff, f.regular, f.normal) == brute_force_flags(space)
+        assert (
+            f.hausdorff,
+            f.regular,
+            f.normal,
+            f.locally_compact,
+            f.strongly_locally_compact,
+            f.base_compact_nbhds,
+            f.base_closed_compact_nbhds,
+        ) == brute_force_flags(space)
 
 def test_flags_examples():
     f = indiscrete(2).separation_flags()
