@@ -64,17 +64,53 @@ def _require_keys(obj, allowed, required, where):
         raise InputError(f"{where}: missing fields {sorted(missing)}")
 
 
+def _int_value(value, where) -> int:
+    if type(value) is not int:  # JSON true/false load as bool, an int subclass
+        raise InputError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _point_mask(values, order, where) -> int:
+    """Mask of a JSON list of element indices, each in 0..order-1."""
+    if not isinstance(values, list):
+        raise InputError(f"{where} must be a list of elements")
+    for x in values:
+        if type(x) is not int or not 0 <= x < order:
+            raise InputError(f"{where}: {x!r} is not an element 0..{order - 1}")
+    return mask_of(values)
+
+
+def _check_cap(order, max_order):
+    if order > max_order:
+        raise InputError(f"order {order} exceeds the cap {max_order}")
+
+
+def _size_param(params, family, order_per_n, max_order) -> int:
+    """params["n"] of a family whose group has order order_per_n * n."""
+    if "n" not in params:
+        raise InputError(f"{family} params: missing fields ['n']")
+    n = _int_value(params["n"], f"{family} params: n")
+    if n < 1:
+        raise InputError(f"{family} params: n must be positive, got {n}")
+    _check_cap(order_per_n * n, max_order)
+    return n
+
+
 def load_group(spec, max_order) -> groups_mod.FiniteGroup:
+    """Build a group from its JSON spec; every order is checked against
+    max_order before any Cayley table is built."""
     if not isinstance(spec, dict):
         raise InputError("group spec must be an object")
     if "family" in spec:
         _require_keys(spec, {"family", "params"}, {"family"}, "group")
         family = spec["family"]
         params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise InputError("group params: expected an object")
         if family == "cyclic":
-            g = groups_mod.cyclic(int(params["n"]))
+            g = groups_mod.cyclic(_size_param(params, family, 1, max_order))
         elif family == "dihedral":
-            g = groups_mod.dihedral(int(params["n"]))
+            g = groups_mod.dihedral(_size_param(params, family, 2, max_order))
         elif family == "symmetric3":
             g = groups_mod.symmetric3()
         elif family == "quaternion8":
@@ -83,16 +119,17 @@ def load_group(spec, max_order) -> groups_mod.FiniteGroup:
             g = groups_mod.trivial_group()
         elif family == "product":
             factors = params.get("factors", [])
-            if len(factors) != 2:
+            if not isinstance(factors, list) or len(factors) != 2:
                 raise InputError("product family needs exactly two factors")
-            g = groups_mod.direct_product(
-                load_group(factors[0], max_order),
-                load_group(factors[1], max_order),
-            )
+            g1 = load_group(factors[0], max_order)
+            g2 = load_group(factors[1], max_order)
+            _check_cap(g1.order * g2.order, max_order)
+            g = groups_mod.direct_product(g1, g2)
         else:
             raise InputError(f"unknown family {family!r}")
     else:
         _require_keys(spec, {"name", "order", "table"}, {"order", "table"}, "group")
+        _check_cap(_int_value(spec["order"], "group order"), max_order)
         try:
             g = groups_mod.FiniteGroup(
                 spec["table"], name=spec.get("name", "group")
@@ -101,8 +138,7 @@ def load_group(spec, max_order) -> groups_mod.FiniteGroup:
             raise InputError(f"bad Cayley table: {exc}") from exc
         if g.order != spec["order"]:
             raise InputError("declared order does not match the table")
-    if g.order > max_order:
-        raise InputError(f"order {g.order} exceeds the cap {max_order}")
+    _check_cap(g.order, max_order)
     return g
 
 
@@ -112,18 +148,21 @@ def load_top_group(group_spec, topo_spec, max_order) -> groups_mod.FiniteTopGrou
         raise InputError("topology spec must be an object")
     if "normal_subgroup" in topo_spec:
         _require_keys(topo_spec, {"normal_subgroup"}, {"normal_subgroup"}, "topology")
-        n_mask = mask_of(int(x) for x in topo_spec["normal_subgroup"])
+        n_mask = _point_mask(
+            topo_spec["normal_subgroup"], group.order, "normal_subgroup"
+        )
         try:
             space = groups_mod.coset_topology(group, n_mask)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     elif "opens" in topo_spec:
         _require_keys(topo_spec, {"opens"}, {"opens"}, "topology")
+        opens = topo_spec["opens"]
+        if not isinstance(opens, list):
+            raise InputError("opens must be a list of open sets")
+        masks = [_point_mask(u, group.order, "open set") for u in opens]
         try:
-            space = FiniteSpace(
-                group.order,
-                [mask_of(int(x) for x in u) for u in topo_spec["opens"]],
-            )
+            space = FiniteSpace(group.order, masks)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     else:
@@ -136,6 +175,8 @@ def load_top_group(group_spec, topo_spec, max_order) -> groups_mod.FiniteTopGrou
 
 def load_measure(spec, g) -> measure_mod.FiniteMeasure:
     _require_keys(spec, {"atom_masses"}, {"atom_masses"}, "measure")
+    if not isinstance(spec["atom_masses"], list):
+        raise InputError("atom_masses must be a list of rationals")
     masses = tuple(parse_frac(s) for s in spec["atom_masses"])
     if any(m < 0 for m in masses):
         raise InputError("atom masses must be nonnegative")
@@ -242,11 +283,7 @@ def cmd_verify_haar(data, max_order):
 def cmd_construct(data, max_order):
     _require_keys(data, {"group", "topology", "k0"}, {"group", "topology", "k0"}, "input")
     tg = load_top_group(data["group"], data["topology"], max_order)
-    k0 = mask_of(int(x) for x in data["k0"])
-    try:
-        tg.space.check_subset(k0)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    k0 = _point_mask(data["k0"], tg.group.order, "k0")
     if tg.space.interior(k0) == 0 or not tg.space.is_closed(k0):
         raise InputError("k0 must be closed with nonempty interior")
     k_atoms = len(tg.atoms)

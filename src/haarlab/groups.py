@@ -21,13 +21,17 @@ from .topology import FiniteSpace, bit_indices, mask_of
 MAX_ORDER = 64
 
 
+def _check_order(order: int):
+    if not 1 <= order <= MAX_ORDER:
+        raise TooLarge(f"order {order} outside 1..{MAX_ORDER}")
+
+
 class FiniteGroup:
     """A group on elements 0..order-1 given by its Cayley table."""
 
     def __init__(self, table, name: str = "group"):
         order = len(table)
-        if not 1 <= order <= MAX_ORDER:
-            raise TooLarge(f"order {order} outside 1..{MAX_ORDER}")
+        _check_order(order)
         table = tuple(tuple(row) for row in table)
         for row in table:
             if len(row) != order or any(not 0 <= v < order for v in row):
@@ -154,6 +158,7 @@ def trivial_group() -> FiniteGroup:
 
 
 def cyclic(n: int) -> FiniteGroup:
+    _check_order(n)  # before the n x n table is built
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, name=f"Z{n}")
 
@@ -162,6 +167,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Order 2n; index k*n + i encodes s^k r^i with s r s = r^-1."""
     if n < 1:
         raise ValueError("dihedral requires n >= 1")
+    _check_order(2 * n)
 
     def mul(a, b):
         k1, i1 = divmod(a, n)

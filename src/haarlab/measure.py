@@ -9,6 +9,7 @@ regularity as a supremum over closed compact subsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -111,66 +112,66 @@ def _atom_perm(g: FiniteTopGroup, elem: int, side: str):
             g.group.mul(elem, rep) if side == "left" else g.group.mul(rep, elem)
         )
         perm.append(g.atom_of[moved])
-    return perm
+    return tuple(perm)
 
 
-def _apply_perm(perm, sel: int) -> int:
-    out = 0
-    for i in bit_indices(sel):
-        out |= 1 << perm[i]
-    return out
+def _int_weights(g: FiniteTopGroup, mu: FiniteMeasure):
+    """The atom masses scaled to their common denominator, as exact ints.
 
-
-def _set_masses(mu: FiniteMeasure, k: int):
-    """Masses of all 2^k atom selections, by dynamic programming."""
-    masses = [Fraction(0)] * (1 << k)
-    for sel in range(1, 1 << k):
-        low = sel & -sel
-        masses[sel] = masses[sel ^ low] + mu.atom_mass[low.bit_length() - 1]
-    return masses
-
-
-def _check_invariance(g, mu, masses, side, witnesses):
-    k = len(g.atoms)
-    ok = True
-    for elem in range(g.group.order):
-        perm = _atom_perm(g, elem, side)
-        for sel in range(1 << k):
-            if masses[_apply_perm(perm, sel)] != masses[sel]:
-                ok = False
-                witnesses.append((side, sel, elem))
-                break
-        if not ok:
-            break
-    return ok
-
-
-def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarReport:
-    """Verify every Haar axiom exhaustively over the Borel lattice."""
+    Scaling by one positive constant keeps every equality and order between
+    set masses, so the sweeps compare ints instead of Fractions.
+    """
     if mu.group_ref is not g and mu.group_ref != g:
         raise MeasureSpaceMismatch("measure lives on a different group")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     k = len(g.atoms)
     if k > MAX_ATOMS_CHECK:
         raise TooLarge(f"{k} atoms exceeds the exhaustive-check cap")
-    masses = _set_masses(mu, k)
-    witnesses = []
+    den = math.lcm(*(m.denominator for m in mu.atom_mass))
+    return [m.numerator * (den // m.denominator) for m in mu.atom_mass]
 
-    nonzero = any(m > 0 for m in mu.atom_mass)
-    # Every atom mass is a finite rational, so every closed compact set
-    # (a union of atoms) has finite mass.
-    locally_finite = True
 
-    left_inv = _check_invariance(g, mu, masses, "left", witnesses)
-    right_inv = _check_invariance(g, mu, masses, "right", witnesses)
+def _subset_sums(weights):
+    """Masses of all 2^k atom selections: entry sel sums weights[i] over
+    the bits i of sel."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
-    # Outer regularity: inf over open supersets.  Opens at atom level are
-    # all selections (atoms are clopen); masses are monotone, so the scan
-    # stops as soon as the infimum matches the set's own mass.
+
+def _check_invariance(g, weights, masses, side, witnesses):
+    """Every Borel set against its translate by every element.
+
+    The translate of selection sel by elem selects perm[i] for each bit i of
+    sel, so its mass is entry sel of the subset-sum table of the permuted
+    weights.  Elements inducing one permutation share one table.
+    """
+    passed = set()
+    for elem in range(g.group.order):
+        perm = _atom_perm(g, elem, side)
+        if perm in passed:
+            continue
+        moved = _subset_sums([weights[j] for j in perm])
+        if moved == masses:
+            passed.add(perm)
+            continue
+        sel = next(s for s, (a, b) in enumerate(zip(moved, masses)) if a != b)
+        witnesses.append((side, sel, elem))
+        return False
+    return True
+
+
+def _check_regularity(masses, witnesses):
+    """Outer regularity (inf over open supersets) and inner regularity on
+    opens (sup over closed compact subsets), over every selection.
+
+    Opens at atom level are all selections (atoms are clopen); masses are
+    monotone, so each scan stops as soon as the extremum matches the set's
+    own mass.
+    """
+    full = len(masses) - 1
     outer = True
-    full = (1 << k) - 1
-    for sel in range(1 << k):
+    for sel in range(full + 1):
         target = masses[sel]
         best = None
         sup = sel
@@ -187,9 +188,8 @@ def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarRep
             witnesses.append(("outer", sel, None))
             break
 
-    # Inner regularity on opens: sup over closed compact subsets.
     inner = True
-    for sel in range(1 << k):
+    for sel in range(full + 1):
         target = masses[sel]
         best = None
         sub = sel
@@ -205,6 +205,25 @@ def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarRep
             inner = False
             witnesses.append(("inner", sel, None))
             break
+    return outer, inner
+
+
+def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarReport:
+    """Verify every Haar axiom exhaustively over the Borel lattice."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    weights = _int_weights(g, mu)
+    masses = _subset_sums(weights)
+    witnesses = []
+
+    nonzero = any(m > 0 for m in mu.atom_mass)
+    # Every atom mass is a finite rational, so every closed compact set
+    # (a union of atoms) has finite mass.
+    locally_finite = True
+
+    left_inv = _check_invariance(g, weights, masses, "left", witnesses)
+    right_inv = _check_invariance(g, weights, masses, "right", witnesses)
+    outer, inner = _check_regularity(masses, witnesses)
 
     return HaarReport(
         side=side,
@@ -219,13 +238,12 @@ def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarRep
 
 
 def is_radon(g: FiniteTopGroup, mu: FiniteMeasure) -> bool:
-    """The Haar axioms minus invariance and nonzeroness."""
-    report = is_haar(g, mu)
-    return (
-        report.locally_finite
-        and report.outer_regular
-        and report.inner_regular_on_opens
-    )
+    """The Haar axioms minus invariance and nonzeroness.
+
+    Local finiteness always holds, as every atom mass is a finite rational,
+    so only the two regularity sweeps run.
+    """
+    return all(_check_regularity(_subset_sums(_int_weights(g, mu)), []))
 
 
 def canonical_haar(g: FiniteTopGroup) -> FiniteMeasure:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from haarlab import cli, plane
+from haarlab import cli, groups, plane
 
 
 def run_cli(tmp_path, command, payload, *extra, name="input.json"):
@@ -245,6 +245,43 @@ def test_env_order_cap(tmp_path):
         env=env,
     )
     assert proc.returncode == 2
+
+Z4_HAAR = dict(Z4_COSET, measure={"atom_masses": ["1/1", "1/1"]})
+MALFORMED = {
+    "masses_not_a_list": dict(Z4_HAAR, measure={"atom_masses": "11"}),
+    "subgroup_element_not_int": dict(Z4_HAAR, topology={"normal_subgroup": [0, "x"]}),
+    "subgroup_element_negative": dict(Z4_HAAR, topology={"normal_subgroup": [0, -2]}),
+    "params_without_n": dict(Z4_HAAR, group={"family": "cyclic", "params": {}}),
+    "params_not_object": dict(Z4_HAAR, group={"family": "cyclic", "params": [4]}),
+    "open_not_a_list": dict(
+        Z4_HAAR, topology={"opens": [[], 0, [0, 1, 2, 3]]}, measure={"atom_masses": ["1/1"]}
+    ),
+}
+
+@pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_exits_2(tmp_path, payload):
+    proc, report = run_cli(tmp_path, "verify-haar", payload)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert set(report) == {"schema_version", "command", "error"}
+
+SIZE_CAP_SPECS = {
+    "cyclic": {"family": "cyclic", "params": {"n": 10**9}},
+    "dihedral": {"family": "dihedral", "params": {"n": 10**9}},
+    "product": {
+        "family": "product",
+        "params": {"factors": [{"family": "symmetric3"}, {"family": "quaternion8"}]},
+    },
+}
+
+@pytest.mark.parametrize("spec", SIZE_CAP_SPECS.values(), ids=SIZE_CAP_SPECS)
+def test_order_cap_checked_before_tables(spec, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table built past the cap")
+
+    for family in ("cyclic", "dihedral", "direct_product"):
+        monkeypatch.setattr(groups, family, no_table)
+    with pytest.raises(cli.InputError, match="exceeds the cap 32"):
+        cli.load_group(spec, 32)
 
 def test_construct_bad_k0(tmp_path):
     payload = dict(Z4_COSET, k0=[0])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,9 @@ from haarlab import (
     symmetric3,
     validate_top_group,
 )
-from haarlab.errors import MeasureSpaceMismatch, NotHaar, NotMeasurable
-from haarlab.measure import is_radon
+from haarlab.errors import MeasureSpaceMismatch, NotHaar, NotMeasurable, TooLarge
+from haarlab import measure
+from haarlab.measure import HaarReport, is_radon
 from haarlab.topology import bit_indices
 
 from conftest import random_fraction
@@ -105,6 +107,125 @@ def test_is_haar_mismatch():
     other = discrete_instance(cyclic(2))
     with pytest.raises(MeasureSpaceMismatch):
         is_haar(tg, canonical_haar(other))
+
+
+# -- is_haar against the literal Fraction sweep --------------------------------
+
+def literal_is_haar(g, mu, side):
+    """Reference: Fraction masses of every selection, each translate built
+    bit by bit for every group element, regularity scans as in is_haar."""
+    k = len(g.atoms)
+    masses = [sum((mu.atom_mass[i] for i in bit_indices(sel)), Fraction(0))
+              for sel in range(1 << k)]
+    witnesses = []
+    invariant = {}
+    for kind in ("left", "right"):
+        invariant[kind] = True
+        for elem in range(g.group.order):
+            perm = []
+            for a in g.atoms:
+                rep = next(bit_indices(a))
+                moved = g.group.mul(elem, rep) if kind == "left" else g.group.mul(rep, elem)
+                perm.append(next(j for j, b in enumerate(g.atoms) if b >> moved & 1))
+            bad = next(
+                (sel for sel in range(1 << k)
+                 if masses[sum(1 << perm[i] for i in bit_indices(sel))] != masses[sel]),
+                None,
+            )
+            if bad is not None:
+                invariant[kind] = False
+                witnesses.append((kind, bad, elem))
+                break
+    # outer: inf over supersets, visited upward; inner: sup over subsets,
+    # visited downward; each scan stops once the extremum is the set's mass
+    regular = {}
+    full = (1 << k) - 1
+    for kind, pick, step, last in (
+        ("outer", min, lambda s, sel: (s + 1) | sel, lambda s: s == full),
+        ("inner", max, lambda s, sel: (s - 1) & sel, lambda s: s == 0),
+    ):
+        regular[kind] = True
+        for sel in range(1 << k):
+            s = sel
+            best = masses[s]
+            while best != masses[sel] and not last(s):
+                s = step(s, sel)
+                best = pick(best, masses[s])
+            if best != masses[sel]:
+                regular[kind] = False
+                witnesses.append((kind, sel, None))
+                break
+    return HaarReport(
+        side=side,
+        nonzero=any(m > 0 for m in mu.atom_mass),
+        left_invariant=invariant["left"],
+        right_invariant=invariant["right"],
+        locally_finite=True,
+        outer_regular=regular["outer"],
+        inner_regular_on_opens=regular["inner"],
+        witnesses=tuple(witnesses),
+    )
+
+def assert_matches_literal(tg, mu):
+    # the reference does the same work for both sides; only `side` differs
+    ref = literal_is_haar(tg, mu, "left")
+    for side in ("left", "right"):
+        assert is_haar(tg, mu, side) == replace(ref, side=side), (tg, mu, side)
+
+def test_is_haar_matches_literal_sweep(corpus_instances):
+    rng = random.Random(2309)
+    for tg in corpus_instances:
+        k = len(tg.atoms)
+        canon = canonical_haar(tg)
+        masses = [canon, canon.scaled(Fraction(7, 3))]
+        for changed in (1, 2):
+            atom_mass = list(canon.scaled(Fraction(5, 2)).atom_mass)
+            for i in rng.sample(range(k), min(changed, k)):
+                atom_mass[i] = random_fraction(rng, max_num=5)
+            if changed == 2:
+                atom_mass[rng.randrange(k)] = Fraction(0)
+            masses.append(FiniteMeasure(tg, tuple(atom_mass)))
+        for mu in masses:
+            assert_matches_literal(tg, mu)
+
+def test_is_haar_matches_literal_sweep_16_atoms():
+    tg = discrete_instance(cyclic(16))
+    mu = FiniteMeasure(tg, (1,) * 9 + (Fraction(3, 2),) + (1,) * 6)
+    assert not is_haar(tg, mu).is_haar
+    assert_matches_literal(tg, mu)
+
+def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
+    # one subset-sum table for the measure, then at most one per distinct
+    # atom permutation on each side; there are at most k of those
+    tables = []
+    sums = measure._subset_sums
+
+    def counting_sums(weights):
+        tables.append(len(weights))
+        return sums(weights)
+
+    monkeypatch.setattr(measure, "_subset_sums", counting_sums)
+    z48 = cyclic(48)
+    n4 = z48.generated_subgroup([12])
+    instances = list(corpus_instances)
+    instances.append(validate_top_group(z48, coset_topology(z48, n4)))
+    assert len(instances[-1].atoms) == 12
+    for tg in instances:
+        k = len(tg.atoms)
+        tables.clear()
+        assert is_haar(tg, canonical_haar(tg)).is_haar
+        assert 1 <= len(tables) <= 1 + 2 * k, tg
+        tables.clear()
+        assert is_radon(tg, canonical_haar(tg))
+        assert len(tables) == 1, tg
+
+def test_is_haar_atom_cap():
+    z64 = cyclic(64)
+    tg = validate_top_group(z64, coset_topology(z64, z64.generated_subgroup([32])))
+    assert len(tg.atoms) == 32
+    for check in (is_radon, is_haar):
+        with pytest.raises(TooLarge):
+            check(tg, canonical_haar(tg))
 
 
 # -- canonical_haar ----------------------------------------------------------
