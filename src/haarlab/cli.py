@@ -22,16 +22,6 @@ from .topology import FiniteSpace, bit_indices, mask_of
 
 SCHEMA_VERSION = "1"
 
-COMMANDS = (
-    "enumerate",
-    "verify-haar",
-    "construct",
-    "quotient",
-    "counterexample",
-    "fubini",
-    "plane",
-)
-
 
 class InputError(Exception):
     """Malformed user input; maps to exit code 2."""
@@ -67,6 +57,12 @@ def _require_keys(obj, allowed, required, where):
 def _int_value(value, where) -> int:
     if type(value) is not int:  # JSON true/false load as bool, an int subclass
         raise InputError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _bool_value(value, where) -> bool:
+    if type(value) is not bool:
+        raise InputError(f"{where} must be true or false, got {value!r}")
     return value
 
 
@@ -202,8 +198,8 @@ def load_cylinder(spec) -> plane_mod.CylinderSet:
                 plane_mod.Interval(
                     parse_frac(entry["lo"]),
                     parse_frac(entry["hi"]),
-                    bool(entry.get("lo_closed", True)),
-                    bool(entry.get("hi_closed", True)),
+                    _bool_value(entry.get("lo_closed", True), "lo_closed"),
+                    _bool_value(entry.get("hi_closed", True), "hi_closed"),
                 )
             )
         except ValueError as exc:
@@ -223,12 +219,14 @@ def intervals_json(iu: plane_mod.IntervalUnion):
     ]
 
 
-# -- command handlers: return (results, math_ok) ----------------------------
+# -- command handlers: (data, opts) -> (results, math_ok) ---------------------
+#
+# opts is the parsed command line with opts.max_order resolved.
 
 
-def cmd_enumerate(data, max_order):
+def cmd_enumerate(data, opts):
     _require_keys(data, {"group"}, {"group"}, "input")
-    group = load_group(data["group"], max_order)
+    group = load_group(data["group"], opts.max_order)
     topologies = []
     for tg in groups_mod.group_topologies(group):
         n_mask = groups_mod.identity_closure(tg)
@@ -248,14 +246,14 @@ def cmd_enumerate(data, max_order):
     return results, ok
 
 
-def cmd_verify_haar(data, max_order):
+def cmd_verify_haar(data, opts):
     _require_keys(
         data, {"group", "topology", "measure", "side"}, {"group", "topology", "measure"}, "input"
     )
     side = data.get("side", "left")
     if side not in ("left", "right"):
         raise InputError(f"side must be left or right, got {side!r}")
-    tg = load_top_group(data["group"], data["topology"], max_order)
+    tg = load_top_group(data["group"], data["topology"], opts.max_order)
     mu = load_measure(data["measure"], tg)
     report = measure_mod.is_haar(tg, mu, side=side)
     witnesses = [
@@ -280,9 +278,9 @@ def cmd_verify_haar(data, max_order):
     return results, report.is_haar
 
 
-def cmd_construct(data, max_order):
+def cmd_construct(data, opts):
     _require_keys(data, {"group", "topology", "k0"}, {"group", "topology", "k0"}, "input")
-    tg = load_top_group(data["group"], data["topology"], max_order)
+    tg = load_top_group(data["group"], data["topology"], opts.max_order)
     k0 = _point_mask(data["k0"], tg.group.order, "k0")
     if tg.space.interior(k0) == 0 or not tg.space.is_closed(k0):
         raise InputError("k0 must be closed with nonempty interior")
@@ -331,9 +329,9 @@ def cmd_construct(data, max_order):
     return results, report.is_haar and scalar is not None
 
 
-def cmd_quotient(data, max_order):
+def cmd_quotient(data, opts):
     _require_keys(data, {"group", "topology"}, {"group", "topology"}, "input")
-    tg = load_top_group(data["group"], data["topology"], max_order)
+    tg = load_top_group(data["group"], data["topology"], opts.max_order)
     q = groups_mod.quotient(tg)
     canon = measure_mod.canonical_haar(tg)
     pushed = measure_mod.pushforward(q, canon)
@@ -352,17 +350,13 @@ def cmd_quotient(data, max_order):
     return results, roundtrip_ok and pushed_haar
 
 
-def cmd_counterexample(data, max_order, probe_bound_flag=None):
+def cmd_counterexample(data, opts):
+    flag = parse_frac(opts.probe_bound) if opts.probe_bound else None
     _require_keys(data, {"c", "probe_bound"}, {"c"}, "input")
     c = parse_frac(data["c"])
     if c < 0:
         raise InputError("hypothesized mass must be nonnegative")
-    if probe_bound_flag is not None:
-        probe_bound = probe_bound_flag
-    elif "probe_bound" in data:
-        probe_bound = parse_frac(data["probe_bound"])
-    else:
-        probe_bound = Fraction(1)
+    probe_bound = flag if flag is not None else parse_frac(data.get("probe_bound", "1"))
     if probe_bound <= 0:
         raise InputError("probe bound must be positive")
     cert = plane_mod.counterexample_bk(c, probe_bound)
@@ -370,7 +364,7 @@ def cmd_counterexample(data, max_order, probe_bound_flag=None):
     results = {
         "verdict": cert.verdict,
         "verified": verified,
-        "translate_count": len(cert.translates),
+        "translate_count": cert.count,
         "translates": [
             {
                 "x": [frac_str(t.x_lo), frac_str(t.x_hi)],
@@ -383,15 +377,15 @@ def cmd_counterexample(data, max_order, probe_bound_flag=None):
     return results, verified
 
 
-def cmd_fubini(data, max_order):
+def cmd_fubini(data, opts):
     _require_keys(data, {"group1", "group2"}, {"group1", "group2"}, "input")
     tgs = []
     for key in ("group1", "group2"):
         entry = data[key]
         _require_keys(entry, {"group", "topology"}, {"group", "topology"}, key)
-        tgs.append(load_top_group(entry["group"], entry["topology"], max_order))
+        tgs.append(load_top_group(entry["group"], entry["topology"], opts.max_order))
     g, h = tgs
-    if g.group.order * h.group.order > max_order:
+    if g.group.order * h.group.order > opts.max_order:
         raise InputError("combined order exceeds the cap")
     mu = measure_mod.canonical_haar(g)
     lam = measure_mod.canonical_haar(h)
@@ -422,7 +416,7 @@ def cmd_fubini(data, max_order):
     return {"checks": checks}, ok
 
 
-def cmd_plane(data, max_order):
+def cmd_plane(data, opts):
     _require_keys(data, {"intervals", "shift", "eps"}, {"intervals"}, "input")
     e = load_cylinder(data["intervals"])
     results = {
@@ -456,13 +450,23 @@ def cmd_plane(data, max_order):
 
 # -- driver ------------------------------------------------------------------
 
+COMMANDS = {
+    "enumerate": cmd_enumerate,
+    "verify-haar": cmd_verify_haar,
+    "construct": cmd_construct,
+    "quotient": cmd_quotient,
+    "counterexample": cmd_counterexample,
+    "fubini": cmd_fubini,
+    "plane": cmd_plane,
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="haarlab",
         description="Verify Haar-measure facts on finite groups and the seminorm plane.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--input", required=True, help="path to the JSON input")
     parser.add_argument("--output", default=None, help="path for the JSON report (default stdout)")
     parser.add_argument("--max-order", type=int, default=None)
@@ -470,12 +474,29 @@ def build_parser():
     return parser
 
 
+def _max_order(flag) -> int:
+    """--max-order, else HAARLAB_MAX_ORDER, else groups.MAX_ORDER."""
+    if flag is not None:
+        return flag
+    env = os.environ.get("HAARLAB_MAX_ORDER")
+    if not env:
+        return groups_mod.MAX_ORDER
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"HAARLAB_MAX_ORDER must be an integer, got {env!r}") from None
+
+
+def _read_input(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read input: {exc}") from exc
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    max_order = args.max_order
-    if max_order is None:
-        env = os.environ.get("HAARLAB_MAX_ORDER")
-        max_order = int(env) if env else groups_mod.MAX_ORDER
 
     def emit(report):
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -486,30 +507,9 @@ def run(argv=None) -> int:
             sys.stdout.write(text)
 
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        emit(_error_report(args.command, f"cannot read input: {exc}"))
-        return 2
-
-    try:
-        if args.command == "counterexample":
-            probe = parse_frac(args.probe_bound) if args.probe_bound else None
-            results, ok = cmd_counterexample(data, max_order, probe)
-        elif args.command == "enumerate":
-            results, ok = cmd_enumerate(data, max_order)
-        elif args.command == "verify-haar":
-            results, ok = cmd_verify_haar(data, max_order)
-        elif args.command == "construct":
-            results, ok = cmd_construct(data, max_order)
-        elif args.command == "quotient":
-            results, ok = cmd_quotient(data, max_order)
-        elif args.command == "fubini":
-            results, ok = cmd_fubini(data, max_order)
-        elif args.command == "plane":
-            results, ok = cmd_plane(data, max_order)
-        else:  # pragma: no cover - argparse rejects unknown commands
-            raise InputError(f"unknown command {args.command}")
+        args.max_order = _max_order(args.max_order)
+        data = _read_input(args.input)
+        results, ok = COMMANDS[args.command](data, args)
     except InputError as exc:
         emit(_error_report(args.command, str(exc)))
         return 2

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import NegativeMass
+from .errors import NegativeMass, TooLarge
 
 
 @dataclass(frozen=True)
@@ -237,26 +238,44 @@ UNIT_TILE = Rect(0, 1, 0, 1)
 FINITENESS_VIOLATED = "FinitenessViolated"
 NONZERO_VIOLATED = "NonzeroViolated"
 
-#: Half-width of the finite grid window materialized in zero-mass certificates.
+#: Half-width of the finite grid window listed in zero-mass certificates.
 GRID_WINDOW = 3
+GRID_OFFSETS = tuple(
+    (mm, nn)
+    for mm in range(-GRID_WINDOW, GRID_WINDOW + 1)
+    for nn in range(-GRID_WINDOW, GRID_WINDOW + 1)
+)
+
+#: Most tiles `BkCertificate.translates` lists; verification lists none.
+MAX_LISTED_TILES = 1 << 17
 
 
 @dataclass(frozen=True)
 class BkCertificate:
     """A machine-checkable refutation of one hypothesized tile mass.
 
-    For a positive mass c the witness is a stack of disjoint vertical
-    translates of the unit tile inside [0,1] x R whose total mass exceeds
-    the probe bound.  For c = 0 the witness is the grid of integer
-    translates of the tile (a finite window is materialized) whose
+    For a positive mass c the witness is a stack of `count` vertical
+    translates of the unit tile, `step` apart, inside [0,1] x R whose total
+    mass exceeds the probe bound.  For c = 0 the witness is the grid of
+    integer translates of the tile (a finite window is listed) whose
     subadditivity chain forces total mass zero against nonzeroness.
     """
 
     input_mass: Fraction
     probe_bound: Fraction
     verdict: str
-    translates: tuple = ()  # Rects, FinitenessViolated branch
+    count: int = 0  # tiles, `step` apart: FinitenessViolated branch
+    step: Fraction = Fraction(0)
     grid_offsets: tuple = ()  # (m, n) integer pairs, NonzeroViolated branch
+
+    @cached_property
+    def translates(self) -> tuple:
+        """The `count` tiles, for reports; raises TooLarge past the cap."""
+        if self.count > MAX_LISTED_TILES:
+            raise TooLarge(
+                f"{self.count} tiles exceeds the listing cap {MAX_LISTED_TILES}"
+            )
+        return tuple(UNIT_TILE.shifted(0, self.step * n) for n in range(self.count))
 
 
 def counterexample_bk(c, probe_bound) -> BkCertificate:
@@ -267,76 +286,31 @@ def counterexample_bk(c, probe_bound) -> BkCertificate:
     if probe_bound <= 0:
         raise ValueError("probe bound must be positive")
     if c > 0:
-        m = probe_bound // c + 1
-        translates = tuple(
-            UNIT_TILE.shifted(0, 2 * n) for n in range(m)
-        )
         return BkCertificate(
-            input_mass=c,
-            probe_bound=probe_bound,
-            verdict=FINITENESS_VIOLATED,
-            translates=translates,
+            c, probe_bound, FINITENESS_VIOLATED, probe_bound // c + 1, Fraction(2)
         )
-    offsets = tuple(
-        (mm, nn)
-        for mm in range(-GRID_WINDOW, GRID_WINDOW + 1)
-        for nn in range(-GRID_WINDOW, GRID_WINDOW + 1)
-    )
-    return BkCertificate(
-        input_mass=c,
-        probe_bound=probe_bound,
-        verdict=NONZERO_VIOLATED,
-        grid_offsets=offsets,
-    )
+    return BkCertificate(c, probe_bound, NONZERO_VIOLATED, grid_offsets=GRID_OFFSETS)
 
 
 def verify_bk_certificate(cert: BkCertificate) -> bool:
-    """Independent arithmetic re-check of a certificate."""
+    """Independent arithmetic re-check of a certificate, in O(1): no tile
+    is built."""
     c = cert.input_mass
     if cert.verdict == FINITENESS_VIOLATED:
-        if c <= 0:
-            return False
-        tiles = cert.translates
-        # each tile is a vertical translate of the unit tile by an even step
-        for n, tile in enumerate(tiles):
-            if tile != UNIT_TILE.shifted(0, 2 * n):
-                return False
-        # pairwise disjoint
-        for i in range(len(tiles)):
-            for j in range(i + 1, len(tiles)):
-                if not tiles[i].disjoint_from(tiles[j]):
-                    return False
-        # contained in K = [0,1] x R
-        for tile in tiles:
-            if tile.x_lo < 0 or tile.x_hi > 1:
-                return False
-        # total mass exceeds the probe bound
-        return len(tiles) * c > cert.probe_bound
+        return (
+            c > 0
+            # closed tiles `step` apart are disjoint when step exceeds their
+            # height; tiles that only touch still overlap
+            and cert.step > UNIT_TILE.y_hi - UNIT_TILE.y_lo
+            # every translate is vertical, so each lies in K = [0,1] x R
+            and 0 <= UNIT_TILE.x_lo
+            and UNIT_TILE.x_hi <= 1
+            # total mass exceeds the probe bound
+            and cert.count * c > cert.probe_bound
+        )
     if cert.verdict == NONZERO_VIOLATED:
-        if c != 0:
-            return False
-        offsets = set(cert.grid_offsets)
-        w = GRID_WINDOW
-        if offsets != {
-            (mm, nn)
-            for mm in range(-w, w + 1)
-            for nn in range(-w, w + 1)
-        }:
-            return False
-        # the window of tiles covers the square [-w, w+1]^2: translates of
-        # the closed unit tile by every integer offset in the window
-        tiles = [UNIT_TILE.shifted(mm, nn) for mm, nn in cert.grid_offsets]
-        for tile in tiles:
-            if tile.x_hi - tile.x_lo != 1 or tile.y_hi - tile.y_lo != 1:
-                return False
-        xs = {t.x_lo for t in tiles}
-        ys = {t.y_lo for t in tiles}
-        if xs != {Fraction(i) for i in range(-w, w + 1)}:
-            return False
-        if ys != {Fraction(i) for i in range(-w, w + 1)}:
-            return False
-        # subadditivity chain: the countable sum of copies of c is zero,
-        # contradicting nonzeroness of a Haar measure
-        total = sum((c for _ in tiles), Fraction(0))
-        return total == 0
+        # the window of integer translates of the closed unit tile covers
+        # the square [-GRID_WINDOW, GRID_WINDOW + 1]^2; subadditivity then forces the mass of
+        # every compact set to 0, contradicting nonzeroness
+        return c == 0 and tuple(cert.grid_offsets) == GRID_OFFSETS
     return False

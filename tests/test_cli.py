@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +116,30 @@ def test_counterexample_verifies_once(tmp_path, monkeypatch):
     monkeypatch.setattr(plane, "verify_bk_certificate", lambda cert: False)
     assert cli.run(argv) == 1
     assert json.loads(out.read_text())["results"]["verified"] is False
+
+def test_counterexample_over_listing_cap(tmp_path, monkeypatch):
+    def no_tile(*args, **kwargs):
+        raise AssertionError("a tile was built")
+
+    monkeypatch.setattr(plane.Rect, "shifted", no_tile)
+    monkeypatch.setattr(plane.Rect, "__post_init__", no_tile)
+    # 10^12 + 1 tiles: verified without building one
+    cert = plane.counterexample_bk(Fraction(1, 10**12), 1)
+    assert cert.count == 10**12 + 1
+    assert plane.verify_bk_certificate(cert)
+    # the CLI rejects the listing before building a tile
+    payload = {"c": "1/1000000000000", "probe_bound": "1/1"}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert cli.run(["counterexample", "--input", str(path), "--output", str(out)]) == 2
+    assert json.loads(out.read_text())["error"] == (
+        "TooLarge: 1000000000001 tiles exceeds the listing cap 131072"
+    )
+    monkeypatch.undo()
+    proc, report = run_cli(tmp_path, "counterexample", payload)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert set(report) == {"schema_version", "command", "error"}
 
 def test_fubini(tmp_path):
     payload = {
@@ -246,21 +271,51 @@ def test_env_order_cap(tmp_path):
     )
     assert proc.returncode == 2
 
+def test_env_order_cap_not_an_int(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(
+        json.dumps({"group": {"family": "cyclic", "params": {"n": 5}}}),
+        encoding="utf-8",
+    )
+    env = dict(os.environ, HAARLAB_MAX_ORDER="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "haarlab.cli", "enumerate", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == (
+        "HAARLAB_MAX_ORDER must be an integer, got 'abc'"
+    )
+
 Z4_HAAR = dict(Z4_COSET, measure={"atom_masses": ["1/1", "1/1"]})
 MALFORMED = {
-    "masses_not_a_list": dict(Z4_HAAR, measure={"atom_masses": "11"}),
-    "subgroup_element_not_int": dict(Z4_HAAR, topology={"normal_subgroup": [0, "x"]}),
-    "subgroup_element_negative": dict(Z4_HAAR, topology={"normal_subgroup": [0, -2]}),
-    "params_without_n": dict(Z4_HAAR, group={"family": "cyclic", "params": {}}),
-    "params_not_object": dict(Z4_HAAR, group={"family": "cyclic", "params": [4]}),
-    "open_not_a_list": dict(
-        Z4_HAAR, topology={"opens": [[], 0, [0, 1, 2, 3]]}, measure={"atom_masses": ["1/1"]}
+    "masses_not_a_list": ("verify-haar", dict(Z4_HAAR, measure={"atom_masses": "11"})),
+    "subgroup_element_not_int": (
+        "verify-haar", dict(Z4_HAAR, topology={"normal_subgroup": [0, "x"]})
+    ),
+    "subgroup_element_negative": (
+        "verify-haar", dict(Z4_HAAR, topology={"normal_subgroup": [0, -2]})
+    ),
+    "params_without_n": (
+        "verify-haar", dict(Z4_HAAR, group={"family": "cyclic", "params": {}})
+    ),
+    "params_not_object": (
+        "verify-haar", dict(Z4_HAAR, group={"family": "cyclic", "params": [4]})
+    ),
+    "open_not_a_list": (
+        "verify-haar",
+        dict(Z4_HAAR, topology={"opens": [[], 0, [0, 1, 2, 3]]}, measure={"atom_masses": ["1/1"]}),
+    ),
+    "interval_flag_not_bool": (
+        "plane", {"intervals": [{"lo": "0/1", "hi": "1/1", "lo_closed": "false"}]}
     ),
 }
 
-@pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
-def test_malformed_input_exits_2(tmp_path, payload):
-    proc, report = run_cli(tmp_path, "verify-haar", payload)
+@pytest.mark.parametrize("command,payload", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_exits_2(tmp_path, command, payload):
+    proc, report = run_cli(tmp_path, command, payload)
     assert proc.returncode == 2 and proc.stderr == ""
     assert set(report) == {"schema_version", "command", "error"}
 

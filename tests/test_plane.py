@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from haarlab import (
     translate_v,
     verify_bk_certificate,
 )
-from haarlab.errors import NegativeMass
+from haarlab import plane
+from haarlab.errors import NegativeMass, TooLarge
 from haarlab.plane import (
     FINITENESS_VIOLATED,
     GRID_WINDOW,
@@ -208,30 +210,85 @@ def test_bk_translates_are_disjoint_and_contained():
         for j in range(i + 1, len(tiles)):
             assert tiles[i].disjoint_from(tiles[j])
 
-def test_tampered_certificates_rejected():
+def _literal_verify(cert):
+    """The tile-by-tile verifier that the O(1) one replaced: every tile's
+    position, every pair's disjointness and every tile's containment,
+    read off the listed tiles."""
+    c = cert.input_mass
+    if cert.verdict == FINITENESS_VIOLATED:
+        if c <= 0:
+            return False
+        tiles = cert.translates
+        for n, tile in enumerate(tiles):
+            if tile != UNIT_TILE.shifted(0, 2 * n):
+                return False
+        for i in range(len(tiles)):
+            for j in range(i + 1, len(tiles)):
+                if not tiles[i].disjoint_from(tiles[j]):
+                    return False
+        for tile in tiles:
+            if tile.x_lo < 0 or tile.x_hi > 1:
+                return False
+        return len(tiles) * c > cert.probe_bound
+    if cert.verdict == NONZERO_VIOLATED:
+        w = GRID_WINDOW
+        window = {(m, n) for m in range(-w, w + 1) for n in range(-w, w + 1)}
+        return c == 0 and set(cert.grid_offsets) == window
+    return False
+
+def _tampered():
     good = counterexample_bk(1, 10)
-    # drop a translate: total mass no longer exceeds the bound
-    assert not verify_bk_certificate(
-        BkCertificate(good.input_mass, good.probe_bound, good.verdict,
-                      good.translates[:-1])
-    )
-    # overlapping translates
-    assert not verify_bk_certificate(
-        BkCertificate(good.input_mass, good.probe_bound, good.verdict,
-                      (UNIT_TILE, UNIT_TILE.shifted(0, 1)))
-    )
-    # wrong verdict for the mass
-    assert not verify_bk_certificate(
-        BkCertificate(Fraction(0), good.probe_bound, FINITENESS_VIOLATED,
-                      good.translates)
-    )
     zero = counterexample_bk(0, 10)
-    # incomplete grid window
-    assert not verify_bk_certificate(
-        BkCertificate(zero.input_mass, zero.probe_bound, zero.verdict,
-                      grid_offsets=zero.grid_offsets[:-1])
-    )
-    # unknown verdict
-    assert not verify_bk_certificate(
-        BkCertificate(Fraction(1), Fraction(1), "SomethingElse")
-    )
+    offsets = zero.grid_offsets
+    return {
+        # one tile fewer: total mass no longer exceeds the bound
+        "dropped_tile": replace(good, count=good.count - 1),
+        # closed tiles that touch or overlap
+        "touching_tiles": replace(good, step=Fraction(1)),
+        "overlapping_tiles": replace(good, step=Fraction(1, 2)),
+        # wrong verdict for the mass
+        "zero_mass_finiteness": replace(good, input_mass=Fraction(0)),
+        "positive_mass_nonzero": BkCertificate(
+            Fraction(1), good.probe_bound, NONZERO_VIOLATED, grid_offsets=offsets
+        ),
+        "incomplete_grid": replace(zero, grid_offsets=offsets[:-1]),
+        # one offset listed twice, another missing
+        "duplicated_offset": replace(zero, grid_offsets=offsets[:-1] + offsets[:1]),
+        "unknown_verdict": BkCertificate(Fraction(1), Fraction(1), "SomethingElse"),
+    }
+
+def test_tampered_certificates_rejected():
+    for name, cert in _tampered().items():
+        assert not verify_bk_certificate(cert), name
+
+def test_grid_offsets_compared_exactly():
+    zero = counterexample_bk(0, 10)
+    padded = replace(zero, grid_offsets=zero.grid_offsets + zero.grid_offsets[:1])
+    # the same set of offsets, one listed twice
+    assert _literal_verify(padded)
+    assert not verify_bk_certificate(padded)
+
+def test_verifier_matches_literal_check():
+    certs = [
+        counterexample_bk(c, bound)
+        for c in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(7, 2))
+        for bound in (Fraction(1), Fraction(10), Fraction(1000))
+    ]
+    for cert in certs:
+        assert verify_bk_certificate(cert) and _literal_verify(cert)
+    for cert in _tampered().values():
+        assert verify_bk_certificate(cert) == _literal_verify(cert)
+
+def test_certificate_is_count_and_step():
+    cert = counterexample_bk(Fraction(3, 7), Fraction(10))
+    assert (cert.count, cert.step) == (24, 2)
+    assert cert.translates == tuple(UNIT_TILE.shifted(0, 2 * n) for n in range(24))
+    assert counterexample_bk(0, 10).translates == ()
+
+def test_listing_cap(monkeypatch):
+    monkeypatch.setattr(plane, "MAX_LISTED_TILES", 4)
+    assert len(counterexample_bk(1, 3).translates) == 4
+    over = counterexample_bk(1, 4)
+    with pytest.raises(TooLarge, match="5 tiles exceeds the listing cap 4"):
+        over.translates
+    assert verify_bk_certificate(over)
