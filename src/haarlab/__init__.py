@@ -4,6 +4,7 @@ from .covering import (
     CoveringProblem,
     CoveringSolution,
     covering_number,
+    covering_table,
     existence_via_covering,
     mu_u,
 )

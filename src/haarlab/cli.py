@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -32,9 +33,50 @@ def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+#: Longest accepted spelling of a rational, and the largest accepted
+#: magnitude of its decimal exponent.  Under both caps a spelling expands to
+#: a Fraction of at most about 2,000 digits, where an exponent alone such as
+#: 1e999999999 would make Fraction build a billion-digit integer.
+MAX_RATIONAL_CHARS = 1000
+MAX_RATIONAL_EXPONENT = 1000
+
+# The spellings Fraction accepts: an optional sign, then an integer, a
+# quotient p/q, or a decimal with an optional exponent; digits may be
+# grouped by single underscores, and whitespace may surround the whole.
+_RATIONAL = re.compile(
+    r"""
+    \s*[-+]?
+    (?=\d|\.\d)
+    (?:\d+(?:_\d+)*)?
+    (?:
+        /\d+(?:_\d+)*
+    |
+        (?:\.(?:\d+(?:_\d+)*)?)?
+        (?:e(?P<exp>[-+]?\d+(?:_\d+)*))?
+    )
+    \s*
+    """,
+    re.VERBOSE | re.IGNORECASE,
+)
+
+
 def parse_frac(s) -> Fraction:
+    """A rational from its JSON value, checked against the grammar and the
+    caps above before any Fraction is built."""
+    text = str(s)
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise InputError(
+            f"bad rational: {len(text)} characters exceeds the cap {MAX_RATIONAL_CHARS}"
+        )
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise InputError(f"bad rational {s!r}: Invalid literal for Fraction: {text!r}")
+    if m["exp"] and abs(int(m["exp"])) > MAX_RATIONAL_EXPONENT:
+        raise InputError(
+            f"bad rational {s!r}: exponent exceeds the cap {MAX_RATIONAL_EXPONENT}"
+        )
     try:
-        return Fraction(str(s))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {s!r}: {exc}") from exc
 
@@ -304,18 +346,24 @@ def cmd_construct(data, opts):
             groups_mod.identity_closure(tg),
             tg.space.full,
         ]
+
+        def count(k, u):
+            problem = covering_mod.CoveringProblem(tg, k, u)
+            return covering_mod.covering_number(problem).count
+
     else:
         closed_sets = [c for c in tg.space.closed_sets() if c != 0]
         e_bit = tg.group.identity
         open_nbhds = [u for u in tg.space.opens if u >> e_bit & 1]
+        # one table of (K:U) per U, read at K's atom selection
+        tables = {u: covering_mod.covering_table(tg, u) for u in open_nbhds}
+        sels = {k: tg.image(k) for k in closed_sets}
+
+        def count(k, u):
+            return tables[u][sels[k]]
+
     table = [
-        {
-            "k": points_list(k),
-            "u": points_list(u),
-            "count": covering_mod.covering_number(
-                covering_mod.CoveringProblem(tg, k, u)
-            ).count,
-        }
+        {"k": points_list(k), "u": points_list(u), "count": count(k, u)}
         for k in closed_sets
         for u in open_nbhds
     ]
@@ -491,7 +539,7 @@ def _read_input(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
 
 

@@ -1,42 +1,45 @@
 """Exact covering numbers (K:S) and the ratio-functional construction.
 
 The covering number is the minimum number of left translates of the
-interior of S needed to cover K.  It is computed exactly: iterative
-deepening over candidate translates in ascending element order, which
-also makes the reported optimal translate list the lexicographically
-smallest one.
+interior of S needed to cover K.  For a single problem it is computed
+exactly by iterative deepening over candidate translates in ascending
+element order, which also makes the reported optimal translate list the
+lexicographically smallest one.  `covering_table` gives the counts for
+every target K at once for one neighbourhood U.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyInterior, InternalInconsistency, NotClosed, NotOpen
 from .groups import FiniteTopGroup, identity_closure
 from .measure import FiniteMeasure
+from .records import Record
+from .topology import bit_indices
 
 
-@dataclass(frozen=True)
-class CoveringProblem:
-    group: FiniteTopGroup
-    k: int  # target point mask, closed compact
-    s: int  # covering template point mask, nonempty interior
+class CoveringProblem(Record):
+    _fields = ("group", "k", "s")
 
-    def __post_init__(self):
-        space = self.group.space
-        space.check_subset(self.k)
-        space.check_subset(self.s)
-        if not space.is_closed(self.k):
-            raise NotClosed(f"target {self.k:#x} is not closed")
-        if space.interior(self.s) == 0:
-            raise EmptyInterior(f"template {self.s:#x} has empty interior")
+    def __init__(self, group: FiniteTopGroup, k: int, s: int):
+        # k: target point mask, closed compact
+        # s: covering template point mask, nonempty interior
+        space = group.space
+        space.check_subset(k)
+        space.check_subset(s)
+        if not space.is_closed(k):
+            raise NotClosed(f"target {k:#x} is not closed")
+        if space.interior(s) == 0:
+            raise EmptyInterior(f"template {s:#x} has empty interior")
+        self._assign(group, k, s)
 
 
-@dataclass(frozen=True)
-class CoveringSolution:
-    count: int
-    translates: tuple
+class CoveringSolution(Record):
+    _fields = ("count", "translates")
+
+    def __init__(self, count: int, translates: tuple):
+        self._assign(count, translates)
 
 
 def covering_number(p: CoveringProblem) -> CoveringSolution:
@@ -93,11 +96,69 @@ def covering_number(p: CoveringProblem) -> CoveringSolution:
     raise InternalInconsistency("no cover found despite coverability")
 
 
+def _check_neighbourhood(g: FiniteTopGroup, u: int):
+    if not g.space.is_open(u) or not u >> g.group.identity & 1:
+        raise NotOpen(f"{u:#x} is not an open neighborhood of the identity")
+
+
+def _union_distances(translates, k: int) -> list:
+    """Breadth-first search over unions of the given atom selections: entry
+    sel is the fewest of them whose union is sel, or None if none is."""
+    dist = [None] * (1 << k)
+    dist[0] = 0
+    frontier = [0]
+    steps = 0
+    while frontier:
+        steps += 1
+        reached = []
+        for sel in frontier:
+            for t in translates:
+                nxt = sel | t
+                if dist[nxt] is None:
+                    dist[nxt] = steps
+                    reached.append(nxt)
+        frontier = reached
+    return dist
+
+
+def covering_table(g: FiniteTopGroup, u: int) -> tuple:
+    """(K:U) for every union K of atoms, indexed by atom selection (bit i
+    selects atom i), for an open neighbourhood U of the identity.
+
+    Entry sel equals covering_number(CoveringProblem(g, g.preimage(sel),
+    u)).count.  Every left translate xU is a union of atoms and depends only
+    on the atom of x, so U has at most k distinct translates for k atoms.  A
+    breadth-first search gives the fewest translates whose union is each
+    selection; the fewest covering K is the least of these over the
+    supersets of K, one superset-minimum pass over the 2^k selections.
+    Work is O(k * 2^k).
+    """
+    _check_neighbourhood(g, u)
+    k = len(g.atoms)
+    translates = set()
+    for atom in g.atoms:
+        m = g.group.translate(next(bit_indices(atom)), u, "left")
+        sel = g.image(m)
+        if g.preimage(sel) != m:
+            raise InternalInconsistency(f"translate {m:#x} is not a union of atoms")
+        translates.add(sel)
+    dist = _union_distances(translates, k)
+    if dist[-1] is None:
+        raise InternalInconsistency("translates do not cover the group")
+    # no cover uses more than the k distinct translates
+    best = [k + 1 if d is None else d for d in dist]
+    for i in range(k):
+        bit = 1 << i
+        for sel in range(1 << k):
+            if not sel & bit and best[sel | bit] < best[sel]:
+                best[sel] = best[sel | bit]
+    return tuple(best)
+
+
 def mu_u(g: FiniteTopGroup, k: int, k0: int, u: int) -> Fraction:
     """The ratio functional value (K:U) / (K0:U)."""
     space = g.space
-    if not space.is_open(u) or not u >> g.group.identity & 1:
-        raise NotOpen(f"{u:#x} is not an open neighborhood of the identity")
+    _check_neighbourhood(g, u)
     if space.interior(k0) == 0:
         raise EmptyInterior(f"reference set {k0:#x} has empty interior")
     num = covering_number(CoveringProblem(g, k, u)).count
@@ -121,26 +182,14 @@ def existence_via_covering(g: FiniteTopGroup, k0: int) -> FiniteMeasure:
     if space.interior(k0) == 0:
         raise EmptyInterior(f"reference set {k0:#x} has empty interior")
     n_mask = identity_closure(g)
-    masses = tuple(mu_u(g, atom, k0, n_mask) for atom in g.atoms)
+    _check_neighbourhood(g, n_mask)
+    # mu_N on each atom, with the reference count (K0:N) found once
+    den = covering_number(CoveringProblem(g, k0, n_mask)).count
+    if den == 0:
+        raise InternalInconsistency("reference covering number vanished")
+    masses = tuple(
+        Fraction(covering_number(CoveringProblem(g, atom, n_mask)).count, den)
+        for atom in g.atoms
+    )
     return FiniteMeasure(g, masses)
 
-
-def brute_force_covering_count(p: CoveringProblem) -> int:
-    """Independent all-subsets oracle for the covering number."""
-    from itertools import combinations
-
-    if p.k == 0:
-        return 0
-    group = p.group.group
-    s_int = p.group.space.interior(p.s)
-    translate_masks = sorted(
-        {group.translate(g, s_int, "left") for g in range(group.order)}
-    )
-    for size in range(1, len(translate_masks) + 1):
-        for combo in combinations(translate_masks, size):
-            acc = 0
-            for m in combo:
-                acc |= m
-            if p.k & ~acc == 0:
-                return size
-    raise InternalInconsistency("no cover found")

@@ -7,7 +7,6 @@ verified by the continuity checks at construction and by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -16,6 +15,7 @@ from .errors import (
     NotContinuousMultiplication,
     TooLarge,
 )
+from .records import Record
 from .topology import FiniteSpace, bit_indices, mask_of
 
 MAX_ORDER = 64
@@ -387,16 +387,19 @@ def group_topologies(group: FiniteGroup):
 # -- quotient and Borel atoms ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientData:
-    base: FiniteTopGroup
-    quotient: FiniteTopGroup
-    proj: tuple  # base point -> quotient point
+class QuotientData(Record):
+    _fields = ("base", "quotient", "proj")
+
+    def __init__(self, base: FiniteTopGroup, quotient: FiniteTopGroup, proj: tuple):
+        # proj: base point -> quotient point
+        self._assign(base, quotient, proj)
 
 
-@dataclass(frozen=True)
-class BorelAtoms:
-    atoms: tuple  # masks, canonical order
+class BorelAtoms(Record):
+    _fields = ("atoms",)
+
+    def __init__(self, atoms: tuple):
+        self._assign(atoms)  # masks, canonical order
 
 
 def quotient(g: FiniteTopGroup) -> QuotientData:

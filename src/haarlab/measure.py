@@ -10,7 +10,6 @@ regularity as a supremum over closed compact subsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -21,25 +20,24 @@ from .errors import (
     TooLarge,
 )
 from .groups import FiniteTopGroup, QuotientData
+from .records import Record
 from .topology import PointFunction, bit_indices
 
 MAX_ATOMS_CHECK = 16
 
 
-@dataclass(frozen=True)
-class FiniteMeasure:
-    group_ref: FiniteTopGroup
-    atom_mass: tuple
+class FiniteMeasure(Record):
+    _fields = ("group_ref", "atom_mass")
 
-    def __post_init__(self):
-        masses = tuple(Fraction(m) for m in self.atom_mass)
-        if len(masses) != len(self.group_ref.atoms):
+    def __init__(self, group_ref: FiniteTopGroup, atom_mass):
+        masses = tuple(Fraction(m) for m in atom_mass)
+        if len(masses) != len(group_ref.atoms):
             raise MeasureSpaceMismatch(
-                f"{len(masses)} masses for {len(self.group_ref.atoms)} atoms"
+                f"{len(masses)} masses for {len(group_ref.atoms)} atoms"
             )
         if any(m < 0 for m in masses):
             raise ValueError("atom masses must be nonnegative")
-        object.__setattr__(self, "atom_mass", masses)
+        self._assign(group_ref, masses)
 
     def total(self) -> Fraction:
         return sum(self.atom_mass, Fraction(0))
@@ -76,16 +74,39 @@ def _atom_selection(g: FiniteTopGroup, point_mask: int) -> int:
     return sel
 
 
-@dataclass(frozen=True)
-class HaarReport:
-    side: str
-    nonzero: bool
-    left_invariant: bool
-    right_invariant: bool
-    locally_finite: bool
-    outer_regular: bool
-    inner_regular_on_opens: bool
-    witnesses: tuple = field(default_factory=tuple)
+class HaarReport(Record):
+    _fields = (
+        "side",
+        "nonzero",
+        "left_invariant",
+        "right_invariant",
+        "locally_finite",
+        "outer_regular",
+        "inner_regular_on_opens",
+        "witnesses",
+    )
+
+    def __init__(
+        self,
+        side: str,
+        nonzero: bool,
+        left_invariant: bool,
+        right_invariant: bool,
+        locally_finite: bool,
+        outer_regular: bool,
+        inner_regular_on_opens: bool,
+        witnesses: tuple = (),
+    ):
+        self._assign(
+            side,
+            nonzero,
+            left_invariant,
+            right_invariant,
+            locally_finite,
+            outer_regular,
+            inner_regular_on_opens,
+            witnesses,
+        )
 
     @property
     def invariant_for_side(self) -> bool:
@@ -405,11 +426,16 @@ def riesz_check(g: FiniteTopGroup, mu1: FiniteMeasure, mu2: FiniteMeasure) -> bo
     return True
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    closed_compact_positive: bool
-    opens_positive: bool
-    integrals_positive: bool
+class PositivityReport(Record):
+    _fields = ("closed_compact_positive", "opens_positive", "integrals_positive")
+
+    def __init__(
+        self,
+        closed_compact_positive: bool,
+        opens_positive: bool,
+        integrals_positive: bool,
+    ):
+        self._assign(closed_compact_positive, opens_positive, integrals_positive)
 
     @property
     def all_hold(self) -> bool:

@@ -10,31 +10,26 @@ for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import NegativeMass, TooLarge
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A rational interval with open/closed endpoint flags."""
 
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool = True
-    hi_closed: bool = True
+    _fields = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self):
-        lo = Fraction(self.lo)
-        hi = Fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo, hi, lo_closed: bool = True, hi_closed: bool = True):
+        lo = Fraction(lo)
+        hi = Fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval {lo} > {hi}")
-        if lo == hi and not (self.lo_closed and self.hi_closed):
+        if lo == hi and not (lo_closed and hi_closed):
             raise ValueError("degenerate interval must be closed")
+        self._assign(lo, hi, lo_closed, hi_closed)
 
     @property
     def length(self) -> Fraction:
@@ -150,11 +145,13 @@ class IntervalUnion:
         return f"IntervalUnion({parts})"
 
 
-@dataclass(frozen=True)
-class CylinderSet:
+class CylinderSet(Record):
     """The Borel set base x R of the seminorm plane."""
 
-    base: IntervalUnion
+    _fields = ("base",)
+
+    def __init__(self, base: IntervalUnion):
+        self._assign(base)
 
     def is_closed_compact(self) -> bool:
         return self.base.is_closed()
@@ -203,20 +200,21 @@ def regularity_gap(e: CylinderSet, eps):
 # -- the counterexample for the compact-generated attempt --------------------
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(Record):
     """A closed axis-aligned rectangle with rational corners."""
 
-    x_lo: Fraction
-    x_hi: Fraction
-    y_lo: Fraction
-    y_hi: Fraction
+    _fields = ("x_lo", "x_hi", "y_lo", "y_hi")
 
-    def __post_init__(self):
-        for name in ("x_lo", "x_hi", "y_lo", "y_hi"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.x_lo > self.x_hi or self.y_lo > self.y_hi:
+    def __init__(self, x_lo, x_hi, y_lo, y_hi):
+        x_lo, x_hi = Fraction(x_lo), Fraction(x_hi)
+        y_lo, y_hi = Fraction(y_lo), Fraction(y_hi)
+        if x_lo > x_hi or y_lo > y_hi:
             raise ValueError("empty rectangle")
+        # plain stores: a listing builds up to 2^17 tiles
+        object.__setattr__(self, "x_lo", x_lo)
+        object.__setattr__(self, "x_hi", x_hi)
+        object.__setattr__(self, "y_lo", y_lo)
+        object.__setattr__(self, "y_hi", y_hi)
 
     def shifted(self, dx, dy) -> "Rect":
         return Rect(
@@ -250,8 +248,7 @@ GRID_OFFSETS = tuple(
 MAX_LISTED_TILES = 1 << 17
 
 
-@dataclass(frozen=True)
-class BkCertificate:
+class BkCertificate(Record):
     """A machine-checkable refutation of one hypothesized tile mass.
 
     For a positive mass c the witness is a stack of `count` vertical
@@ -261,12 +258,18 @@ class BkCertificate:
     subadditivity chain forces total mass zero against nonzeroness.
     """
 
-    input_mass: Fraction
-    probe_bound: Fraction
-    verdict: str
-    count: int = 0  # tiles, `step` apart: FinitenessViolated branch
-    step: Fraction = Fraction(0)
-    grid_offsets: tuple = ()  # (m, n) integer pairs, NonzeroViolated branch
+    _fields = ("input_mass", "probe_bound", "verdict", "count", "step", "grid_offsets")
+
+    def __init__(
+        self,
+        input_mass: Fraction,
+        probe_bound: Fraction,
+        verdict: str,
+        count: int = 0,  # tiles, `step` apart: FinitenessViolated branch
+        step: Fraction = Fraction(0),
+        grid_offsets: tuple = (),  # (m, n) integer pairs, NonzeroViolated branch
+    ):
+        self._assign(input_mass, probe_bound, verdict, count, step, grid_offsets)
 
     @cached_property
     def translates(self) -> tuple:

@@ -12,7 +12,6 @@ first access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -28,6 +27,7 @@ from .errors import (
     NotStronglyLocallyCompact,
     TooLarge,
 )
+from .records import Record
 
 MAX_POINTS = 64
 
@@ -267,16 +267,13 @@ class SeparationFlags:
         return all(s.closure(u) == u for u in s.min_open)
 
 
-@dataclass(frozen=True)
-class PointFunction:
+class PointFunction(Record):
     """A rational-valued function on the points of a finite space."""
 
-    values: tuple
+    _fields = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(Fraction(v) for v in self.values)
-        )
+    def __init__(self, values):
+        self._assign(tuple(Fraction(v) for v in values))
 
     @classmethod
     def indicator(cls, n: int, mask: int) -> "PointFunction":

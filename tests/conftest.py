@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -35,3 +36,22 @@ def random_fraction(rng: random.Random, nonneg=True, max_num=99):
     num = rng.randint(0 if nonneg else -max_num, max_num)
     den = rng.randint(1, max_num)
     return Fraction(num, den)
+
+
+def brute_force_covering_count(p) -> int:
+    """Independent all-subsets oracle for the covering number."""
+    if p.k == 0:
+        return 0
+    group = p.group.group
+    s_int = p.group.space.interior(p.s)
+    translate_masks = sorted(
+        {group.translate(g, s_int, "left") for g in range(group.order)}
+    )
+    for size in range(1, len(translate_masks) + 1):
+        for combo in combinations(translate_masks, size):
+            acc = 0
+            for m in combo:
+                acc |= m
+            if p.k & ~acc == 0:
+                return size
+    raise AssertionError("no cover found")

@@ -41,10 +41,9 @@ from haarlab import (
     urysohn_finite,
     verify_bk_certificate,
 )
-from haarlab.covering import brute_force_covering_count
 from haarlab.topology import TOPOLOGY_COUNTS, bit_indices
 
-from conftest import random_fraction
+from conftest import brute_force_covering_count, random_fraction
 
 
 import pytest

@@ -3,15 +3,22 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haarlab import cli, groups, plane
 
 
 def run_cli(tmp_path, command, payload, *extra, name="input.json"):
+    """Run the CLI on payload, written as JSON, or as is when it is bytes."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload), encoding="utf-8")
     env = dict(os.environ)
     proc = subprocess.run(
         [sys.executable, "-m", "haarlab.cli", command, "--input", str(path), *extra],
@@ -122,7 +129,7 @@ def test_counterexample_over_listing_cap(tmp_path, monkeypatch):
         raise AssertionError("a tile was built")
 
     monkeypatch.setattr(plane.Rect, "shifted", no_tile)
-    monkeypatch.setattr(plane.Rect, "__post_init__", no_tile)
+    monkeypatch.setattr(plane.Rect, "__init__", no_tile)
     # 10^12 + 1 tiles: verified without building one
     cert = plane.counterexample_bk(Fraction(1, 10**12), 1)
     assert cert.count == 10**12 + 1
@@ -311,6 +318,9 @@ MALFORMED = {
     "interval_flag_not_bool": (
         "plane", {"intervals": [{"lo": "0/1", "hi": "1/1", "lo_closed": "false"}]}
     ),
+    "input_not_utf8": ("counterexample", b'{"c": "1/1\xff"}'),
+    "rational_exponent_over_cap": ("counterexample", {"c": "1e999999999"}),
+    "rational_over_length_cap": ("plane", {"intervals": [{"lo": "0/1", "hi": "1" * 1001}]}),
 }
 
 @pytest.mark.parametrize("command,payload", MALFORMED.values(), ids=MALFORMED)
@@ -318,6 +328,62 @@ def test_malformed_input_exits_2(tmp_path, command, payload):
     proc, report = run_cli(tmp_path, command, payload)
     assert proc.returncode == 2 and proc.stderr == ""
     assert set(report) == {"schema_version", "command", "error"}
+
+def test_rational_caps_checked_before_fraction(tmp_path, monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"c": "1e999999999"}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = ["counterexample", "--input", str(path), "--output", str(out)]
+    assert cli.run(argv) == 2
+    assert json.loads(out.read_text())["error"] == (
+        "bad rational '1e999999999': exponent exceeds the cap 1000"
+    )
+    assert cli.run([*argv, "--probe-bound", "1/1" + "0" * 1000]) == 2
+    assert json.loads(out.read_text())["error"] == (
+        "bad rational: 1003 characters exceeds the cap 1000"
+    )
+
+RATIONAL_SPELLINGS = [
+    "1/3", "-2/4", "+3", " 7 ", "1.5", ".5", "5.", "-0", "1e3", "1E-3", "2.5e+2",
+    "1_000/3", "1.5_5e1_0", "\u0663/\u0664", "\t1/2\u3000", "1e1000", "1e-1000",
+    0.5, 3, 1e300,
+]
+
+@pytest.mark.parametrize("spelling", RATIONAL_SPELLINGS, ids=repr)
+def test_rational_spellings_match_fraction(spelling):
+    assert cli.parse_frac(spelling) == Fraction(str(spelling))
+
+@given(st.text(alphabet="0123456789_./eE+- \t\u0663", max_size=7))
+@settings(max_examples=400, deadline=None)
+def test_rational_grammar_agrees_with_fraction(text):
+    """Under the caps, parse_frac accepts exactly what Fraction accepts, with
+    the same value; the only extra rejections are named by the caps."""
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    try:
+        got = cli.parse_frac(text)
+    except cli.InputError as exc:
+        assert want is None or "exceeds the cap" in str(exc), text
+    else:
+        assert got == want, text
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, haarlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "[]\n"
 
 SIZE_CAP_SPECS = {
     "cyclic": {"family": "cyclic", "params": {"n": 10**9}},

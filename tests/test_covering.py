@@ -1,3 +1,4 @@
+import argparse
 import random
 from fractions import Fraction
 
@@ -7,8 +8,11 @@ from haarlab import (
     CoveringProblem,
     FiniteSpace,
     canonical_haar,
+    cli,
     coset_topology,
+    covering,
     covering_number,
+    covering_table,
     cyclic,
     existence_via_covering,
     identity_closure,
@@ -17,8 +21,10 @@ from haarlab import (
     symmetric3,
     validate_top_group,
 )
-from haarlab.covering import brute_force_covering_count
 from haarlab.errors import EmptyInterior, NotClosed, NotOpen
+from haarlab.topology import bit_indices
+
+from conftest import brute_force_covering_count
 
 
 def z4_coset_instance():
@@ -184,3 +190,88 @@ def test_existence_matches_canonical(corpus_instances):
         mu = existence_via_covering(tg, n)
         assert mu.atom_mass == canonical_haar(tg).atom_mass
         assert is_haar(tg, mu).is_haar
+
+
+# -- one covering table per neighbourhood ------------------------------------
+
+def test_covering_table_matches_search_and_brute_force(corpus_instances):
+    """covering_table against covering_number and the brute-force oracle, for
+    every closed K.  Up to 6 atoms (the full construct table) every open
+    U around e is checked.  The larger instances are discrete, with up to
+    2^11 such U; there U is G and two seeded random neighbourhoods (N = {e}
+    alone would cost the oracle 4^k / 2 subsets)."""
+    rng = random.Random(4127)
+    for tg in corpus_instances:
+        e = tg.group.identity
+        if len(tg.atoms) <= 6:
+            nbhds = [u for u in tg.space.opens if u >> e & 1]
+        else:
+            nbhds = [tg.space.full] + [
+                tg.space.smallest_open_superset(rng.randrange(1 << tg.group.order) | 1 << e)
+                for _ in range(2)
+            ]
+        for u in nbhds:
+            table = covering_table(tg, u)
+            assert len(table) == 1 << len(tg.atoms)
+            for k in tg.space.closed_sets():
+                p = CoveringProblem(tg, k, u)
+                count = table[tg.image(k)]
+                assert count == covering_number(p).count, (tg.group.name, k, u)
+                assert count == brute_force_covering_count(p), (tg.group.name, k, u)
+
+def test_covering_table_rejects_bad_neighborhood():
+    tg = z4_coset_instance()
+    with pytest.raises(NotOpen):
+        covering_table(tg, 0b1010)  # open but misses the identity
+    with pytest.raises(NotOpen):
+        covering_table(tg, 0b0001)  # not open
+
+
+def construct_input(tg):
+    n_mask = identity_closure(tg)
+    return {
+        "group": {"order": tg.group.order, "table": [list(r) for r in tg.group.table]},
+        "topology": {"normal_subgroup": list(bit_indices(n_mask))},
+        "k0": list(bit_indices(n_mask)),
+    }
+
+def test_covering_work_is_bounded(corpus_instances, monkeypatch):
+    """Counter bound: existence makes k + 1 covering searches, and construct
+    up to 6 atoms reads one table per neighbourhood U, visiting at most 2^k
+    BFS states each, with no search inside the table."""
+    searches = tables = states = 0
+    search = covering.covering_number
+    distances = covering._union_distances
+
+    def counting_search(p):
+        nonlocal searches
+        searches += 1
+        return search(p)
+
+    def counting_distances(translates, k):
+        nonlocal tables, states
+        dist = distances(translates, k)
+        tables += 1
+        states += sum(d is not None for d in dist)
+        return dist
+
+    monkeypatch.setattr(covering, "covering_number", counting_search)
+    monkeypatch.setattr(covering, "_union_distances", counting_distances)
+    for tg in corpus_instances:
+        searches = 0
+        existence_via_covering(tg, identity_closure(tg))
+        assert searches == len(tg.atoms) + 1, tg.group.name
+
+    z48 = cyclic(48)
+    instances = [tg for tg in corpus_instances if len(tg.atoms) <= 6]
+    instances.append(validate_top_group(z48, coset_topology(z48, z48.generated_subgroup([6]))))
+    opts = argparse.Namespace(max_order=64)
+    for tg in instances:
+        k = len(tg.atoms)
+        n_nbhds = sum(u >> tg.group.identity & 1 for u in tg.space.opens)
+        searches = tables = states = 0
+        results, ok = cli.cmd_construct(construct_input(tg), opts)
+        assert ok and not results["table_truncated"]
+        assert searches == k + 1, tg.group.name  # all from existence
+        assert tables == n_nbhds, tg.group.name
+        assert states <= n_nbhds * 2**k, tg.group.name

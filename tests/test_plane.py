@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -242,18 +241,18 @@ def _tampered():
     offsets = zero.grid_offsets
     return {
         # one tile fewer: total mass no longer exceeds the bound
-        "dropped_tile": replace(good, count=good.count - 1),
+        "dropped_tile": good.replace(count=good.count - 1),
         # closed tiles that touch or overlap
-        "touching_tiles": replace(good, step=Fraction(1)),
-        "overlapping_tiles": replace(good, step=Fraction(1, 2)),
+        "touching_tiles": good.replace(step=Fraction(1)),
+        "overlapping_tiles": good.replace(step=Fraction(1, 2)),
         # wrong verdict for the mass
-        "zero_mass_finiteness": replace(good, input_mass=Fraction(0)),
+        "zero_mass_finiteness": good.replace(input_mass=Fraction(0)),
         "positive_mass_nonzero": BkCertificate(
             Fraction(1), good.probe_bound, NONZERO_VIOLATED, grid_offsets=offsets
         ),
-        "incomplete_grid": replace(zero, grid_offsets=offsets[:-1]),
+        "incomplete_grid": zero.replace(grid_offsets=offsets[:-1]),
         # one offset listed twice, another missing
-        "duplicated_offset": replace(zero, grid_offsets=offsets[:-1] + offsets[:1]),
+        "duplicated_offset": zero.replace(grid_offsets=offsets[:-1] + offsets[:1]),
         "unknown_verdict": BkCertificate(Fraction(1), Fraction(1), "SomethingElse"),
     }
 
@@ -263,7 +262,7 @@ def test_tampered_certificates_rejected():
 
 def test_grid_offsets_compared_exactly():
     zero = counterexample_bk(0, 10)
-    padded = replace(zero, grid_offsets=zero.grid_offsets + zero.grid_offsets[:1])
+    padded = zero.replace(grid_offsets=zero.grid_offsets + zero.grid_offsets[:1])
     # the same set of offsets, one listed twice
     assert _literal_verify(padded)
     assert not verify_bk_certificate(padded)

@@ -1,0 +1,145 @@
+"""The frozen value records: immutability, equality, hashing, repr and
+replace, checked for each record class against a dataclass twin."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from haarlab import (
+    BkCertificate,
+    CoveringProblem,
+    CoveringSolution,
+    CylinderSet,
+    FiniteMeasure,
+    Interval,
+    IntervalUnion,
+    PointFunction,
+    borel_atoms,
+    canonical_haar,
+    coset_topology,
+    counterexample_bk,
+    covering_number,
+    cyclic,
+    is_haar,
+    positivity_report,
+    quotient,
+    validate_top_group,
+)
+from haarlab.errors import MeasureSpaceMismatch, NotClosed
+from haarlab.groups import BorelAtoms, QuotientData
+from haarlab.measure import HaarReport, PositivityReport
+from haarlab.plane import Rect
+from haarlab.records import Record
+
+
+def z4():
+    g = cyclic(4)
+    return validate_top_group(g, coset_topology(g, 0b0101))
+
+
+def samples():
+    """Two unequal instances of each of the twelve record classes."""
+    tg = z4()
+    canon = canonical_haar(tg)
+    problem = CoveringProblem(tg, 0b1111, 0b0101)
+    cert = counterexample_bk(1, 10)
+    cert.translates  # a cached listing must not take part in eq or repr
+    return {
+        PointFunction: (PointFunction((1, 2)), PointFunction((1, 3))),
+        QuotientData: (quotient(tg), quotient(validate_top_group(cyclic(3), coset_topology(cyclic(3), 0b111)))),
+        BorelAtoms: (borel_atoms(tg), BorelAtoms((0b1111,))),
+        FiniteMeasure: (canon, canon.scaled(2)),
+        HaarReport: (is_haar(tg, canon), is_haar(tg, FiniteMeasure(tg, (1, 2)))),
+        PositivityReport: (positivity_report(tg, canon), PositivityReport(True, True, False)),
+        CoveringProblem: (problem, CoveringProblem(tg, 0b0101, 0b0101)),
+        CoveringSolution: (covering_number(problem), CoveringSolution(1, (0,))),
+        Interval: (Interval(0, 1, False, True), Interval(0, 1)),
+        CylinderSet: (CylinderSet(IntervalUnion([Interval(0, 1)])), CylinderSet(IntervalUnion([]))),
+        Rect: (Rect(0, 1, 0, 1), Rect(0, 1, 2, 3)),
+        BkCertificate: (cert, counterexample_bk(0, 10)),
+    }
+
+
+def twin(record):
+    """A frozen dataclass with the record's name, fields and values."""
+    cls = type(record)
+    dc = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+    return dc(*record._values())
+
+
+def test_twelve_record_classes():
+    assert len(samples()) == 12
+    assert all(issubclass(cls, Record) for cls in samples())
+
+
+@pytest.mark.parametrize("cls", list(samples()), ids=lambda c: c.__name__)
+def test_record_semantics(cls, monkeypatch):
+    a, b = samples()[cls]
+    assert type(a) is cls and type(b) is cls
+    # frozen: no field can be assigned or deleted, nor a new attribute added
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    # equality and hash by field values, like the dataclass twin
+    copy = a.replace()
+    assert copy is not a and copy == a and hash(copy) == hash(a)
+    assert a != b and not a == b
+    assert repr(a) == repr(twin(a)) and repr(b) == repr(twin(b))
+    assert hash(a) == hash(twin(a))
+    assert repr(a).startswith(f"{cls.__name__}({cls._fields[0]}=")
+    # replace builds the copy through the class's own __init__
+    calls = []
+    init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    name = cls._fields[-1]
+    changed = a.replace(**{name: getattr(b, name)})
+    assert calls and set(calls[-1]) == set(cls._fields)
+    assert getattr(changed, name) == getattr(b, name)
+    with pytest.raises(TypeError):
+        a.replace(no_such_field=1)
+
+
+def test_different_classes_never_equal():
+    records = [r for pair in samples().values() for r in pair]
+    for x in records:
+        for y in records:
+            if type(x) is not type(y):
+                assert x != y and not x == y
+    # the same field values in another class still differ
+    assert PointFunction((1, 2)) != BorelAtoms((Fraction(1), Fraction(2)))
+    assert PointFunction((1, 2)).values == BorelAtoms((1, 2)).atoms
+    assert CoveringSolution(1, (0,)) != CylinderSet(1)
+
+
+def test_replace_reruns_validation():
+    tg = z4()
+    canon = canonical_haar(tg)
+    assert PointFunction((1,)).replace(values=("1/2",)).values == (Fraction(1, 2),)
+    with pytest.raises(MeasureSpaceMismatch):
+        canon.replace(atom_mass=(1,))
+    with pytest.raises(ValueError):
+        canon.replace(atom_mass=(1, -1))
+    problem = CoveringProblem(tg, 0b1111, 0b0101)
+    with pytest.raises(NotClosed):
+        problem.replace(k=0b0001)
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(0, 1).replace(lo=2)
+    with pytest.raises(ValueError, match="degenerate"):
+        Interval(0, 1, False).replace(hi=0)
+    assert Interval(0, 1).replace(hi="3/2").hi == Fraction(3, 2)
+    with pytest.raises(ValueError, match="empty rectangle"):
+        Rect(0, 1, 0, 1).replace(y_lo=2)
+    # a replaced certificate lists its own tiles, not the cached ones
+    cert = counterexample_bk(1, 3)
+    assert len(cert.translates) == 4
+    assert len(cert.replace(count=2).translates) == 2
