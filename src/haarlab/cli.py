@@ -19,7 +19,7 @@ from . import groups as groups_mod
 from . import measure as measure_mod
 from . import plane as plane_mod
 from .errors import HaarlabError, TooLarge
-from .topology import FiniteSpace, bit_indices, mask_of
+from .topology import FiniteSpace, PointFunction, bit_indices, mask_of
 
 SCHEMA_VERSION = "1"
 
@@ -261,6 +261,15 @@ def intervals_json(iu: plane_mod.IntervalUnion):
     ]
 
 
+def _check_atom_cap(tg) -> int:
+    """The atom count, refused past the exhaustive Haar check's cap before
+    any per-atom table is built."""
+    k_atoms = len(tg.atoms)
+    if k_atoms > measure_mod.MAX_ATOMS_CHECK:
+        raise TooLarge(f"{k_atoms} atoms exceeds the exhaustive-check cap")
+    return k_atoms
+
+
 # -- command handlers: (data, opts) -> (results, math_ok) ---------------------
 #
 # opts is the parsed command line with opts.max_order resolved.
@@ -272,7 +281,7 @@ def cmd_enumerate(data, opts):
     topologies = []
     for tg in groups_mod.group_topologies(group):
         n_mask = groups_mod.identity_closure(tg)
-        dim, basis = measure_mod.haar_solution_space(tg)
+        dim, _ = measure_mod.haar_solution_space(tg)
         canon = measure_mod.canonical_haar(tg)
         topologies.append(
             {
@@ -282,7 +291,6 @@ def cmd_enumerate(data, opts):
                 "canonical_masses": [frac_str(m) for m in canon.atom_mass],
             }
         )
-        del basis
     results = {"group": group.name, "order": group.order, "topologies": topologies}
     ok = all(t["haar_dimension"] == 1 for t in topologies)
     return results, ok
@@ -326,9 +334,7 @@ def cmd_construct(data, opts):
     k0 = _point_mask(data["k0"], tg.group.order, "k0")
     if tg.space.interior(k0) == 0 or not tg.space.is_closed(k0):
         raise InputError("k0 must be closed with nonempty interior")
-    k_atoms = len(tg.atoms)
-    if k_atoms > measure_mod.MAX_ATOMS_CHECK:
-        raise TooLarge(f"{k_atoms} atoms exceeds the exhaustive-check cap")
+    k_atoms = _check_atom_cap(tg)
     mu = covering_mod.existence_via_covering(tg, k0)
     canon = measure_mod.canonical_haar(tg)
     scalar = None
@@ -380,6 +386,7 @@ def cmd_construct(data, opts):
 def cmd_quotient(data, opts):
     _require_keys(data, {"group", "topology"}, {"group", "topology"}, "input")
     tg = load_top_group(data["group"], data["topology"], opts.max_order)
+    _check_atom_cap(tg)
     q = groups_mod.quotient(tg)
     canon = measure_mod.canonical_haar(tg)
     pushed = measure_mod.pushforward(q, canon)
@@ -438,8 +445,6 @@ def cmd_fubini(data, opts):
     mu = measure_mod.canonical_haar(g)
     lam = measure_mod.canonical_haar(h)
     oh = h.group.order
-    from .topology import PointFunction
-
     checks = []
     ok = True
     for i, a in enumerate(g.atoms):

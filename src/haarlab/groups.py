@@ -284,10 +284,6 @@ class FiniteTopGroup:
         self.group = group
         self.space = space
 
-    @property
-    def identity_closure_mask(self) -> int:
-        return self.space.closure(1 << self.group.identity)
-
     @cached_property
     def _partition(self):
         n_mask = identity_closure(self)
@@ -402,55 +398,72 @@ class BorelAtoms(Record):
         self._assign(atoms)  # masks, canonical order
 
 
-def quotient(g: FiniteTopGroup) -> QuotientData:
-    """The quotient by the identity closure, with its (discrete) topology.
+def _check_atoms(g: FiniteTopGroup):
+    """The atoms partition the points and the projection labels them:
+    they are disjoint and cover, image(atom i) = {i} and preimage({i}) =
+    atom i.  Images and preimages commute with unions, so every union of
+    atoms then round-trips too, and disjoint unions have disjoint images."""
+    acc = 0
+    for i, a in enumerate(g.atoms):
+        if acc & a:
+            raise InternalInconsistency("atoms overlap")
+        acc |= a
+        if g.image(a) != 1 << i or g.preimage(1 << i) != a:
+            raise InternalInconsistency(f"atom {i} does not round-trip")
+    if acc != g.space.full:
+        raise InternalInconsistency("atoms do not cover the points")
 
-    All the saturation facts the construction relies on are verified at
-    build time: surjective homomorphism, open and closed projection,
-    Hausdorff quotient, image descriptions of topology and Borel sets,
-    and compact lifting via preimages.
+
+def quotient(g: FiniteTopGroup) -> QuotientData:
+    """The quotient by the identity closure N, with the final topology of
+    the projection: V is open iff preimage(V) is open.
+
+    A finite topology is given by its n minimal opens U_x, its opens are
+    the unions of the U_x and its closed sets the unions of the point
+    closures xN, and images and preimages commute with unions.  So each
+    statement is verified at build time on these generators: surjective
+    homomorphism; open projection with the image family as the quotient
+    topology (the minimal open of atom i is image(U_x) for every x in
+    atom i, and its preimage is open); closed projection; Hausdorff
+    quotient; and compact lifting via preimages.
     """
-    group = g.group
+    group, space = g.group, g.space
     atoms = g.atoms
     k = len(atoms)
-    reps = [min(bit_indices(a)) for a in atoms]
     proj = g.atom_of
     image, preimage = g.image, g.preimage
+    _check_atoms(g)  # hence also surjective
+
+    reps = [min(bit_indices(a)) for a in atoms]
+    # final topology; equal rows within an atom make the projection open
+    rows = []
+    for i, a in enumerate(atoms):
+        row = image(space.min_open[reps[i]])
+        if any(image(space.min_open[x]) != row for x in bit_indices(a)):
+            raise InternalInconsistency("projection is not open")
+        if not space.is_open(preimage(row)):
+            raise InternalInconsistency("quotient topology is not the final one")
+        rows.append(row)
+    qspace = FiniteSpace.from_min_open(k, rows)
+
     qtable = [
         [proj[group.mul(reps[i], reps[j])] for j in range(k)] for i in range(k)
     ]
-    qspace = FiniteSpace.from_min_open(k, [1 << i for i in range(k)])  # discrete
     qgroup = FiniteGroup(qtable, name=f"{group.name}/N")
-    qtg = validate_top_group(qgroup, qspace)
-
     # homomorphism + well-definedness
     for a in range(group.order):
         for b in range(group.order):
             if proj[group.mul(a, b)] != qgroup.mul(proj[a], proj[b]):
                 raise InternalInconsistency("projection is not a homomorphism")
-    if set(proj) != set(range(k)):
-        raise InternalInconsistency("projection is not surjective")
-
-    # statements: projection open and closed; quotient Hausdorff
-    for u in g.space.opens:
-        if not qspace.is_open(image(u)):
-            raise InternalInconsistency("projection is not open")
-        if not qspace.is_closed(image(g.space.full ^ u)):
-            raise InternalInconsistency("projection is not closed")
+    qtg = validate_top_group(qgroup, qspace)
     if not qspace.separation_flags().hausdorff:
         raise InternalInconsistency("quotient is not Hausdorff")
-    # topology and Borel sets of the quotient are exactly images
-    if {image(u) for u in g.space.opens} != set(qspace.opens):
-        raise InternalInconsistency("quotient topology is not the image family")
-    # compact lifting: every subset C of the quotient lifts to the closed
-    # compact preimage
-    check_all = k <= 12
-    candidates = range(1 << k) if check_all else [1 << i for i in range(k)] + [
-        (1 << k) - 1
-    ]
-    for c in candidates:
-        lift = preimage(c)
-        if image(lift) != c or not g.space.is_closed(lift):
+    for i, a in enumerate(atoms):
+        # closed sets are unions of the point closures, the atoms xN
+        if not qspace.is_closed(image(a)):
+            raise InternalInconsistency("projection is not closed")
+        # compact lifting: {i} lifts to the closed compact atom i
+        if not space.is_closed(preimage(1 << i)):
             raise InternalInconsistency("compact lifting failed")
     return QuotientData(base=g, quotient=qtg, proj=proj)
 
@@ -458,55 +471,24 @@ def quotient(g: FiniteTopGroup) -> QuotientData:
 def borel_atoms(g: FiniteTopGroup) -> BorelAtoms:
     """The atom partition, with the saturation statements verified.
 
-    Saturation of opens and Borel sets, disjointness preservation and the
-    image inclusion/equality cancellations are checked exhaustively over
-    atom-generated sets when the atom count is small; past that bound the
-    checks fall back to the per-atom facts (injectivity of the projection
-    on atoms and preimage round trips) that imply them.
+    The atoms partition the points, round-trip through the projection and
+    are clopen; saturation (x in E implies closure(x) <= E) holds on each
+    minimal open, hence on every open, each being a union of them.  With
+    images and preimages commuting with unions, these per-atom facts give
+    disjointness preservation and the image inclusion and equality
+    cancellations on every union of atoms.
     """
     space = g.space
-    atoms = g.atoms
-    k = len(atoms)
-    # partition + clopen atoms
-    acc = 0
-    for a in atoms:
-        if acc & a:
-            raise InternalInconsistency("atoms overlap")
-        acc |= a
+    _check_atoms(g)
+    for a in g.atoms:
         if not (space.is_open(a) and space.is_closed(a)):
             raise InternalInconsistency("atom is not clopen")
-    if acc != space.full:
-        raise InternalInconsistency("atoms do not cover the points")
-    # saturation: x in E implies closure(x) <= E, for opens (and hence for
-    # every union of atoms)
     point_closure = [space.closure(1 << x) for x in range(space.n)]
-    for u in space.opens:
+    for u in space.min_open:
         for x in bit_indices(u):
             if point_closure[x] & ~u:
                 raise InternalInconsistency("open set is not saturated")
-    image, preimage = g.image, g.preimage
-
-    if k <= 8:
-        sets = [preimage(sel) for sel in range(1 << k)]
-        for e1 in sets:
-            if preimage(image(e1)) != e1:
-                raise InternalInconsistency("preimage round trip failed")
-            for e2 in sets:
-                i1, i2 = image(e1), image(e2)
-                if e1 & e2 == 0 and i1 & i2:
-                    raise InternalInconsistency("disjointness not preserved")
-                if i1 & ~i2 == 0 and e1 & ~e2:
-                    raise InternalInconsistency("image inclusion cancellation")
-                if i1 == i2 and e1 != e2:
-                    raise InternalInconsistency("image equality cancellation")
-    else:
-        images = [image(a) for a in atoms]
-        if len(set(images)) != k:
-            raise InternalInconsistency("projection not injective on atoms")
-        for a in atoms:
-            if preimage(image(a)) != a:
-                raise InternalInconsistency("atom preimage round trip failed")
-    return BorelAtoms(atoms=atoms)
+    return BorelAtoms(atoms=g.atoms)
 
 
 def product_group(g: FiniteTopGroup, h: FiniteTopGroup) -> FiniteTopGroup:

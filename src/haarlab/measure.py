@@ -448,14 +448,16 @@ class PositivityReport(Record):
 
 def positivity_report(g: FiniteTopGroup, mu: FiniteMeasure) -> PositivityReport:
     """Positivity facts for a Haar measure: a heavy closed compact set,
-    positive mass on nonempty opens, positive atom-indicator integrals."""
+    positive mass on nonempty opens, positive atom-indicator integrals.
+
+    Mass is monotone, every closed set is a union of the closed atoms, and
+    every nonempty open contains some minimal open U_x, so the first two
+    facts are read off the atoms and the n minimal opens."""
     report = is_haar(g, mu)
     if not report.is_haar:
         raise NotHaar("positivity requires a Haar measure")
-    closed_positive = any(
-        mu.mass_of(c) > 0 for c in g.space.closed_sets() if c != 0
-    )
-    opens_positive = all(mu.mass_of(u) > 0 for u in g.space.opens if u != 0)
+    closed_positive = any(mu.mass_of(a) > 0 for a in g.atoms)
+    opens_positive = all(mu.mass_of(u) > 0 for u in g.space.min_open)
     integrals_positive = all(
         integrate(g, PointFunction.indicator(g.group.order, a), mu) > 0
         for a in g.atoms

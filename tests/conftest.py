@@ -1,6 +1,8 @@
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,20 @@ from haarlab import (
     quaternion8,
     symmetric3,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env(**overrides):
+    """The environment for a child `python -m haarlab.cli`, with this
+    checkout's src first on PYTHONPATH, so the child imports the same
+    haarlab as the tests whether or not the package is installed."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def corpus_groups():

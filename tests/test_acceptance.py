@@ -5,7 +5,6 @@ itself states a bound (the runtime budget in criterion 1).
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -43,7 +42,7 @@ from haarlab import (
 )
 from haarlab.topology import TOPOLOGY_COUNTS, bit_indices
 
-from conftest import brute_force_covering_count, random_fraction
+from conftest import brute_force_covering_count, random_fraction, src_env
 
 
 import pytest
@@ -294,7 +293,7 @@ def test_criterion_10_determinism(tmp_path, verdict):
         reports = []
         for run_id, seed in enumerate(("0", "31337")):
             out_path = tmp_path / f"{command}-{run_id}.json"
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = src_env(PYTHONHASHSEED=seed)
             proc = subprocess.run(
                 [
                     sys.executable, "-m", "haarlab.cli", command,

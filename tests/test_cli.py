@@ -1,15 +1,15 @@
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haarlab import cli, groups, plane
+
+from conftest import src_env
 
 
 def run_cli(tmp_path, command, payload, *extra, name="input.json"):
@@ -19,12 +19,11 @@ def run_cli(tmp_path, command, payload, *extra, name="input.json"):
         path.write_bytes(payload)
     else:
         path.write_text(json.dumps(payload), encoding="utf-8")
-    env = dict(os.environ)
     proc = subprocess.run(
         [sys.executable, "-m", "haarlab.cli", command, "--input", str(path), *extra],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
     )
     try:
         report = json.loads(proc.stdout)
@@ -223,6 +222,25 @@ def test_more_than_16_atoms(tmp_path, group, order, n_normal):
         assert report["error"].startswith("TooLarge: "), command
 
 
+def test_quotient_atom_cap_checked_before_quotient(tmp_path, monkeypatch, capsys):
+    def no_quotient(tg):
+        raise AssertionError("quotient built past the atom cap")
+
+    monkeypatch.setattr(groups, "quotient", no_quotient)
+    path = tmp_path / "input.json"
+    for n in (17, 24, 64):
+        payload = {
+            "group": {"family": "cyclic", "params": {"n": n}},
+            "topology": {"normal_subgroup": [0]},
+        }
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.run(["quotient", "--input", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == (
+            f"TooLarge: {n} atoms exceeds the exhaustive-check cap"
+        )
+
+
 # -- input errors -> exit 2 ---------------------------------------------------
 
 def test_malformed_json(tmp_path):
@@ -232,6 +250,7 @@ def test_malformed_json(tmp_path):
         [sys.executable, "-m", "haarlab.cli", "verify-haar", "--input", str(path)],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 2
     assert "error" in json.loads(proc.stdout)
@@ -269,7 +288,7 @@ def test_env_order_cap(tmp_path):
         json.dumps({"group": {"family": "cyclic", "params": {"n": 5}}}),
         encoding="utf-8",
     )
-    env = dict(os.environ, HAARLAB_MAX_ORDER="4")
+    env = src_env(HAARLAB_MAX_ORDER="4")
     proc = subprocess.run(
         [sys.executable, "-m", "haarlab.cli", "enumerate", "--input", str(path)],
         capture_output=True,
@@ -284,7 +303,7 @@ def test_env_order_cap_not_an_int(tmp_path):
         json.dumps({"group": {"family": "cyclic", "params": {"n": 5}}}),
         encoding="utf-8",
     )
-    env = dict(os.environ, HAARLAB_MAX_ORDER="abc")
+    env = src_env(HAARLAB_MAX_ORDER="abc")
     proc = subprocess.run(
         [sys.executable, "-m", "haarlab.cli", "enumerate", "--input", str(path)],
         capture_output=True,
@@ -374,13 +393,12 @@ def test_rational_grammar_agrees_with_fraction(text):
         assert got == want, text
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, haarlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=src_env(),
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == "[]\n"
@@ -419,7 +437,7 @@ def test_byte_identical_reports(tmp_path):
     outputs = []
     for seed in ("0", "1", "12345"):
         out = tmp_path / f"out-{seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = src_env(PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [
                 sys.executable, "-m", "haarlab.cli", "verify-haar",

@@ -25,7 +25,7 @@ from haarlab import (
 )
 from haarlab.errors import MeasureSpaceMismatch, NotHaar, NotMeasurable, TooLarge
 from haarlab import measure
-from haarlab.measure import HaarReport, is_radon
+from haarlab.measure import HaarReport, PositivityReport, is_radon
 from haarlab.topology import bit_indices
 
 from conftest import random_fraction
@@ -441,6 +441,27 @@ def test_positivity_examples(corpus_instances):
     for tg in corpus_instances:
         rep = positivity_report(tg, canonical_haar(tg))
         assert rep.all_hold
+
+def literal_positivity_report(tg, mu):
+    """Reference: the positivity facts over every closed set and every open."""
+    if not is_haar(tg, mu).is_haar:
+        raise NotHaar("positivity requires a Haar measure")
+    return PositivityReport(
+        closed_compact_positive=any(
+            mu.mass_of(c) > 0 for c in tg.space.closed_sets() if c != 0
+        ),
+        opens_positive=all(mu.mass_of(u) > 0 for u in tg.space.opens if u != 0),
+        integrals_positive=all(
+            integrate(tg, PointFunction.indicator(tg.group.order, a), mu) > 0
+            for a in tg.atoms
+        ),
+    )
+
+def test_positivity_matches_literal_reference(corpus_instances):
+    for tg in corpus_instances:
+        canon = canonical_haar(tg)
+        for mu in (canon, canon.scaled(Fraction(1, 3)), canon.scaled(7)):
+            assert positivity_report(tg, mu) == literal_positivity_report(tg, mu)
 
 def test_positivity_rejects_zero():
     tg = z4_coset_instance()
