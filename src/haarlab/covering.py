@@ -16,7 +16,7 @@ from .errors import EmptyInterior, InternalInconsistency, NotClosed, NotOpen
 from .groups import FiniteTopGroup, identity_closure
 from .measure import FiniteMeasure
 from .records import Record
-from .topology import bit_indices
+from .topology import bit_indices, mask_of
 
 
 class CoveringProblem(Record):
@@ -126,8 +126,9 @@ def covering_table(g: FiniteTopGroup, u: int) -> tuple:
     selects atom i), for an open neighbourhood U of the identity.
 
     Entry sel equals covering_number(CoveringProblem(g, g.preimage(sel),
-    u)).count.  Every left translate xU is a union of atoms and depends only
-    on the atom of x, so U has at most k distinct translates for k atoms.  A
+    u)).count.  U is a union of atoms, so each left translate xU is the
+    union of the atoms its selection is carried to by row atom_of[x] of the
+    atom table, and U has at most k distinct translates for k atoms.  A
     breadth-first search gives the fewest translates whose union is each
     selection; the fewest covering K is the least of these over the
     supersets of K, one superset-minimum pass over the 2^k selections.
@@ -135,13 +136,11 @@ def covering_table(g: FiniteTopGroup, u: int) -> tuple:
     """
     _check_neighbourhood(g, u)
     k = len(g.atoms)
-    translates = set()
-    for atom in g.atoms:
-        m = g.group.translate(next(bit_indices(atom)), u, "left")
-        sel = g.image(m)
-        if g.preimage(sel) != m:
-            raise InternalInconsistency(f"translate {m:#x} is not a union of atoms")
-        translates.add(sel)
+    u_sel = g.image(u)
+    if g.preimage(u_sel) != u:
+        raise InternalInconsistency(f"{u:#x} is not a union of atoms")
+    table = g.atom_table
+    translates = {mask_of(row[j] for j in bit_indices(u_sel)) for row in table}
     dist = _union_distances(translates, k)
     if dist[-1] is None:
         raise InternalInconsistency("translates do not cover the group")

@@ -313,6 +313,27 @@ class FiniteTopGroup:
         """Point -> index of the atom containing it."""
         return self._partition[1]
 
+    @property
+    def reps(self):
+        """The smallest member of each atom."""
+        return tuple(next(bit_indices(a)) for a in self.atoms)
+
+    @cached_property
+    def atom_table(self):
+        """The Cayley table of G/N on atom indices: entry (i, j) is the atom
+        of reps[i] * reps[j].  Checked at build time to be the table the
+        projection carries the group law to, atom_of[a * b] ==
+        table[atom_of[a]][atom_of[b]] for all a, b, so any members of atoms
+        i and j may stand in for the representatives."""
+        proj, reps = self.atom_of, self.reps
+        rows = self.group.table
+        table = tuple(tuple(proj[rows[r][s]] for s in reps) for r in reps)
+        for a, row in enumerate(rows):
+            image_row = table[proj[a]]
+            if any(proj[ab] != image_row[proj[b]] for b, ab in enumerate(row)):
+                raise InternalInconsistency("projection is not a homomorphism")
+        return table
+
     def image(self, mask: int) -> int:
         """Atom-index mask of the atoms meeting a point mask."""
         return mask_of(self.atom_of[x] for x in bit_indices(mask))
@@ -400,15 +421,15 @@ class BorelAtoms(Record):
 
 def _check_atoms(g: FiniteTopGroup):
     """The atoms partition the points and the projection labels them:
-    they are disjoint and cover, image(atom i) = {i} and preimage({i}) =
-    atom i.  Images and preimages commute with unions, so every union of
-    atoms then round-trips too, and disjoint unions have disjoint images."""
+    image(atom i) = {i}, and together they cover.  Two atoms sharing a
+    point x would both have image {atom_of[x]}, so they are disjoint, and
+    preimage({i}) = atom i holds by the definition of preimage.  Images and
+    preimages commute with unions, so every union of atoms round-trips too,
+    and disjoint unions have disjoint images."""
     acc = 0
     for i, a in enumerate(g.atoms):
-        if acc & a:
-            raise InternalInconsistency("atoms overlap")
         acc |= a
-        if g.image(a) != 1 << i or g.preimage(1 << i) != a:
+        if g.image(a) != 1 << i:
             raise InternalInconsistency(f"atom {i} does not round-trip")
     if acc != g.space.full:
         raise InternalInconsistency("atoms do not cover the points")
@@ -421,74 +442,56 @@ def quotient(g: FiniteTopGroup) -> QuotientData:
     A finite topology is given by its n minimal opens U_x, its opens are
     the unions of the U_x and its closed sets the unions of the point
     closures xN, and images and preimages commute with unions.  So each
-    statement is verified at build time on these generators: surjective
-    homomorphism; open projection with the image family as the quotient
-    topology (the minimal open of atom i is image(U_x) for every x in
-    atom i, and its preimage is open); closed projection; Hausdorff
-    quotient; and compact lifting via preimages.
+    statement is verified at build time on these generators:
+
+    - surjectivity: the atoms round-trip through the projection;
+    - open projection, the image family as the quotient topology: the
+      minimal open of atom i is image(U_x) for every x in atom i.  The
+      preimage of that row is then open: a label j in row i comes from
+      some y in U_x, U_y <= U_x gives row j <= row i, and so U_z <=
+      preimage(row i) for every z in atom j;
+    - homomorphism: checked once by `atom_table`, the quotient's table;
+    - Hausdorff quotient.  A finite Hausdorff space is discrete, so every
+      image is closed (closed projection), and each atom, whose points
+      all map into {i}, is open with open complement: the closed compact
+      lift of {i} (compact lifting).
     """
     group, space = g.group, g.space
-    atoms = g.atoms
-    k = len(atoms)
-    proj = g.atom_of
-    image, preimage = g.image, g.preimage
-    _check_atoms(g)  # hence also surjective
-
-    reps = [min(bit_indices(a)) for a in atoms]
-    # final topology; equal rows within an atom make the projection open
+    image = g.image
+    _check_atoms(g)
     rows = []
-    for i, a in enumerate(atoms):
-        row = image(space.min_open[reps[i]])
+    for rep, a in zip(g.reps, g.atoms):
+        row = image(space.min_open[rep])
         if any(image(space.min_open[x]) != row for x in bit_indices(a)):
             raise InternalInconsistency("projection is not open")
-        if not space.is_open(preimage(row)):
-            raise InternalInconsistency("quotient topology is not the final one")
         rows.append(row)
-    qspace = FiniteSpace.from_min_open(k, rows)
-
-    qtable = [
-        [proj[group.mul(reps[i], reps[j])] for j in range(k)] for i in range(k)
-    ]
-    qgroup = FiniteGroup(qtable, name=f"{group.name}/N")
-    # homomorphism + well-definedness
-    for a in range(group.order):
-        for b in range(group.order):
-            if proj[group.mul(a, b)] != qgroup.mul(proj[a], proj[b]):
-                raise InternalInconsistency("projection is not a homomorphism")
+    qspace = FiniteSpace.from_min_open(len(rows), rows)
+    qgroup = FiniteGroup(g.atom_table, name=f"{group.name}/N")
     qtg = validate_top_group(qgroup, qspace)
     if not qspace.separation_flags().hausdorff:
         raise InternalInconsistency("quotient is not Hausdorff")
-    for i, a in enumerate(atoms):
-        # closed sets are unions of the point closures, the atoms xN
-        if not qspace.is_closed(image(a)):
-            raise InternalInconsistency("projection is not closed")
-        # compact lifting: {i} lifts to the closed compact atom i
-        if not space.is_closed(preimage(1 << i)):
-            raise InternalInconsistency("compact lifting failed")
-    return QuotientData(base=g, quotient=qtg, proj=proj)
+    return QuotientData(base=g, quotient=qtg, proj=g.atom_of)
 
 
 def borel_atoms(g: FiniteTopGroup) -> BorelAtoms:
     """The atom partition, with the saturation statements verified.
 
-    The atoms partition the points, round-trip through the projection and
-    are clopen; saturation (x in E implies closure(x) <= E) holds on each
-    minimal open, hence on every open, each being a union of them.  With
-    images and preimages commuting with unions, these per-atom facts give
+    Past the round trip, one check per point x: U_x = atom(x).  As x lies
+    in closure({y}) iff y lies in U_x, this is the same as closure({x}) =
+    atom(x) for every x.  Each atom is then a union of minimal opens and of
+    point closures, so it is clopen and the closure of its points; and
+    every open, a union of U_x = atom(x), holds closure(y) = atom(y) for
+    each of its points y, so opens are saturated.  With images and
+    preimages commuting with unions, these per-atom facts give
     disjointness preservation and the image inclusion and equality
     cancellations on every union of atoms.
     """
-    space = g.space
+    atoms, atom_of = g.atoms, g.atom_of
     _check_atoms(g)
-    for a in g.atoms:
-        if not (space.is_open(a) and space.is_closed(a)):
+    for x, u in enumerate(g.space.min_open):
+        if u != atoms[atom_of[x]]:
             raise InternalInconsistency("atom is not clopen")
-    point_closure = [space.closure(1 << x) for x in range(space.n)]
-    for u in space.min_open:
-        for x in bit_indices(u):
-            if point_closure[x] & ~u:
-                raise InternalInconsistency("open set is not saturated")
-    return BorelAtoms(atoms=g.atoms)
+    return BorelAtoms(atoms=atoms)
 
 
 def product_group(g: FiniteTopGroup, h: FiniteTopGroup) -> FiniteTopGroup:

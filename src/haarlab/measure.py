@@ -123,19 +123,6 @@ class HaarReport(Record):
         )
 
 
-def _atom_perm(g: FiniteTopGroup, elem: int, side: str):
-    """Atom index permutation induced by translation by elem."""
-    atoms = g.atoms
-    perm = []
-    for a in atoms:
-        rep = next(bit_indices(a))
-        moved = (
-            g.group.mul(elem, rep) if side == "left" else g.group.mul(rep, elem)
-        )
-        perm.append(g.atom_of[moved])
-    return tuple(perm)
-
-
 def _int_weights(g: FiniteTopGroup, mu: FiniteMeasure):
     """The atom masses scaled to their common denominator, as exact ints.
 
@@ -163,22 +150,22 @@ def _subset_sums(weights):
 def _check_invariance(g, weights, masses, side, witnesses):
     """Every Borel set against its translate by every element.
 
-    The translate of selection sel by elem selects perm[i] for each bit i of
-    sel, so its mass is entry sel of the subset-sum table of the permuted
-    weights.  Elements inducing one permutation share one table.
+    An element of atom i moves atom j to atom table[i][j] on the left and
+    to table[j][i] on the right, so the translate of selection sel selects
+    perm[j] for each bit j of sel, perm being row i or column i, and its
+    mass is entry sel of the subset-sum table of the permuted weights.  The
+    identity's row comes first and always passes, and the other atoms are
+    in order of their smallest members, so reps[i] of the first failing
+    atom is the smallest failing element.
     """
-    passed = set()
-    for elem in range(g.group.order):
-        perm = _atom_perm(g, elem, side)
-        if perm in passed:
-            continue
+    table = g.atom_table
+    for i, rep in enumerate(g.reps):
+        perm = table[i] if side == "left" else [row[i] for row in table]
         moved = _subset_sums([weights[j] for j in perm])
-        if moved == masses:
-            passed.add(perm)
-            continue
-        sel = next(s for s, (a, b) in enumerate(zip(moved, masses)) if a != b)
-        witnesses.append((side, sel, elem))
-        return False
+        if moved != masses:
+            sel = next(s for s, (a, b) in enumerate(zip(moved, masses)) if a != b)
+            witnesses.append((side, sel, rep))
+            return False
     return True
 
 
@@ -188,45 +175,28 @@ def _check_regularity(masses, witnesses):
 
     Opens at atom level are all selections (atoms are clopen); masses are
     monotone, so each scan stops as soon as the extremum matches the set's
-    own mass.
+    own mass.  Outer scans visit supersets upward, inner scans subsets
+    downward.
     """
     full = len(masses) - 1
-    outer = True
-    for sel in range(full + 1):
-        target = masses[sel]
-        best = None
-        sup = sel
-        while True:
-            if best is None or masses[sup] < best:
-                best = masses[sup]
-            if best == target:
+    verdicts = []
+    for kind, pick, step, last in (
+        ("outer", min, lambda s, sel: (s + 1) | sel, full),
+        ("inner", max, lambda s, sel: (s - 1) & sel, 0),
+    ):
+        ok = True
+        for sel in range(full + 1):
+            target = best = masses[sel]
+            s = sel
+            while best != target and s != last:
+                s = step(s, sel)
+                best = pick(best, masses[s])
+            if best != target:
+                ok = False
+                witnesses.append((kind, sel, None))
                 break
-            if sup == full:
-                break
-            sup = (sup + 1) | sel
-        if best != target:
-            outer = False
-            witnesses.append(("outer", sel, None))
-            break
-
-    inner = True
-    for sel in range(full + 1):
-        target = masses[sel]
-        best = None
-        sub = sel
-        while True:
-            if best is None or masses[sub] > best:
-                best = masses[sub]
-            if best == target:
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & sel
-        if best != target:
-            inner = False
-            witnesses.append(("inner", sel, None))
-            break
-    return outer, inner
+        verdicts.append(ok)
+    return tuple(verdicts)
 
 
 def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarReport:
@@ -293,9 +263,8 @@ def haar_solution_space(g: FiniteTopGroup):
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    for elem in range(g.group.order):
-        perm = _atom_perm(g, elem, "left")
-        for i, j in enumerate(perm):
+    for row in g.atom_table:
+        for i, j in enumerate(row):
             union(i, j)
     roots = sorted({find(i) for i in range(k)})
     basis = []
@@ -311,11 +280,7 @@ def invert_measure(g: FiniteTopGroup, mu: FiniteMeasure) -> FiniteMeasure:
     """mu'(E) = mu(E^-1); inversion permutes atoms since N^-1 = N."""
     if mu.group_ref != g:
         raise MeasureSpaceMismatch("measure lives on a different group")
-    atoms = g.atoms
-    masses = []
-    for a in atoms:
-        inv_rep = g.group.inv(next(bit_indices(a)))
-        masses.append(mu.atom_mass[g.atom_of[inv_rep]])
+    masses = [mu.atom_mass[g.atom_of[g.group.inv(r)]] for r in g.reps]
     return FiniteMeasure(g, tuple(masses))
 
 
@@ -323,14 +288,9 @@ def pushforward(q: QuotientData, mu: FiniteMeasure) -> FiniteMeasure:
     """(pi_* mu)(F) = mu(pi^-1(F)), per quotient atom."""
     if mu.group_ref != q.base:
         raise MeasureSpaceMismatch("measure does not live on the base group")
-    base_atoms = q.base.atoms
-    qk = len(q.quotient.atoms)
-    masses = [Fraction(0)] * qk
-    for i, a in enumerate(base_atoms):
-        rep = next(bit_indices(a))
-        qpoint = q.proj[rep]
-        qatom = q.quotient.atom_of[qpoint]
-        masses[qatom] += mu.atom_mass[i]
+    masses = [Fraction(0)] * len(q.quotient.atoms)
+    for i, rep in enumerate(q.base.reps):
+        masses[q.quotient.atom_of[q.proj[rep]]] += mu.atom_mass[i]
     return FiniteMeasure(q.quotient, tuple(masses))
 
 
@@ -338,11 +298,7 @@ def pullback(q: QuotientData, nu: FiniteMeasure) -> FiniteMeasure:
     """(pi^* nu)(E) = nu(pi(E)), per base atom."""
     if nu.group_ref != q.quotient:
         raise MeasureSpaceMismatch("measure does not live on the quotient")
-    masses = []
-    for a in q.base.atoms:
-        rep = next(bit_indices(a))
-        qatom = q.quotient.atom_of[q.proj[rep]]
-        masses.append(nu.atom_mass[qatom])
+    masses = [nu.atom_mass[q.quotient.atom_of[q.proj[r]]] for r in q.base.reps]
     return FiniteMeasure(q.base, tuple(masses))
 
 

@@ -240,10 +240,9 @@ def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
             tg = validate_top_group(group, space)
             calls = 0
             fn(tg)
-            # measured: order + 1 for quotient (one closure per point for
-            # the atoms, plus the identity's) and 2 * order + 1 for
-            # borel_atoms (one more per point for saturation)
-            assert calls <= 2 * group.order + 2, (group.name, fn.__name__, calls)
+            # measured: order + 1 for each (one closure per point for the
+            # atoms, plus the identity's)
+            assert calls <= group.order + 1, (group.name, fn.__name__, calls)
 
 def test_quotient_of_hausdorff_group_is_isomorphic_copy():
     for group in (cyclic(5), symmetric3()):
@@ -434,6 +433,15 @@ def test_quotient_rejects_non_coset_partition():
         with pytest.raises(InternalInconsistency, match="not a homomorphism"):
             fn(tg)
 
+def test_borel_atoms_rejects_non_coset_partition():
+    """The same atoms {0,1,3,4} {2,5} are clopen unions of cosets and
+    saturate every open, but the minimal open and the closure of 0 are
+    {0,3}, not its atom."""
+    tg = z6_mod_3()
+    tg._partition = ((0b011011, 0b100100), (0, 0, 1, 0, 0, 1))
+    with pytest.raises(InternalInconsistency, match="atom is not clopen"):
+        borel_atoms(tg)
+
 def test_quotient_checks_hausdorff():
     """With the base space swapped for the indiscrete one behind the cached
     atoms, the final topology on Z6/{0,3} is indiscrete: not Hausdorff."""
@@ -442,6 +450,30 @@ def test_quotient_checks_hausdorff():
         tg.space = FiniteSpace.from_min_open(6, [0b111111] * 6)
         with pytest.raises(InternalInconsistency, match=msg):
             fn(tg)
+
+
+# -- the atom table ------------------------------------------------------------
+
+def reference_atom_perm(g, elem, side):
+    """Atom index permutation induced by translation by elem, from the
+    representatives' products."""
+    perm = []
+    for a in g.atoms:
+        rep = next(bit_indices(a))
+        moved = g.group.mul(elem, rep) if side == "left" else g.group.mul(rep, elem)
+        perm.append(g.atom_of[moved])
+    return tuple(perm)
+
+def test_atom_table_matches_per_element_permutations(corpus_instances):
+    for tg in corpus_instances:
+        table = tg.atom_table
+        assert tg.reps == tuple(min(bit_indices(a)) for a in tg.atoms)
+        for elem in range(tg.group.order):
+            i = tg.atom_of[elem]
+            assert reference_atom_perm(tg, elem, "left") == table[i]
+            assert reference_atom_perm(tg, elem, "right") == tuple(
+                row[i] for row in table
+            )
 
 
 # -- products ----------------------------------------------------------------

@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from haarlab import (
+    FiniteGroup,
     FiniteMeasure,
     FiniteSpace,
     PointFunction,
     canonical_haar,
     coset_topology,
     cyclic,
+    dihedral,
     fubini_check,
+    group_topologies,
     haar_solution_space,
     integrate,
     invert_measure,
@@ -171,9 +174,24 @@ def assert_matches_literal(tg, mu):
     for side in ("left", "right"):
         assert is_haar(tg, mu, side) == ref.replace(side=side), (tg, mu, side)
 
+def reversed_labels(group):
+    """The group with element x renamed n - 1 - x: the identity is the
+    largest label, so N's smallest member is above other atoms' ones."""
+    n = group.order
+    table = [[n - 1 - group.mul(n - 1 - a, n - 1 - b) for b in range(n)]
+             for a in range(n)]
+    return FiniteGroup(table, name=f"{group.name}~")
+
 def test_is_haar_matches_literal_sweep(corpus_instances):
     rng = random.Random(2309)
-    for tg in corpus_instances:
+    relabelled = [
+        tg
+        for group in (cyclic(6), symmetric3(), dihedral(4), cyclic(12))
+        for tg in group_topologies(reversed_labels(group))
+    ]
+    # the identity's atom comes first but has the larger representative
+    assert sum(tg.reps[0] > min(tg.reps) for tg in relabelled) >= 5
+    for tg in list(corpus_instances) + relabelled:
         k = len(tg.atoms)
         canon = canonical_haar(tg)
         masses = [canon, canon.scaled(Fraction(7, 3))]

@@ -258,6 +258,39 @@ def test_separate_errors():
     with pytest.raises(NotRegular):
         separate(sierpinski(), 0b10, 0b01)
 
+def reference_separate(space, a, b):
+    """The lexicographically smallest disjoint open pair (U, V) with
+    a <= U and b <= V, found by searching the listed opens."""
+    for u in space.opens:
+        if a & ~u:
+            continue
+        for v in space.opens:
+            if b & ~v == 0 and u & v == 0:
+                return u, v
+    raise AssertionError("regular space failed to separate")
+
+def test_separate_matches_search_over_opens(corpus_instances):
+    """Every disjoint (a, closed b) on every regular space of at most 4
+    points and every distinct corpus coset space of at most 9 points."""
+    spaces = [s for n in range(1, 5) for s in enumerate_topologies(n)]
+    spaces = [s for s in spaces if s.separation_flags().regular]
+    spaces += sorted(
+        {tg.space for tg in corpus_instances if tg.space.n <= 9},
+        key=lambda s: (s.n, s.min_open),
+    )
+    cases = 0
+    for space in spaces:
+        for b in space.closed_sets():
+            free = space.full ^ b
+            a = free
+            while True:  # every subset a of the complement of b
+                assert separate(space, a, b) == reference_separate(space, a, b)
+                cases += 1
+                if a == 0:
+                    break
+                a = (a - 1) & free
+    assert cases == 36_267
+
 def test_separate_property_all_regular_spaces():
     for space in enumerate_topologies(3):
         if not space.separation_flags().regular:
