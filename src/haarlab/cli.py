@@ -8,6 +8,7 @@ sorted keys, canonical "p/q" rationals, LF line endings.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -130,6 +131,10 @@ def _size_param(params, family, order_per_n, max_order) -> int:
     n = _int_value(params["n"], f"{family} params: n")
     if n < 1:
         raise InputError(f"{family} params: n must be positive, got {n}")
+    if n > max_order:
+        # named by n: order_per_n * n can have more digits than an int
+        # converts to text (sys.get_int_max_str_digits)
+        raise InputError(f"{family} params: n = {n} exceeds the cap {max_order}")
     _check_cap(order_per_n * n, max_order)
     return n
 
@@ -168,10 +173,17 @@ def load_group(spec, max_order) -> groups_mod.FiniteGroup:
     else:
         _require_keys(spec, {"name", "order", "table"}, {"order", "table"}, "group")
         _check_cap(_int_value(spec["order"], "group order"), max_order)
+        name = spec.get("name", "group")
+        if type(name) is not str:
+            raise InputError("group name must be a string")
+        table = spec["table"]
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(type(v) is int for v in row)
+            for row in table
+        ):
+            raise InputError("bad Cayley table: expected a list of rows of integers")
         try:
-            g = groups_mod.FiniteGroup(
-                spec["table"], name=spec.get("name", "group")
-            )
+            g = groups_mod.FiniteGroup(table, name=name)
         except (ValueError, KeyError) as exc:
             raise InputError(f"bad Cayley table: {exc}") from exc
         if g.order != spec["order"]:
@@ -544,7 +556,10 @@ def _read_input(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # literal past the int-to-text digit limit; RecursionError is nesting
+    # deeper than the parser's recursion limit.
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
 
 
@@ -590,7 +605,29 @@ def _error_report(command, message):
 
 
 def main():  # console entry point
-    sys.exit(run())
+    """Run one command, then end the process without interpreter teardown.
+
+    When run() returns, every check has run and the report is written
+    (--output is closed by then), so both streams are flushed and
+    os._exit skips module finalisation and the last garbage-collection
+    pass.  An exception from run(), argparse's SystemExit and a flush that
+    fails (a closed pipe) take the normal exit path, never exit 0.  run()
+    is the in-process entry point; it returns.
+
+    Under PYTHONUNBUFFERED (or -u) stdout's text layer writes straight to
+    the raw file and drops the rest of a short write, so a reader that
+    closes the pipe mid-report would leave it truncated with exit 0.  A
+    buffered layer finishes short writes and raises on a broken pipe.
+    """
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(out.buffer), encoding=out.encoding, errors=out.errors
+        )
+    code = run()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

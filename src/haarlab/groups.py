@@ -8,6 +8,7 @@ verified by the continuity checks at construction and by the test suite.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     InternalInconsistency,
@@ -56,10 +57,20 @@ class FiniteGroup:
                     break
             if inverse[x] is None:
                 raise ValueError(f"element {x} has no inverse")
-        for a in range(order):
-            for b in range(order):
-                for c in range(order):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
+        # (ab)c == a(bc) for every c at once: row ab against row a read
+        # through row b.  Pairs go in the order of the triples, and the
+        # first bad row is scanned for its first c, so the error names the
+        # lexicographically first failing triple.  A one-item itemgetter
+        # returns a scalar; order 1 has only [[0]], which is associative.
+        if order > 1:
+            through = [itemgetter(*row) for row in table]
+            for a, row_a in enumerate(table):
+                for b, ab in enumerate(row_a):
+                    if table[ab] != through[b](row_a):
+                        row_b = table[b]
+                        c = next(
+                            c for c in range(order) if table[ab][c] != row_a[row_b[c]]
+                        )
                         raise ValueError(f"associativity fails at {(a, b, c)}")
 
         self.order = order

@@ -1,10 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from haarlab import cli, groups, plane
@@ -340,6 +341,23 @@ MALFORMED = {
     "input_not_utf8": ("counterexample", b'{"c": "1/1\xff"}'),
     "rational_exponent_over_cap": ("counterexample", {"c": "1e999999999"}),
     "rational_over_length_cap": ("plane", {"intervals": [{"lo": "0/1", "hi": "1" * 1001}]}),
+    # an integer literal past the int-to-text digit limit, and nesting past
+    # the recursion limit: both fail inside json.load
+    "int_over_digit_limit": ("counterexample", b'{"c": ' + b"1" * 5000 + b"}"),
+    "nesting_over_recursion_limit": (
+        "counterexample", b'{"c": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    ),
+    "table_name_not_string": (
+        "enumerate", {"group": {"name": {"x": 1}, "order": 2, "table": [[0, 1], [1, 0]]}}
+    ),
+    "table_row_not_a_list": ("enumerate", {"group": {"order": 2, "table": [1, 2]}}),
+    "table_entry_not_int": (
+        "enumerate", {"group": {"order": 2, "table": [[0, "a"], [1, 0]]}}
+    ),
+    # 2n has 4,301 digits, past what an int converts to text
+    "dihedral_order_past_digit_limit": (
+        "enumerate", {"group": {"family": "dihedral", "params": {"n": 9 * 10**4299}}}
+    ),
 }
 
 @pytest.mark.parametrize("command,payload", MALFORMED.values(), ids=MALFORMED)
@@ -451,3 +469,282 @@ def test_byte_identical_reports(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0].endswith(b"\n")
     assert b"\r" not in outputs[0]
+
+
+# -- fuzz of the input boundary -------------------------------------------------
+
+class Raw:
+    """JSON text spliced into a payload as is: nesting and integer literals
+    that json.dumps itself could not write."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return f"Raw({self.text[:12]!r} ... {len(self.text)} chars)"
+
+def to_json(value):
+    if isinstance(value, Raw):
+        return value.text
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(to_json(v) for v in value) + "]"
+    return json.dumps(value)
+
+# every key and word the input schema knows, so new keys and values often
+# take the shape of real specs
+SPEC_WORDS = [
+    "family", "params", "n", "factors", "name", "order", "table",
+    "normal_subgroup", "opens", "atom_masses", "lo", "hi", "lo_closed",
+    "hi_closed", "group", "topology", "measure", "side", "k0", "c",
+    "probe_bound", "group1", "group2", "intervals", "shift", "eps", "cyclic",
+    "dihedral", "symmetric3", "quaternion8", "trivial", "product", "left",
+    "right", "1/2", "0", "-1",
+]
+HUGE_INTS = [9 * 10**4299, -(10**4299), 2**64]
+leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-100, 100)
+    | st.sampled_from(HUGE_INTS)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+    | st.sampled_from(SPEC_WORDS)
+)
+json_values = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SPEC_WORDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=16,
+)
+raw_values = st.one_of(
+    st.integers(1, 3000).map(lambda d: Raw("[" * d + "]" * d)),
+    st.integers(1, 3000).map(lambda d: Raw('{"n": ' * d + "4" + "}" * d)),
+    st.just(Raw("[" * 100_000 + "]" * 100_000)),
+    st.integers(4290, 5000).map(lambda digits: Raw("7" * digits)),
+)
+# one value in four is deep nesting or an integer past the digit limit
+new_values = st.integers(0, 3).flatmap(lambda i: raw_values if i == 0 else json_values)
+
+Z2_DISCRETE = {
+    "group": {"family": "cyclic", "params": {"n": 2}},
+    "topology": {"normal_subgroup": [0]},
+}
+Z2_TABLE = {
+    "group": {"name": "Z2", "order": 2, "table": [[0, 1], [1, 0]]},
+    "topology": {"opens": [[], [0, 1]]},
+}
+#: Valid inputs of each command, the starting points of the fuzz.
+VALID_INPUTS = {
+    "enumerate": [{"group": Z4_COSET["group"]}, {"group": Z2_TABLE["group"]}],
+    "verify-haar": [
+        dict(Z4_HAAR, side="right"),
+        dict(Z2_TABLE, measure={"atom_masses": ["1/3"]}),
+    ],
+    "construct": [dict(Z4_COSET, k0=[0, 2]), dict(Z2_DISCRETE, k0=[0])],
+    "quotient": [Z4_COSET, Z2_TABLE],
+    "counterexample": [{"c": "1/3", "probe_bound": "2"}, {"c": "0"}],
+    "fubini": [{"group1": Z4_COSET, "group2": Z2_DISCRETE}],
+    "plane": [
+        {
+            "intervals": [{"lo": "0", "hi": "1", "lo_closed": False, "hi_closed": True}],
+            "shift": ["1/2", "-3"],
+            "eps": "1/10",
+        }
+    ],
+}
+
+def json_paths(value, prefix=()):
+    """The path of every node of a JSON value, the root's () first."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+def with_node(value, path, new, drop=False):
+    """A copy of value with the node at path set to new, or removed."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    if len(path) > 1:
+        copy[path[0]] = with_node(value[path[0]], path[1:], new, drop)
+    elif drop:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = new
+    return copy
+
+@st.composite
+def cli_inputs(draw):
+    """A valid input of a random command with up to three edits: a node
+    replaced by a new JSON value, a node removed, or a key added."""
+    command = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    payload = draw(st.sampled_from(VALID_INPUTS[command]))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(json_paths(payload))))
+        node = payload
+        for key in path:
+            node = node[key]
+        edit = draw(st.sampled_from(["replace", "drop", "add"]))
+        if edit == "add" and isinstance(node, dict):
+            path += (draw(st.sampled_from(SPEC_WORDS)),)
+        if edit == "drop" and path:
+            payload = with_node(payload, path, None, drop=True)
+        else:
+            payload = with_node(payload, path, draw(new_values))
+    flags = draw(
+        st.lists(
+            st.sampled_from([("--max-order", "8"), ("--probe-bound", "1/3")]),
+            unique=True,
+            max_size=2,
+        )
+    )
+    return command, payload, [arg for flag in flags for arg in flag]
+
+@given(cli_inputs())
+@settings(
+    max_examples=250,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_fuzz_inputs_never_crash(tmp_path, capsys, case):
+    """Any JSON under each command's keys, nested deep or holding integers
+    past the digit limit, gives exit 0, 1 or 2 and a report that parses;
+    exit 2 carries exactly the error report."""
+    command, payload, flags = case
+    path = tmp_path / "input.json"
+    path.write_text(to_json(payload), encoding="utf-8")
+    code = cli.run([command, "--input", str(path), *flags])
+    report = json.loads(capsys.readouterr().out)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert set(report) == {"schema_version", "command", "error"}
+    else:
+        assert report["passed"] is (code == 0)
+
+
+# -- how the CLI process ends ----------------------------------------------------
+
+# 1,024 tiles: a report of about 150 kB, more than a pipe buffer holds
+BIG_REPORT = ("counterexample", {"c": "1/1023", "probe_bound": "1/1"})
+
+def in_process(tmp_path, capsys, command, payload, *extra):
+    """Exit code and report bytes of cli.run in this process."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code = cli.run([command, "--input", str(path), *extra])
+    return code, capsys.readouterr().out.encode()
+
+def env_buffering(unbuffered):
+    """src_env with PYTHONUNBUFFERED set to 1, or unset."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+def child(tmp_path, command, payload, *extra, env=None):
+    """The same command as `python -m haarlab.cli` in a child process."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    argv = [sys.executable, "-m", "haarlab.cli", command, "--input", str(path), *extra]
+    return subprocess.run(argv, capture_output=True, env=env or src_env())
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_large_report_arrives_whole(tmp_path, capsys, unbuffered):
+    code, want = in_process(tmp_path, capsys, *BIG_REPORT)
+    assert code == 0 and len(want) > 1 << 17
+    env = env_buffering(unbuffered)
+    proc = child(tmp_path, *BIG_REPORT, env=env)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == want
+    out = tmp_path / "out.json"
+    proc = child(tmp_path, *BIG_REPORT, "--output", str(out), env=env)
+    assert proc.returncode == 0 and proc.stdout == proc.stderr == b""
+    assert out.read_bytes() == want
+
+EXIT_CASES = {
+    "passed": ("verify-haar", Z4_HAAR, 0),
+    "check_failed": ("verify-haar", dict(Z4_COSET, measure={"atom_masses": ["1/1", "2/1"]}), 1),
+    "malformed": ("verify-haar", dict(Z4_HAAR, side="up"), 2),
+}
+
+@pytest.mark.parametrize("command,payload,want_code", EXIT_CASES.values(), ids=EXIT_CASES)
+def test_child_exit_code_and_bytes_match_run(tmp_path, capsys, command, payload, want_code):
+    code, want = in_process(tmp_path, capsys, command, payload)
+    assert code == want_code
+    proc = child(tmp_path, command, payload)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (want_code, want, b"")
+
+def test_exception_in_handler_gives_traceback_and_exit_1(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"c": "1/2"}), encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from haarlab import cli\n"
+        "def boom(data, opts):\n"
+        "    raise RuntimeError('boom')\n"
+        "cli.COMMANDS['counterexample'] = boom\n"
+        f"sys.argv = ['haarlab', 'counterexample', '--input', {str(path)!r}]\n"
+        "cli.main()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env()
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" in proc.stderr and "RuntimeError: boom" in proc.stderr
+
+def test_usage_error_exits_2(tmp_path):
+    proc = child(tmp_path, "counterexample", {"c": "1/2"}, "--max-order", "x")
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert b"invalid int value" in proc.stderr
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("big", [False, True], ids=["flush", "write"])
+def test_closed_stdout_never_exits_0(tmp_path, big, unbuffered):
+    """A reader that closes the pipe early: the small report fails at the
+    final flush, the large one while it is written."""
+    command, payload = BIG_REPORT if big else ("counterexample", {"c": "1/2"})
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "haarlab.cli", command, "--input", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env_buffering(unbuffered),
+    )
+    if big:
+        assert proc.stdout.read(100)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) != 0
+
+def test_main_flushes_then_ends_with_the_code_of_run(tmp_path, capsys, monkeypatch):
+    class Exited(Exception):
+        pass
+
+    def fake_exit(code):
+        raise Exited(code)
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(dict(Z4_COSET, measure={"atom_masses": ["1/1", "2/1"]})))
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    monkeypatch.setattr(sys, "argv", ["haarlab", "verify-haar", "--input", str(path)])
+    with pytest.raises(Exited) as exited:
+        cli.main()
+    assert exited.value.args == (1,)
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+    # a flush that fails propagates before os._exit is reached
+    class ClosedPipe:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        cli.main()

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -56,6 +57,83 @@ def test_rejects_broken_tables():
     ]
     with pytest.raises(ValueError, match="associativity"):
         FiniteGroup(t)
+
+def literal_associativity_error(table):
+    """Reference: the triple loop over (a, b, c) in order; the message of
+    the first failing triple, or None."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return f"associativity fails at {(a, b, c)}"
+    return None
+
+def random_loop(n, rng):
+    """A random Latin square on 0..n-1 with identity 0 in which every x
+    has a two-sided inverse: a loop that passes every FiniteGroup check
+    before associativity.  The inverses are a random involution; the rest
+    is filled by backtracking with shuffled candidates, starting over with
+    a new involution when one cannot be completed within a step budget."""
+    while True:
+        t = [[None] * n for _ in range(n)]
+        t[0] = list(range(n))
+        for x in range(n):
+            t[x][0] = x
+        rest = list(range(1, n))
+        rng.shuffle(rest)
+        while rest:
+            x = rest.pop()
+            y = rest.pop() if rest and rng.random() < 0.7 else x
+            t[x][y] = t[y][x] = 0
+        cells = [(i, j) for i in range(1, n) for j in range(1, n) if t[i][j] is None]
+        steps = [0]
+
+        def fill(c):
+            if c == len(cells):
+                return True
+            steps[0] += 1
+            if steps[0] > 2000:
+                return False
+            i, j = cells[c]
+            used = set(t[i]) | {t[r][j] for r in range(n)}
+            options = [v for v in range(1, n) if v not in used]
+            rng.shuffle(options)
+            for v in options:
+                t[i][j] = v
+                if fill(c + 1):
+                    return True
+            t[i][j] = None
+            return False
+
+        if fill(0):
+            return t
+
+def test_row_associativity_matches_triple_loop(corpus):
+    tables = [g.table for g in corpus]
+    rng = random.Random(5)
+    loops = []
+    for n in range(5, 9):
+        for _ in range(6):
+            # each loop also renamed by a random p fixing 0, which moves
+            # its first failing triple
+            t = random_loop(n, rng)
+            p = [0] + rng.sample(range(1, n), n - 1)
+            renamed = [[None] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    renamed[p[a]][p[b]] = p[t[a][b]]
+            loops += [t, renamed]
+    for table in tables + loops:
+        want = literal_associativity_error(table)
+        try:
+            FiniteGroup(table)
+        except ValueError as exc:
+            assert str(exc) == want, table
+        else:
+            assert want is None, table
+    # most loops are not groups, so the failing branch is exercised
+    assert sum(literal_associativity_error(t) is not None for t in loops) >= 36
 
 def test_constructor_basics():
     assert trivial_group().order == 1

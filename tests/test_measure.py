@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -113,9 +114,71 @@ def test_is_haar_mismatch():
 
 # -- is_haar against the literal Fraction sweep --------------------------------
 
+def literal_regularity(g, mu):
+    """Reference: outer regularity of every Borel set and inner regularity
+    of every open, literally at point level.  mu(E) is compared with the
+    minimum of mu(U) over every open U containing E, and mu(U) with the
+    maximum of mu(K) over every closed K inside U (every set of a finite
+    space is compact).  Returns both flags and the witnesses, as atom
+    selections.
+
+    Masses are read from a table over all point sets, with each atom's
+    mass spread evenly over its points and scaled to ints.  The opens
+    containing E are those containing each point of E: an AND of one
+    bitset per point over the opens listed by descending mass, whose
+    highest set bit is the minimum.  Likewise the closed sets inside U are
+    those missing each point outside U, listed by ascending mass."""
+    size = g.group.order // len(g.atoms)
+    den = math.lcm(*(m.denominator for m in mu.atom_mass)) * size
+    mass = [0]
+    for x in range(g.group.order):
+        w = mu.atom_mass[g.atom_of[x]] * den / size
+        assert w.denominator == 1
+        mass += [m + w.numerator for m in mass]
+    mass_of = mass.__getitem__
+
+    def by_point(family, has):
+        # entry x: bit i set iff family[i] has point x (lacks it if not has)
+        return [
+            int("".join(["01"[(s >> x & 1) == has] for s in reversed(family)]), 2)
+            for x in range(g.group.order)
+        ]
+
+    opens = sorted(g.space.opens, key=mass_of, reverse=True)
+    closed = sorted(g.space.closed_sets(), key=mass_of)
+    borel = [g.preimage(sel) for sel in range(1 << len(g.atoms))]
+    flags, witnesses = [], []
+    for kind, sets, family, index, outside in (
+        ("outer", borel, opens, by_point(opens, True), 0),
+        ("inner", g.space.opens, closed, by_point(closed, False), g.space.full),
+    ):
+        flags.append(True)
+        every = (1 << len(family)) - 1
+        for s in sets:
+            found = every
+            for x in bit_indices(s ^ outside):
+                found &= index[x]
+            assert found, (kind, s)  # the full set is open, the empty set closed
+            if mass_of(family[found.bit_length() - 1]) != mass_of(s):
+                flags[-1] = False
+                witnesses.append((kind, g.image(s), None))
+                break
+    return flags, witnesses
+
+def test_literal_regularity_sees_a_failure():
+    # the reference computes its extrema: with a negative atom mass, forced
+    # past FiniteMeasure's check, the empty set has a lighter open superset
+    # and atom 1 a heavier closed subset (the empty set)
+    tg = z4_coset_instance()
+    mu = FiniteMeasure(tg, (1, 1))
+    object.__setattr__(mu, "atom_mass", (Fraction(1), Fraction(-1)))
+    assert literal_regularity(tg, mu) == (
+        [False, False], [("outer", 0, None), ("inner", 0b10, None)]
+    )
+
 def literal_is_haar(g, mu, side):
     """Reference: Fraction masses of every selection, each translate built
-    bit by bit for every group element, regularity scans as in is_haar."""
+    bit by bit for every group element, and `literal_regularity`."""
     k = len(g.atoms)
     masses = [sum((mu.atom_mass[i] for i in bit_indices(sel)), Fraction(0))
               for sel in range(1 << k)]
@@ -138,33 +201,16 @@ def literal_is_haar(g, mu, side):
                 invariant[kind] = False
                 witnesses.append((kind, bad, elem))
                 break
-    # outer: inf over supersets, visited upward; inner: sup over subsets,
-    # visited downward; each scan stops once the extremum is the set's mass
-    regular = {}
-    full = (1 << k) - 1
-    for kind, pick, step, last in (
-        ("outer", min, lambda s, sel: (s + 1) | sel, lambda s: s == full),
-        ("inner", max, lambda s, sel: (s - 1) & sel, lambda s: s == 0),
-    ):
-        regular[kind] = True
-        for sel in range(1 << k):
-            s = sel
-            best = masses[s]
-            while best != masses[sel] and not last(s):
-                s = step(s, sel)
-                best = pick(best, masses[s])
-            if best != masses[sel]:
-                regular[kind] = False
-                witnesses.append((kind, sel, None))
-                break
+    (outer, inner), regularity_witnesses = literal_regularity(g, mu)
+    witnesses += regularity_witnesses
     return HaarReport(
         side=side,
         nonzero=any(m > 0 for m in mu.atom_mass),
         left_invariant=invariant["left"],
         right_invariant=invariant["right"],
         locally_finite=True,
-        outer_regular=regular["outer"],
-        inner_regular_on_opens=regular["inner"],
+        outer_regular=outer,
+        inner_regular_on_opens=inner,
         witnesses=tuple(witnesses),
     )
 
@@ -213,7 +259,8 @@ def test_is_haar_matches_literal_sweep_16_atoms():
 
 def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
     # one subset-sum table for the measure, then at most one per distinct
-    # atom permutation on each side; there are at most k of those
+    # atom permutation on each side; there are at most k of those.  is_radon
+    # builds none: regularity needs no sweep
     tables = []
     sums = measure._subset_sums
 
@@ -234,7 +281,7 @@ def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
         assert 1 <= len(tables) <= 1 + 2 * k, tg
         tables.clear()
         assert is_radon(tg, canonical_haar(tg))
-        assert len(tables) == 1, tg
+        assert len(tables) == 0, tg
 
 def test_is_haar_atom_cap():
     z64 = cyclic(64)
