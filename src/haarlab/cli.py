@@ -139,6 +139,17 @@ def _size_param(params, family, order_per_n, max_order) -> int:
     return n
 
 
+#: The params keys each group family accepts.
+_FAMILY_PARAMS = {
+    "cyclic": ("n",),
+    "dihedral": ("n",),
+    "product": ("factors",),
+    "symmetric3": (),
+    "quaternion8": (),
+    "trivial": (),
+}
+
+
 def load_group(spec, max_order) -> groups_mod.FiniteGroup:
     """Build a group from its JSON spec; every order is checked against
     max_order before any Cayley table is built."""
@@ -150,6 +161,10 @@ def load_group(spec, max_order) -> groups_mod.FiniteGroup:
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise InputError("group params: expected an object")
+        allowed = _FAMILY_PARAMS.get(family) if isinstance(family, str) else None
+        if allowed is None:
+            raise InputError(f"unknown family {family!r}")
+        _require_keys(params, allowed, (), f"{family} params")
         if family == "cyclic":
             g = groups_mod.cyclic(_size_param(params, family, 1, max_order))
         elif family == "dihedral":
@@ -168,8 +183,6 @@ def load_group(spec, max_order) -> groups_mod.FiniteGroup:
             g2 = load_group(factors[1], max_order)
             _check_cap(g1.order * g2.order, max_order)
             g = groups_mod.direct_product(g1, g2)
-        else:
-            raise InputError(f"unknown family {family!r}")
     else:
         _require_keys(spec, {"name", "order", "table"}, {"order", "table"}, "group")
         _check_cap(_int_value(spec["order"], "group order"), max_order)
@@ -292,12 +305,11 @@ def cmd_enumerate(data, opts):
     group = load_group(data["group"], opts.max_order)
     topologies = []
     for tg in groups_mod.group_topologies(group):
-        n_mask = groups_mod.identity_closure(tg)
         dim, _ = measure_mod.haar_solution_space(tg)
         canon = measure_mod.canonical_haar(tg)
         topologies.append(
             {
-                "normal_subgroup": points_list(n_mask),
+                "normal_subgroup": points_list(tg.atoms[0]),
                 "atoms": [points_list(a) for a in tg.atoms],
                 "haar_dimension": dim,
                 "canonical_masses": [frac_str(m) for m in canon.atom_mass],
@@ -360,10 +372,7 @@ def cmd_construct(data, opts):
     truncated = k_atoms > 6
     if truncated:
         closed_sets = list(tg.atoms) + [tg.space.full]
-        open_nbhds = [
-            groups_mod.identity_closure(tg),
-            tg.space.full,
-        ]
+        open_nbhds = [tg.atoms[0], tg.space.full]
 
         def count(k, u):
             problem = covering_mod.CoveringProblem(tg, k, u)
@@ -406,7 +415,7 @@ def cmd_quotient(data, opts):
     roundtrip_ok = pulled == canon
     pushed_haar = measure_mod.is_haar(q.quotient, pushed).is_haar
     results = {
-        "normal_subgroup": points_list(groups_mod.identity_closure(tg)),
+        "normal_subgroup": points_list(tg.atoms[0]),
         "atoms": [points_list(a) for a in tg.atoms],
         "quotient_order": q.quotient.group.order,
         "projection": list(q.proj),
@@ -454,19 +463,18 @@ def cmd_fubini(data, opts):
     g, h = tgs
     if g.group.order * h.group.order > opts.max_order:
         raise InputError("combined order exceeds the cap")
+    _check_atom_cap(g)
+    _check_atom_cap(h)
     mu = measure_mod.canonical_haar(g)
     lam = measure_mod.canonical_haar(h)
     oh = h.group.order
+    n = g.group.order * oh
     checks = []
     ok = True
     for i, a in enumerate(g.atoms):
         for j, b in enumerate(h.atoms):
-            values = [
-                Fraction((a >> x & 1) and (b >> y & 1))
-                for x in range(g.group.order)
-                for y in range(oh)
-            ]
-            f = PointFunction(tuple(values))
+            cell = mask_of(x * oh + y for x in bit_indices(a) for y in bit_indices(b))
+            f = PointFunction.indicator(n, cell)
             lhs, rhs = measure_mod.fubini_check(g, h, f, mu, lam)
             equal = lhs == rhs
             ok = ok and equal

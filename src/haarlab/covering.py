@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import EmptyInterior, InternalInconsistency, NotClosed, NotOpen
-from .groups import FiniteTopGroup, identity_closure
+from .groups import FiniteTopGroup
 from .measure import FiniteMeasure
 from .records import Record
 from .topology import bit_indices, mask_of
@@ -50,23 +50,19 @@ def covering_number(p: CoveringProblem) -> CoveringSolution:
     """
     if p.k == 0:
         return CoveringSolution(0, ())
-    group = p.group.group
-    s_int = p.group.space.interior(p.s)
-    # candidate translate masks, deduplicated keeping the smallest element
-    masks = {}
-    for g in range(group.order):
-        m = group.translate(g, s_int, "left")
-        if m & p.k and m not in masks:
-            masks[m] = g
-    cands = sorted(masks.items(), key=lambda kv: kv[1])  # by element index
+    g = p.group
+    # K is closed and interior(S) open, so both are unions of atoms of |N|
+    # points each: the search runs on atom selections, pruning alike
+    target = _atom_selection(g, p.k)
+    s_sel = _atom_selection(g, g.space.interior(p.s))
+    # candidate translates meeting K, in ascending order of their elements
+    cands = [(m, x) for m, x in _translates(g, s_sel).items() if m & target]
     union_all = 0
     for m, _ in cands:
         union_all |= m
-    if p.k & ~union_all:
+    if target & ~union_all:
         raise InternalInconsistency("target not coverable by any translates")
-    max_gain = max(bin(m & p.k).count("1") for m, _ in cands)
-
-    target = p.k
+    max_gain = max(bin(m & target).count("1") for m, _ in cands)
 
     def dfs(start, covered, depth):
         """Lex-first cover of target using exactly depth more candidates
@@ -79,12 +75,12 @@ def covering_number(p: CoveringProblem) -> CoveringSolution:
         if missing > depth * max_gain:
             return None
         for idx in range(start, len(cands)):
-            m, g = cands[idx]
+            m, x = cands[idx]
             if m & target & ~covered == 0:
                 continue
             rest = dfs(idx + 1, covered | m, depth - 1)
             if rest is not None:
-                return [g] + rest
+                return [x] + rest
         return None
 
     for depth in range(1, len(cands) + 1):
@@ -99,6 +95,26 @@ def covering_number(p: CoveringProblem) -> CoveringSolution:
 def _check_neighbourhood(g: FiniteTopGroup, u: int):
     if not g.space.is_open(u) or not u >> g.group.identity & 1:
         raise NotOpen(f"{u:#x} is not an open neighborhood of the identity")
+
+
+def _atom_selection(g: FiniteTopGroup, mask: int) -> int:
+    """The atom selection of a union of atoms."""
+    sel = g.image(mask)
+    if g.preimage(sel) != mask:
+        raise InternalInconsistency(f"{mask:#x} is not a union of atoms")
+    return sel
+
+
+def _translates(g: FiniteTopGroup, sel: int) -> dict:
+    """Each distinct left translate of the union of the atoms in sel, as an
+    atom selection, mapped to the smallest element giving it, in ascending
+    order of that element.  Every member of atom i carries atom j to
+    atom_table[i][j], and reps[i] is the smallest of them, so at most k
+    translates are listed for k atoms."""
+    out = {}
+    for rep, row in sorted(zip(g.reps, g.atom_table)):
+        out.setdefault(mask_of(row[j] for j in bit_indices(sel)), rep)
+    return out
 
 
 def _union_distances(translates, k: int) -> list:
@@ -126,21 +142,15 @@ def covering_table(g: FiniteTopGroup, u: int) -> tuple:
     selects atom i), for an open neighbourhood U of the identity.
 
     Entry sel equals covering_number(CoveringProblem(g, g.preimage(sel),
-    u)).count.  U is a union of atoms, so each left translate xU is the
-    union of the atoms its selection is carried to by row atom_of[x] of the
-    atom table, and U has at most k distinct translates for k atoms.  A
-    breadth-first search gives the fewest translates whose union is each
-    selection; the fewest covering K is the least of these over the
-    supersets of K, one superset-minimum pass over the 2^k selections.
-    Work is O(k * 2^k).
+    u)).count.  U is a union of atoms with at most k distinct translates
+    (`_translates`).  A breadth-first search gives the fewest translates
+    whose union is each selection; the fewest covering K is the least of
+    these over the supersets of K, one superset-minimum pass over the 2^k
+    selections.  Work is O(k * 2^k).
     """
     _check_neighbourhood(g, u)
     k = len(g.atoms)
-    u_sel = g.image(u)
-    if g.preimage(u_sel) != u:
-        raise InternalInconsistency(f"{u:#x} is not a union of atoms")
-    table = g.atom_table
-    translates = {mask_of(row[j] for j in bit_indices(u_sel)) for row in table}
+    translates = _translates(g, _atom_selection(g, u))
     dist = _union_distances(translates, k)
     if dist[-1] is None:
         raise InternalInconsistency("translates do not cover the group")
@@ -180,7 +190,7 @@ def existence_via_covering(g: FiniteTopGroup, k0: int) -> FiniteMeasure:
         raise NotClosed(f"reference set {k0:#x} is not closed")
     if space.interior(k0) == 0:
         raise EmptyInterior(f"reference set {k0:#x} has empty interior")
-    n_mask = identity_closure(g)
+    n_mask = g.atoms[0]
     _check_neighbourhood(g, n_mask)
     # mu_N on each atom, with the reference count (K0:N) found once
     den = covering_number(CoveringProblem(g, k0, n_mask)).count

@@ -29,10 +29,6 @@ class NotCovered(HaarlabError):
     pass
 
 
-class NotStronglyLocallyCompact(HaarlabError):
-    pass
-
-
 class NotNested(HaarlabError):
     pass
 

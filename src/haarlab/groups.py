@@ -96,10 +96,9 @@ class FiniteGroup:
     def inv_set(self, mask: int) -> int:
         return mask_of(self.inverse[x] for x in bit_indices(mask))
 
-    def translate(self, g: int, mask: int, side: str = "left") -> int:
-        if side == "left":
-            return mask_of(self.table[g][x] for x in bit_indices(mask))
-        return mask_of(self.table[x][g] for x in bit_indices(mask))
+    def translate(self, g: int, mask: int) -> int:
+        """The left translate g * mask."""
+        return mask_of(self.table[g][x] for x in bit_indices(mask))
 
     # -- subgroup machinery ------------------------------------------------
 
@@ -297,22 +296,15 @@ class FiniteTopGroup:
 
     @cached_property
     def _partition(self):
+        """`identity_closure` checks closure({x}) = xN for every x; as x
+        lies in closure({y}) iff y lies in U_x, that makes U_x = xN, so the
+        atoms are the distinct minimal opens: N first, then by smallest
+        member."""
         n_mask = identity_closure(self)
-        cosets = sorted(
-            {
-                self.group.translate(x, n_mask, "left")
-                for x in range(self.group.order)
-            },
-            key=lambda c: min(bit_indices(c)),
-        )
-        ident = self.group.translate(self.group.identity, n_mask, "left")
-        cosets.remove(ident)
-        atoms = tuple([ident] + cosets)
-        atom_of = [None] * self.group.order
-        for i, a in enumerate(atoms):
-            for x in bit_indices(a):
-                atom_of[x] = i
-        return atoms, tuple(atom_of)
+        mo = self.space.min_open
+        atoms = (n_mask, *sorted(set(mo) - {n_mask}, key=lambda a: a & -a))
+        index = {a: i for i, a in enumerate(atoms)}
+        return atoms, tuple(index[u] for u in mo)
 
     @property
     def atoms(self):
@@ -324,7 +316,7 @@ class FiniteTopGroup:
         """Point -> index of the atom containing it."""
         return self._partition[1]
 
-    @property
+    @cached_property
     def reps(self):
         """The smallest member of each atom."""
         return tuple(next(bit_indices(a)) for a in self.atoms)
@@ -359,7 +351,7 @@ class FiniteTopGroup:
     def __repr__(self):
         return (
             f"FiniteTopGroup({self.group.name}, "
-            f"N={sorted(bit_indices(identity_closure(self)))})"
+            f"N={sorted(bit_indices(self.atoms[0]))})"
         )
 
     def __eq__(self, other):
@@ -386,7 +378,7 @@ def identity_closure(g: FiniteTopGroup) -> int:
     if not g.group.is_normal(n_mask):
         raise InternalInconsistency("closure of identity is not normal")
     for x in range(g.group.order):
-        if g.group.translate(x, n_mask, side="left") != g.space.closure(1 << x):
+        if g.group.translate(x, n_mask) != g.space.closure(1 << x):
             raise InternalInconsistency(f"xN != closure(x) at x={x}")
     return n_mask
 
@@ -397,14 +389,12 @@ def coset_topology(group: FiniteGroup, n_mask: int) -> FiniteSpace:
         raise ValueError("mask is not a normal subgroup")
     return FiniteSpace.from_min_open(
         group.order,
-        [group.translate(x, n_mask, "left") for x in range(group.order)],
+        [group.translate(x, n_mask) for x in range(group.order)],
     )
 
 
 def group_topologies(group: FiniteGroup):
     """All compatible topologies on the group, one per normal subgroup."""
-    if group.order > MAX_ORDER:
-        raise TooLarge(f"order {group.order} exceeds {MAX_ORDER}")
     out = []
     for n_mask in group.normal_subgroups():
         space = coset_topology(group, n_mask)
@@ -508,11 +498,9 @@ def borel_atoms(g: FiniteTopGroup) -> BorelAtoms:
 def product_group(g: FiniteTopGroup, h: FiniteTopGroup) -> FiniteTopGroup:
     """Direct product with the product topology (coset topology of N_g x N_h)."""
     pg = direct_product(g.group, h.group)
-    ng = identity_closure(g)
-    nh = identity_closure(h)
     n_mask = 0
-    for a in bit_indices(ng):
-        for b in bit_indices(nh):
+    for a in bit_indices(g.atoms[0]):
+        for b in bit_indices(h.atoms[0]):
             n_mask |= 1 << (a * h.group.order + b)
     space = coset_topology(pg, n_mask)
     return validate_top_group(pg, space)

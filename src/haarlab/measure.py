@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 
 from .errors import (
-    InternalInconsistency,
     MeasureSpaceMismatch,
     NotHaar,
     NotMeasurable,
@@ -215,17 +214,6 @@ def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarRep
     )
 
 
-def is_radon(g: FiniteTopGroup, mu: FiniteMeasure) -> bool:
-    """The Haar axioms minus invariance and nonzeroness.
-
-    Local finiteness always holds, as every atom mass is a finite rational,
-    and so does regularity (see `is_haar`), so only the measure's group and
-    the atom cap are checked.
-    """
-    _check_measure(g, mu)
-    return True
-
-
 def canonical_haar(g: FiniteTopGroup) -> FiniteMeasure:
     """Mass 1 per atom: the pullback of counting measure on the quotient."""
     return FiniteMeasure(g, (Fraction(1),) * len(g.atoms))
@@ -334,27 +322,22 @@ def fubini_check(
                 raise NotMeasurable(
                     f"function not constant on product atom {a:#x} x {b:#x}"
                 )
-    for tg, m in ((g, mu), (h, lam)):
-        if not is_radon(tg, m):
-            raise InternalInconsistency("factor measure is not Radon")
+    # f is constant on product atoms: read it at the representatives
+    values = [[f.values[x * oh + y] for y in h.reps] for x in g.reps]
     # lhs: integrate over lam in y first, then mu in x
     lhs = Fraction(0)
-    for i, a in enumerate(g.atoms):
-        x = next(bit_indices(a))
+    for row, m in zip(values, mu.atom_mass):
         inner = Fraction(0)
-        for j, b in enumerate(h.atoms):
-            y = next(bit_indices(b))
-            inner += f.values[x * oh + y] * lam.atom_mass[j]
-        lhs += inner * mu.atom_mass[i]
+        for v, w in zip(row, lam.atom_mass):
+            inner += v * w
+        lhs += inner * m
     # rhs: integrate over mu in x first, then lam in y
     rhs = Fraction(0)
-    for j, b in enumerate(h.atoms):
-        y = next(bit_indices(b))
+    for j, w in enumerate(lam.atom_mass):
         inner = Fraction(0)
-        for i, a in enumerate(g.atoms):
-            x = next(bit_indices(a))
-            inner += f.values[x * oh + y] * mu.atom_mass[i]
-        rhs += inner * lam.atom_mass[j]
+        for row, m in zip(values, mu.atom_mass):
+            inner += row[j] * m
+        rhs += inner * w
     return lhs, rhs
 
 

@@ -24,7 +24,6 @@ from .errors import (
     NotNested,
     NotOpen,
     NotRegular,
-    NotStronglyLocallyCompact,
     TooLarge,
 )
 from .records import Record
@@ -344,12 +343,9 @@ def split_compact(space: FiniteSpace, k: int, u1: int, u2: int):
 
 def closed_compact_sandwich(space: FiniteSpace, k: int):
     """An open U and a closed compact L with k <= U <= L, built from the
-    per-point minimal neighborhoods."""
+    per-point minimal neighborhoods; every finite space is strongly locally
+    compact (`SeparationFlags`), so the pair always exists."""
     space.check_subset(k)
-    if not space.separation_flags().strongly_locally_compact:
-        raise NotStronglyLocallyCompact(
-            "sandwich requires a strongly locally compact space"
-        )
     u = 0
     l = 0
     for x in bit_indices(k):

@@ -61,7 +61,7 @@ def brute_force_covering_count(p) -> int:
     group = p.group.group
     s_int = p.group.space.interior(p.s)
     translate_masks = sorted(
-        {group.translate(g, s_int, "left") for g in range(group.order)}
+        {group.translate(g, s_int) for g in range(group.order)}
     )
     for size in range(1, len(translate_masks) + 1):
         for combo in combinations(translate_masks, size):

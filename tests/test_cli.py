@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from haarlab import cli, groups, plane
+from haarlab.topology import bit_indices
 
 from conftest import src_env
 
@@ -242,6 +244,69 @@ def test_quotient_atom_cap_checked_before_quotient(tmp_path, monkeypatch, capsys
         )
 
 
+def test_fubini_atom_cap(tmp_path, capsys):
+    """A factor past the exhaustive-check cap is refused with the measure
+    layer's report, though the product's order 48 is under the order cap."""
+    z24 = {"group": {"family": "cyclic", "params": {"n": 24}}, "topology": {"normal_subgroup": [0]}}
+    z2 = {"group": {"family": "cyclic", "params": {"n": 2}}, "topology": {"normal_subgroup": [0]}}
+    path = tmp_path / "input.json"
+    for payload in ({"group1": z24, "group2": z2}, {"group1": z2, "group2": z24}):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.run(["fubini", "--input", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report == {
+            "schema_version": "1",
+            "command": "fubini",
+            "error": "TooLarge: 24 atoms exceeds the exhaustive-check cap",
+        }
+
+
+def table_spec(group):
+    return {"order": group.order, "table": [list(r) for r in group.table]}
+
+def test_identity_closure_once_per_top_group(corpus, monkeypatch):
+    """Counter bound: the partition is built once per topological group, and
+    N, the atoms and the representatives are all read from it.  Every
+    FiniteTopGroup that enumerate, quotient, construct and verify-haar
+    build, quotients included, runs identity_closure exactly once."""
+    built, calls = [], []
+    init, closure = groups.FiniteTopGroup.__init__, groups.identity_closure
+
+    def recording_init(self, group, space):
+        init(self, group, space)
+        built.append(self)
+
+    def counting_closure(tg):
+        calls.append(tg)
+        return closure(tg)
+
+    monkeypatch.setattr(groups.FiniteTopGroup, "__init__", recording_init)
+    monkeypatch.setattr(groups, "identity_closure", counting_closure)
+    z48 = groups.cyclic(48)
+    n8 = z48.generated_subgroup([6])
+    cases = [(g, n) for g in corpus for n in g.normal_subgroups()] + [(z48, n8)]
+    opts = argparse.Namespace(max_order=64)
+    for group in [*corpus, z48]:
+        built.clear()
+        calls.clear()
+        cli.cmd_enumerate({"group": table_spec(group)}, opts)
+        assert len(calls) == len(built) == len(group.normal_subgroups())
+        assert {id(tg) for tg in calls} == {id(tg) for tg in built}
+    for group, n_mask in cases:
+        base = {"group": table_spec(group), "topology": {"normal_subgroup": list(bit_indices(n_mask))}}
+        k = group.order // bin(n_mask).count("1")
+        for command, payload in (
+            (cli.cmd_quotient, base),
+            (cli.cmd_construct, dict(base, k0=list(bit_indices(n_mask)))),
+            (cli.cmd_verify_haar, dict(base, measure={"atom_masses": ["1"] * k})),
+        ):
+            built.clear()
+            calls.clear()
+            command(payload, opts)
+            assert len(calls) == len(built) >= 1, (group.name, command.__name__)
+            assert {id(tg) for tg in calls} == {id(tg) for tg in built}
+
+
 # -- input errors -> exit 2 ---------------------------------------------------
 
 def test_malformed_json(tmp_path):
@@ -358,6 +423,31 @@ MALFORMED = {
     "dihedral_order_past_digit_limit": (
         "enumerate", {"group": {"family": "dihedral", "params": {"n": 9 * 10**4299}}}
     ),
+    # params keys are checked per family
+    "trivial_params_key": (
+        "enumerate", {"group": {"family": "trivial", "params": {"x": 1}}}
+    ),
+    "cyclic_params_extra_key": (
+        "enumerate", {"group": {"family": "cyclic", "params": {"n": 3, "extra": [1]}}}
+    ),
+    "dihedral_params_extra_key": (
+        "enumerate", {"group": {"family": "dihedral", "params": {"n": 3, "m": 2}}}
+    ),
+    "symmetric3_params_key": (
+        "enumerate", {"group": {"family": "symmetric3", "params": {"n": 3}}}
+    ),
+    "product_params_extra_key": (
+        "enumerate",
+        {
+            "group": {
+                "family": "product",
+                "params": {
+                    "factors": [{"family": "trivial"}, {"family": "quaternion8"}],
+                    "n": 2,
+                },
+            }
+        },
+    ),
 }
 
 @pytest.mark.parametrize("command,payload", MALFORMED.values(), ids=MALFORMED)
@@ -365,6 +455,31 @@ def test_malformed_input_exits_2(tmp_path, command, payload):
     proc, report = run_cli(tmp_path, command, payload)
     assert proc.returncode == 2 and proc.stderr == ""
     assert set(report) == {"schema_version", "command", "error"}
+
+FAMILY_PARAMS_ERRORS = [
+    ({"family": "trivial", "params": {"x": 1}}, "trivial params: unknown fields ['x']"),
+    (
+        {"family": "cyclic", "params": {"n": 3, "extra": [1]}},
+        "cyclic params: unknown fields ['extra']",
+    ),
+    (
+        {"family": "quaternion8", "params": {"factors": []}},
+        "quaternion8 params: unknown fields ['factors']",
+    ),
+    ({"family": "dihedral", "params": {}}, "dihedral params: missing fields ['n']"),
+    (
+        {"family": "product", "params": {"factors": [{"family": "trivial"}]}},
+        "product family needs exactly two factors",
+    ),
+    ({"family": "product", "params": {}}, "product family needs exactly two factors"),
+    ({"family": ["cyclic"], "params": {"n": 2}}, "unknown family ['cyclic']"),
+]
+
+@pytest.mark.parametrize("spec,message", FAMILY_PARAMS_ERRORS)
+def test_family_params_checked(spec, message):
+    with pytest.raises(cli.InputError) as info:
+        cli.load_group(spec, 64)
+    assert str(info.value) == message
 
 def test_rational_caps_checked_before_fraction(tmp_path, monkeypatch):
     def no_fraction(*args):

@@ -6,7 +6,9 @@ import pytest
 
 from haarlab import (
     CoveringProblem,
+    FiniteGroup,
     FiniteSpace,
+    PointFunction,
     canonical_haar,
     cli,
     coset_topology,
@@ -15,6 +17,7 @@ from haarlab import (
     covering_table,
     cyclic,
     existence_via_covering,
+    fubini_check,
     identity_closure,
     is_haar,
     mu_u,
@@ -70,7 +73,7 @@ def test_translates_really_cover():
         sol = covering_number(CoveringProblem(tg, k, 0b0101))
         acc = 0
         for g in sol.translates:
-            acc |= tg.group.translate(g, 0b0101, "left")
+            acc |= tg.group.translate(g, 0b0101)
         assert k & ~acc == 0
 
 
@@ -101,7 +104,7 @@ def test_translation_invariance():
             s = identity_closure(tg)
             base = covering_number(CoveringProblem(tg, k, s)).count
             for g in range(tg.group.order):
-                gk = tg.group.translate(g, k, "left")
+                gk = tg.group.translate(g, k)
                 assert covering_number(CoveringProblem(tg, gk, s)).count == base
 
 def test_subadditivity():
@@ -275,3 +278,50 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
         assert searches == k + 1, tg.group.name  # all from existence
         assert tables == n_nbhds, tg.group.name
         assert states <= n_nbhds * 2**k, tg.group.name
+
+
+def test_construct_truncated_table():
+    """Past 6 atoms construct lists (K:U) only for K an atom or G and U = N
+    or G, in that order, each count checked against the brute-force oracle."""
+    opts = argparse.Namespace(max_order=64)
+    for n, k0 in ((8, [0]), (12, [0, 5])):
+        tg = discrete_instance(cyclic(n))
+        data = dict(construct_input(tg), k0=k0)
+        results, ok = cli.cmd_construct(data, opts)
+        assert ok and results["table_truncated"]
+        full = tg.space.full
+        cells = [(k, u) for k in (*tg.atoms, full) for u in (tg.atoms[0], full)]
+        assert [(e["k"], e["u"]) for e in results["covering_table"]] == [
+            (list(bit_indices(k)), list(bit_indices(u))) for k, u in cells
+        ]
+        for entry, (k, u) in zip(results["covering_table"], cells):
+            assert entry["count"] == brute_force_covering_count(CoveringProblem(tg, k, u))
+        # (atom:N) = 1 and (K0:N) = |K0|, so every atom weighs 1/|K0|
+        assert results["measure"] == [f"1/{len(k0)}"] * n
+        assert results["canonical_scalar"] == f"1/{len(k0)}"
+
+
+def test_covering_reads_translates_off_the_atom_table(corpus_instances, monkeypatch):
+    """Counter bound: once the partition is built, covering_number,
+    covering_table and fubini_check translate no point set; every translate
+    they use is a row of the atom table."""
+    z48 = cyclic(48)
+    instances = list(corpus_instances)
+    instances.append(validate_top_group(z48, coset_topology(z48, z48.generated_subgroup([6]))))
+    z2 = discrete_instance(cyclic(2))
+    for tg in [*instances, z2]:
+        assert tg.atom_table and tg.reps  # builds the partition, which translates N
+
+    def no_translate(self, g, mask):
+        raise AssertionError("a point set was translated")
+
+    monkeypatch.setattr(FiniteGroup, "translate", no_translate)
+    for tg in instances:
+        full = tg.space.full
+        for u in (tg.atoms[0], full):
+            table = covering_table(tg, u)
+            for k in (*tg.atoms, full):
+                assert covering_number(CoveringProblem(tg, k, u)).count == table[tg.image(k)]
+        mu, lam = canonical_haar(tg), canonical_haar(z2)
+        f = PointFunction.constant(2 * tg.group.order, 1)
+        assert fubini_check(tg, z2, f, mu, lam) == (len(tg.atoms) * 2,) * 2

@@ -237,7 +237,7 @@ def test_opens_are_exactly_coset_unions():
         for tg in group_topologies(group):
             n_mask = identity_closure(tg)
             cosets = sorted(
-                {group.translate(x, n_mask, "left") for x in range(group.order)}
+                {group.translate(x, n_mask) for x in range(group.order)}
             )
             expected = set()
             for sel in range(1 << len(cosets)):

@@ -29,7 +29,7 @@ from haarlab import (
 )
 from haarlab.errors import MeasureSpaceMismatch, NotHaar, NotMeasurable, TooLarge
 from haarlab import measure
-from haarlab.measure import HaarReport, PositivityReport, is_radon
+from haarlab.measure import HaarReport, PositivityReport
 from haarlab.topology import bit_indices
 
 from conftest import random_fraction
@@ -259,8 +259,7 @@ def test_is_haar_matches_literal_sweep_16_atoms():
 
 def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
     # one subset-sum table for the measure, then at most one per distinct
-    # atom permutation on each side; there are at most k of those.  is_radon
-    # builds none: regularity needs no sweep
+    # atom permutation on each side; there are at most k of those
     tables = []
     sums = measure._subset_sums
 
@@ -279,17 +278,13 @@ def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
         tables.clear()
         assert is_haar(tg, canonical_haar(tg)).is_haar
         assert 1 <= len(tables) <= 1 + 2 * k, tg
-        tables.clear()
-        assert is_radon(tg, canonical_haar(tg))
-        assert len(tables) == 0, tg
 
 def test_is_haar_atom_cap():
     z64 = cyclic(64)
     tg = validate_top_group(z64, coset_topology(z64, z64.generated_subgroup([32])))
     assert len(tg.atoms) == 32
-    for check in (is_radon, is_haar):
-        with pytest.raises(TooLarge):
-            check(tg, canonical_haar(tg))
+    with pytest.raises(TooLarge):
+        is_haar(tg, canonical_haar(tg))
 
 
 # -- canonical_haar ----------------------------------------------------------
@@ -532,13 +527,3 @@ def test_positivity_rejects_zero():
     tg = z4_coset_instance()
     with pytest.raises(NotHaar):
         positivity_report(tg, FiniteMeasure(tg, (0, 0)))
-
-
-# -- radon helper ------------------------------------------------------------
-
-def test_is_radon_any_nonnegative_masses():
-    rng = random.Random(11)
-    tg = z4_coset_instance()
-    for _ in range(10):
-        mu = FiniteMeasure(tg, (random_fraction(rng), random_fraction(rng)))
-        assert is_radon(tg, mu)
