@@ -19,7 +19,7 @@ from . import covering as covering_mod
 from . import groups as groups_mod
 from . import measure as measure_mod
 from . import plane as plane_mod
-from .errors import HaarlabError, TooLarge
+from .errors import HaarlabError
 from .topology import FiniteSpace, PointFunction, bit_indices, mask_of
 
 SCHEMA_VERSION = "1"
@@ -286,15 +286,6 @@ def intervals_json(iu: plane_mod.IntervalUnion):
     ]
 
 
-def _check_atom_cap(tg) -> int:
-    """The atom count, refused past the exhaustive Haar check's cap before
-    any per-atom table is built."""
-    k_atoms = len(tg.atoms)
-    if k_atoms > measure_mod.MAX_ATOMS_CHECK:
-        raise TooLarge(f"{k_atoms} atoms exceeds the exhaustive-check cap")
-    return k_atoms
-
-
 # -- command handlers: (data, opts) -> (results, math_ok) ---------------------
 #
 # opts is the parsed command line with opts.max_order resolved.
@@ -358,13 +349,13 @@ def cmd_construct(data, opts):
     k0 = _point_mask(data["k0"], tg.group.order, "k0")
     if tg.space.interior(k0) == 0 or not tg.space.is_closed(k0):
         raise InputError("k0 must be closed with nonempty interior")
-    k_atoms = _check_atom_cap(tg)
+    k_atoms = len(tg.atoms)
     mu = covering_mod.existence_via_covering(tg, k0)
     canon = measure_mod.canonical_haar(tg)
     scalar = None
     if all(
         mu.atom_mass[i] * canon.atom_mass[0] == canon.atom_mass[i] * mu.atom_mass[0]
-        for i in range(len(tg.atoms))
+        for i in range(k_atoms)
     ):
         scalar = mu.atom_mass[0] / canon.atom_mass[0]
     # full (K:U) table over closed sets and open identity neighborhoods,
@@ -407,7 +398,6 @@ def cmd_construct(data, opts):
 def cmd_quotient(data, opts):
     _require_keys(data, {"group", "topology"}, {"group", "topology"}, "input")
     tg = load_top_group(data["group"], data["topology"], opts.max_order)
-    _check_atom_cap(tg)
     q = groups_mod.quotient(tg)
     canon = measure_mod.canonical_haar(tg)
     pushed = measure_mod.pushforward(q, canon)
@@ -463,8 +453,6 @@ def cmd_fubini(data, opts):
     g, h = tgs
     if g.group.order * h.group.order > opts.max_order:
         raise InputError("combined order exceeds the cap")
-    _check_atom_cap(g)
-    _check_atom_cap(h)
     mu = measure_mod.canonical_haar(g)
     lam = measure_mod.canonical_haar(h)
     oh = h.group.order

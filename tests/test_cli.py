@@ -213,23 +213,41 @@ def test_more_than_16_atoms(tmp_path, group, order, n_normal):
     for t in topos:
         assert t["haar_dimension"] == 1
         assert t["canonical_masses"] == ["1/1"] * len(t["atoms"])
-    # the discrete topology has one atom per element: past every cap
+    # the discrete topology has one atom per element, past the 16 listable
+    # opens: the quotient is G itself and every translate check passes
     base = {"group": group, "topology": {"normal_subgroup": [0]}}
-    for command, extra in (
-        ("quotient", {}),
-        ("verify-haar", {"measure": {"atom_masses": ["1/1"] * order}}),
-        ("construct", {"k0": [0]}),
-    ):
-        proc, report = run_cli(tmp_path, command, dict(base, **extra))
-        assert proc.returncode == 2 and proc.stderr == "", command
-        assert report["error"].startswith("TooLarge: "), command
+    proc, report = run_cli(tmp_path, "quotient", base)
+    assert proc.returncode == 0 and proc.stderr == ""
+    results = report["results"]
+    assert results["atoms"] == [[x] for x in range(order)]
+    assert results["quotient_order"] == order
+    assert results["projection"] == list(range(order))
+    assert results["pushforward_masses"] == ["1/1"] * order
+    assert results["pullback_roundtrip_ok"] and results["pushforward_is_haar"]
+    payload = dict(base, measure={"atom_masses": ["1/1"] * order})
+    proc, report = run_cli(tmp_path, "verify-haar", payload)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert report["results"]["is_haar"] and report["results"]["witnesses"] == []
+    # past 6 atoms the covering table is truncated to the atoms and G
+    # against {0} and G; covering G by singletons takes all of them
+    proc, report = run_cli(tmp_path, "construct", dict(base, k0=[0]))
+    assert proc.returncode == 0 and proc.stderr == ""
+    results = report["results"]
+    assert results["measure"] == ["1/1"] * order
+    assert results["canonical_scalar"] == "1/1"
+    assert results["table_truncated"] is True
+    full = list(range(order))
+    assert results["covering_table"] == [
+        {"k": k, "u": u, "count": order if (k, u) == (full, [0]) else 1}
+        for k in [[x] for x in range(order)] + [full]
+        for u in ([0], full)
+    ]
 
 
-def test_quotient_atom_cap_checked_before_quotient(tmp_path, monkeypatch, capsys):
-    def no_quotient(tg):
-        raise AssertionError("quotient built past the atom cap")
-
-    monkeypatch.setattr(groups, "quotient", no_quotient)
+def test_quotient_atom_cap_checked_before_quotient(tmp_path, capsys):
+    """No atom cap stands before the quotient: a discrete cyclic group past
+    16 atoms gets its quotient, and the pushforward of the canonical
+    measure is Haar on it."""
     path = tmp_path / "input.json"
     for n in (17, 24, 64):
         payload = {
@@ -237,28 +255,48 @@ def test_quotient_atom_cap_checked_before_quotient(tmp_path, monkeypatch, capsys
             "topology": {"normal_subgroup": [0]},
         }
         path.write_text(json.dumps(payload), encoding="utf-8")
-        assert cli.run(["quotient", "--input", str(path)]) == 2
-        report = json.loads(capsys.readouterr().out)
-        assert report["error"] == (
-            f"TooLarge: {n} atoms exceeds the exhaustive-check cap"
-        )
+        assert cli.run(["quotient", "--input", str(path)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["quotient_order"] == n
+        assert results["pushforward_masses"] == ["1/1"] * n
+        assert results["pushforward_is_haar"] is True
 
 
 def test_fubini_atom_cap(tmp_path, capsys):
-    """A factor past the exhaustive-check cap is refused with the measure
-    layer's report, though the product's order 48 is under the order cap."""
+    """A factor past 16 atoms is checked like any other: Z24 x Z2, under
+    the order cap, in both orders, gives 48 equal iterated integrals."""
     z24 = {"group": {"family": "cyclic", "params": {"n": 24}}, "topology": {"normal_subgroup": [0]}}
     z2 = {"group": {"family": "cyclic", "params": {"n": 2}}, "topology": {"normal_subgroup": [0]}}
     path = tmp_path / "input.json"
     for payload in ({"group1": z24, "group2": z2}, {"group1": z2, "group2": z24}):
         path.write_text(json.dumps(payload), encoding="utf-8")
-        assert cli.run(["fubini", "--input", str(path)]) == 2
-        report = json.loads(capsys.readouterr().out)
-        assert report == {
-            "schema_version": "1",
-            "command": "fubini",
-            "error": "TooLarge: 24 atoms exceeds the exhaustive-check cap",
-        }
+        assert cli.run(["fubini", "--input", str(path)]) == 0
+        checks = json.loads(capsys.readouterr().out)["results"]["checks"]
+        assert len(checks) == 48
+        assert all(
+            c["equal"] and c["lhs"] == c["rhs"] == "1/1" for c in checks
+        )
+
+
+def test_verify_haar_witness_past_16_atoms(tmp_path, capsys):
+    """A perturbed measure on discrete Z64 fails with the first light atom
+    that translation by 1 moves onto the heavy atom 40, on both sides."""
+    masses = ["1/1"] * 64
+    masses[40] = "3/2"
+    payload = {
+        "group": {"family": "cyclic", "params": {"n": 64}},
+        "topology": {"normal_subgroup": [0]},
+        "measure": {"atom_masses": masses},
+    }
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.run(["verify-haar", "--input", str(path)]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert not results["left_invariant"] and not results["right_invariant"]
+    assert results["witnesses"] == [
+        {"kind": "left", "set": [39], "element": 1},
+        {"kind": "right", "set": [39], "element": 1},
+    ]
 
 
 def table_spec(group):

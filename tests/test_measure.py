@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from haarlab import (
     coset_topology,
     cyclic,
     dihedral,
+    direct_product,
     fubini_check,
     group_topologies,
     haar_solution_space,
@@ -27,7 +29,7 @@ from haarlab import (
     symmetric3,
     validate_top_group,
 )
-from haarlab.errors import MeasureSpaceMismatch, NotHaar, NotMeasurable, TooLarge
+from haarlab.errors import MeasureSpaceMismatch, NotHaar, NotMeasurable
 from haarlab import measure
 from haarlab.measure import HaarReport, PositivityReport
 from haarlab.topology import bit_indices
@@ -257,34 +259,133 @@ def test_is_haar_matches_literal_sweep_16_atoms():
     assert not is_haar(tg, mu).is_haar
     assert_matches_literal(tg, mu)
 
+def literal_singleton_invariance(g, mu):
+    """Reference past 16 atoms: for every element x and every atom A, the
+    masses of A, x.A and A.x, each translate built point by point from
+    group.mul and its mass summed over its points, each point carrying an
+    equal share of its atom's mass.  Reads neither atom_table nor reps.
+    Returns left and right invariance and the first witness of each side,
+    the first element in label order and its first atom, as in is_haar."""
+    share = {}
+    for a, m in zip(g.atoms, mu.atom_mass):
+        for x in bit_indices(a):
+            share[x] = m / bin(a).count("1")
+
+    def mass(points):
+        return sum((share[x] for x in points), Fraction(0))
+
+    def first_witness(kind):
+        for elem in range(g.group.order):
+            for j, a in enumerate(g.atoms):
+                moved = {
+                    g.group.mul(elem, x) if kind == "left" else g.group.mul(x, elem)
+                    for x in bit_indices(a)
+                }
+                if mass(moved) != mass(bit_indices(a)):
+                    return (kind, 1 << j, elem)
+        return None
+
+    left, right = first_witness("left"), first_witness("right")
+    return left is None, right is None, tuple(w for w in (left, right) if w)
+
+def past_16_atoms():
+    """Z24, Z2 x Z16 and Z64 discrete (24, 32 and 64 atoms), and Z64/{0,32}
+    (32 atoms of two points)."""
+    z64 = cyclic(64)
+    return [
+        validate_top_group(group, coset_topology(group, normal))
+        for group, normal in (
+            (cyclic(24), 1),
+            (direct_product(cyclic(2), cyclic(16)), 1),
+            (z64, 1),
+            (z64, z64.generated_subgroup([32])),
+        )
+    ]
+
+def test_is_haar_matches_singleton_reference_past_16_atoms():
+    rng = random.Random(4021)
+    instances = past_16_atoms()
+    for tg in instances:
+        k = len(tg.atoms)
+        canon = canonical_haar(tg)
+        masses = [canon, canon.scaled(Fraction(7, 3))]
+        for mass in (1 + Fraction(rng.randint(1, 5), rng.randint(1, 5)), Fraction(0)):
+            atom_mass = list(canon.atom_mass)
+            atom_mass[rng.randrange(1, k)] = mass
+            masses.append(FiniteMeasure(tg, tuple(atom_mass)))
+        for mu in masses:
+            left, right, witnesses = literal_singleton_invariance(tg, mu)
+            # translation permutes the atoms transitively
+            equal = mu == canon.scaled(mu.atom_mass[0])
+            assert left == right == equal
+            for side in ("left", "right"):
+                report = is_haar(tg, mu, side)
+                assert report.left_invariant == left, (tg, mu, side)
+                assert report.right_invariant == right, (tg, mu, side)
+                assert report.witnesses == witnesses, (tg, mu, side)
+                assert report.is_haar == (equal and not mu.is_zero())
+    # a fixed case: on discrete Z64 with atom 40 heavier, translation by 1
+    # moves the light atom 39 onto it, on either side
+    tg = instances[2]
+    atom_mass = [Fraction(1)] * 64
+    atom_mass[40] = Fraction(3, 2)
+    mu = FiniteMeasure(tg, atom_mass)
+    witnesses = (("left", 1 << 39, 1), ("right", 1 << 39, 1))
+    assert literal_singleton_invariance(tg, mu) == (False, False, witnesses)
+    assert is_haar(tg, mu).witnesses == witnesses
+    assert tg.preimage(1 << 39) == 1 << 39
+
 def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
-    # one subset-sum table for the measure, then at most one per distinct
-    # atom permutation on each side; there are at most k of those
-    tables = []
-    sums = measure._subset_sums
+    """Counter bound: each side compares at most k pairs of atom weights
+    for each of the k atoms of elements, so at most 2k^2 comparisons (two
+    weight reads each), and no table over the 2^k atom selections is
+    built: past 10 atoms is_haar's peak allocation stays under the 8 KiB
+    that a 2^10-entry list of pointers alone would take."""
+    weight_lists = []
+    int_weights = measure._int_weights
 
-    def counting_sums(weights):
-        tables.append(len(weights))
-        return sums(weights)
+    class CountingList(list):
+        reads = 0
 
-    monkeypatch.setattr(measure, "_subset_sums", counting_sums)
+        def __getitem__(self, i):
+            assert isinstance(i, int)
+            self.reads += 1
+            return super().__getitem__(i)
+
+    def counting_weights(g, mu):
+        weight_lists.append(CountingList(int_weights(g, mu)))
+        return weight_lists[-1]
+
     z48 = cyclic(48)
     n4 = z48.generated_subgroup([12])
     instances = list(corpus_instances)
     instances.append(validate_top_group(z48, coset_topology(z48, n4)))
     assert len(instances[-1].atoms) == 12
+    instances += past_16_atoms()
+    monkeypatch.setattr(measure, "_int_weights", counting_weights)
     for tg in instances:
         k = len(tg.atoms)
-        tables.clear()
-        assert is_haar(tg, canonical_haar(tg)).is_haar
-        assert 1 <= len(tables) <= 1 + 2 * k, tg
+        mu = canonical_haar(tg)
+        weight_lists.clear()
+        assert is_haar(tg, mu).is_haar
+        [weights] = weight_lists
+        assert 0 < weights.reads <= 2 * (2 * k * k), tg
+        if k >= 10:
+            tracemalloc.start()
+            try:
+                assert is_haar(tg, mu).is_haar
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 << 10, (tg, peak)
 
 def test_is_haar_atom_cap():
+    # no cap on the atom count: 32 atoms are checked like any other
     z64 = cyclic(64)
     tg = validate_top_group(z64, coset_topology(z64, z64.generated_subgroup([32])))
     assert len(tg.atoms) == 32
-    with pytest.raises(TooLarge):
-        is_haar(tg, canonical_haar(tg))
+    report = is_haar(tg, canonical_haar(tg))
+    assert report.is_haar and report.witnesses == ()
 
 
 # -- canonical_haar ----------------------------------------------------------
