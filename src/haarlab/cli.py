@@ -1,7 +1,8 @@
 """haarlab: deterministic JSON verification reports.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the
-witness is in the report), 2 malformed input.  Reports are byte-stable:
+witness is in the report), 2 malformed input or an --output that cannot
+be written (the error report then goes to stdout).  Reports are byte-stable:
 sorted keys, canonical "p/q" rationals, LF line endings.
 """
 
@@ -324,7 +325,7 @@ def cmd_verify_haar(data, opts):
     witnesses = [
         {
             "kind": kind,
-            "set": points_list(tg.preimage(sel) if sel is not None else 0),
+            "set": points_list(tg.preimage(sel)),
             "element": elem,
         }
         for kind, sel, elem in report.witnesses
@@ -351,39 +352,38 @@ def cmd_construct(data, opts):
         raise InputError("k0 must be closed with nonempty interior")
     k_atoms = len(tg.atoms)
     mu = covering_mod.existence_via_covering(tg, k0)
-    canon = measure_mod.canonical_haar(tg)
-    scalar = None
-    if all(
-        mu.atom_mass[i] * canon.atom_mass[0] == canon.atom_mass[i] * mu.atom_mass[0]
-        for i in range(k_atoms)
-    ):
-        scalar = mu.atom_mass[0] / canon.atom_mass[0]
+    # the canonical Haar measure has mass 1 on every atom
+    masses = mu.atom_mass
+    scalar = masses[0] if all(m == masses[0] for m in masses) else None
     # full (K:U) table over closed sets and open identity neighborhoods,
-    # truncated to atoms and the full set past the size cap
+    # truncated to atoms and the full set past the size cap.  Closed and
+    # open sets alike are the unions of atoms, so both run over atom
+    # selections in the order of their point masks; the neighborhoods are
+    # the selections holding atom 0, N.
+    full = (1 << k_atoms) - 1
     truncated = k_atoms > 6
     if truncated:
-        closed_sets = list(tg.atoms) + [tg.space.full]
-        open_nbhds = [tg.atoms[0], tg.space.full]
+        closed_sels = [1 << i for i in range(k_atoms)] + [full]
+        nbhd_sels = [1, full]
 
         def count(k, u):
-            problem = covering_mod.CoveringProblem(tg, k, u)
+            problem = covering_mod.CoveringProblem(tg, tg.preimage(k), tg.preimage(u))
             return covering_mod.covering_number(problem).count
 
     else:
-        closed_sets = [c for c in tg.space.closed_sets() if c != 0]
-        e_bit = tg.group.identity
-        open_nbhds = [u for u in tg.space.opens if u >> e_bit & 1]
-        # one table of (K:U) per U, read at K's atom selection
-        tables = {u: covering_mod.covering_table(tg, u) for u in open_nbhds}
-        sels = {k: tg.image(k) for k in closed_sets}
+        closed_sels = sorted(range(1, full + 1), key=tg.preimage)
+        nbhd_sels = [u for u in closed_sels if u & 1]
+        # one table of (K:U) per U, indexed by K's atom selection
+        tables = {u: covering_mod.covering_table(tg, tg.preimage(u)) for u in nbhd_sels}
 
         def count(k, u):
-            return tables[u][sels[k]]
+            return tables[u][k]
 
+    listed = {s: points_list(tg.preimage(s)) for s in closed_sels}
     table = [
-        {"k": points_list(k), "u": points_list(u), "count": count(k, u)}
-        for k in closed_sets
-        for u in open_nbhds
+        {"k": listed[k], "u": listed[u], "count": count(k, u)}
+        for k in closed_sels
+        for u in nbhd_sels
     ]
     results = {
         "covering_table": table,
@@ -561,35 +561,37 @@ def _read_input(path):
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    def emit(report):
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-
     try:
         args.max_order = _max_order(args.max_order)
         data = _read_input(args.input)
         results, ok = COMMANDS[args.command](data, args)
     except InputError as exc:
-        emit(_error_report(args.command, str(exc)))
-        return 2
+        report, code = _error_report(args.command, str(exc)), 2
     except HaarlabError as exc:
-        emit(_error_report(args.command, f"{type(exc).__name__}: {exc}"))
-        return 2
+        report, code = _error_report(args.command, f"{type(exc).__name__}: {exc}"), 2
+    else:
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": data,
+            "results": results,
+            "passed": ok,
+        }
+        code = 0 if ok else 1
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "inputs": data,
-        "results": results,
-        "passed": ok,
-    }
-    emit(report)
-    return 0 if ok else 1
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(_report_text(report))
+            return code
+        except OSError as exc:
+            report, code = _error_report(args.command, f"cannot write output: {exc}"), 2
+    sys.stdout.write(_report_text(report))
+    return code
+
+
+def _report_text(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _error_report(command, message):

@@ -51,10 +51,11 @@ def covering_number(p: CoveringProblem) -> CoveringSolution:
     if p.k == 0:
         return CoveringSolution(0, ())
     g = p.group
-    # K is closed and interior(S) open, so both are unions of atoms of |N|
-    # points each: the search runs on atom selections, pruning alike
-    target = _atom_selection(g, p.k)
-    s_sel = _atom_selection(g, g.space.interior(p.s))
+    # K is closed and interior(S) open, and U_x = xN (`_partition`), so
+    # both are unions of atoms of |N| points each: the search runs on atom
+    # selections, pruning alike
+    target = g.selection(p.k)
+    s_sel = g.selection(g.space.interior(p.s))
     # candidate translates meeting K, in ascending order of their elements
     cands = [(m, x) for m, x in _translates(g, s_sel).items() if m & target]
     union_all = 0
@@ -95,14 +96,6 @@ def covering_number(p: CoveringProblem) -> CoveringSolution:
 def _check_neighbourhood(g: FiniteTopGroup, u: int):
     if not g.space.is_open(u) or not u >> g.group.identity & 1:
         raise NotOpen(f"{u:#x} is not an open neighborhood of the identity")
-
-
-def _atom_selection(g: FiniteTopGroup, mask: int) -> int:
-    """The atom selection of a union of atoms."""
-    sel = g.image(mask)
-    if g.preimage(sel) != mask:
-        raise InternalInconsistency(f"{mask:#x} is not a union of atoms")
-    return sel
 
 
 def _translates(g: FiniteTopGroup, sel: int) -> dict:
@@ -150,7 +143,7 @@ def covering_table(g: FiniteTopGroup, u: int) -> tuple:
     """
     _check_neighbourhood(g, u)
     k = len(g.atoms)
-    translates = _translates(g, _atom_selection(g, u))
+    translates = _translates(g, g.selection(u))
     dist = _union_distances(translates, k)
     if dist[-1] is None:
         raise InternalInconsistency("translates do not cover the group")

@@ -46,7 +46,8 @@ class MeasureSpaceMismatch(HaarlabError):
 
 
 class NotMeasurable(HaarlabError):
-    """Carries a witness atom on which the function is not constant."""
+    """A set that is not a union of atoms, or a function that is not
+    constant on some atom; the message names the witness atom or set."""
 
 
 class NotHaar(HaarlabError):

@@ -14,6 +14,7 @@ from .errors import (
     InternalInconsistency,
     NotContinuousInversion,
     NotContinuousMultiplication,
+    NotMeasurable,
     TooLarge,
 )
 from .records import Record
@@ -347,6 +348,18 @@ class FiniteTopGroup:
         for i in bit_indices(sel):
             acc |= self.atoms[i]
         return acc
+
+    def selection(self, mask: int) -> int:
+        """The atom selection of a union of atoms, the inverse of
+        `preimage`; NotMeasurable if mask cuts an atom or holds a bit past
+        the points."""
+        sel = self.image(mask & self.space.full)
+        for i in bit_indices(sel):
+            if self.atoms[i] & ~mask:
+                raise NotMeasurable(f"set {mask:#x} cuts atom {self.atoms[i]:#x}")
+        if self.preimage(sel) != mask:
+            raise NotMeasurable(f"set {mask:#x} is not a union of atoms")
+        return sel
 
     def __repr__(self):
         return (

@@ -34,16 +34,10 @@ class FiniteMeasure(Record):
     def total(self) -> Fraction:
         return sum(self.atom_mass, Fraction(0))
 
-    def mass_of_atoms(self, atom_sel: int) -> Fraction:
-        """Mass of the Borel set selected by an atom-index bitmask."""
-        return sum(
-            (self.atom_mass[i] for i in bit_indices(atom_sel)), Fraction(0)
-        )
-
     def mass_of(self, point_mask: int) -> Fraction:
-        """Mass of a Borel set given as a point mask (must be atom-aligned)."""
-        sel = _atom_selection(self.group_ref, point_mask)
-        return self.mass_of_atoms(sel)
+        """Mass of a Borel set given as a point mask (a union of atoms)."""
+        sel = self.group_ref.selection(point_mask)
+        return sum((self.atom_mass[i] for i in bit_indices(sel)), Fraction(0))
 
     def scaled(self, a) -> "FiniteMeasure":
         a = Fraction(a)
@@ -53,17 +47,6 @@ class FiniteMeasure(Record):
 
     def is_zero(self) -> bool:
         return all(m == 0 for m in self.atom_mass)
-
-
-def _atom_selection(g: FiniteTopGroup, point_mask: int) -> int:
-    sel = g.image(point_mask & g.space.full)
-    for i in bit_indices(sel):
-        a = g.atoms[i]
-        if a & ~point_mask:
-            raise NotMeasurable(f"set {point_mask:#x} cuts atom {a:#x}")
-    if g.preimage(sel) != point_mask:
-        raise NotMeasurable(f"set {point_mask:#x} is not a union of atoms")
-    return sel
 
 
 class HaarReport(Record):
@@ -209,34 +192,20 @@ def haar_solution_space(g: FiniteTopGroup):
     """Solve the left-invariance constraints on atom masses exactly.
 
     Translation by any element permutes atoms, forcing equal masses along
-    each orbit; the solution cone is spanned by the orbit indicators.
-    Returns (dimension, basis measures).
+    each orbit; the solution cone is spanned by the orbit indicators.  Row
+    i of the atom table is the left translation by atom i, and these rows
+    compose by the table itself (row i after row i' is row table[i][i']),
+    so they form a group and the orbit of atom j is the set of entries in
+    column j.  The basis is the distinct column sets, ordered by their
+    smallest atom.  Returns (dimension, basis measures).
     """
     k = len(g.atoms)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for row in g.atom_table:
-        for i, j in enumerate(row):
-            union(i, j)
-    roots = sorted({find(i) for i in range(k)})
-    basis = []
-    for r in roots:
-        masses = tuple(
-            Fraction(1) if find(i) == r else Fraction(0) for i in range(k)
-        )
-        basis.append(FiniteMeasure(g, masses))
-    return len(roots), basis
+    orbits = sorted({frozenset(col) for col in zip(*g.atom_table)}, key=min)
+    basis = [
+        FiniteMeasure(g, tuple(Fraction(i in orbit) for i in range(k)))
+        for orbit in orbits
+    ]
+    return len(orbits), basis
 
 
 def invert_measure(g: FiniteTopGroup, mu: FiniteMeasure) -> FiniteMeasure:

@@ -34,6 +34,10 @@ MAX_POINTS = 64
 #: sets; spaces with more than this many distinct minimal opens refuse.
 MAX_LISTED_GENERATORS = 16
 
+#: `enumerate_topologies` walks every assignment of minimal opens, up to
+#: 2^(n(n-1)) of them, so it refuses more points than this.
+MAX_ENUMERATED_POINTS = 4
+
 #: Number of topologies on n labeled points, n = 0..5 (used as a sanity oracle).
 TOPOLOGY_COUNTS = (1, 1, 4, 29, 355, 6942)
 
@@ -379,7 +383,7 @@ def urysohn_finite(space: FiniteSpace, k: int, u: int) -> PointFunction:
 # -- enumeration ------------------------------------------------------------
 
 
-def enumerate_topologies(n: int, max_points: int = 4):
+def enumerate_topologies(n: int):
     """All topologies on n labeled points, canonically ordered.
 
     A topology is determined by the minimal open neighborhoods of its
@@ -387,8 +391,8 @@ def enumerate_topologies(n: int, max_points: int = 4):
     y in U_x arises from exactly one topology, whose opens are the unions
     of the U_x.  This walks all such assignments.
     """
-    if n < 1 or n > max_points:
-        raise TooLarge(f"n={n} exceeds the enumeration bound {max_points}")
+    if n < 1 or n > MAX_ENUMERATED_POINTS:
+        raise TooLarge(f"n={n} exceeds the enumeration bound {MAX_ENUMERATED_POINTS}")
     candidates = [[r for r in range(1 << n) if r >> x & 1] for x in range(n)]
     spaces = []
     for rows in product(*candidates):

@@ -14,6 +14,7 @@ from haarlab import (
     quaternion8,
     symmetric3,
 )
+from haarlab.topology import mask_of
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -35,6 +36,15 @@ def corpus_groups():
     groups += [dihedral(3), dihedral(4), quaternion8(), symmetric3()]
     groups.append(direct_product(cyclic(2), cyclic(4)))
     return groups
+
+
+#: Past the 16 listable opens: 24, 32 and 64 atoms, and 16 atoms of order 4.
+LARGE_INSTANCES = [
+    (cyclic(24), 1),
+    (direct_product(cyclic(2), cyclic(16)), 1),
+    (cyclic(64), 1),
+    (cyclic(64), mask_of([0, 16, 32, 48])),
+]
 
 
 @pytest.fixture(scope="session")

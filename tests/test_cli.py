@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from haarlab import cli, groups, plane
-from haarlab.topology import bit_indices
+from haarlab.topology import FiniteSpace, bit_indices
 
-from conftest import src_env
+from conftest import SRC, src_env
 
 
 def run_cli(tmp_path, command, payload, *extra, name="input.json"):
@@ -344,6 +344,41 @@ def test_identity_closure_once_per_top_group(corpus, monkeypatch):
             assert len(calls) == len(built) >= 1, (group.name, command.__name__)
             assert {id(tg) for tg in calls} == {id(tg) for tg in built}
 
+def test_construct_never_lists_the_open_family(corpus_instances, monkeypatch):
+    """construct runs over atom selections: it never lists the open family,
+    and its table has the sets of the listing in the listing's order."""
+    z48 = groups.cyclic(48)
+    cases = [(tg.group, tg.atoms[0]) for tg in corpus_instances if len(tg.atoms) <= 6]
+    cases += [(z48, z48.generated_subgroup([6])), (groups.cyclic(12), 1)]
+    expected = []
+    for group, n_mask in cases:
+        tg = groups.validate_top_group(group, groups.coset_topology(group, n_mask))
+        space = tg.space
+        if len(tg.atoms) > 6:
+            closed, nbhds = [*tg.atoms, space.full], [n_mask, space.full]
+        else:
+            closed = [c for c in space.closed_sets() if c]
+            nbhds = [u for u in space.opens if u >> group.identity & 1]
+        expected.append(
+            [(list(bit_indices(k)), list(bit_indices(u))) for k in closed for u in nbhds]
+        )
+
+    def unexpected_opens(self):
+        raise AssertionError("the open family was listed")
+
+    monkeypatch.setattr(FiniteSpace, "opens", property(unexpected_opens))
+    opts = argparse.Namespace(max_order=64)
+    for (group, n_mask), want in zip(cases, expected):
+        n_points = list(bit_indices(n_mask))
+        payload = {
+            "group": table_spec(group),
+            "topology": {"normal_subgroup": n_points},
+            "k0": n_points,
+        }
+        results, ok = cli.cmd_construct(payload, opts)
+        assert ok
+        assert [(e["k"], e["u"]) for e in results["covering_table"]] == want
+
 
 # -- input errors -> exit 2 ---------------------------------------------------
 
@@ -593,6 +628,30 @@ def test_order_cap_checked_before_tables(spec, monkeypatch):
     with pytest.raises(cli.InputError, match="exceeds the cap 32"):
         cli.load_group(spec, 32)
 
+@pytest.mark.parametrize("readable", [True, False], ids=["success", "error"])
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_output_exits_2(tmp_path, readable, where):
+    """An --output that cannot be opened: an error report on stdout, exit
+    2 and no traceback, whether the command succeeded or failed."""
+    path = tmp_path / "input.json"
+    if readable:
+        path.write_text(json.dumps(Z4_HAAR), encoding="utf-8")
+    output = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "haarlab.cli", "verify-haar",
+            "--input", str(path), "--output", str(output),
+        ],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    report = json.loads(proc.stdout)
+    assert sorted(report) == ["command", "error", "schema_version"]
+    assert report["command"] == "verify-haar"
+    assert report["error"].startswith("cannot write output: ")
+
 def test_construct_bad_k0(tmp_path):
     payload = dict(Z4_COSET, k0=[0])
     proc, report = run_cli(tmp_path, "construct", payload)
@@ -622,6 +681,19 @@ def test_byte_identical_reports(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0].endswith(b"\n")
     assert b"\r" not in outputs[0]
+
+def test_report_digest_is_unchanged():
+    """Every report and exit code of the seed-1 benchmark rounds, byte for
+    byte.  A change that alters reports on purpose updates this digest and
+    says so in CHANGES.md."""
+    tool = SRC.parent / "tools" / "report_digest.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), "1"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "ced1aae0df44b73a6afc8aa4ab1e98c275fd288a7ee61fd75679101d57b86a5e\n"
+    )
 
 
 # -- fuzz of the input boundary -------------------------------------------------

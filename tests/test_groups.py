@@ -26,9 +26,12 @@ from haarlab import (
 from haarlab.errors import (
     InternalInconsistency,
     NotContinuousMultiplication,
+    NotMeasurable,
     TooLarge,
 )
 from haarlab.topology import bit_indices, mask_of
+
+from conftest import LARGE_INSTANCES
 
 
 def discrete_group(group):
@@ -274,14 +277,6 @@ def test_quotient_projection_open_closed_hausdorff(corpus_instances):
     for tg in corpus_instances:
         q = quotient(tg)
         assert q.quotient.space.separation_flags().hausdorff
-
-#: Past the 16 listable opens: 24, 32 and 64 atoms, and 16 atoms of order 4.
-LARGE_INSTANCES = [
-    (cyclic(24), 1),
-    (direct_product(cyclic(2), cyclic(16)), 1),
-    (cyclic(64), 1),
-    (cyclic(64), mask_of([0, 16, 32, 48])),
-]
 
 def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
     """Counter bound: closure calls per quotient and per borel_atoms, no
@@ -552,6 +547,25 @@ def test_atom_table_matches_per_element_permutations(corpus_instances):
             assert reference_atom_perm(tg, elem, "right") == tuple(
                 row[i] for row in table
             )
+
+
+# -- atom selections -----------------------------------------------------------
+
+def test_selection_inverts_preimage(corpus_instances):
+    for tg in corpus_instances:
+        k = len(tg.atoms)
+        if k <= 8:
+            assert all(tg.selection(tg.preimage(s)) == s for s in range(1 << k))
+
+def test_selection_rejects_sets_that_are_not_unions_of_atoms():
+    tg = validate_top_group(cyclic(4), coset_topology(cyclic(4), 0b0101))
+    with pytest.raises(NotMeasurable, match="set 0x7 cuts atom 0xa"):
+        tg.selection(0b0111)
+    # bit 4 lies past the 4 points
+    with pytest.raises(NotMeasurable, match="set 0x15 is not a union of atoms"):
+        tg.selection(0b10101)
+    with pytest.raises(NotMeasurable, match="set -0x1 is not a union of atoms"):
+        tg.selection(-1)
 
 
 # -- products ----------------------------------------------------------------

@@ -34,7 +34,7 @@ from haarlab import measure
 from haarlab.measure import HaarReport, PositivityReport
 from haarlab.topology import bit_indices
 
-from conftest import random_fraction
+from conftest import LARGE_INSTANCES, random_fraction
 
 
 def z4_coset_instance():
@@ -417,6 +417,34 @@ def test_solution_space_examples():
     dim, basis = haar_solution_space(tg)
     assert dim == 1
     assert basis[0].atom_mass == canonical_haar(tg).atom_mass
+
+def literal_solution_space(g):
+    """Dimension and basis masses of the invariant measures, from the
+    orbits of the atoms under left translation by every element: a
+    union-find over the group law at the points, reading no atom table.
+    Each root is the smallest atom of its orbit."""
+    k = len(g.atoms)
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for x in range(g.group.order):
+        for j, rep in enumerate(g.reps):
+            a, b = find(j), find(g.atom_of[g.group.mul(x, rep)])
+            parent[max(a, b)] = min(a, b)
+    roots = sorted({find(i) for i in range(k)})
+    basis = [tuple(Fraction(find(i) == r) for i in range(k)) for r in roots]
+    return len(roots), basis
+
+def test_solution_space_matches_point_level_orbits(corpus_instances):
+    instances = list(corpus_instances)
+    instances += [validate_top_group(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
+    for tg in instances:
+        dim, basis = haar_solution_space(tg)
+        assert (dim, [mu.atom_mass for mu in basis]) == literal_solution_space(tg)
 
 def test_uniqueness_over_corpus(corpus_instances):
     rng = random.Random(405)

@@ -431,4 +431,3 @@ def test_enumeration_matches_brute_force():
 def test_enumeration_bound():
     with pytest.raises(TooLarge):
         enumerate_topologies(5)
-    assert len(enumerate_topologies(2, max_points=2)) == 4
