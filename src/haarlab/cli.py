@@ -417,7 +417,7 @@ def cmd_quotient(data, opts):
 
 
 def cmd_counterexample(data, opts):
-    flag = parse_frac(opts.probe_bound) if opts.probe_bound else None
+    flag = parse_frac(opts.probe_bound) if opts.probe_bound is not None else None
     _require_keys(data, {"c", "probe_bound"}, {"c"}, "input")
     c = parse_frac(data["c"])
     if c < 0:
@@ -579,7 +579,7 @@ def run(argv=None) -> int:
         }
         code = 0 if ok else 1
 
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(_report_text(report))

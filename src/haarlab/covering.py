@@ -6,13 +6,20 @@ exactly by iterative deepening over candidate translates in ascending
 element order, which also makes the reported optimal translate list the
 lexicographically smallest one.  `covering_table` gives the counts for
 every target K at once for one neighbourhood U.
+
+The left translates of every nonempty union of atoms cover G, so no
+search here can fail: for an atom i in the selection s and any atom j,
+the row of `FiniteTopGroup.atom_table` for the atom j * i^-1 sends i to j
+(Folland, A Course in Abstract Harmonic Analysis, 2.2).  A nonempty
+target then needs at least one translate and at most k, the number of
+distinct translates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import EmptyInterior, InternalInconsistency, NotClosed, NotOpen
+from .errors import EmptyInterior, NotClosed, NotOpen
 from .groups import FiniteTopGroup
 from .measure import FiniteMeasure
 from .records import Record
@@ -56,13 +63,9 @@ def covering_number(p: CoveringProblem) -> CoveringSolution:
     # selections, pruning alike
     target = g.selection(p.k)
     s_sel = g.selection(g.space.interior(p.s))
-    # candidate translates meeting K, in ascending order of their elements
+    # candidate translates meeting K, in ascending order of their elements;
+    # together they cover K (module docstring)
     cands = [(m, x) for m, x in _translates(g, s_sel).items() if m & target]
-    union_all = 0
-    for m, _ in cands:
-        union_all |= m
-    if target & ~union_all:
-        raise InternalInconsistency("target not coverable by any translates")
     max_gain = max(bin(m & target).count("1") for m, _ in cands)
 
     def dfs(start, covered, depth):
@@ -84,13 +87,13 @@ def covering_number(p: CoveringProblem) -> CoveringSolution:
                 return [x] + rest
         return None
 
-    for depth in range(1, len(cands) + 1):
-        sol = dfs(0, 0, depth)
-        if sol is not None:
-            if len(sol) != depth:
-                raise InternalInconsistency("non-minimal depth reported")
-            return CoveringSolution(depth, tuple(sol))
-    raise InternalInconsistency("no cover found despite coverability")
+    # dfs finds covers of at most depth candidates and every smaller depth
+    # failed, so a success has exactly depth elements; the candidates
+    # together cover K, so some depth up to len(cands) succeeds
+    depth = 1
+    while (sol := dfs(0, 0, depth)) is None:
+        depth += 1
+    return CoveringSolution(depth, tuple(sol))
 
 
 def _check_neighbourhood(g: FiniteTopGroup, u: int):
@@ -145,8 +148,6 @@ def covering_table(g: FiniteTopGroup, u: int) -> tuple:
     k = len(g.atoms)
     translates = _translates(g, g.selection(u))
     dist = _union_distances(translates, k)
-    if dist[-1] is None:
-        raise InternalInconsistency("translates do not cover the group")
     # no cover uses more than the k distinct translates
     best = [k + 1 if d is None else d for d in dist]
     for i in range(k):
@@ -164,9 +165,8 @@ def mu_u(g: FiniteTopGroup, k: int, k0: int, u: int) -> Fraction:
     if space.interior(k0) == 0:
         raise EmptyInterior(f"reference set {k0:#x} has empty interior")
     num = covering_number(CoveringProblem(g, k, u)).count
+    # K0 has a nonempty interior, so den >= 1 (module docstring)
     den = covering_number(CoveringProblem(g, k0, u)).count
-    if den == 0:
-        raise InternalInconsistency("reference covering number vanished")
     return Fraction(num, den)
 
 
@@ -183,12 +183,10 @@ def existence_via_covering(g: FiniteTopGroup, k0: int) -> FiniteMeasure:
         raise NotClosed(f"reference set {k0:#x} is not closed")
     if space.interior(k0) == 0:
         raise EmptyInterior(f"reference set {k0:#x} has empty interior")
+    # N = U_e is an open neighbourhood of the identity.  mu_N on each atom,
+    # with the reference count (K0:N) >= 1 found once
     n_mask = g.atoms[0]
-    _check_neighbourhood(g, n_mask)
-    # mu_N on each atom, with the reference count (K0:N) found once
     den = covering_number(CoveringProblem(g, k0, n_mask)).count
-    if den == 0:
-        raise InternalInconsistency("reference covering number vanished")
     masses = tuple(
         Fraction(covering_number(CoveringProblem(g, atom, n_mask)).count, den)
         for atom in g.atoms

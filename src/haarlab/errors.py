@@ -37,10 +37,6 @@ class NotContinuousMultiplication(HaarlabError):
     """Carries a witness (a, b, open_mask) where the product map fails."""
 
 
-class NotContinuousInversion(HaarlabError):
-    """Carries a witness (a, open_mask) where inversion fails."""
-
-
 class MeasureSpaceMismatch(HaarlabError):
     pass
 

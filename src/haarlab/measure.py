@@ -50,16 +50,7 @@ class FiniteMeasure(Record):
 
 
 class HaarReport(Record):
-    _fields = (
-        "side",
-        "nonzero",
-        "left_invariant",
-        "right_invariant",
-        "locally_finite",
-        "outer_regular",
-        "inner_regular_on_opens",
-        "witnesses",
-    )
+    _fields = ("side", "nonzero", "left_invariant", "right_invariant", "witnesses")
 
     def __init__(
         self,
@@ -67,21 +58,13 @@ class HaarReport(Record):
         nonzero: bool,
         left_invariant: bool,
         right_invariant: bool,
-        locally_finite: bool,
-        outer_regular: bool,
-        inner_regular_on_opens: bool,
         witnesses: tuple = (),
     ):
-        self._assign(
-            side,
-            nonzero,
-            left_invariant,
-            right_invariant,
-            locally_finite,
-            outer_regular,
-            inner_regular_on_opens,
-            witnesses,
-        )
+        self._assign(side, nonzero, left_invariant, right_invariant, witnesses)
+
+    # Local finiteness and both regularity clauses hold for every measure on
+    # a FiniteTopGroup (`is_haar`).
+    locally_finite = outer_regular = inner_regular_on_opens = True
 
     @property
     def invariant_for_side(self) -> bool:
@@ -89,13 +72,7 @@ class HaarReport(Record):
 
     @property
     def is_haar(self) -> bool:
-        return (
-            self.nonzero
-            and self.invariant_for_side
-            and self.locally_finite
-            and self.outer_regular
-            and self.inner_regular_on_opens
-        )
+        return self.nonzero and self.invariant_for_side
 
 
 def _check_measure(g: FiniteTopGroup, mu: FiniteMeasure):
@@ -145,40 +122,32 @@ def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarRep
 
     Invariance of every Borel set under every element is checked atom by
     atom, at most k^2 comparisons a side for k atoms, as
-    `_check_invariance` explains.  Outer regularity (mu(E) is the
-    infimum of mu(U) over open U containing E) and inner regularity on
-    opens (mu(U) is the supremum of mu(K) over closed compact K inside U)
-    hold for every measure on a FiniteTopGroup, so no sweep runs for them.
-    Building the atoms runs `identity_closure`, which checks closure({x}) =
-    xN for every x.  As x lies in closure({y}) iff y lies in U_x, and y in
-    xN iff x in yN, that gives U_x = xN: every atom is a minimal open and a
-    point closure, so clopen.  Every Borel set, a union of atoms, is then
-    open and closed, and compact as the space is finite: it is its own
-    open superset and its own closed compact subset, and as masses are
-    nonnegative (FiniteMeasure checks) it has the least mass among its
-    supersets and the largest among its subsets.
+    `_check_invariance` explains.  Local finiteness, outer regularity
+    (mu(E) is the infimum of mu(U) over open U containing E) and inner
+    regularity on opens (mu(U) is the supremum of mu(K) over closed compact
+    K inside U) hold for every measure on a FiniteTopGroup, so they are
+    constants of `HaarReport` and no sweep runs for them.  Every atom mass
+    is a finite rational, so every closed compact set, a union of atoms,
+    has finite mass.  Building the atoms runs `identity_closure`, which
+    checks closure({x}) = xN for every x.  As x lies in closure({y}) iff y
+    lies in U_x, and y in xN iff x in yN, that gives U_x = xN: every atom
+    is a minimal open and a point closure, so clopen.  Every Borel set, a
+    union of atoms, is then open and closed, and compact as the space is
+    finite: it is its own open superset and its own closed compact subset,
+    and as masses are nonnegative (FiniteMeasure checks) it has the least
+    mass among its supersets and the largest among its subsets.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     weights = _int_weights(g, mu)
     witnesses = []
-
-    nonzero = any(m > 0 for m in mu.atom_mass)
-    # Every atom mass is a finite rational, so every closed compact set
-    # (a union of atoms) has finite mass.
-    locally_finite = True
-
     left_inv = _check_invariance(g, weights, "left", witnesses)
     right_inv = _check_invariance(g, weights, "right", witnesses)
-
     return HaarReport(
         side=side,
-        nonzero=nonzero,
+        nonzero=any(m > 0 for m in mu.atom_mass),
         left_invariant=left_inv,
         right_invariant=right_inv,
-        locally_finite=locally_finite,
-        outer_regular=True,
-        inner_regular_on_opens=True,
         witnesses=tuple(witnesses),
     )
 

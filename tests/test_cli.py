@@ -72,6 +72,15 @@ def test_counterexample_probe_bound_flag(tmp_path):
     assert report["results"]["verdict"] == "FinitenessViolated"
     assert report["results"]["translate_count"] == 11
 
+def test_empty_probe_bound_flag_exits_2(tmp_path):
+    # an empty flag is a bad rational, as an empty "probe_bound" is
+    proc, report = run_cli(
+        tmp_path, "counterexample", {"c": "1/1"}, "--probe-bound", ""
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert sorted(report) == ["command", "error", "schema_version"]
+    assert report["error"].startswith("bad rational ''")
+
 def test_enumerate_z4(tmp_path):
     proc, report = run_cli(
         tmp_path, "enumerate", {"group": {"family": "cyclic", "params": {"n": 4}}}
@@ -650,6 +659,14 @@ def test_unwritable_output_exits_2(tmp_path, readable, where):
     report = json.loads(proc.stdout)
     assert sorted(report) == ["command", "error", "schema_version"]
     assert report["command"] == "verify-haar"
+    assert report["error"].startswith("cannot write output: ")
+
+def test_empty_output_path_exits_2(tmp_path):
+    """--output "" names no file: an error report on stdout and exit 2,
+    not the report on stdout with exit 0."""
+    proc, report = run_cli(tmp_path, "verify-haar", Z4_HAAR, "--output", "")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert sorted(report) == ["command", "error", "schema_version"]
     assert report["error"].startswith("cannot write output: ")
 
 def test_construct_bad_k0(tmp_path):

@@ -27,7 +27,7 @@ from haarlab import (
 from haarlab.errors import EmptyInterior, NotClosed, NotOpen
 from haarlab.topology import bit_indices
 
-from conftest import brute_force_covering_count
+from conftest import LARGE_INSTANCES, brute_force_covering_count
 
 
 def z4_coset_instance():
@@ -325,3 +325,27 @@ def test_covering_reads_translates_off_the_atom_table(corpus_instances, monkeypa
         mu, lam = canonical_haar(tg), canonical_haar(z2)
         f = PointFunction.constant(2 * tg.group.order, 1)
         assert fubini_check(tg, z2, f, mu, lam) == (len(tg.atoms) * 2,) * 2
+
+
+def test_translates_of_every_nonempty_union_cover(corpus_instances):
+    """The transitivity argument of the covering module, which lets the
+    searches drop their coverability guards: the left translates of a
+    nonempty union of atoms cover G, read off the atom table and,
+    literally, from the group law on points.  Every nonempty selection up
+    to 8 atoms, the singletons past that."""
+    instances = list(corpus_instances)
+    instances += [validate_top_group(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
+    for tg in instances:
+        k = len(tg.atoms)
+        every = (1 << k) - 1
+        sels = range(1, every + 1) if k <= 8 else [1 << i for i in range(k)]
+        for sel in sels:
+            union = 0
+            for t in covering._translates(tg, sel):
+                union |= t
+            assert union == every, (tg, sel)
+            s = tg.preimage(sel)
+            points = 0
+            for x in range(tg.group.order):
+                points |= tg.group.translate(x, s)
+            assert points == tg.space.full, (tg, sel)

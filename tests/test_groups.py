@@ -14,6 +14,7 @@ from haarlab import (
     cyclic,
     dihedral,
     direct_product,
+    enumerate_topologies,
     group_topologies,
     identity_closure,
     product_group,
@@ -198,6 +199,27 @@ def test_subgroups_match_brute_force():
     for group in (cyclic(8), symmetric3(), quaternion8(), dihedral(4)):
         assert group.subgroups() == brute_force_subgroups(group)
 
+def test_subgroups_try_one_element_per_coset(monkeypatch):
+    """(Z2)^4: one join per left coset outside each subgroup h, so
+    1 + sum over h of (|G|/|h| - 1) = 1 + 15 + 15*7 + 35*3 + 15 = 241
+    `generated_subgroup` calls, not one per element outside h."""
+    group = cyclic(2)
+    for _ in range(3):
+        group = direct_product(group, cyclic(2))
+    calls = 0
+    generate = FiniteGroup.generated_subgroup
+
+    def counting(self, gens):
+        nonlocal calls
+        calls += 1
+        return generate(self, gens)
+
+    monkeypatch.setattr(FiniteGroup, "generated_subgroup", counting)
+    subgroups = group.subgroups()
+    assert calls == 1 + sum(16 // bin(h).count("1") - 1 for h in subgroups) == 241
+    monkeypatch.undo()
+    assert subgroups == brute_force_subgroups(group)
+
 
 # -- compatible topologies ---------------------------------------------------
 
@@ -215,6 +237,71 @@ def test_validate_rejects_sierpinski_style_opens():
 def test_discrete_always_valid():
     for group in (cyclic(5), symmetric3(), quaternion8()):
         discrete_group(group)
+
+def literal_continuity(group, space):
+    """Reference: (multiplication, inversion) continuous, each checked as
+    "the preimage of every open is open" over the listed open family.  The
+    product G x G is the Alexandroff product: a set P of pairs is open iff
+    it holds U_a x U_b for each of its pairs (a, b)."""
+    opens = set(space.opens)
+    mo = space.min_open
+    n = group.order
+    prod = [
+        [mask_of(group.mul(x, y) for x in bit_indices(mo[a]) for y in bit_indices(mo[b]))
+         for b in range(n)]
+        for a in range(n)
+    ]
+    mul_ok = all(
+        prod[a][b] & ~w == 0
+        for w in opens
+        for a in range(n)
+        for b in range(n)
+        if w >> group.mul(a, b) & 1
+    )
+    inv_ok = all(mask_of(group.inv(x) for x in bit_indices(w)) in opens for w in opens)
+    return mul_ok, inv_ok
+
+def random_preorder_space(n, rng):
+    """The space of the reflexive-transitive closure of a random relation,
+    U_x = the points below x, at a random density."""
+    density = rng.choice([0.05, 0.1, 0.2, 0.4])
+    below = [1 << x | mask_of(y for y in range(n) if rng.random() < density)
+             for x in range(n)]
+    for y in range(n):  # Warshall: close under paths through y
+        for x in range(n):
+            if below[x] >> y & 1:
+                below[x] |= below[y]
+    return FiniteSpace.from_min_open(n, below)
+
+def test_inversion_continuity_follows_from_multiplication():
+    """FiniteTopGroup checks multiplication only; it accepts exactly the
+    spaces where both literal checks pass, on every topology of at most 4
+    points with every group of that order, and on random preorders of
+    groups of order 6 and 8 together with their compatible topologies."""
+    klein = direct_product(cyclic(2), cyclic(2))
+    cases = [
+        (group, space)
+        for group in (cyclic(1), cyclic(2), cyclic(3), cyclic(4), klein)
+        for space in enumerate_topologies(group.order)
+    ]
+    rng = random.Random(1113)
+    for group in (symmetric3(), cyclic(6), quaternion8(), dihedral(4)):
+        cases += [(group, random_preorder_space(group.order, rng)) for _ in range(150)]
+        cases += [(group, tg.space) for tg in group_topologies(group)]
+    tally = {}
+    for group, space in cases:
+        mul_ok, inv_ok = literal_continuity(group, space)
+        try:
+            validate_top_group(group, space)
+            accepted = True
+        except NotContinuousMultiplication:
+            accepted = False
+        assert accepted == (mul_ok and inv_ok), (group, space)
+        tally[mul_ok, inv_ok] = tally.get((mul_ok, inv_ok), 0) + 1
+    # multiplication alone decides; inversion fails on some rejected spaces
+    assert (True, False) not in tally
+    assert tally[True, True] >= 100 and tally[False, True] >= 300
+    assert tally[False, False] >= 500
 
 def test_identity_closure_examples():
     z4 = cyclic(4)
