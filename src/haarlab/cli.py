@@ -1,14 +1,19 @@
 """haarlab: deterministic JSON verification reports.
 
+    haarlab <command> --input PATH [--output PATH] [--max-order N] [--probe-bound p/q]
+
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the
-witness is in the report), 2 malformed input or an --output that cannot
-be written (the error report then goes to stdout).  Reports are byte-stable:
-sorted keys, canonical "p/q" rationals, LF line endings.
+witness is in the report), 2 malformed input, a command line outside the
+grammar (see `parse_args`) or an --output that cannot be written (the
+error report then goes to stdout).  -h or --help prints the usage and
+exits 0.  Reports are byte-stable: sorted keys, canonical "p/q"
+rationals, LF line endings.  The command line is parsed here, not by
+argparse, whose import and locale lookups would add milliseconds to every
+process.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
@@ -522,30 +527,103 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="haarlab",
-        description="Verify Haar-measure facts on finite groups and the seminorm plane.",
-    )
-    parser.add_argument("command", choices=list(COMMANDS))
-    parser.add_argument("--input", required=True, help="path to the JSON input")
-    parser.add_argument("--output", default=None, help="path for the JSON report (default stdout)")
-    parser.add_argument("--max-order", type=int, default=None)
-    parser.add_argument("--probe-bound", default=None, help="rational p/q for counterexample")
-    return parser
+HELP = f"""\
+usage: haarlab <command> --input PATH [--output PATH] [--max-order N] [--probe-bound p/q]
+
+Verify Haar-measure facts on finite groups and the seminorm plane.
+
+commands: {", ".join(COMMANDS)}
+
+  --input PATH       the JSON input (required)
+  --output PATH      write the JSON report there instead of to stdout
+  --max-order N      largest group order accepted (default HAARLAB_MAX_ORDER,
+                     else {groups_mod.MAX_ORDER})
+  --probe-bound p/q  counterexample's probe bound, in place of the input's
+"""
+
+#: Each flag of the grammar, and the Options attribute its value goes to.
+_FLAGS = {
+    "--input": "input",
+    "--output": "output",
+    "--max-order": "max_order",
+    "--probe-bound": "probe_bound",
+}
+_HELP = ("-h", "--help")
+
+
+class UsageError(InputError):
+    """A command line outside the grammar; command is the command it
+    names, or None when it names none that exists."""
+
+    def __init__(self, message, command=None):
+        super().__init__(message)
+        self.command = command
+
+
+class Options:
+    """A parsed command line: the command and each flag's value, None
+    where the flag is not given."""
+
+    __slots__ = ("command", "input", "output", "max_order", "probe_bound")
+
+    def __init__(self, command):
+        self.command = command
+        self.input = self.output = self.max_order = self.probe_bound = None
+
+
+def parse_args(argv) -> Options | None:
+    """The Options of `haarlab <command> --input PATH [--output PATH]
+    [--max-order N] [--probe-bound p/q]`, or None for -h or --help.
+
+    Flags follow the command in any order, as `--flag value` or
+    `--flag=value`, and a repeated flag keeps its last value.  A value
+    that starts with `--` needs the `=` form.  Anything else raises
+    UsageError: no command or an unknown one, an unknown or abbreviated
+    flag, a flag with no value, a stray argument, or no --input."""
+    if not argv:
+        raise UsageError(f"no command; expected one of {', '.join(COMMANDS)}")
+    command, *rest = argv
+    if command in _HELP:
+        return None
+    if command not in COMMANDS:
+        raise UsageError(
+            f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
+        )
+    opts = Options(command)
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in _FLAGS:
+            what = "flag" if token.startswith("-") else "argument"
+            raise UsageError(f"unknown {what} {token!r}", command)
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{flag} needs a value", command)
+        setattr(opts, _FLAGS[flag], value)
+    if opts.input is None:
+        raise UsageError("--input is required", command)
+    return opts
+
+
+def _int_setting(text, name) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _max_order(flag) -> int:
-    """--max-order, else HAARLAB_MAX_ORDER, else groups.MAX_ORDER."""
+    """--max-order, else HAARLAB_MAX_ORDER, else groups.MAX_ORDER; each
+    given value must be an integer."""
     if flag is not None:
-        return flag
+        return _int_setting(flag, "--max-order")
     env = os.environ.get("HAARLAB_MAX_ORDER")
     if not env:
         return groups_mod.MAX_ORDER
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"HAARLAB_MAX_ORDER must be an integer, got {env!r}") from None
+    return _int_setting(env, "HAARLAB_MAX_ORDER")
 
 
 def _read_input(path):
@@ -560,38 +638,51 @@ def _read_input(path):
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (default sys.argv[1:]): write its report to
+    stdout or --output and return the exit code.  A command line outside
+    the grammar gets its error report on stdout."""
     try:
-        args.max_order = _max_order(args.max_order)
-        data = _read_input(args.input)
-        results, ok = COMMANDS[args.command](data, args)
+        opts = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        _write_report(_error_report(exc.command, str(exc)), sys.stdout)
+        return 2
+    if opts is None:
+        sys.stdout.write(HELP)
+        return 0
+    try:
+        opts.max_order = _max_order(opts.max_order)
+        data = _read_input(opts.input)
+        results, ok = COMMANDS[opts.command](data, opts)
     except InputError as exc:
-        report, code = _error_report(args.command, str(exc)), 2
+        report, code = _error_report(opts.command, str(exc)), 2
     except HaarlabError as exc:
-        report, code = _error_report(args.command, f"{type(exc).__name__}: {exc}"), 2
+        report, code = _error_report(opts.command, f"{type(exc).__name__}: {exc}"), 2
     else:
         report = {
             "schema_version": SCHEMA_VERSION,
-            "command": args.command,
+            "command": opts.command,
             "inputs": data,
             "results": results,
             "passed": ok,
         }
         code = 0 if ok else 1
 
-    if args.output is not None:
+    if opts.output is not None:
         try:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_report_text(report))
+            with open(opts.output, "w", encoding="utf-8", newline="\n") as fh:
+                _write_report(report, fh)
             return code
         except OSError as exc:
-            report, code = _error_report(args.command, f"cannot write output: {exc}"), 2
-    sys.stdout.write(_report_text(report))
+            report, code = _error_report(opts.command, f"cannot write output: {exc}"), 2
+    _write_report(report, sys.stdout)
     return code
 
 
-def _report_text(report) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _write_report(report, fh):
+    """Stream the report's canonical text to fh, chunk by chunk, so that no
+    copy of the whole text is ever built."""
+    json.dump(report, fh, sort_keys=True, indent=2)
+    fh.write("\n")
 
 
 def _error_report(command, message):
@@ -608,9 +699,10 @@ def main():  # console entry point
     When run() returns, every check has run and the report is written
     (--output is closed by then), so both streams are flushed and
     os._exit skips module finalisation and the last garbage-collection
-    pass.  An exception from run(), argparse's SystemExit and a flush that
-    fails (a closed pipe) take the normal exit path, never exit 0.  run()
-    is the in-process entry point; it returns.
+    pass.  Usage errors and --help return from run() like any other
+    command line.  An exception from run() and a flush that fails (a
+    closed pipe) take the normal exit path, never exit 0.  run() is the
+    in-process entry point; it returns.
 
     Under PYTHONUNBUFFERED (or -u) stdout's text layer writes straight to
     the raw file and drops the rest of a short write, so a reader that

@@ -269,8 +269,18 @@ class FiniteTopGroup:
     """A finite group together with a compatible topology on its elements.
 
     Continuity of multiplication reduces to U_a * U_b <= U_ab on minimal
-    open neighborhoods (any open around a contains U_a), checked for every
-    pair.  Continuity of inversion, (U_a)^-1 <= U_{a^-1}, then follows, as
+    open neighborhoods (any open around a contains U_a).  That holds for
+    every pair iff U_e * U_e <= U_e and U_a = a * U_e = U_e * a for every
+    a, which takes O(n |U_e| + |U_e|^2) products to check.  If: U_a * U_b
+    = a * U_e * U_e * b <= a * U_e * b = ab * U_e = U_ab.  Only if: the
+    pair (e, e) is the first condition; U_a * U_e >= a * U_e gives a * U_e
+    <= U_a from the pair (a, e), and U_{a^-1} * U_a >= a^-1 * U_a gives
+    a^-1 * U_a <= U_e, that is U_a <= a * U_e, from (a^-1, a); U_e * U_a
+    >= U_e * a gives U_e * a <= U_a from (e, a), and as U_e * a has as
+    many points as a * U_e = U_a, that makes them equal.  A failure names
+    that pair, which fails U_a * U_b <= U_ab literally.
+
+    Continuity of inversion, (U_a)^-1 <= U_{a^-1}, then follows, as
     inversion is the power map y -> y^(m-1) for m = |G| > 1 (Arhangel'skii
     and Tkachenko, Topological Groups and Related Structures, 2008): for y
     in U_a, induction on j gives y^j in U_a^j <= U_{a^j}, so y^-1 =
@@ -281,19 +291,25 @@ class FiniteTopGroup:
         if group.order != space.n:
             raise ValueError("group and space must share the index set")
         mo = space.min_open
-        memo = {}
-        for a in range(group.order):
-            for b in range(group.order):
-                key = (mo[a], mo[b])
-                prod = memo.get(key)
-                if prod is None:
-                    prod = group.mul_sets(mo[a], mo[b])
-                    memo[key] = prod
-                target = mo[group.mul(a, b)]
-                if prod & ~target:
-                    raise NotContinuousMultiplication(
-                        f"witness: pair ({a}, {b}), open {target:#x}"
-                    )
+        table, inverse, e = group.table, group.inverse, group.identity
+
+        def fail(a, b):
+            raise NotContinuousMultiplication(
+                f"witness: pair ({a}, {b}), open {mo[table[a][b]]:#x}"
+            )
+
+        u_e = mo[e]
+        if group.mul_sets(u_e, u_e) & ~u_e:
+            fail(e, e)
+        members = list(bit_indices(u_e))
+        for a, u_a in enumerate(mo):
+            left = group.translate(a, u_e)
+            if left & ~u_a:
+                fail(a, e)
+            if u_a & ~left:
+                fail(inverse[a], a)
+            if mask_of(table[x][a] for x in members) & ~u_a:  # U_e * a
+                fail(e, a)
         self.group = group
         self.space = space
 

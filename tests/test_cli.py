@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -607,8 +608,22 @@ def test_rational_grammar_agrees_with_fraction(text):
     else:
         assert got == want, text
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    code = "import sys, haarlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def test_cli_import_skips_dataclasses_and_inspect(tmp_path):
+    """Neither importing the CLI nor running a command, a usage error or
+    --help loads dataclasses, inspect, argparse or gettext."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(Z4_HAAR), encoding="utf-8")
+    code = (
+        "import io, sys\n"
+        "import haarlab.cli as cli\n"
+        "heavy = {'dataclasses', 'inspect', 'argparse', 'gettext'}\n"
+        "loaded = [sorted(heavy & set(sys.modules))]\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"for argv in (['verify-haar', '--input', {str(path)!r}], ['verify-haar'], ['--help']):\n"
+        "    loaded.append((cli.run(argv), sorted(heavy & set(sys.modules))))\n"
+        "sys.stdout = out\n"
+        "print(loaded)\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
@@ -616,7 +631,7 @@ def test_cli_import_skips_dataclasses_and_inspect():
         env=src_env(),
     )
     assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[[], (0, []), (2, []), (0, [])]\n"
 
 SIZE_CAP_SPECS = {
     "cyclic": {"family": "cyclic", "params": {"n": 10**9}},
@@ -668,6 +683,39 @@ def test_empty_output_path_exits_2(tmp_path):
     assert (proc.returncode, proc.stderr) == (2, "")
     assert sorted(report) == ["command", "error", "schema_version"]
     assert report["error"].startswith("cannot write output: ")
+
+def test_report_is_streamed(tmp_path):
+    """Writing the 1.6 MB construct report of Z48 over its subgroup of
+    order 8 never holds the whole text: under 256 KiB of peak allocation
+    into a sink that only counts characters."""
+    z48 = groups.cyclic(48)
+    n8 = list(bit_indices(z48.generated_subgroup([6])))
+    payload = {
+        "group": {"family": "cyclic", "params": {"n": 48}},
+        "topology": {"normal_subgroup": n8},
+        "k0": n8,
+    }
+    out = tmp_path / "report.json"
+    proc, _ = run_cli(tmp_path, "construct", payload, "--output", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    text = out.read_text(encoding="utf-8")
+    report = json.loads(text)
+
+    class CountingSink:
+        chars = 0
+
+        def write(self, chunk):
+            self.chars += len(chunk)
+
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        cli._write_report(report, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == len(text) > 1_500_000
+    assert peak < 256 * 1024
 
 def test_construct_bad_k0(tmp_path):
     payload = dict(Z4_COSET, k0=[0])
@@ -939,10 +987,64 @@ def test_exception_in_handler_gives_traceback_and_exit_1(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" in proc.stderr and "RuntimeError: boom" in proc.stderr
 
-def test_usage_error_exits_2(tmp_path):
-    proc = child(tmp_path, "counterexample", {"c": "1/2"}, "--max-order", "x")
-    assert proc.returncode == 2 and proc.stdout == b""
-    assert b"invalid int value" in proc.stderr
+# Command lines outside the grammar; "P" stands for the input's path.
+USAGE_ERRORS = {
+    "no_command": ([], None, "no command"),
+    "unknown_command": (["bogus", "--input", "P"], None, "unknown command 'bogus'"),
+    "missing_input": (["counterexample"], "counterexample", "--input is required"),
+    "flag_without_value": (["counterexample", "--input"], "counterexample", "--input needs a value"),
+    "unknown_flag": (["counterexample", "--input", "P", "--verbose"], "counterexample", "unknown flag '--verbose'"),
+    "abbreviated_flag": (["counterexample", "--inp", "P"], "counterexample", "unknown flag '--inp'"),
+    "max_order_abc": (["counterexample", "--input", "P", "--max-order", "abc"], "counterexample", "--max-order must be an integer"),
+    "max_order_empty": (["counterexample", "--input", "P", "--max-order", ""], "counterexample", "--max-order must be an integer"),
+}
+
+@pytest.mark.parametrize("argv,command,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_2(tmp_path, argv, command, message):
+    """Exit 2 with a JSON error report on stdout and nothing on stderr."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"c": "1/2"}), encoding="utf-8")
+    argv = [str(path) if a == "P" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "haarlab.cli", *argv], capture_output=True, text=True, env=src_env()
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    report = json.loads(proc.stdout)
+    assert sorted(report) == ["command", "error", "schema_version"]
+    assert report["command"] == command
+    assert message in report["error"]
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["plane", "--help"]])
+def test_help_exits_0(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "haarlab.cli", *argv], capture_output=True, text=True, env=src_env()
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: haarlab <command> --input PATH")
+    assert all(command in proc.stdout for command in cli.COMMANDS)
+
+def test_flag_spellings_give_the_same_bytes(tmp_path):
+    """--flag=value and --flag value, in any order; a repeated flag keeps
+    its last value."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"c": "1/3"}), encoding="utf-8")
+    spellings = [
+        ["--input", str(path), "--probe-bound", "2"],
+        [f"--input={path}", "--probe-bound=2"],
+        ["--probe-bound", "2", "--input", str(path)],
+        ["--input", "missing.json", "--probe-bound=5", f"--input={path}", "--probe-bound", "2"],
+    ]
+    outputs = set()
+    for flags in spellings:
+        proc = subprocess.run(
+            [sys.executable, "-m", "haarlab.cli", "counterexample", *flags],
+            capture_output=True,
+            env=src_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["results"]["translate_count"] == 7
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("big", [False, True], ids=["flush", "write"])

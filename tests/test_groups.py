@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -273,11 +274,10 @@ def random_preorder_space(n, rng):
                 below[x] |= below[y]
     return FiniteSpace.from_min_open(n, below)
 
-def test_inversion_continuity_follows_from_multiplication():
-    """FiniteTopGroup checks multiplication only; it accepts exactly the
-    spaces where both literal checks pass, on every topology of at most 4
-    points with every group of that order, and on random preorders of
-    groups of order 6 and 8 together with their compatible topologies."""
+def continuity_cases():
+    """Every topology of at most 4 points with every group of that order,
+    and random preorders of groups of order 6 and 8 together with their
+    compatible topologies."""
     klein = direct_product(cyclic(2), cyclic(2))
     cases = [
         (group, space)
@@ -288,8 +288,14 @@ def test_inversion_continuity_follows_from_multiplication():
     for group in (symmetric3(), cyclic(6), quaternion8(), dihedral(4)):
         cases += [(group, random_preorder_space(group.order, rng)) for _ in range(150)]
         cases += [(group, tg.space) for tg in group_topologies(group)]
+    return cases
+
+def test_inversion_continuity_follows_from_multiplication():
+    """FiniteTopGroup checks multiplication only, through U_e and the
+    translates of U_e; it accepts exactly the spaces where both literal
+    checks pass, on every case of `continuity_cases`."""
     tally = {}
-    for group, space in cases:
+    for group, space in continuity_cases():
         mul_ok, inv_ok = literal_continuity(group, space)
         try:
             validate_top_group(group, space)
@@ -302,6 +308,41 @@ def test_inversion_continuity_follows_from_multiplication():
     assert (True, False) not in tally
     assert tally[True, True] >= 100 and tally[False, True] >= 300
     assert tally[False, False] >= 500
+
+def test_continuity_witness_fails_literally():
+    """The pair a rejection names breaks U_a * U_b <= U_ab, computed
+    point by point, and the message names U_ab; each of the four kinds
+    of pair the check can name occurs.  The left cosets of a subgroup
+    that is not normal pass every check but (e, a)."""
+    left_cosets = [
+        (group, FiniteSpace.from_min_open(
+            group.order, [group.translate(x, h) for x in range(group.order)]))
+        for group in (symmetric3(), dihedral(4))
+        for h in group.subgroups()
+        if not group.is_normal(h)
+    ]
+    kinds = set()
+    for group, space in continuity_cases() + left_cosets:
+        try:
+            validate_top_group(group, space)
+        except NotContinuousMultiplication as exc:
+            m = re.fullmatch(r"witness: pair \((\d+), (\d+)\), open (0x[0-9a-f]+)", str(exc))
+            a, b, target = int(m[1]), int(m[2]), int(m[3], 16)
+        else:
+            continue
+        mo = space.min_open
+        product = {group.mul(x, y) for x in bit_indices(mo[a]) for y in bit_indices(mo[b])}
+        assert target == mo[group.mul(a, b)]
+        assert not product <= set(bit_indices(target)), (group, space, a, b)
+        e, inv = group.identity, group.inv
+        kinds.add(
+            "ee" if (a, b) == (e, e)
+            else "ae" if b == e
+            else "ea" if a == e
+            else "a'a" if a == inv(b)
+            else "other"
+        )
+    assert kinds == {"ee", "ae", "ea", "a'a"}
 
 def test_identity_closure_examples():
     z4 = cyclic(4)
