@@ -9,11 +9,9 @@ from .covering import (
     mu_u,
 )
 from .groups import (
-    BorelAtoms,
     FiniteGroup,
     FiniteTopGroup,
     QuotientData,
-    borel_atoms,
     coset_topology,
     cyclic,
     dihedral,

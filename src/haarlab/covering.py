@@ -58,7 +58,7 @@ def covering_number(p: CoveringProblem) -> CoveringSolution:
     if p.k == 0:
         return CoveringSolution(0, ())
     g = p.group
-    # K is closed and interior(S) open, and U_x = xN (`_partition`), so
+    # K is closed and interior(S) open, and U_x = xN (`FiniteTopGroup`), so
     # both are unions of atoms of |N| points each: the search runs on atom
     # selections, pruning alike
     target = g.selection(p.k)

@@ -1,8 +1,9 @@
 """Finite groups as Cayley tables, and finite topological groups.
 
-A compatible topology on a finite group turns out to be exactly a coset
-topology of a normal subgroup; the library never assumes this, it is
-verified by the continuity checks at construction and by the test suite.
+A compatible topology on a finite group is exactly the coset topology of
+a normal subgroup N = closure({e}).  That follows from the continuity
+check at construction (`FiniteTopGroup`), and the test suite checks it
+against literal references.
 """
 
 from __future__ import annotations
@@ -10,12 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import (
-    InternalInconsistency,
-    NotContinuousMultiplication,
-    NotMeasurable,
-    TooLarge,
-)
+from .errors import NotContinuousMultiplication, NotMeasurable, TooLarge
 from .records import Record
 from .topology import FiniteSpace, bit_indices, mask_of
 
@@ -285,6 +281,16 @@ class FiniteTopGroup:
     and Tkachenko, Topological Groups and Related Structures, 2008): for y
     in U_a, induction on j gives y^j in U_a^j <= U_{a^j}, so y^-1 =
     y^(m-1) lies in U_{a^(m-1)} = U_{a^-1}.
+
+    Everything past the check is read off U_e.  U_e holds e and is closed
+    under products, and it is finite, so it is a subgroup N.  As x lies in
+    closure({y}) iff y lies in U_x = xN, and y in xN iff x in yN,
+    closure({x}) = xN = U_x for every x; in particular N = closure({e}).
+    aN = U_a = Na, so N is normal and (aN)(bN) = abN: the projection onto
+    G/N is a homomorphism, and any members of two cosets give the same
+    product coset.  So the atoms, the N-cosets, are the distinct minimal
+    opens; each is a minimal open and a point closure, so clopen, and
+    every Borel set, a union of atoms, is open, closed and compact.
     """
 
     def __init__(self, group: FiniteGroup, space: FiniteSpace):
@@ -315,12 +321,10 @@ class FiniteTopGroup:
 
     @cached_property
     def _partition(self):
-        """`identity_closure` checks closure({x}) = xN for every x; as x
-        lies in closure({y}) iff y lies in U_x, that makes U_x = xN, so the
-        atoms are the distinct minimal opens: N first, then by smallest
-        member."""
-        n_mask = identity_closure(self)
+        """N = U_e first, then the other distinct minimal opens by smallest
+        member: the N-cosets, as U_x = xN (class docstring)."""
         mo = self.space.min_open
+        n_mask = mo[self.group.identity]
         atoms = (n_mask, *sorted(set(mo) - {n_mask}, key=lambda a: a & -a))
         index = {a: i for i, a in enumerate(atoms)}
         return atoms, tuple(index[u] for u in mo)
@@ -343,18 +347,12 @@ class FiniteTopGroup:
     @cached_property
     def atom_table(self):
         """The Cayley table of G/N on atom indices: entry (i, j) is the atom
-        of reps[i] * reps[j].  Checked at build time to be the table the
-        projection carries the group law to, atom_of[a * b] ==
-        table[atom_of[a]][atom_of[b]] for all a, b, so any members of atoms
-        i and j may stand in for the representatives."""
+        of reps[i] * reps[j].  As (aN)(bN) = abN (class docstring), any
+        members of atoms i and j may stand in for the representatives:
+        atom_of[a * b] == table[atom_of[a]][atom_of[b]] for all a, b."""
         proj, reps = self.atom_of, self.reps
         rows = self.group.table
-        table = tuple(tuple(proj[rows[r][s]] for s in reps) for r in reps)
-        for a, row in enumerate(rows):
-            image_row = table[proj[a]]
-            if any(proj[ab] != image_row[proj[b]] for b, ab in enumerate(row)):
-                raise InternalInconsistency("projection is not a homomorphism")
-        return table
+        return tuple(tuple(proj[rows[r][s]] for s in reps) for r in reps)
 
     def image(self, mask: int) -> int:
         """Atom-index mask of the atoms meeting a point mask."""
@@ -403,38 +401,38 @@ def validate_top_group(group: FiniteGroup, space: FiniteSpace) -> FiniteTopGroup
 
 
 def identity_closure(g: FiniteTopGroup) -> int:
-    """N = closure({e}); asserts it is a normal subgroup with xN = cl({x})."""
-    n_mask = g.space.closure(1 << g.group.identity)
-    if not g.group.is_subgroup(n_mask):
-        raise InternalInconsistency("closure of identity is not a subgroup")
-    if not g.group.is_normal(n_mask):
-        raise InternalInconsistency("closure of identity is not normal")
-    for x in range(g.group.order):
-        if g.group.translate(x, n_mask) != g.space.closure(1 << x):
-            raise InternalInconsistency(f"xN != closure(x) at x={x}")
-    return n_mask
+    """N = closure({e}) = U_e, the first atom (`FiniteTopGroup`)."""
+    return g.atoms[0]
+
+
+def _coset_space(group: FiniteGroup, n_mask: int) -> FiniteSpace:
+    """The space whose minimal open at x is the coset xN of a subgroup N,
+    from one translate per coset."""
+    rows = [0] * group.order
+    for x in range(group.order):
+        if not rows[x]:
+            coset = group.translate(x, n_mask)
+            for y in bit_indices(coset):
+                rows[y] = coset
+    return FiniteSpace.from_min_open(group.order, rows)
 
 
 def coset_topology(group: FiniteGroup, n_mask: int) -> FiniteSpace:
     """The topology whose opens are all unions of cosets of a normal subgroup."""
     if not group.is_subgroup(n_mask) or not group.is_normal(n_mask):
         raise ValueError("mask is not a normal subgroup")
-    return FiniteSpace.from_min_open(
-        group.order,
-        [group.translate(x, n_mask) for x in range(group.order)],
-    )
+    return _coset_space(group, n_mask)
 
 
 def group_topologies(group: FiniteGroup):
     """All compatible topologies on the group, one per normal subgroup."""
-    out = []
-    for n_mask in group.normal_subgroups():
-        space = coset_topology(group, n_mask)
-        out.append(validate_top_group(group, space))
-    return out
+    return [
+        validate_top_group(group, _coset_space(group, n_mask))
+        for n_mask in group.normal_subgroups()
+    ]
 
 
-# -- quotient and Borel atoms ------------------------------------------------
+# -- quotient ----------------------------------------------------------------
 
 
 class QuotientData(Record):
@@ -445,86 +443,27 @@ class QuotientData(Record):
         self._assign(base, quotient, proj)
 
 
-class BorelAtoms(Record):
-    _fields = ("atoms",)
-
-    def __init__(self, atoms: tuple):
-        self._assign(atoms)  # masks, canonical order
-
-
-def _check_atoms(g: FiniteTopGroup):
-    """The atoms partition the points and the projection labels them:
-    image(atom i) = {i}, and together they cover.  Two atoms sharing a
-    point x would both have image {atom_of[x]}, so they are disjoint, and
-    preimage({i}) = atom i holds by the definition of preimage.  Images and
-    preimages commute with unions, so every union of atoms round-trips too,
-    and disjoint unions have disjoint images."""
-    acc = 0
-    for i, a in enumerate(g.atoms):
-        acc |= a
-        if g.image(a) != 1 << i:
-            raise InternalInconsistency(f"atom {i} does not round-trip")
-    if acc != g.space.full:
-        raise InternalInconsistency("atoms do not cover the points")
-
-
 def quotient(g: FiniteTopGroup) -> QuotientData:
     """The quotient by the identity closure N, with the final topology of
     the projection: V is open iff preimage(V) is open.
 
-    A finite topology is given by its n minimal opens U_x, its opens are
-    the unions of the U_x and its closed sets the unions of the point
-    closures xN, and images and preimages commute with unions.  So each
-    statement is verified at build time on these generators:
+    Every atom is a minimal open U_x = xN (`FiniteTopGroup`), so the
+    preimage of every set of atom labels is open and the final topology
+    is discrete, with minimal opens the singletons {i}.  Hence:
 
-    - surjectivity: the atoms round-trip through the projection;
-    - open projection, the image family as the quotient topology: the
-      minimal open of atom i is image(U_x) for every x in atom i.  The
-      preimage of that row is then open: a label j in row i comes from
-      some y in U_x, U_y <= U_x gives row j <= row i, and so U_z <=
-      preimage(row i) for every z in atom j;
-    - homomorphism: checked once by `atom_table`, the quotient's table;
-    - Hausdorff quotient.  A finite Hausdorff space is discrete, so every
-      image is closed (closed projection), and each atom, whose points
-      all map into {i}, is open with open complement: the closed compact
-      lift of {i} (compact lifting).
+    - surjectivity: atom i is the image of its representative;
+    - open and closed projection: every image is open and closed;
+    - homomorphism: `atom_table` is the group law the projection carries,
+      and it is the quotient's Cayley table;
+    - Hausdorff quotient: the space is discrete;
+    - compact lifting: the preimage of a set of labels is a union of
+      atoms, closed and, the space being finite, compact.
     """
-    group, space = g.group, g.space
-    image = g.image
-    _check_atoms(g)
-    rows = []
-    for rep, a in zip(g.reps, g.atoms):
-        row = image(space.min_open[rep])
-        if any(image(space.min_open[x]) != row for x in bit_indices(a)):
-            raise InternalInconsistency("projection is not open")
-        rows.append(row)
-    qspace = FiniteSpace.from_min_open(len(rows), rows)
-    qgroup = FiniteGroup(g.atom_table, name=f"{group.name}/N")
+    k = len(g.atoms)
+    qspace = FiniteSpace.from_min_open(k, [1 << i for i in range(k)])
+    qgroup = FiniteGroup(g.atom_table, name=f"{g.group.name}/N")
     qtg = validate_top_group(qgroup, qspace)
-    if not qspace.separation_flags().hausdorff:
-        raise InternalInconsistency("quotient is not Hausdorff")
     return QuotientData(base=g, quotient=qtg, proj=g.atom_of)
-
-
-def borel_atoms(g: FiniteTopGroup) -> BorelAtoms:
-    """The atom partition, with the saturation statements verified.
-
-    Past the round trip, one check per point x: U_x = atom(x).  As x lies
-    in closure({y}) iff y lies in U_x, this is the same as closure({x}) =
-    atom(x) for every x.  Each atom is then a union of minimal opens and of
-    point closures, so it is clopen and the closure of its points; and
-    every open, a union of U_x = atom(x), holds closure(y) = atom(y) for
-    each of its points y, so opens are saturated.  With images and
-    preimages commuting with unions, these per-atom facts give
-    disjointness preservation and the image inclusion and equality
-    cancellations on every union of atoms.
-    """
-    atoms, atom_of = g.atoms, g.atom_of
-    _check_atoms(g)
-    for x, u in enumerate(g.space.min_open):
-        if u != atoms[atom_of[x]]:
-            raise InternalInconsistency("atom is not clopen")
-    return BorelAtoms(atoms=atoms)
 
 
 def product_group(g: FiniteTopGroup, h: FiniteTopGroup) -> FiniteTopGroup:

@@ -128,12 +128,11 @@ def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarRep
     K inside U) hold for every measure on a FiniteTopGroup, so they are
     constants of `HaarReport` and no sweep runs for them.  Every atom mass
     is a finite rational, so every closed compact set, a union of atoms,
-    has finite mass.  Building the atoms runs `identity_closure`, which
-    checks closure({x}) = xN for every x.  As x lies in closure({y}) iff y
-    lies in U_x, and y in xN iff x in yN, that gives U_x = xN: every atom
-    is a minimal open and a point closure, so clopen.  Every Borel set, a
-    union of atoms, is then open and closed, and compact as the space is
-    finite: it is its own open superset and its own closed compact subset,
+    has finite mass.  The continuity check that builds g gives U_x = xN =
+    closure({x}) for every x (`FiniteTopGroup`): every atom is a minimal
+    open and a point closure, so clopen.  Every Borel set, a union of
+    atoms, is then open and closed, and compact as the space is finite:
+    it is its own open superset and its own closed compact subset,
     and as masses are nonnegative (FiniteMeasure checks) it has the least
     mass among its supersets and the largest among its subsets.
     """

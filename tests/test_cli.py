@@ -1,4 +1,6 @@
 import argparse
+import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -312,24 +314,39 @@ def test_verify_haar_witness_past_16_atoms(tmp_path, capsys):
 def table_spec(group):
     return {"order": group.order, "table": [list(r) for r in group.table]}
 
-def test_identity_closure_once_per_top_group(corpus, monkeypatch):
+def test_partition_once_per_top_group(corpus, monkeypatch):
     """Counter bound: the partition is built once per topological group, and
     N, the atoms and the representatives are all read from it.  Every
     FiniteTopGroup that enumerate, quotient, construct and verify-haar
-    build, quotients included, runs identity_closure exactly once."""
+    build, quotients included, computes _partition exactly once, and no
+    closure runs inside it: the atoms are the distinct minimal opens."""
     built, calls = [], []
-    init, closure = groups.FiniteTopGroup.__init__, groups.identity_closure
+    closures = {"active": False, "inside": 0}
+    init, partition = groups.FiniteTopGroup.__init__, groups.FiniteTopGroup._partition.func
+    closure = FiniteSpace.closure
 
     def recording_init(self, group, space):
         init(self, group, space)
         built.append(self)
 
-    def counting_closure(tg):
-        calls.append(tg)
-        return closure(tg)
+    def counting_partition(self):
+        calls.append(self)
+        closures["active"] = True
+        try:
+            return partition(self)
+        finally:
+            closures["active"] = False
 
+    def counting_closure(self, mask):
+        if closures["active"]:
+            closures["inside"] += 1
+        return closure(self, mask)
+
+    prop = functools.cached_property(counting_partition)
+    prop.__set_name__(groups.FiniteTopGroup, "_partition")
     monkeypatch.setattr(groups.FiniteTopGroup, "__init__", recording_init)
-    monkeypatch.setattr(groups, "identity_closure", counting_closure)
+    monkeypatch.setattr(groups.FiniteTopGroup, "_partition", prop)
+    monkeypatch.setattr(FiniteSpace, "closure", counting_closure)
     z48 = groups.cyclic(48)
     n8 = z48.generated_subgroup([6])
     cases = [(g, n) for g in corpus for n in g.normal_subgroups()] + [(z48, n8)]
@@ -353,6 +370,46 @@ def test_identity_closure_once_per_top_group(corpus, monkeypatch):
             command(payload, opts)
             assert len(calls) == len(built) >= 1, (group.name, command.__name__)
             assert {id(tg) for tg in calls} == {id(tg) for tg in built}
+    assert closures["inside"] == 0
+
+def test_enumerate_checks_each_subgroup_once(corpus, monkeypatch):
+    """Counter bound: enumerate makes one is_normal call per subgroup, and
+    past the subgroup lattice at most 2n translate calls per topology: n in
+    the continuity check and one per coset to build the space."""
+    counts = {"is_normal": 0, "translate": 0, "lattice": False}
+    is_normal, translate = groups.FiniteGroup.is_normal, groups.FiniteGroup.translate
+    subgroups = groups.FiniteGroup.subgroups
+
+    def counting_is_normal(self, mask):
+        counts["is_normal"] += 1
+        return is_normal(self, mask)
+
+    def counting_translate(self, g, mask):
+        if not counts["lattice"]:
+            counts["translate"] += 1
+        return translate(self, g, mask)
+
+    def lattice(self):
+        counts["lattice"] = True
+        try:
+            return subgroups(self)
+        finally:
+            counts["lattice"] = False
+
+    z2 = groups.cyclic(2)
+    z2_4 = groups.direct_product(groups.direct_product(z2, z2), groups.direct_product(z2, z2))
+    cases = [(group, len(group.subgroups())) for group in [*corpus, z2_4]]
+    monkeypatch.setattr(groups.FiniteGroup, "is_normal", counting_is_normal)
+    monkeypatch.setattr(groups.FiniteGroup, "translate", counting_translate)
+    monkeypatch.setattr(groups.FiniteGroup, "subgroups", lattice)
+    opts = argparse.Namespace(max_order=64)
+    for group, n_subgroups in cases:
+        counts.update(is_normal=0, translate=0)
+        results, _ = cli.cmd_enumerate({"group": table_spec(group)}, opts)
+        n_topologies = len(results["topologies"])
+        assert counts["is_normal"] == n_subgroups, group.name
+        assert counts["translate"] <= 2 * group.order * n_topologies, group.name
+    assert n_subgroups == n_topologies == 67  # (Z2)^4, abelian
 
 def test_construct_never_lists_the_open_family(corpus_instances, monkeypatch):
     """construct runs over atom selections: it never lists the open family,
@@ -758,6 +815,23 @@ def test_report_digest_is_unchanged():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
         "ced1aae0df44b73a6afc8aa4ab1e98c275fd288a7ee61fd75679101d57b86a5e\n"
+    )
+
+def test_enumerate_z2_to_the_5_report_is_unchanged(tmp_path):
+    """The enumerate report of (Z2)^5, 374 topologies (one per subgroup, as
+    the group is abelian), byte for byte: no benchmark round has a group
+    with hundreds of normal subgroups."""
+    spec = {"family": "cyclic", "params": {"n": 2}}
+    for _ in range(4):
+        spec = {"family": "product", "params": {"factors": [spec, {"family": "cyclic", "params": {"n": 2}}]}}
+    path, out = tmp_path / "input.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"group": spec}), encoding="utf-8")
+    assert cli.run(["enumerate", "--input", str(path), "--output", str(out)]) == 0
+    report = out.read_bytes()
+    assert len(json.loads(report)["results"]["topologies"]) == 374
+    assert len(report) == 380530
+    assert hashlib.sha256(report).hexdigest() == (
+        "39a0b0711865c5de9ba0a6c9fa4438b12043bcf21c2a1b7f40bbde85a97d89de"
     )
 
 

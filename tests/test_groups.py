@@ -5,12 +5,10 @@ from itertools import combinations
 import pytest
 
 from haarlab import (
-    BorelAtoms,
     FiniteGroup,
     FiniteSpace,
     QuotientData,
     SeparationFlags,
-    borel_atoms,
     coset_topology,
     cyclic,
     dihedral,
@@ -407,8 +405,8 @@ def test_quotient_projection_open_closed_hausdorff(corpus_instances):
         assert q.quotient.space.separation_flags().hausdorff
 
 def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
-    """Counter bound: closure calls per quotient and per borel_atoms, no
-    listing of the opens, and no flag but hausdorff."""
+    """Counter bound: no closure call per quotient or per reading of the
+    atoms, no listing of the opens, and no flag but hausdorff."""
     calls = 0
     closure = FiniteSpace.closure
 
@@ -437,13 +435,12 @@ def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
     instances = [(g, tg.space) for g in corpus for tg in group_topologies(g)]
     instances += [(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
     for group, space in instances:
-        for fn in (quotient, borel_atoms):
+        for fn in (quotient, lambda tg: tg.atoms):
             tg = validate_top_group(group, space)
             calls = 0
             fn(tg)
-            # measured: order + 1 for each (one closure per point for the
-            # atoms, plus the identity's)
-            assert calls <= group.order + 1, (group.name, fn.__name__, calls)
+            # the atoms are the distinct minimal opens, read with no closure
+            assert calls == 0, (group.name, fn.__name__, calls)
 
 def test_quotient_of_hausdorff_group_is_isomorphic_copy():
     for group in (cyclic(5), symmetric3()):
@@ -458,13 +455,13 @@ def test_quotient_of_hausdorff_group_is_isomorphic_copy():
 def test_borel_atoms_examples():
     z4 = cyclic(4)
     tg = validate_top_group(z4, coset_topology(z4, 0b0101))
-    assert borel_atoms(tg).atoms == (0b0101, 0b1010)
-    assert borel_atoms(discrete_group(cyclic(3))).atoms == (0b001, 0b010, 0b100)
-    assert borel_atoms(indiscrete_group(cyclic(3))).atoms == (0b111,)
+    assert tg.atoms == (0b0101, 0b1010)
+    assert discrete_group(cyclic(3)).atoms == (0b001, 0b010, 0b100)
+    assert indiscrete_group(cyclic(3)).atoms == (0b111,)
 
 def test_borel_atoms_partition(corpus_instances):
     for tg in corpus_instances:
-        atoms = borel_atoms(tg).atoms
+        atoms = tg.atoms
         acc = 0
         for a in atoms:
             assert acc & a == 0
@@ -475,10 +472,32 @@ def test_borel_atoms_partition(corpus_instances):
 
 # -- literal references ------------------------------------------------------
 #
-# The library's quotient and borel_atoms check each statement on the n minimal
-# opens.  These references check the same statements literally: over all
-# 2^k opens of the base, every subset of a quotient of at most 12 points, and
-# every pair of atom unions up to 8 atoms.
+# The library reads the atoms and the quotient off the minimal opens, as the
+# FiniteTopGroup docstring argues.  These references check each statement
+# literally: over all 2^k opens of the base, every subset of a quotient of at
+# most 12 points, and every pair of atom unions up to 8 atoms.
+
+def literal_partition(g):
+    """The atoms, atom_of and atom table from the definitions: N is the
+    intersection of the closed sets holding e, the atoms are the cosets xN,
+    N first then by smallest member, and entry (i, j) of the table is the
+    atom equal to the set product of atoms i and j."""
+    group, space = g.group, g.space
+    n_mask = space.full
+    for u in space.opens:
+        if not u >> group.identity & 1:
+            n_mask &= space.full ^ u
+    cosets = {mask_of(group.mul(x, y) for y in bit_indices(n_mask)) for x in range(group.order)}
+    atoms = (n_mask, *sorted(cosets - {n_mask}, key=lambda a: min(bit_indices(a))))
+    atom_of = tuple(next(i for i, a in enumerate(atoms) if a >> x & 1) for x in range(group.order))
+    table = tuple(
+        tuple(
+            atoms.index(mask_of(group.mul(x, y) for x in bit_indices(a) for y in bit_indices(b)))
+            for b in atoms
+        )
+        for a in atoms
+    )
+    return atoms, atom_of, table
 
 def reference_quotient(g):
     group = g.group
@@ -539,9 +558,13 @@ def reference_borel_atoms(g):
             raise InternalInconsistency("atom is not clopen")
     if acc != space.full:
         raise InternalInconsistency("atoms do not cover the points")
+    # each atom is the closure of each of its points
+    point_closure = [space.closure(1 << x) for x in range(space.n)]
+    for x, c in enumerate(point_closure):
+        if c != atoms[g.atom_of[x]]:
+            raise InternalInconsistency("atom is not a point closure")
     # saturation: x in E implies closure(x) <= E, for opens (and hence for
     # every union of atoms)
-    point_closure = [space.closure(1 << x) for x in range(space.n)]
     for u in space.opens:
         for x in bit_indices(u):
             if point_closure[x] & ~u:
@@ -568,14 +591,26 @@ def reference_borel_atoms(g):
         for a in atoms:
             if preimage(image(a)) != a:
                 raise InternalInconsistency("atom preimage round trip failed")
-    return BorelAtoms(atoms=atoms)
+    return atoms
 
 def test_generator_checks_match_literal_references(corpus_instances):
-    for tg in corpus_instances:
+    """On the corpus, and on every space FiniteTopGroup accepts among
+    `continuity_cases` (every topology of at most 4 points with every group
+    of that order, and the random preorders), the atoms, atom_of, the atom
+    table and the quotient equal the literal references."""
+    accepted = []
+    for group, space in continuity_cases():
+        try:
+            accepted.append(validate_top_group(group, space))
+        except NotContinuousMultiplication:
+            pass
+    for tg in [*corpus_instances, *accepted]:
+        assert (tg.atoms, tg.atom_of, tg.atom_table) == literal_partition(tg)
+        assert reference_borel_atoms(tg) == tg.atoms
         q, ref = quotient(tg), reference_quotient(tg)
         assert q == ref and q.quotient.group.name == ref.quotient.group.name
         assert q.quotient.space.min_open == ref.quotient.space.min_open
-        assert borel_atoms(tg) == reference_borel_atoms(tg)
+    assert len(accepted) == 144
 
 Z6_ATOMS = ((0b001001, 0b010010, 0b100100), (0, 1, 2, 0, 1, 2))
 
@@ -586,53 +621,38 @@ def z6_mod_3():
     assert tg._partition == Z6_ATOMS
     return tg
 
-#: Partitions set through the cached _partition of z6_mod_3(), each with the
-#: messages quotient and borel_atoms raise on it.
+#: Partitions set through the cached _partition of z6_mod_3().  The library
+#: trusts _partition, which its construction proves; the literal references
+#: reject each of these.
 Z6_TAMPERS = {
     # two atom_of labels swapped: 1 -> atom 2, 2 -> atom 1
-    "labels_swapped": (
-        (Z6_ATOMS[0], (0, 2, 1, 0, 1, 2)),
-        "atom 1 does not round-trip",
-        "atom 1 does not round-trip",
-    ),
+    "labels_swapped": (Z6_ATOMS[0], (0, 2, 1, 0, 1, 2)),
     # point 4 moved from the coset {1,4} to {2,5}, labels following
-    "point_moved": (
-        ((0b001001, 0b000010, 0b110100), (0, 1, 2, 0, 2, 2)),
-        "projection is not open",
-        "atom is not clopen",
-    ),
+    "point_moved": ((0b001001, 0b000010, 0b110100), (0, 1, 2, 0, 2, 2)),
     # point 4 dropped from its atom, its label kept
-    "point_dropped": (
-        ((0b001001, 0b000010, 0b100100), (0, 1, 2, 0, 1, 2)),
-        "atoms do not cover the points",
-        "atoms do not cover the points",
-    ),
+    "point_dropped": ((0b001001, 0b000010, 0b100100), (0, 1, 2, 0, 1, 2)),
 }
 
-@pytest.mark.parametrize("tamper", Z6_TAMPERS.values(), ids=Z6_TAMPERS)
-def test_tampered_partitions_rejected(tamper):
-    partition, quotient_msg, borel_msg = tamper
-    for fn, errors, msg in (
-        (quotient, InternalInconsistency, quotient_msg),
-        (borel_atoms, InternalInconsistency, borel_msg),
+@pytest.mark.parametrize("partition", Z6_TAMPERS.values(), ids=Z6_TAMPERS)
+def test_tampered_partitions_rejected(partition):
+    for fn, errors in (
         # the literal quotient may also fail on the quotient's Cayley table
-        (reference_quotient, (InternalInconsistency, ValueError), None),
-        (reference_borel_atoms, InternalInconsistency, None),
+        (reference_quotient, (InternalInconsistency, ValueError)),
+        (reference_borel_atoms, InternalInconsistency),
     ):
         tg = z6_mod_3()
         tg._partition = partition
-        with pytest.raises(errors, match=msg):
+        with pytest.raises(errors):
             fn(tg)
 
 def test_quotient_rejects_non_coset_partition():
     """Atoms {0,1,3,4} {2,5} are clopen and saturated, and their table from
     the representatives 0 and 2 is a group, but 1 + 1 = 2 maps atom 0 to
     atom 1: the projection is not a homomorphism."""
-    for fn in (quotient, reference_quotient):
-        tg = z6_mod_3()
-        tg._partition = ((0b011011, 0b100100), (0, 0, 1, 0, 0, 1))
-        with pytest.raises(InternalInconsistency, match="not a homomorphism"):
-            fn(tg)
+    tg = z6_mod_3()
+    tg._partition = ((0b011011, 0b100100), (0, 0, 1, 0, 0, 1))
+    with pytest.raises(InternalInconsistency, match="not a homomorphism"):
+        reference_quotient(tg)
 
 def test_borel_atoms_rejects_non_coset_partition():
     """The same atoms {0,1,3,4} {2,5} are clopen unions of cosets and
@@ -640,17 +660,17 @@ def test_borel_atoms_rejects_non_coset_partition():
     {0,3}, not its atom."""
     tg = z6_mod_3()
     tg._partition = ((0b011011, 0b100100), (0, 0, 1, 0, 0, 1))
-    with pytest.raises(InternalInconsistency, match="atom is not clopen"):
-        borel_atoms(tg)
+    with pytest.raises(InternalInconsistency, match="atom is not a point closure"):
+        reference_borel_atoms(tg)
 
 def test_quotient_checks_hausdorff():
     """With the base space swapped for the indiscrete one behind the cached
-    atoms, the final topology on Z6/{0,3} is indiscrete: not Hausdorff."""
-    for fn, msg in ((quotient, "quotient is not Hausdorff"), (reference_quotient, None)):
-        tg = z6_mod_3()
-        tg.space = FiniteSpace.from_min_open(6, [0b111111] * 6)
-        with pytest.raises(InternalInconsistency, match=msg):
-            fn(tg)
+    atoms, the final topology on Z6/{0,3} is indiscrete, not the discrete
+    quotient the atoms give."""
+    tg = z6_mod_3()
+    tg.space = FiniteSpace.from_min_open(6, [0b111111] * 6)
+    with pytest.raises(InternalInconsistency, match="not the image family"):
+        reference_quotient(tg)
 
 
 # -- the atom table ------------------------------------------------------------

@@ -15,7 +15,6 @@ from haarlab import (
     Interval,
     IntervalUnion,
     PointFunction,
-    borel_atoms,
     canonical_haar,
     coset_topology,
     counterexample_bk,
@@ -27,7 +26,7 @@ from haarlab import (
     validate_top_group,
 )
 from haarlab.errors import MeasureSpaceMismatch, NotClosed
-from haarlab.groups import BorelAtoms, QuotientData
+from haarlab.groups import QuotientData
 from haarlab.measure import HaarReport, PositivityReport
 from haarlab.plane import Rect
 from haarlab.records import Record
@@ -39,7 +38,7 @@ def z4():
 
 
 def samples():
-    """Two unequal instances of each of the twelve record classes."""
+    """Two unequal instances of each of the eleven record classes."""
     tg = z4()
     canon = canonical_haar(tg)
     problem = CoveringProblem(tg, 0b1111, 0b0101)
@@ -48,7 +47,6 @@ def samples():
     return {
         PointFunction: (PointFunction((1, 2)), PointFunction((1, 3))),
         QuotientData: (quotient(tg), quotient(validate_top_group(cyclic(3), coset_topology(cyclic(3), 0b111)))),
-        BorelAtoms: (borel_atoms(tg), BorelAtoms((0b1111,))),
         FiniteMeasure: (canon, canon.scaled(2)),
         HaarReport: (is_haar(tg, canon), is_haar(tg, FiniteMeasure(tg, (1, 2)))),
         PositivityReport: (positivity_report(tg, canon), PositivityReport(True, True, False)),
@@ -68,8 +66,8 @@ def twin(record):
     return dc(*record._values())
 
 
-def test_twelve_record_classes():
-    assert len(samples()) == 12
+def test_eleven_record_classes():
+    assert len(samples()) == 11
     assert all(issubclass(cls, Record) for cls in samples())
 
 
@@ -116,8 +114,8 @@ def test_different_classes_never_equal():
             if type(x) is not type(y):
                 assert x != y and not x == y
     # the same field values in another class still differ
-    assert PointFunction((1, 2)) != BorelAtoms((Fraction(1), Fraction(2)))
-    assert PointFunction((1, 2)).values == BorelAtoms((1, 2)).atoms
+    assert PointFunction((1, 2)) != CylinderSet((Fraction(1), Fraction(2)))
+    assert PointFunction((1, 2)).values == CylinderSet((1, 2)).base
     assert CoveringSolution(1, (0,)) != CylinderSet(1)
 
 
