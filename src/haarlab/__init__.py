@@ -18,12 +18,10 @@ from .groups import (
     direct_product,
     group_topologies,
     identity_closure,
-    product_group,
     quaternion8,
     quotient,
     symmetric3,
     trivial_group,
-    validate_top_group,
 )
 from .measure import (
     FiniteMeasure,

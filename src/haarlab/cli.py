@@ -237,7 +237,7 @@ def load_top_group(group_spec, topo_spec, max_order) -> groups_mod.FiniteTopGrou
     else:
         raise InputError("topology spec needs normal_subgroup or opens")
     try:
-        return groups_mod.validate_top_group(group, space)
+        return groups_mod.FiniteTopGroup(group, space)
     except HaarlabError as exc:
         raise InputError(f"incompatible topology: {exc}") from exc
 
@@ -460,25 +460,23 @@ def cmd_fubini(data, opts):
         raise InputError("combined order exceeds the cap")
     mu = measure_mod.canonical_haar(g)
     lam = measure_mod.canonical_haar(h)
-    oh = h.group.order
-    n = g.group.order * oh
+    n = g.group.order * h.group.order
     checks = []
     ok = True
-    for i, a in enumerate(g.atoms):
-        for j, b in enumerate(h.atoms):
-            cell = mask_of(x * oh + y for x in bit_indices(a) for y in bit_indices(b))
-            f = PointFunction.indicator(n, cell)
-            lhs, rhs = measure_mod.fubini_check(g, h, f, mu, lam)
-            equal = lhs == rhs
-            ok = ok and equal
-            checks.append(
-                {
-                    "f": f"indicator_atom_{i}x{j}",
-                    "lhs": frac_str(lhs),
-                    "rhs": frac_str(rhs),
-                    "equal": equal,
-                }
-            )
+    for c, cell in enumerate(measure_mod.product_cells(g, h)):
+        i, j = divmod(c, len(h.atoms))
+        f = PointFunction.indicator(n, cell)
+        lhs, rhs = measure_mod.fubini_check(g, h, f, mu, lam)
+        equal = lhs == rhs
+        ok = ok and equal
+        checks.append(
+            {
+                "f": f"indicator_atom_{i}x{j}",
+                "lhs": frac_str(lhs),
+                "rhs": frac_str(rhs),
+                "equal": equal,
+            }
+        )
     return {"checks": checks}, ok
 
 
@@ -537,7 +535,8 @@ commands: {", ".join(COMMANDS)}
   --input PATH       the JSON input (required)
   --output PATH      write the JSON report there instead of to stdout
   --max-order N      largest group order accepted (default HAARLAB_MAX_ORDER,
-                     else {groups_mod.MAX_ORDER})
+                     else {groups_mod.MAX_ORDER}); a value above
+                     {groups_mod.MAX_ORDER} leaves the cap at {groups_mod.MAX_ORDER}
   --probe-bound p/q  counterexample's probe bound, in place of the input's
 """
 
@@ -617,13 +616,14 @@ def _int_setting(text, name) -> int:
 
 def _max_order(flag) -> int:
     """--max-order, else HAARLAB_MAX_ORDER, else groups.MAX_ORDER; each
-    given value must be an integer."""
+    given value must be an integer, and one above groups.MAX_ORDER leaves
+    the cap there."""
     if flag is not None:
-        return _int_setting(flag, "--max-order")
-    env = os.environ.get("HAARLAB_MAX_ORDER")
-    if not env:
-        return groups_mod.MAX_ORDER
-    return _int_setting(env, "HAARLAB_MAX_ORDER")
+        value = _int_setting(flag, "--max-order")
+    else:
+        env = os.environ.get("HAARLAB_MAX_ORDER")
+        value = _int_setting(env, "HAARLAB_MAX_ORDER") if env else groups_mod.MAX_ORDER
+    return min(value, groups_mod.MAX_ORDER)
 
 
 def _read_input(path):

@@ -394,12 +394,6 @@ class FiniteTopGroup:
         return hash((self.group, self.space))
 
 
-def validate_top_group(group: FiniteGroup, space: FiniteSpace) -> FiniteTopGroup:
-    """Constructor enforcing continuity of multiplication, which implies
-    that of inversion (`FiniteTopGroup`)."""
-    return FiniteTopGroup(group, space)
-
-
 def identity_closure(g: FiniteTopGroup) -> int:
     """N = closure({e}) = U_e, the first atom (`FiniteTopGroup`)."""
     return g.atoms[0]
@@ -427,7 +421,7 @@ def coset_topology(group: FiniteGroup, n_mask: int) -> FiniteSpace:
 def group_topologies(group: FiniteGroup):
     """All compatible topologies on the group, one per normal subgroup."""
     return [
-        validate_top_group(group, _coset_space(group, n_mask))
+        FiniteTopGroup(group, _coset_space(group, n_mask))
         for n_mask in group.normal_subgroups()
     ]
 
@@ -462,16 +456,6 @@ def quotient(g: FiniteTopGroup) -> QuotientData:
     k = len(g.atoms)
     qspace = FiniteSpace.from_min_open(k, [1 << i for i in range(k)])
     qgroup = FiniteGroup(g.atom_table, name=f"{g.group.name}/N")
-    qtg = validate_top_group(qgroup, qspace)
+    qtg = FiniteTopGroup(qgroup, qspace)
     return QuotientData(base=g, quotient=qtg, proj=g.atom_of)
 
-
-def product_group(g: FiniteTopGroup, h: FiniteTopGroup) -> FiniteTopGroup:
-    """Direct product with the product topology (coset topology of N_g x N_h)."""
-    pg = direct_product(g.group, h.group)
-    n_mask = 0
-    for a in bit_indices(g.atoms[0]):
-        for b in bit_indices(h.atoms[0]):
-            n_mask |= 1 << (a * h.group.order + b)
-    space = coset_topology(pg, n_mask)
-    return validate_top_group(pg, space)

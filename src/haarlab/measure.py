@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import MeasureSpaceMismatch, NotHaar, NotMeasurable
 from .groups import FiniteTopGroup, QuotientData
 from .records import Record
-from .topology import PointFunction, bit_indices
+from .topology import PointFunction, bit_indices, mask_of
 
 
 class FiniteMeasure(Record):
@@ -215,6 +215,17 @@ def integrate(g: FiniteTopGroup, f: PointFunction, mu: FiniteMeasure) -> Fractio
     return acc
 
 
+def product_cells(g: FiniteTopGroup, h: FiniteTopGroup):
+    """The product atoms A x B of g x h as point masks, with atom pairs
+    (i, j) in row-major order; the point (x, y) is indexed x * |H| + y."""
+    oh = h.group.order
+    return [
+        mask_of(x * oh + y for x in bit_indices(a) for y in bit_indices(b))
+        for a in g.atoms
+        for b in h.atoms
+    ]
+
+
 def fubini_check(
     g: FiniteTopGroup,
     h: FiniteTopGroup,
@@ -224,27 +235,21 @@ def fubini_check(
 ):
     """Both iterated integrals of f over g x h, computed independently.
 
-    The point (x, y) of the product is indexed x * |H| + y.  Continuity on
-    the product topology means constancy on product atoms A x B.
+    Continuity on the product topology means constancy on the product
+    atoms of `product_cells`.
     """
     if mu.group_ref != g or lam.group_ref != h:
         raise MeasureSpaceMismatch("measures do not match the factor groups")
-    oh = h.group.order
-    if len(f.values) != g.group.order * oh:
+    if len(f.values) != g.group.order * h.group.order:
         raise MeasureSpaceMismatch("function not defined on the product points")
-    for a in g.atoms:
-        for b in h.atoms:
-            vals = {
-                f.values[x * oh + y]
-                for x in bit_indices(a)
-                for y in bit_indices(b)
-            }
-            if len(vals) != 1:
-                raise NotMeasurable(
-                    f"function not constant on product atom {a:#x} x {b:#x}"
-                )
-    # f is constant on product atoms: read it at the representatives
-    values = [[f.values[x * oh + y] for y in h.reps] for x in g.reps]
+    cell_values = []
+    for cell in product_cells(g, h):
+        vals = {f.values[p] for p in bit_indices(cell)}
+        if len(vals) != 1:
+            raise NotMeasurable(f"function not constant on product atom {cell:#x}")
+        cell_values.append(vals.pop())
+    k = len(h.atoms)
+    values = [cell_values[i : i + k] for i in range(0, len(cell_values), k)]
     # lhs: integrate over lam in y first, then mu in x
     lhs = Fraction(0)
     for row, m in zip(values, mu.atom_mass):

@@ -5,9 +5,8 @@ whose bit i records membership of point i.  A finite topology is the same
 thing as a preorder (Alexandroff): it is fully given by each point's
 minimal open set U_x, the intersection of all opens containing x, and the
 opens are exactly the unions of the U_x.  A space stores only these n
-masks; closure, interior and openness are O(n) scans of them, the open
-family is listed only on request, and each separation flag is computed on
-first access.
+masks; closure, interior and openness are O(n) scans of them, and each
+separation flag is computed on first access.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ from .errors import (
 from .records import Record
 
 MAX_POINTS = 64
-
-#: Listing the opens of a space with k distinct minimal opens can take 2^k
-#: sets; spaces with more than this many distinct minimal opens refuse.
-MAX_LISTED_GENERATORS = 16
 
 #: `enumerate_topologies` walks every assignment of minimal opens, up to
 #: 2^(n(n-1)) of them, so it refuses more points than this.
@@ -57,21 +52,6 @@ def mask_of(points) -> int:
     return m
 
 
-def _unions(rows):
-    """All unions of the given masks (the empty union included), sorted."""
-    generators = sorted(set(rows))
-    if len(generators) > MAX_LISTED_GENERATORS:
-        k = len(generators)
-        raise TooLarge(
-            f"{k} distinct minimal opens would list up to 2^{k} opens "
-            f"(cap {MAX_LISTED_GENERATORS})"
-        )
-    family = {0}
-    for r in generators:
-        family |= {u | r for u in family}
-    return tuple(sorted(family))
-
-
 class FiniteSpace:
     """A topology on points 0..n-1, stored as the minimal open set of each
     point (``min_open[x]``, a mask containing x).
@@ -79,8 +59,7 @@ class FiniteSpace:
     ``FiniteSpace(n, opens)`` validates an explicit open family: it must
     contain the empty and full sets and be closed under pairwise union and
     intersection.  ``FiniteSpace.from_min_open(n, rows)`` builds a space
-    from the minimal opens directly.  ``opens`` lists the open family on
-    first use.
+    from the minimal opens directly.
     """
 
     def __init__(self, n: int, opens):
@@ -141,16 +120,6 @@ class FiniteSpace:
         self.n = n
         self.full = (1 << n) - 1
         self.min_open = tuple(min_open)
-
-    # -- the open family, listed on request ---------------------------------
-
-    @cached_property
-    def opens(self):
-        """Every open set, ascending; TooLarge past MAX_LISTED_GENERATORS."""
-        return _unions(self.min_open)
-
-    def closed_sets(self):
-        return tuple(sorted(self.full ^ u for u in self.opens))
 
     # -- basic predicates ------------------------------------------------
 
@@ -384,7 +353,7 @@ def urysohn_finite(space: FiniteSpace, k: int, u: int) -> PointFunction:
 
 
 def enumerate_topologies(n: int):
-    """All topologies on n labeled points, canonically ordered.
+    """All topologies on n labeled points, ordered by their minimal opens.
 
     A topology is determined by the minimal open neighborhoods of its
     points: any assignment x -> U_x with x in U_x and U_y <= U_x for every
@@ -400,5 +369,5 @@ def enumerate_topologies(n: int):
             spaces.append(FiniteSpace.from_min_open(n, rows))
         except ValueError:  # not a preorder
             pass
-    spaces.sort(key=lambda s: s.opens)
+    spaces.sort(key=lambda s: s.min_open)
     return spaces

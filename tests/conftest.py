@@ -31,6 +31,18 @@ def src_env(**overrides):
     return env
 
 
+def write_fresh(path, data):
+    """Write text or bytes to path as a new file.  On ext4, replacing the
+    contents of a file that holds data, by truncation or by a rename over
+    it, flushes the file to disk on close, tens of milliseconds each time;
+    a file created after an unlink is not flushed."""
+    path.unlink(missing_ok=True)
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data, encoding="utf-8")
+
+
 def corpus_groups():
     groups = [cyclic(n) for n in range(1, 13)]
     groups += [dihedral(3), dihedral(4), quaternion8(), symmetric3()]
@@ -38,7 +50,7 @@ def corpus_groups():
     return groups
 
 
-#: Past the 16 listable opens: 24, 32 and 64 atoms, and 16 atoms of order 4.
+#: Past 16 atoms: 24, 32 and 64 atoms, and 16 atoms of order 4.
 LARGE_INSTANCES = [
     (cyclic(24), 1),
     (direct_product(cyclic(2), cyclic(16)), 1),

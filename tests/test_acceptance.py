@@ -42,7 +42,8 @@ from haarlab import (
 )
 from haarlab.topology import TOPOLOGY_COUNTS, bit_indices
 
-from conftest import brute_force_covering_count, random_fraction, src_env
+from conftest import brute_force_covering_count, random_fraction, src_env, write_fresh
+from literal import closed_sets, opens
 
 
 import pytest
@@ -107,7 +108,7 @@ def test_criterion_3_existence_construction(corpus_instances, verdict):
         for tg in corpus_instances:
             if tg.group.order > 12:
                 continue
-            closed = tg.space.closed_sets()
+            closed = closed_sets(tg.space)
             targets = set(tg.atoms) | {tg.space.full, 0}
             targets.update(rng.choice(closed) for _ in range(10))
             templates = {identity_closure(tg), tg.space.full}
@@ -153,7 +154,7 @@ def test_criterion_5_lemma_suite(verdict):
             ok = False
         if not flags.normal:
             ok = False
-        closed = space.closed_sets()
+        closed = closed_sets(space)
         for a in closed:
             for b in closed:
                 if a & b:
@@ -163,15 +164,15 @@ def test_criterion_5_lemma_suite(verdict):
                         and a & ~u == 0 and b & ~v == 0 and u & v == 0):
                     ok = False
         for k in closed:
-            for u1 in space.opens:
-                for u2 in space.opens:
+            for u1 in opens(space):
+                for u2 in opens(space):
                     if k & ~(u1 | u2):
                         continue
                     k1, k2 = split_compact(space, k, u1, u2)
                     if not (space.is_closed(k1) and space.is_closed(k2)
                             and k1 | k2 == k and k1 & ~u1 == 0 and k2 & ~u2 == 0):
                         ok = False
-            for u in space.opens:
+            for u in opens(space):
                 if k & ~u:
                     continue
                 g = urysohn_finite(space, k, u)
@@ -289,7 +290,7 @@ def test_criterion_10_determinism(tmp_path, verdict):
     ok = True
     for command, payload in inputs.items():
         in_path = tmp_path / f"{command}.json"
-        in_path.write_text(json.dumps(payload), encoding="utf-8")
+        write_fresh(in_path, json.dumps(payload))
         reports = []
         for run_id, seed in enumerate(("0", "31337")):
             out_path = tmp_path / f"{command}-{run_id}.json"

@@ -12,19 +12,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from haarlab import cli, groups, plane
+from haarlab import cli, groups, measure, plane
 from haarlab.topology import FiniteSpace, bit_indices
 
-from conftest import SRC, src_env
+from conftest import SRC, src_env, write_fresh
+from literal import closed_sets, opens
 
 
 def run_cli(tmp_path, command, payload, *extra, name="input.json"):
     """Run the CLI on payload, written as JSON, or as is when it is bytes."""
     path = tmp_path / name
-    if isinstance(payload, bytes):
-        path.write_bytes(payload)
-    else:
-        path.write_text(json.dumps(payload), encoding="utf-8")
+    write_fresh(path, payload if isinstance(payload, bytes) else json.dumps(payload))
     proc = subprocess.run(
         [sys.executable, "-m", "haarlab.cli", command, "--input", str(path), *extra],
         capture_output=True,
@@ -120,7 +118,7 @@ def test_quotient(tmp_path):
 
 def test_counterexample_verifies_once(tmp_path, monkeypatch):
     path = tmp_path / "in.json"
-    path.write_text(json.dumps({"c": "1/3", "probe_bound": "10/1"}), encoding="utf-8")
+    write_fresh(path, json.dumps({"c": "1/3", "probe_bound": "10/1"}))
     out = tmp_path / "out.json"
     verdicts = []
     verify = plane.verify_bk_certificate
@@ -151,7 +149,7 @@ def test_counterexample_over_listing_cap(tmp_path, monkeypatch):
     # the CLI rejects the listing before building a tile
     payload = {"c": "1/1000000000000", "probe_bound": "1/1"}
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    write_fresh(path, json.dumps(payload))
     out = tmp_path / "out.json"
     assert cli.run(["counterexample", "--input", str(path), "--output", str(out)]) == 2
     assert json.loads(out.read_text())["error"] == (
@@ -225,8 +223,8 @@ def test_more_than_16_atoms(tmp_path, group, order, n_normal):
     for t in topos:
         assert t["haar_dimension"] == 1
         assert t["canonical_masses"] == ["1/1"] * len(t["atoms"])
-    # the discrete topology has one atom per element, past the 16 listable
-    # opens: the quotient is G itself and every translate check passes
+    # the discrete topology has one atom per element, more than 16: the
+    # quotient is G itself and every translate check passes
     base = {"group": group, "topology": {"normal_subgroup": [0]}}
     proc, report = run_cli(tmp_path, "quotient", base)
     assert proc.returncode == 0 and proc.stderr == ""
@@ -266,7 +264,7 @@ def test_quotient_atom_cap_checked_before_quotient(tmp_path, capsys):
             "group": {"family": "cyclic", "params": {"n": n}},
             "topology": {"normal_subgroup": [0]},
         }
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        write_fresh(path, json.dumps(payload))
         assert cli.run(["quotient", "--input", str(path)]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["quotient_order"] == n
@@ -281,7 +279,7 @@ def test_fubini_atom_cap(tmp_path, capsys):
     z2 = {"group": {"family": "cyclic", "params": {"n": 2}}, "topology": {"normal_subgroup": [0]}}
     path = tmp_path / "input.json"
     for payload in ({"group1": z24, "group2": z2}, {"group1": z2, "group2": z24}):
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        write_fresh(path, json.dumps(payload))
         assert cli.run(["fubini", "--input", str(path)]) == 0
         checks = json.loads(capsys.readouterr().out)["results"]["checks"]
         assert len(checks) == 48
@@ -301,7 +299,7 @@ def test_verify_haar_witness_past_16_atoms(tmp_path, capsys):
         "measure": {"atom_masses": masses},
     }
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    write_fresh(path, json.dumps(payload))
     assert cli.run(["verify-haar", "--input", str(path)]) == 1
     results = json.loads(capsys.readouterr().out)["results"]
     assert not results["left_invariant"] and not results["right_invariant"]
@@ -411,29 +409,25 @@ def test_enumerate_checks_each_subgroup_once(corpus, monkeypatch):
         assert counts["translate"] <= 2 * group.order * n_topologies, group.name
     assert n_subgroups == n_topologies == 67  # (Z2)^4, abelian
 
-def test_construct_never_lists_the_open_family(corpus_instances, monkeypatch):
-    """construct runs over atom selections: it never lists the open family,
-    and its table has the sets of the listing in the listing's order."""
+def test_construct_never_lists_the_open_family(corpus_instances):
+    """construct runs over atom selections, and its table has the sets of
+    the literal listing of the open family in the listing's order."""
     z48 = groups.cyclic(48)
     cases = [(tg.group, tg.atoms[0]) for tg in corpus_instances if len(tg.atoms) <= 6]
     cases += [(z48, z48.generated_subgroup([6])), (groups.cyclic(12), 1)]
     expected = []
     for group, n_mask in cases:
-        tg = groups.validate_top_group(group, groups.coset_topology(group, n_mask))
+        tg = groups.FiniteTopGroup(group, groups.coset_topology(group, n_mask))
         space = tg.space
         if len(tg.atoms) > 6:
             closed, nbhds = [*tg.atoms, space.full], [n_mask, space.full]
         else:
-            closed = [c for c in space.closed_sets() if c]
-            nbhds = [u for u in space.opens if u >> group.identity & 1]
+            closed = [c for c in closed_sets(space) if c]
+            nbhds = [u for u in opens(space) if u >> group.identity & 1]
         expected.append(
             [(list(bit_indices(k)), list(bit_indices(u))) for k in closed for u in nbhds]
         )
 
-    def unexpected_opens(self):
-        raise AssertionError("the open family was listed")
-
-    monkeypatch.setattr(FiniteSpace, "opens", property(unexpected_opens))
     opts = argparse.Namespace(max_order=64)
     for (group, n_mask), want in zip(cases, expected):
         n_points = list(bit_indices(n_mask))
@@ -451,7 +445,7 @@ def test_construct_never_lists_the_open_family(corpus_instances, monkeypatch):
 
 def test_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
+    write_fresh(path, "{not json")
     proc = subprocess.run(
         [sys.executable, "-m", "haarlab.cli", "verify-haar", "--input", str(path)],
         capture_output=True,
@@ -490,10 +484,7 @@ def test_order_cap(tmp_path):
 
 def test_env_order_cap(tmp_path):
     path = tmp_path / "in.json"
-    path.write_text(
-        json.dumps({"group": {"family": "cyclic", "params": {"n": 5}}}),
-        encoding="utf-8",
-    )
+    write_fresh(path, json.dumps({"group": {"family": "cyclic", "params": {"n": 5}}}))
     env = src_env(HAARLAB_MAX_ORDER="4")
     proc = subprocess.run(
         [sys.executable, "-m", "haarlab.cli", "enumerate", "--input", str(path)],
@@ -503,12 +494,30 @@ def test_env_order_cap(tmp_path):
     )
     assert proc.returncode == 2
 
+@pytest.mark.parametrize("setting", ["flag", "env"])
+def test_order_cap_stays_at_64(tmp_path, capsys, monkeypatch, setting):
+    """A --max-order or HAARLAB_MAX_ORDER above groups.MAX_ORDER leaves the
+    cap at 64: fubini on discrete Z16 x Z16, of order 256, exits 2 with an
+    error report before any fubini_check call."""
+    z16 = {"group": {"family": "cyclic", "params": {"n": 16}}, "topology": {"normal_subgroup": [0]}}
+    path = tmp_path / "input.json"
+    write_fresh(path, json.dumps({"group1": z16, "group2": z16}))
+    calls = []
+    monkeypatch.setattr(measure, "fubini_check", lambda *args: calls.append(args))
+    if setting == "env":
+        monkeypatch.setenv("HAARLAB_MAX_ORDER", "4096")
+    flags = ["--max-order", "4096"] if setting == "flag" else []
+    assert cli.run(["fubini", "--input", str(path), *flags]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "schema_version": "1",
+        "command": "fubini",
+        "error": "combined order exceeds the cap",
+    }
+    assert calls == []
+
 def test_env_order_cap_not_an_int(tmp_path):
     path = tmp_path / "in.json"
-    path.write_text(
-        json.dumps({"group": {"family": "cyclic", "params": {"n": 5}}}),
-        encoding="utf-8",
-    )
+    write_fresh(path, json.dumps({"group": {"family": "cyclic", "params": {"n": 5}}}))
     env = src_env(HAARLAB_MAX_ORDER="abc")
     proc = subprocess.run(
         [sys.executable, "-m", "haarlab.cli", "enumerate", "--input", str(path)],
@@ -627,7 +636,7 @@ def test_rational_caps_checked_before_fraction(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "Fraction", no_fraction)
     path = tmp_path / "in.json"
-    path.write_text(json.dumps({"c": "1e999999999"}), encoding="utf-8")
+    write_fresh(path, json.dumps({"c": "1e999999999"}))
     out = tmp_path / "out.json"
     argv = ["counterexample", "--input", str(path), "--output", str(out)]
     assert cli.run(argv) == 2
@@ -669,7 +678,7 @@ def test_cli_import_skips_dataclasses_and_inspect(tmp_path):
     """Neither importing the CLI nor running a command, a usage error or
     --help loads dataclasses, inspect, argparse or gettext."""
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(Z4_HAAR), encoding="utf-8")
+    write_fresh(path, json.dumps(Z4_HAAR))
     code = (
         "import io, sys\n"
         "import haarlab.cli as cli\n"
@@ -716,7 +725,7 @@ def test_unwritable_output_exits_2(tmp_path, readable, where):
     2 and no traceback, whether the command succeeded or failed."""
     path = tmp_path / "input.json"
     if readable:
-        path.write_text(json.dumps(Z4_HAAR), encoding="utf-8")
+        write_fresh(path, json.dumps(Z4_HAAR))
     output = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
     proc = subprocess.run(
         [
@@ -785,7 +794,7 @@ def test_construct_bad_k0(tmp_path):
 def test_byte_identical_reports(tmp_path):
     payload = dict(Z4_COSET, measure={"atom_masses": ["1/1", "1/1"]})
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    write_fresh(path, json.dumps(payload))
     outputs = []
     for seed in ("0", "1", "12345"):
         out = tmp_path / f"out-{seed}.json"
@@ -825,7 +834,7 @@ def test_enumerate_z2_to_the_5_report_is_unchanged(tmp_path):
     for _ in range(4):
         spec = {"family": "product", "params": {"factors": [spec, {"family": "cyclic", "params": {"n": 2}}]}}
     path, out = tmp_path / "input.json", tmp_path / "report.json"
-    path.write_text(json.dumps({"group": spec}), encoding="utf-8")
+    write_fresh(path, json.dumps({"group": spec}))
     assert cli.run(["enumerate", "--input", str(path), "--output", str(out)]) == 0
     report = out.read_bytes()
     assert len(json.loads(report)["results"]["topologies"]) == 374
@@ -980,7 +989,7 @@ def test_fuzz_inputs_never_crash(tmp_path, capsys, case):
     exit 2 carries exactly the error report."""
     command, payload, flags = case
     path = tmp_path / "input.json"
-    path.write_text(to_json(payload), encoding="utf-8")
+    write_fresh(path, to_json(payload))
     code = cli.run([command, "--input", str(path), *flags])
     report = json.loads(capsys.readouterr().out)
     assert code in (0, 1, 2)
@@ -998,7 +1007,7 @@ BIG_REPORT = ("counterexample", {"c": "1/1023", "probe_bound": "1/1"})
 def in_process(tmp_path, capsys, command, payload, *extra):
     """Exit code and report bytes of cli.run in this process."""
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    write_fresh(path, json.dumps(payload))
     code = cli.run([command, "--input", str(path), *extra])
     return code, capsys.readouterr().out.encode()
 
@@ -1013,7 +1022,7 @@ def env_buffering(unbuffered):
 def child(tmp_path, command, payload, *extra, env=None):
     """The same command as `python -m haarlab.cli` in a child process."""
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    write_fresh(path, json.dumps(payload))
     argv = [sys.executable, "-m", "haarlab.cli", command, "--input", str(path), *extra]
     return subprocess.run(argv, capture_output=True, env=env or src_env())
 
@@ -1045,7 +1054,7 @@ def test_child_exit_code_and_bytes_match_run(tmp_path, capsys, command, payload,
 
 def test_exception_in_handler_gives_traceback_and_exit_1(tmp_path):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps({"c": "1/2"}), encoding="utf-8")
+    write_fresh(path, json.dumps({"c": "1/2"}))
     code = (
         "import sys\n"
         "from haarlab import cli\n"
@@ -1077,7 +1086,7 @@ USAGE_ERRORS = {
 def test_usage_error_exits_2(tmp_path, argv, command, message):
     """Exit 2 with a JSON error report on stdout and nothing on stderr."""
     path = tmp_path / "input.json"
-    path.write_text(json.dumps({"c": "1/2"}), encoding="utf-8")
+    write_fresh(path, json.dumps({"c": "1/2"}))
     argv = [str(path) if a == "P" else a for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "haarlab.cli", *argv], capture_output=True, text=True, env=src_env()
@@ -1101,7 +1110,7 @@ def test_flag_spellings_give_the_same_bytes(tmp_path):
     """--flag=value and --flag value, in any order; a repeated flag keeps
     its last value."""
     path = tmp_path / "input.json"
-    path.write_text(json.dumps({"c": "1/3"}), encoding="utf-8")
+    write_fresh(path, json.dumps({"c": "1/3"}))
     spellings = [
         ["--input", str(path), "--probe-bound", "2"],
         [f"--input={path}", "--probe-bound=2"],
@@ -1127,7 +1136,7 @@ def test_closed_stdout_never_exits_0(tmp_path, big, unbuffered):
     final flush, the large one while it is written."""
     command, payload = BIG_REPORT if big else ("counterexample", {"c": "1/2"})
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    write_fresh(path, json.dumps(payload))
     proc = subprocess.Popen(
         [sys.executable, "-m", "haarlab.cli", command, "--input", str(path)],
         stdout=subprocess.PIPE,
@@ -1147,7 +1156,7 @@ def test_main_flushes_then_ends_with_the_code_of_run(tmp_path, capsys, monkeypat
         raise Exited(code)
 
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(dict(Z4_COSET, measure={"atom_masses": ["1/1", "2/1"]})))
+    write_fresh(path, json.dumps(dict(Z4_COSET, measure={"atom_masses": ["1/1", "2/1"]})))
     monkeypatch.setattr(os, "_exit", fake_exit)
     monkeypatch.setattr(sys, "argv", ["haarlab", "verify-haar", "--input", str(path)])
     with pytest.raises(Exited) as exited:

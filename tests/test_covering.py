@@ -8,6 +8,7 @@ from haarlab import (
     CoveringProblem,
     FiniteGroup,
     FiniteSpace,
+    FiniteTopGroup,
     PointFunction,
     canonical_haar,
     cli,
@@ -22,20 +23,20 @@ from haarlab import (
     is_haar,
     mu_u,
     symmetric3,
-    validate_top_group,
 )
 from haarlab.errors import EmptyInterior, NotClosed, NotOpen
 from haarlab.topology import bit_indices
 
 from conftest import LARGE_INSTANCES, brute_force_covering_count
+from literal import closed_sets, opens
 
 
 def z4_coset_instance():
     z4 = cyclic(4)
-    return validate_top_group(z4, coset_topology(z4, 0b0101))
+    return FiniteTopGroup(z4, coset_topology(z4, 0b0101))
 
 def discrete_instance(group):
-    return validate_top_group(
+    return FiniteTopGroup(
         group, FiniteSpace(group.order, range(1 << group.order))
     )
 
@@ -69,7 +70,7 @@ def test_covering_discrete_singleton_template():
 
 def test_translates_really_cover():
     tg = z4_coset_instance()
-    for k in tg.space.closed_sets():
+    for k in closed_sets(tg.space):
         sol = covering_number(CoveringProblem(tg, k, 0b0101))
         acc = 0
         for g in sol.translates:
@@ -83,13 +84,13 @@ def instances_small():
     out = [z4_coset_instance(), discrete_instance(cyclic(4))]
     s3 = symmetric3()
     a3 = s3.generated_subgroup([s3.mul(1, 2)])
-    out.append(validate_top_group(s3, coset_topology(s3, a3)))
+    out.append(FiniteTopGroup(s3, coset_topology(s3, a3)))
     return out
 
 def test_matches_brute_force_oracle():
     for tg in instances_small():
-        for k in tg.space.closed_sets():
-            for s in tg.space.opens:
+        for k in closed_sets(tg.space):
+            for s in opens(tg.space):
                 if tg.space.interior(s) == 0:
                     continue
                 p = CoveringProblem(tg, k, s)
@@ -100,7 +101,7 @@ def test_matches_brute_force_oracle():
 
 def test_translation_invariance():
     for tg in instances_small():
-        for k in tg.space.closed_sets():
+        for k in closed_sets(tg.space):
             s = identity_closure(tg)
             base = covering_number(CoveringProblem(tg, k, s)).count
             for g in range(tg.group.order):
@@ -110,7 +111,7 @@ def test_translation_invariance():
 def test_subadditivity():
     for tg in instances_small():
         s = identity_closure(tg)
-        closed = tg.space.closed_sets()
+        closed = closed_sets(tg.space)
         for k1 in closed:
             for k2 in closed:
                 c1 = covering_number(CoveringProblem(tg, k1, s)).count
@@ -121,8 +122,8 @@ def test_subadditivity():
 def test_chain_bound():
     for tg in instances_small():
         u = identity_closure(tg)
-        for k in tg.space.closed_sets():
-            for v in tg.space.opens:
+        for k in closed_sets(tg.space):
+            for v in opens(tg.space):
                 if tg.space.interior(v) == 0 or not tg.space.is_closed(v):
                     continue
                 ku = covering_number(CoveringProblem(tg, k, u)).count
@@ -134,7 +135,7 @@ def test_range_bound():
     for tg in instances_small():
         u = identity_closure(tg)
         k0 = tg.space.full
-        for k in tg.space.closed_sets():
+        for k in closed_sets(tg.space):
             val = mu_u(tg, k, k0, u)
             bound = covering_number(CoveringProblem(tg, k, k0)).count
             assert 0 <= val <= bound
@@ -144,7 +145,7 @@ def test_separated_additivity():
         u = identity_closure(tg)
         k0 = tg.space.full
         u_inv = tg.group.inv_set(u)
-        closed = tg.space.closed_sets()
+        closed = closed_sets(tg.space)
         for k1 in closed:
             for k2 in closed:
                 if tg.group.mul_sets(k1, u_inv) & tg.group.mul_sets(k2, u_inv):
@@ -207,7 +208,7 @@ def test_covering_table_matches_search_and_brute_force(corpus_instances):
     for tg in corpus_instances:
         e = tg.group.identity
         if len(tg.atoms) <= 6:
-            nbhds = [u for u in tg.space.opens if u >> e & 1]
+            nbhds = [u for u in opens(tg.space) if u >> e & 1]
         else:
             nbhds = [tg.space.full] + [
                 tg.space.smallest_open_superset(rng.randrange(1 << tg.group.order) | 1 << e)
@@ -216,7 +217,7 @@ def test_covering_table_matches_search_and_brute_force(corpus_instances):
         for u in nbhds:
             table = covering_table(tg, u)
             assert len(table) == 1 << len(tg.atoms)
-            for k in tg.space.closed_sets():
+            for k in closed_sets(tg.space):
                 p = CoveringProblem(tg, k, u)
                 count = table[tg.image(k)]
                 assert count == covering_number(p).count, (tg.group.name, k, u)
@@ -267,11 +268,11 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
 
     z48 = cyclic(48)
     instances = [tg for tg in corpus_instances if len(tg.atoms) <= 6]
-    instances.append(validate_top_group(z48, coset_topology(z48, z48.generated_subgroup([6]))))
+    instances.append(FiniteTopGroup(z48, coset_topology(z48, z48.generated_subgroup([6]))))
     opts = argparse.Namespace(max_order=64)
     for tg in instances:
         k = len(tg.atoms)
-        n_nbhds = sum(u >> tg.group.identity & 1 for u in tg.space.opens)
+        n_nbhds = sum(u >> tg.group.identity & 1 for u in opens(tg.space))
         searches = tables = states = 0
         results, ok = cli.cmd_construct(construct_input(tg), opts)
         assert ok and not results["table_truncated"]
@@ -307,7 +308,7 @@ def test_covering_reads_translates_off_the_atom_table(corpus_instances, monkeypa
     they use is a row of the atom table."""
     z48 = cyclic(48)
     instances = list(corpus_instances)
-    instances.append(validate_top_group(z48, coset_topology(z48, z48.generated_subgroup([6]))))
+    instances.append(FiniteTopGroup(z48, coset_topology(z48, z48.generated_subgroup([6]))))
     z2 = discrete_instance(cyclic(2))
     for tg in [*instances, z2]:
         assert tg.atom_table and tg.reps  # builds the partition, which translates N
@@ -334,7 +335,7 @@ def test_translates_of_every_nonempty_union_cover(corpus_instances):
     literally, from the group law on points.  Every nonempty selection up
     to 8 atoms, the singletons past that."""
     instances = list(corpus_instances)
-    instances += [validate_top_group(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
+    instances += [FiniteTopGroup(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
     for tg in instances:
         k = len(tg.atoms)
         every = (1 << k) - 1

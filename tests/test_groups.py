@@ -7,7 +7,7 @@ import pytest
 from haarlab import (
     FiniteGroup,
     FiniteSpace,
-    QuotientData,
+    FiniteTopGroup,
     SeparationFlags,
     coset_topology,
     cyclic,
@@ -16,12 +16,10 @@ from haarlab import (
     enumerate_topologies,
     group_topologies,
     identity_closure,
-    product_group,
     quaternion8,
     quotient,
     symmetric3,
     trivial_group,
-    validate_top_group,
 )
 from haarlab.errors import (
     InternalInconsistency,
@@ -29,17 +27,20 @@ from haarlab.errors import (
     NotMeasurable,
     TooLarge,
 )
+from haarlab.measure import product_cells
 from haarlab.topology import bit_indices, mask_of
 
 from conftest import LARGE_INSTANCES
+from literal import literal_associativity_error, literal_continuity, literal_partition, opens
+from literal import product_group, reference_atom_perm, reference_borel_atoms, reference_quotient
 
 
 def discrete_group(group):
-    return validate_top_group(group, FiniteSpace(group.order, range(1 << group.order)))
+    return FiniteTopGroup(group, FiniteSpace(group.order, range(1 << group.order)))
 
 def indiscrete_group(group):
     full = (1 << group.order) - 1
-    return validate_top_group(group, FiniteSpace(group.order, [0, full]))
+    return FiniteTopGroup(group, FiniteSpace(group.order, [0, full]))
 
 
 # -- FiniteGroup validation and constructors ---------------------------------
@@ -60,17 +61,6 @@ def test_rejects_broken_tables():
     ]
     with pytest.raises(ValueError, match="associativity"):
         FiniteGroup(t)
-
-def literal_associativity_error(table):
-    """Reference: the triple loop over (a, b, c) in order; the message of
-    the first failing triple, or None."""
-    n = len(table)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    return f"associativity fails at {(a, b, c)}"
-    return None
 
 def random_loop(n, rng):
     """A random Latin square on 0..n-1 with identity 0 in which every x
@@ -224,41 +214,18 @@ def test_subgroups_try_one_element_per_coset(monkeypatch):
 
 def test_validate_z4_coset_topology():
     z4 = cyclic(4)
-    tg = validate_top_group(z4, coset_topology(z4, 0b0101))
+    tg = FiniteTopGroup(z4, coset_topology(z4, 0b0101))
     assert identity_closure(tg) == 0b0101
 
 def test_validate_rejects_sierpinski_style_opens():
     z4 = cyclic(4)
     space = FiniteSpace(4, [0b0000, 0b0001, 0b1111])
     with pytest.raises(NotContinuousMultiplication):
-        validate_top_group(z4, space)
+        FiniteTopGroup(z4, space)
 
 def test_discrete_always_valid():
     for group in (cyclic(5), symmetric3(), quaternion8()):
         discrete_group(group)
-
-def literal_continuity(group, space):
-    """Reference: (multiplication, inversion) continuous, each checked as
-    "the preimage of every open is open" over the listed open family.  The
-    product G x G is the Alexandroff product: a set P of pairs is open iff
-    it holds U_a x U_b for each of its pairs (a, b)."""
-    opens = set(space.opens)
-    mo = space.min_open
-    n = group.order
-    prod = [
-        [mask_of(group.mul(x, y) for x in bit_indices(mo[a]) for y in bit_indices(mo[b]))
-         for b in range(n)]
-        for a in range(n)
-    ]
-    mul_ok = all(
-        prod[a][b] & ~w == 0
-        for w in opens
-        for a in range(n)
-        for b in range(n)
-        if w >> group.mul(a, b) & 1
-    )
-    inv_ok = all(mask_of(group.inv(x) for x in bit_indices(w)) in opens for w in opens)
-    return mul_ok, inv_ok
 
 def random_preorder_space(n, rng):
     """The space of the reflexive-transitive closure of a random relation,
@@ -296,7 +263,7 @@ def test_inversion_continuity_follows_from_multiplication():
     for group, space in continuity_cases():
         mul_ok, inv_ok = literal_continuity(group, space)
         try:
-            validate_top_group(group, space)
+            FiniteTopGroup(group, space)
             accepted = True
         except NotContinuousMultiplication:
             accepted = False
@@ -322,7 +289,7 @@ def test_continuity_witness_fails_literally():
     kinds = set()
     for group, space in continuity_cases() + left_cosets:
         try:
-            validate_top_group(group, space)
+            FiniteTopGroup(group, space)
         except NotContinuousMultiplication as exc:
             m = re.fullmatch(r"witness: pair \((\d+), (\d+)\), open (0x[0-9a-f]+)", str(exc))
             a, b, target = int(m[1]), int(m[2]), int(m[3], 16)
@@ -346,7 +313,7 @@ def test_identity_closure_examples():
     z4 = cyclic(4)
     assert identity_closure(discrete_group(z4)) == 0b0001
     assert identity_closure(indiscrete_group(z4)) == 0b1111
-    tg = validate_top_group(z4, coset_topology(z4, 0b0101))
+    tg = FiniteTopGroup(z4, coset_topology(z4, 0b0101))
     assert identity_closure(tg) == 0b0101
 
 def test_group_topologies_counts():
@@ -374,14 +341,14 @@ def test_opens_are_exactly_coset_unions():
                 for i in bit_indices(sel):
                     acc |= cosets[i]
                 expected.add(acc)
-            assert set(tg.space.opens) == expected
+            assert set(opens(tg.space)) == expected
 
 
 # -- quotient ----------------------------------------------------------------
 
 def test_quotient_z4_mod_n():
     z4 = cyclic(4)
-    tg = validate_top_group(z4, coset_topology(z4, 0b0101))
+    tg = FiniteTopGroup(z4, coset_topology(z4, 0b0101))
     q = quotient(tg)
     assert q.quotient.group.order == 2
     assert q.proj == (0, 1, 0, 1)
@@ -406,7 +373,7 @@ def test_quotient_projection_open_closed_hausdorff(corpus_instances):
 
 def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
     """Counter bound: no closure call per quotient or per reading of the
-    atoms, no listing of the opens, and no flag but hausdorff."""
+    atoms, and no flag but hausdorff."""
     calls = 0
     closure = FiniteSpace.closure
 
@@ -418,11 +385,7 @@ def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
     def unexpected_flag(self):
         raise AssertionError("quotient read a flag other than hausdorff")
 
-    def unexpected_opens(self):
-        raise AssertionError("the open family was listed")
-
     monkeypatch.setattr(FiniteSpace, "closure", counting_closure)
-    monkeypatch.setattr(FiniteSpace, "opens", property(unexpected_opens))
     for name in (
         "regular",
         "normal",
@@ -436,7 +399,7 @@ def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
     instances += [(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
     for group, space in instances:
         for fn in (quotient, lambda tg: tg.atoms):
-            tg = validate_top_group(group, space)
+            tg = FiniteTopGroup(group, space)
             calls = 0
             fn(tg)
             # the atoms are the distinct minimal opens, read with no closure
@@ -454,7 +417,7 @@ def test_quotient_of_hausdorff_group_is_isomorphic_copy():
 
 def test_borel_atoms_examples():
     z4 = cyclic(4)
-    tg = validate_top_group(z4, coset_topology(z4, 0b0101))
+    tg = FiniteTopGroup(z4, coset_topology(z4, 0b0101))
     assert tg.atoms == (0b0101, 0b1010)
     assert discrete_group(cyclic(3)).atoms == (0b001, 0b010, 0b100)
     assert indiscrete_group(cyclic(3)).atoms == (0b111,)
@@ -473,125 +436,9 @@ def test_borel_atoms_partition(corpus_instances):
 # -- literal references ------------------------------------------------------
 #
 # The library reads the atoms and the quotient off the minimal opens, as the
-# FiniteTopGroup docstring argues.  These references check each statement
-# literally: over all 2^k opens of the base, every subset of a quotient of at
-# most 12 points, and every pair of atom unions up to 8 atoms.
-
-def literal_partition(g):
-    """The atoms, atom_of and atom table from the definitions: N is the
-    intersection of the closed sets holding e, the atoms are the cosets xN,
-    N first then by smallest member, and entry (i, j) of the table is the
-    atom equal to the set product of atoms i and j."""
-    group, space = g.group, g.space
-    n_mask = space.full
-    for u in space.opens:
-        if not u >> group.identity & 1:
-            n_mask &= space.full ^ u
-    cosets = {mask_of(group.mul(x, y) for y in bit_indices(n_mask)) for x in range(group.order)}
-    atoms = (n_mask, *sorted(cosets - {n_mask}, key=lambda a: min(bit_indices(a))))
-    atom_of = tuple(next(i for i, a in enumerate(atoms) if a >> x & 1) for x in range(group.order))
-    table = tuple(
-        tuple(
-            atoms.index(mask_of(group.mul(x, y) for x in bit_indices(a) for y in bit_indices(b)))
-            for b in atoms
-        )
-        for a in atoms
-    )
-    return atoms, atom_of, table
-
-def reference_quotient(g):
-    group = g.group
-    atoms = g.atoms
-    k = len(atoms)
-    reps = [min(bit_indices(a)) for a in atoms]
-    proj = g.atom_of
-    image, preimage = g.image, g.preimage
-    qtable = [
-        [proj[group.mul(reps[i], reps[j])] for j in range(k)] for i in range(k)
-    ]
-    qspace = FiniteSpace.from_min_open(k, [1 << i for i in range(k)])  # discrete
-    qgroup = FiniteGroup(qtable, name=f"{group.name}/N")
-    qtg = validate_top_group(qgroup, qspace)
-
-    # homomorphism + well-definedness
-    for a in range(group.order):
-        for b in range(group.order):
-            if proj[group.mul(a, b)] != qgroup.mul(proj[a], proj[b]):
-                raise InternalInconsistency("projection is not a homomorphism")
-    if set(proj) != set(range(k)):
-        raise InternalInconsistency("projection is not surjective")
-
-    # statements: projection open and closed; quotient Hausdorff
-    for u in g.space.opens:
-        if not qspace.is_open(image(u)):
-            raise InternalInconsistency("projection is not open")
-        if not qspace.is_closed(image(g.space.full ^ u)):
-            raise InternalInconsistency("projection is not closed")
-    if not qspace.separation_flags().hausdorff:
-        raise InternalInconsistency("quotient is not Hausdorff")
-    # topology and Borel sets of the quotient are exactly images
-    if {image(u) for u in g.space.opens} != set(qspace.opens):
-        raise InternalInconsistency("quotient topology is not the image family")
-    # compact lifting: every subset C of the quotient lifts to the closed
-    # compact preimage
-    check_all = k <= 12
-    candidates = range(1 << k) if check_all else [1 << i for i in range(k)] + [
-        (1 << k) - 1
-    ]
-    for c in candidates:
-        lift = preimage(c)
-        if image(lift) != c or not g.space.is_closed(lift):
-            raise InternalInconsistency("compact lifting failed")
-    return QuotientData(base=g, quotient=qtg, proj=proj)
-
-def reference_borel_atoms(g):
-    space = g.space
-    atoms = g.atoms
-    k = len(atoms)
-    # partition + clopen atoms
-    acc = 0
-    for a in atoms:
-        if acc & a:
-            raise InternalInconsistency("atoms overlap")
-        acc |= a
-        if not (space.is_open(a) and space.is_closed(a)):
-            raise InternalInconsistency("atom is not clopen")
-    if acc != space.full:
-        raise InternalInconsistency("atoms do not cover the points")
-    # each atom is the closure of each of its points
-    point_closure = [space.closure(1 << x) for x in range(space.n)]
-    for x, c in enumerate(point_closure):
-        if c != atoms[g.atom_of[x]]:
-            raise InternalInconsistency("atom is not a point closure")
-    # saturation: x in E implies closure(x) <= E, for opens (and hence for
-    # every union of atoms)
-    for u in space.opens:
-        for x in bit_indices(u):
-            if point_closure[x] & ~u:
-                raise InternalInconsistency("open set is not saturated")
-    image, preimage = g.image, g.preimage
-
-    if k <= 8:
-        sets = [preimage(sel) for sel in range(1 << k)]
-        for e1 in sets:
-            if preimage(image(e1)) != e1:
-                raise InternalInconsistency("preimage round trip failed")
-            for e2 in sets:
-                i1, i2 = image(e1), image(e2)
-                if e1 & e2 == 0 and i1 & i2:
-                    raise InternalInconsistency("disjointness not preserved")
-                if i1 & ~i2 == 0 and e1 & ~e2:
-                    raise InternalInconsistency("image inclusion cancellation")
-                if i1 == i2 and e1 != e2:
-                    raise InternalInconsistency("image equality cancellation")
-    else:
-        images = [image(a) for a in atoms]
-        if len(set(images)) != k:
-            raise InternalInconsistency("projection not injective on atoms")
-        for a in atoms:
-            if preimage(image(a)) != a:
-                raise InternalInconsistency("atom preimage round trip failed")
-    return atoms
+# FiniteTopGroup docstring argues.  The references in literal.py check each
+# statement literally: over all 2^k opens of the base, every subset of a
+# quotient of at most 12 points, and every pair of atom unions up to 8 atoms.
 
 def test_generator_checks_match_literal_references(corpus_instances):
     """On the corpus, and on every space FiniteTopGroup accepts among
@@ -601,7 +448,7 @@ def test_generator_checks_match_literal_references(corpus_instances):
     accepted = []
     for group, space in continuity_cases():
         try:
-            accepted.append(validate_top_group(group, space))
+            accepted.append(FiniteTopGroup(group, space))
         except NotContinuousMultiplication:
             pass
     for tg in [*corpus_instances, *accepted]:
@@ -617,7 +464,7 @@ Z6_ATOMS = ((0b001001, 0b010010, 0b100100), (0, 1, 2, 0, 1, 2))
 def z6_mod_3():
     """Z6 mod {0, 3}: atoms {0,3} {1,4} {2,5} and atom_of (0,1,2,0,1,2)."""
     z6 = cyclic(6)
-    tg = validate_top_group(z6, coset_topology(z6, 0b001001))
+    tg = FiniteTopGroup(z6, coset_topology(z6, 0b001001))
     assert tg._partition == Z6_ATOMS
     return tg
 
@@ -675,16 +522,6 @@ def test_quotient_checks_hausdorff():
 
 # -- the atom table ------------------------------------------------------------
 
-def reference_atom_perm(g, elem, side):
-    """Atom index permutation induced by translation by elem, from the
-    representatives' products."""
-    perm = []
-    for a in g.atoms:
-        rep = next(bit_indices(a))
-        moved = g.group.mul(elem, rep) if side == "left" else g.group.mul(rep, elem)
-        perm.append(g.atom_of[moved])
-    return tuple(perm)
-
 def test_atom_table_matches_per_element_permutations(corpus_instances):
     for tg in corpus_instances:
         table = tg.atom_table
@@ -706,7 +543,7 @@ def test_selection_inverts_preimage(corpus_instances):
             assert all(tg.selection(tg.preimage(s)) == s for s in range(1 << k))
 
 def test_selection_rejects_sets_that_are_not_unions_of_atoms():
-    tg = validate_top_group(cyclic(4), coset_topology(cyclic(4), 0b0101))
+    tg = FiniteTopGroup(cyclic(4), coset_topology(cyclic(4), 0b0101))
     with pytest.raises(NotMeasurable, match="set 0x7 cuts atom 0xa"):
         tg.selection(0b0111)
     # bit 4 lies past the 4 points
@@ -718,21 +555,20 @@ def test_selection_rejects_sets_that_are_not_unions_of_atoms():
 
 # -- products ----------------------------------------------------------------
 
-def test_product_discrete_times_indiscrete():
-    p = product_group(discrete_group(cyclic(2)), indiscrete_group(cyclic(2)))
-    assert identity_closure(p) == 0b0011  # {e} x Z2
-    assert len(p.atoms) == 2
-
-def test_product_with_trivial_is_copy():
-    g = discrete_group(symmetric3())
-    p = product_group(g, discrete_group(trivial_group()))
-    assert p.group.table == g.group.table
-    assert len(p.atoms) == 6
-
-def test_product_indiscrete_squared():
-    p = product_group(indiscrete_group(cyclic(2)), indiscrete_group(cyclic(2)))
-    assert len(p.atoms) == 1
-    assert p.space.opens == (0, 0b1111)
+def test_product_cells_are_the_product_atoms(corpus_instances):
+    """`product_cells` gives the atoms of the reference product, in (i, j)
+    order, on every pair of corpus topologies with product order <= 64."""
+    pairs = [
+        (g, h)
+        for g in corpus_instances
+        for h in corpus_instances
+        if g.group.order * h.group.order <= 64
+    ]
+    for g, h in pairs:
+        assert product_cells(g, h) == list(product_group(g, h).atoms), (g, h)
+    assert len(pairs) == 2568
+    s3 = symmetric3()
+    assert direct_product(s3, trivial_group()).table == s3.table
 
 def test_product_order_cap():
     with pytest.raises(TooLarge):

@@ -1,4 +1,3 @@
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +8,7 @@ from haarlab import (
     FiniteGroup,
     FiniteMeasure,
     FiniteSpace,
+    FiniteTopGroup,
     PointFunction,
     canonical_haar,
     coset_topology,
@@ -27,28 +27,28 @@ from haarlab import (
     quotient,
     riesz_check,
     symmetric3,
-    validate_top_group,
 )
 from haarlab.errors import MeasureSpaceMismatch, NotHaar, NotMeasurable
 from haarlab import measure
-from haarlab.measure import HaarReport, PositivityReport
 from haarlab.topology import bit_indices
 
 from conftest import LARGE_INSTANCES, random_fraction
+from literal import literal_is_haar, literal_positivity_report, literal_regularity
+from literal import literal_singleton_invariance, literal_solution_space
 
 
 def z4_coset_instance():
     z4 = cyclic(4)
-    return validate_top_group(z4, coset_topology(z4, 0b0101))
+    return FiniteTopGroup(z4, coset_topology(z4, 0b0101))
 
 def discrete_instance(group):
-    return validate_top_group(
+    return FiniteTopGroup(
         group, FiniteSpace(group.order, range(1 << group.order))
     )
 
 def indiscrete_instance(group):
     full = (1 << group.order) - 1
-    return validate_top_group(group, FiniteSpace(group.order, [0, full]))
+    return FiniteTopGroup(group, FiniteSpace(group.order, [0, full]))
 
 
 # -- FiniteMeasure basics ----------------------------------------------------
@@ -116,57 +116,6 @@ def test_is_haar_mismatch():
 
 # -- is_haar against the literal Fraction sweep --------------------------------
 
-def literal_regularity(g, mu):
-    """Reference: outer regularity of every Borel set and inner regularity
-    of every open, literally at point level.  mu(E) is compared with the
-    minimum of mu(U) over every open U containing E, and mu(U) with the
-    maximum of mu(K) over every closed K inside U (every set of a finite
-    space is compact).  Returns both flags and the witnesses, as atom
-    selections.
-
-    Masses are read from a table over all point sets, with each atom's
-    mass spread evenly over its points and scaled to ints.  The opens
-    containing E are those containing each point of E: an AND of one
-    bitset per point over the opens listed by descending mass, whose
-    highest set bit is the minimum.  Likewise the closed sets inside U are
-    those missing each point outside U, listed by ascending mass."""
-    size = g.group.order // len(g.atoms)
-    den = math.lcm(*(m.denominator for m in mu.atom_mass)) * size
-    mass = [0]
-    for x in range(g.group.order):
-        w = mu.atom_mass[g.atom_of[x]] * den / size
-        assert w.denominator == 1
-        mass += [m + w.numerator for m in mass]
-    mass_of = mass.__getitem__
-
-    def by_point(family, has):
-        # entry x: bit i set iff family[i] has point x (lacks it if not has)
-        return [
-            int("".join(["01"[(s >> x & 1) == has] for s in reversed(family)]), 2)
-            for x in range(g.group.order)
-        ]
-
-    opens = sorted(g.space.opens, key=mass_of, reverse=True)
-    closed = sorted(g.space.closed_sets(), key=mass_of)
-    borel = [g.preimage(sel) for sel in range(1 << len(g.atoms))]
-    flags, witnesses = [], []
-    for kind, sets, family, index, outside in (
-        ("outer", borel, opens, by_point(opens, True), 0),
-        ("inner", g.space.opens, closed, by_point(closed, False), g.space.full),
-    ):
-        flags.append(True)
-        every = (1 << len(family)) - 1
-        for s in sets:
-            found = every
-            for x in bit_indices(s ^ outside):
-                found &= index[x]
-            assert found, (kind, s)  # the full set is open, the empty set closed
-            if mass_of(family[found.bit_length() - 1]) != mass_of(s):
-                flags[-1] = False
-                witnesses.append((kind, g.image(s), None))
-                break
-    return flags, witnesses
-
 def test_literal_regularity_sees_a_failure():
     # the reference computes its extrema: with a negative atom mass, forced
     # past FiniteMeasure's check, the empty set has a lighter open superset
@@ -176,43 +125,6 @@ def test_literal_regularity_sees_a_failure():
     object.__setattr__(mu, "atom_mass", (Fraction(1), Fraction(-1)))
     assert literal_regularity(tg, mu) == (
         [False, False], [("outer", 0, None), ("inner", 0b10, None)]
-    )
-
-def literal_is_haar(g, mu, side):
-    """Reference: Fraction masses of every selection, each translate built
-    bit by bit for every group element; `literal_regularity` must find
-    both regularity flags true."""
-    k = len(g.atoms)
-    masses = [sum((mu.atom_mass[i] for i in bit_indices(sel)), Fraction(0))
-              for sel in range(1 << k)]
-    witnesses = []
-    invariant = {}
-    for kind in ("left", "right"):
-        invariant[kind] = True
-        for elem in range(g.group.order):
-            perm = []
-            for a in g.atoms:
-                rep = next(bit_indices(a))
-                moved = g.group.mul(elem, rep) if kind == "left" else g.group.mul(rep, elem)
-                perm.append(next(j for j, b in enumerate(g.atoms) if b >> moved & 1))
-            bad = next(
-                (sel for sel in range(1 << k)
-                 if masses[sum(1 << perm[i] for i in bit_indices(sel))] != masses[sel]),
-                None,
-            )
-            if bad is not None:
-                invariant[kind] = False
-                witnesses.append((kind, bad, elem))
-                break
-    # every measure on a FiniteTopGroup is regular, so HaarReport holds
-    # the regularity flags as constants
-    assert literal_regularity(g, mu) == ([True, True], [])
-    return HaarReport(
-        side=side,
-        nonzero=any(m > 0 for m in mu.atom_mass),
-        left_invariant=invariant["left"],
-        right_invariant=invariant["right"],
-        witnesses=tuple(witnesses),
     )
 
 def assert_matches_literal(tg, mu):
@@ -258,41 +170,12 @@ def test_is_haar_matches_literal_sweep_16_atoms():
     assert not is_haar(tg, mu).is_haar
     assert_matches_literal(tg, mu)
 
-def literal_singleton_invariance(g, mu):
-    """Reference past 16 atoms: for every element x and every atom A, the
-    masses of A, x.A and A.x, each translate built point by point from
-    group.mul and its mass summed over its points, each point carrying an
-    equal share of its atom's mass.  Reads neither atom_table nor reps.
-    Returns left and right invariance and the first witness of each side,
-    the first element in label order and its first atom, as in is_haar."""
-    share = {}
-    for a, m in zip(g.atoms, mu.atom_mass):
-        for x in bit_indices(a):
-            share[x] = m / bin(a).count("1")
-
-    def mass(points):
-        return sum((share[x] for x in points), Fraction(0))
-
-    def first_witness(kind):
-        for elem in range(g.group.order):
-            for j, a in enumerate(g.atoms):
-                moved = {
-                    g.group.mul(elem, x) if kind == "left" else g.group.mul(x, elem)
-                    for x in bit_indices(a)
-                }
-                if mass(moved) != mass(bit_indices(a)):
-                    return (kind, 1 << j, elem)
-        return None
-
-    left, right = first_witness("left"), first_witness("right")
-    return left is None, right is None, tuple(w for w in (left, right) if w)
-
 def past_16_atoms():
     """Z24, Z2 x Z16 and Z64 discrete (24, 32 and 64 atoms), and Z64/{0,32}
     (32 atoms of two points)."""
     z64 = cyclic(64)
     return [
-        validate_top_group(group, coset_topology(group, normal))
+        FiniteTopGroup(group, coset_topology(group, normal))
         for group, normal in (
             (cyclic(24), 1),
             (direct_product(cyclic(2), cyclic(16)), 1),
@@ -358,7 +241,7 @@ def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
     z48 = cyclic(48)
     n4 = z48.generated_subgroup([12])
     instances = list(corpus_instances)
-    instances.append(validate_top_group(z48, coset_topology(z48, n4)))
+    instances.append(FiniteTopGroup(z48, coset_topology(z48, n4)))
     assert len(instances[-1].atoms) == 12
     instances += past_16_atoms()
     monkeypatch.setattr(measure, "_int_weights", counting_weights)
@@ -381,7 +264,7 @@ def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
 def test_is_haar_atom_cap():
     # no cap on the atom count: 32 atoms are checked like any other
     z64 = cyclic(64)
-    tg = validate_top_group(z64, coset_topology(z64, z64.generated_subgroup([32])))
+    tg = FiniteTopGroup(z64, coset_topology(z64, z64.generated_subgroup([32])))
     assert len(tg.atoms) == 32
     report = is_haar(tg, canonical_haar(tg))
     assert report.is_haar and report.witnesses == ()
@@ -412,35 +295,14 @@ def test_solution_space_examples():
     assert basis[0].atom_mass == (1, 1)
     s3 = symmetric3()
     a3 = s3.generated_subgroup([s3.mul(1, 2)])  # a 3-cycle generates A3
-    tg = validate_top_group(s3, coset_topology(s3, a3))
+    tg = FiniteTopGroup(s3, coset_topology(s3, a3))
     dim, basis = haar_solution_space(tg)
     assert dim == 1
     assert basis[0].atom_mass == canonical_haar(tg).atom_mass
 
-def literal_solution_space(g):
-    """Dimension and basis masses of the invariant measures, from the
-    orbits of the atoms under left translation by every element: a
-    union-find over the group law at the points, reading no atom table.
-    Each root is the smallest atom of its orbit."""
-    k = len(g.atoms)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for x in range(g.group.order):
-        for j, rep in enumerate(g.reps):
-            a, b = find(j), find(g.atom_of[g.group.mul(x, rep)])
-            parent[max(a, b)] = min(a, b)
-    roots = sorted({find(i) for i in range(k)})
-    basis = [tuple(Fraction(find(i) == r) for i in range(k)) for r in roots]
-    return len(roots), basis
-
 def test_solution_space_matches_point_level_orbits(corpus_instances):
     instances = list(corpus_instances)
-    instances += [validate_top_group(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
+    instances += [FiniteTopGroup(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
     for tg in instances:
         dim, basis = haar_solution_space(tg)
         assert (dim, [mu.atom_mass for mu in basis]) == literal_solution_space(tg)
@@ -629,21 +491,6 @@ def test_positivity_examples(corpus_instances):
     for tg in corpus_instances:
         rep = positivity_report(tg, canonical_haar(tg))
         assert rep.all_hold
-
-def literal_positivity_report(tg, mu):
-    """Reference: the positivity facts over every closed set and every open."""
-    if not is_haar(tg, mu).is_haar:
-        raise NotHaar("positivity requires a Haar measure")
-    return PositivityReport(
-        closed_compact_positive=any(
-            mu.mass_of(c) > 0 for c in tg.space.closed_sets() if c != 0
-        ),
-        opens_positive=all(mu.mass_of(u) > 0 for u in tg.space.opens if u != 0),
-        integrals_positive=all(
-            integrate(tg, PointFunction.indicator(tg.group.order, a), mu) > 0
-            for a in tg.atoms
-        ),
-    )
 
 def test_positivity_matches_literal_reference(corpus_instances):
     for tg in corpus_instances:

@@ -24,6 +24,8 @@ from haarlab.plane import (
     UNIT_TILE,
 )
 
+from literal import literal_verify
+
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
 )
@@ -209,32 +211,6 @@ def test_bk_translates_are_disjoint_and_contained():
         for j in range(i + 1, len(tiles)):
             assert tiles[i].disjoint_from(tiles[j])
 
-def _literal_verify(cert):
-    """The tile-by-tile verifier that the O(1) one replaced: every tile's
-    position, every pair's disjointness and every tile's containment,
-    read off the listed tiles."""
-    c = cert.input_mass
-    if cert.verdict == FINITENESS_VIOLATED:
-        if c <= 0:
-            return False
-        tiles = cert.translates
-        for n, tile in enumerate(tiles):
-            if tile != UNIT_TILE.shifted(0, 2 * n):
-                return False
-        for i in range(len(tiles)):
-            for j in range(i + 1, len(tiles)):
-                if not tiles[i].disjoint_from(tiles[j]):
-                    return False
-        for tile in tiles:
-            if tile.x_lo < 0 or tile.x_hi > 1:
-                return False
-        return len(tiles) * c > cert.probe_bound
-    if cert.verdict == NONZERO_VIOLATED:
-        w = GRID_WINDOW
-        window = {(m, n) for m in range(-w, w + 1) for n in range(-w, w + 1)}
-        return c == 0 and set(cert.grid_offsets) == window
-    return False
-
 def _tampered():
     good = counterexample_bk(1, 10)
     zero = counterexample_bk(0, 10)
@@ -264,7 +240,7 @@ def test_grid_offsets_compared_exactly():
     zero = counterexample_bk(0, 10)
     padded = zero.replace(grid_offsets=zero.grid_offsets + zero.grid_offsets[:1])
     # the same set of offsets, one listed twice
-    assert _literal_verify(padded)
+    assert literal_verify(padded)
     assert not verify_bk_certificate(padded)
 
 def test_verifier_matches_literal_check():
@@ -274,9 +250,9 @@ def test_verifier_matches_literal_check():
         for bound in (Fraction(1), Fraction(10), Fraction(1000))
     ]
     for cert in certs:
-        assert verify_bk_certificate(cert) and _literal_verify(cert)
+        assert verify_bk_certificate(cert) and literal_verify(cert)
     for cert in _tampered().values():
-        assert verify_bk_certificate(cert) == _literal_verify(cert)
+        assert verify_bk_certificate(cert) == literal_verify(cert)
 
 def test_certificate_is_count_and_step():
     cert = counterexample_bk(Fraction(3, 7), Fraction(10))

@@ -12,6 +12,7 @@ from haarlab import (
     CoveringSolution,
     CylinderSet,
     FiniteMeasure,
+    FiniteTopGroup,
     Interval,
     IntervalUnion,
     PointFunction,
@@ -23,7 +24,6 @@ from haarlab import (
     is_haar,
     positivity_report,
     quotient,
-    validate_top_group,
 )
 from haarlab.errors import MeasureSpaceMismatch, NotClosed
 from haarlab.groups import QuotientData
@@ -34,7 +34,7 @@ from haarlab.records import Record
 
 def z4():
     g = cyclic(4)
-    return validate_top_group(g, coset_topology(g, 0b0101))
+    return FiniteTopGroup(g, coset_topology(g, 0b0101))
 
 
 def samples():
@@ -46,7 +46,7 @@ def samples():
     cert.translates  # a cached listing must not take part in eq or repr
     return {
         PointFunction: (PointFunction((1, 2)), PointFunction((1, 3))),
-        QuotientData: (quotient(tg), quotient(validate_top_group(cyclic(3), coset_topology(cyclic(3), 0b111)))),
+        QuotientData: (quotient(tg), quotient(FiniteTopGroup(cyclic(3), coset_topology(cyclic(3), 0b111)))),
         FiniteMeasure: (canon, canon.scaled(2)),
         HaarReport: (is_haar(tg, canon), is_haar(tg, FiniteMeasure(tg, (1, 2)))),
         PositivityReport: (positivity_report(tg, canon), PositivityReport(True, True, False)),

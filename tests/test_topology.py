@@ -22,6 +22,8 @@ from haarlab.errors import (
 )
 from haarlab.topology import TOPOLOGY_COUNTS, mask_of
 
+from literal import closed_sets, literal_closure, literal_interior, opens, reference_separate
+
 
 def sierpinski():
     # opens {∅, {1}, {0,1}}
@@ -78,8 +80,6 @@ def test_opens_listed_lazily_under_cap():
     assert "opens" not in repr(space)
     assert space.closure(0b101) == 0b101 and space.is_open(0b101)
     assert space.separation_flags().hausdorff
-    with pytest.raises(TooLarge):
-        space.opens
 
 
 # -- closure / interior ------------------------------------------------------
@@ -87,7 +87,7 @@ def test_opens_listed_lazily_under_cap():
 def test_closure_sierpinski():
     # smallest closed superset of {1}, by intersecting all closed supersets
     s = sierpinski()
-    closed_supersets = [c for c in s.closed_sets() if c & 0b10 == 0b10]
+    closed_supersets = [c for c in closed_sets(s) if c & 0b10 == 0b10]
     expected = s.full
     for c in closed_supersets:
         expected &= c
@@ -101,7 +101,7 @@ def test_interior_sierpinski():
     # union of opens inside {0}
     s = sierpinski()
     expected = 0
-    for u in s.opens:
+    for u in opens(s):
         if u & ~0b01 == 0:
             expected |= u
     assert s.interior(0b01) == expected == 0
@@ -116,31 +116,15 @@ def test_closure_interior_duality_all_small_spaces():
             comp = space.full ^ s
             assert space.interior(s) == space.full ^ space.closure(comp)
 
-def literal_closure(space, s):
-    """Reference: the intersection of every closed superset."""
-    acc = space.full
-    for c in space.closed_sets():
-        if s & ~c == 0:
-            acc &= c
-    return acc
-
-def literal_interior(space, s):
-    """Reference: the union of every open subset."""
-    acc = 0
-    for u in space.opens:
-        if u & ~s == 0:
-            acc |= u
-    return acc
-
 def test_predicates_match_literal_definitions(corpus_instances):
     spaces = set(enumerate_topologies(4)) | {tg.space for tg in corpus_instances}
     for space in spaces:
-        opens = set(space.opens)
+        open_sets = set(opens(space))
         for s in range(space.full + 1):
             assert space.closure(s) == literal_closure(space, s)
             assert space.interior(s) == literal_interior(space, s)
-            assert space.is_open(s) == (s in opens)
-            assert space.is_closed(s) == (space.full ^ s in opens)
+            assert space.is_open(s) == (s in open_sets)
+            assert space.is_closed(s) == (space.full ^ s in open_sets)
         for bad in (-1, space.full + 1):
             assert not space.is_open(bad) and not space.is_closed(bad)
 
@@ -159,22 +143,22 @@ def test_closure_idempotent_monotone():
 
 def brute_force_flags(space):
     """Independent oracle: explicit exists-quantifiers over the open family."""
-    opens = space.opens
+    open_sets = opens(space)
     n = space.n
-    closed = space.closed_sets()
+    closed = closed_sets(space)
 
     def separable(a, b):
         return any(
             a & ~u == 0 and b & ~v == 0 and u & v == 0
-            for u in opens
-            for v in opens
+            for u in open_sets
+            for v in open_sets
         )
 
     def nbhd_inside(x, w, candidates):
         """Some candidate K has an open U with x in U <= K <= w."""
         return any(
             u >> x & 1 and u & ~k == 0 and k & ~w == 0
-            for u in opens
+            for u in open_sets
             for k in candidates
         )
 
@@ -195,10 +179,10 @@ def brute_force_flags(space):
     locally_compact = all(nbhd_inside(x, space.full, subsets) for x in range(n))
     strongly = all(nbhd_inside(x, space.full, closed) for x in range(n))
     base = all(
-        nbhd_inside(x, w, subsets) for x in range(n) for w in opens if w >> x & 1
+        nbhd_inside(x, w, subsets) for x in range(n) for w in open_sets if w >> x & 1
     )
     base_closed = all(
-        nbhd_inside(x, w, closed) for x in range(n) for w in opens if w >> x & 1
+        nbhd_inside(x, w, closed) for x in range(n) for w in open_sets if w >> x & 1
     )
     return (
         hausdorff, regular, normal, locally_compact, strongly, base, base_closed
@@ -258,17 +242,6 @@ def test_separate_errors():
     with pytest.raises(NotRegular):
         separate(sierpinski(), 0b10, 0b01)
 
-def reference_separate(space, a, b):
-    """The lexicographically smallest disjoint open pair (U, V) with
-    a <= U and b <= V, found by searching the listed opens."""
-    for u in space.opens:
-        if a & ~u:
-            continue
-        for v in space.opens:
-            if b & ~v == 0 and u & v == 0:
-                return u, v
-    raise AssertionError("regular space failed to separate")
-
 def test_separate_matches_search_over_opens(corpus_instances):
     """Every disjoint (a, closed b) on every regular space of at most 4
     points and every distinct corpus coset space of at most 9 points."""
@@ -280,7 +253,7 @@ def test_separate_matches_search_over_opens(corpus_instances):
     )
     cases = 0
     for space in spaces:
-        for b in space.closed_sets():
+        for b in closed_sets(space):
             free = space.full ^ b
             a = free
             while True:  # every subset a of the complement of b
@@ -296,7 +269,7 @@ def test_separate_property_all_regular_spaces():
         if not space.separation_flags().regular:
             continue
         for a in range(space.full + 1):
-            for b in space.closed_sets():
+            for b in closed_sets(space):
                 if a & b:
                     continue
                 u, v = separate(space, a, b)
@@ -324,9 +297,9 @@ def test_split_property_all_regular_spaces():
     for space in enumerate_topologies(3):
         if not space.separation_flags().regular:
             continue
-        for k in space.closed_sets():
-            for u1 in space.opens:
-                for u2 in space.opens:
+        for k in closed_sets(space):
+            for u1 in opens(space):
+                for u2 in opens(space):
                     if k & ~(u1 | u2):
                         continue
                     k1, k2 = split_compact(space, k, u1, u2)
@@ -384,8 +357,8 @@ def test_urysohn_property_all_regular_spaces():
     for space in enumerate_topologies(3):
         if not space.separation_flags().regular:
             continue
-        for k in space.closed_sets():
-            for u in space.opens:
+        for k in closed_sets(space):
+            for u in opens(space):
                 if k & ~u:
                     continue
                 g = urysohn_finite(space, k, u)
@@ -423,9 +396,9 @@ def test_enumeration_counts():
         assert len(enumerate_topologies(n)) == TOPOLOGY_COUNTS[n]
 
 def test_enumeration_matches_brute_force():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         expected = brute_force_topologies(n)
-        got = sorted(s.opens for s in enumerate_topologies(n))
+        got = sorted(opens(s) for s in enumerate_topologies(n))
         assert got == expected
 
 def test_enumeration_bound():

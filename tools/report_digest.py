@@ -34,6 +34,10 @@ WORKLOADS = ("lattice", "haar", "certificate")
 def run_op(op, path):
     """Exit code and report bytes of one command; a traceback is code -1
     with the exception's type name as its report."""
+    # A fresh file each time: on ext4, replacing the contents of a file
+    # that has data (by truncation or by a rename over it) flushes it to
+    # disk on close, tens of milliseconds per command.
+    path.unlink(missing_ok=True)
     path.write_text(json.dumps(op.data), encoding="utf-8")
     buf = io.StringIO()
     try:
