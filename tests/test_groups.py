@@ -570,6 +570,26 @@ def test_product_cells_are_the_product_atoms(corpus_instances):
     s3 = symmetric3()
     assert direct_product(s3, trivial_group()).table == s3.table
 
+def test_product_discrete_times_indiscrete():
+    g, h = discrete_group(cyclic(2)), indiscrete_group(cyclic(2))
+    p = product_group(g, h)
+    assert identity_closure(p) == 0b0011  # {e} x Z2
+    assert len(p.atoms) == 2
+    assert product_cells(g, h) == [0b0011, 0b1100]
+
+def test_product_with_trivial_is_copy():
+    g = discrete_group(symmetric3())
+    p = product_group(g, discrete_group(trivial_group()))
+    assert p.group.table == g.group.table
+    assert len(p.atoms) == 6
+
+def test_product_indiscrete_squared():
+    g = indiscrete_group(cyclic(2))
+    p = product_group(g, g)
+    assert len(p.atoms) == 1
+    assert opens(p.space) == (0, 0b1111)
+    assert product_cells(g, g) == [0b1111]
+
 def test_product_order_cap():
     with pytest.raises(TooLarge):
         direct_product(cyclic(9), cyclic(9))
