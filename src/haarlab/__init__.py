@@ -6,7 +6,6 @@ from .covering import (
     covering_number,
     covering_table,
     existence_via_covering,
-    mu_u,
 )
 from .groups import (
     FiniteGroup,
@@ -30,9 +29,7 @@ from .measure import (
     fubini_check,
     haar_solution_space,
     integrate,
-    invert_measure,
     is_haar,
-    positivity_report,
     pullback,
     pushforward,
     riesz_check,
@@ -52,7 +49,6 @@ from .topology import (
     FiniteSpace,
     PointFunction,
     SeparationFlags,
-    closed_compact_sandwich,
     enumerate_topologies,
     separate,
     split_compact,

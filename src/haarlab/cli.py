@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -626,10 +627,24 @@ def _max_order(flag) -> int:
     return min(value, groups_mod.MAX_ORDER)
 
 
+def _json_float(text):
+    """A JSON number with a fraction or an exponent, as its float, if the
+    float's repr, which `parse_frac` reads, is the rational written (within
+    the caps): 1e-400 would load as 0.0, 0.30000000000000001 as 0.3."""
+    written = parse_frac(text)
+    value = float(text)
+    if math.isinf(value) or parse_frac(repr(value)) != written:
+        raise InputError(
+            f"JSON number {text} loads as the float {value!r}, not the "
+            "rational written; give it as a string"
+        )
+    return value
+
+
 def _read_input(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_json_float)
     # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
     # literal past the int-to-text digit limit; RecursionError is nesting
     # deeper than the parser's recursion limit.

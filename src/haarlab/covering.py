@@ -158,18 +158,6 @@ def covering_table(g: FiniteTopGroup, u: int) -> tuple:
     return tuple(best)
 
 
-def mu_u(g: FiniteTopGroup, k: int, k0: int, u: int) -> Fraction:
-    """The ratio functional value (K:U) / (K0:U)."""
-    space = g.space
-    _check_neighbourhood(g, u)
-    if space.interior(k0) == 0:
-        raise EmptyInterior(f"reference set {k0:#x} has empty interior")
-    num = covering_number(CoveringProblem(g, k, u)).count
-    # K0 has a nonempty interior, so den >= 1 (module docstring)
-    den = covering_number(CoveringProblem(g, k0, u)).count
-    return Fraction(num, den)
-
-
 def existence_via_covering(g: FiniteTopGroup, k0: int) -> FiniteMeasure:
     """The existence construction, landed exactly on the finite group.
 

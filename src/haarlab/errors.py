@@ -46,10 +46,6 @@ class NotMeasurable(HaarlabError):
     constant on some atom; the message names the witness atom or set."""
 
 
-class NotHaar(HaarlabError):
-    pass
-
-
 class EmptyInterior(HaarlabError):
     pass
 

@@ -24,7 +24,9 @@ def _check_order(order: int):
 
 
 class FiniteGroup:
-    """A group on elements 0..order-1 given by its Cayley table."""
+    """A group on elements 0..order-1 given by its Cayley table, checked to
+    be a Latin square with an identity, inverses and associativity; an
+    associativity error names the first failing triple (a, b, c)."""
 
     def __init__(self, table, name: str = "group"):
         order = len(table)
@@ -78,9 +80,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def mul_sets(self, a_mask: int, b_mask: int) -> int:
         acc = 0
         for a in bit_indices(a_mask):
@@ -88,9 +87,6 @@ class FiniteGroup:
             for b in bit_indices(b_mask):
                 acc |= 1 << row[b]
         return acc
-
-    def inv_set(self, mask: int) -> int:
-        return mask_of(self.inverse[x] for x in bit_indices(mask))
 
     def translate(self, g: int, mask: int) -> int:
         """The left translate g * mask."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import MeasureSpaceMismatch, NotHaar, NotMeasurable
+from .errors import MeasureSpaceMismatch, NotMeasurable
 from .groups import FiniteTopGroup, QuotientData
 from .records import Record
 from .topology import PointFunction, bit_indices, mask_of
@@ -34,19 +34,11 @@ class FiniteMeasure(Record):
     def total(self) -> Fraction:
         return sum(self.atom_mass, Fraction(0))
 
-    def mass_of(self, point_mask: int) -> Fraction:
-        """Mass of a Borel set given as a point mask (a union of atoms)."""
-        sel = self.group_ref.selection(point_mask)
-        return sum((self.atom_mass[i] for i in bit_indices(sel)), Fraction(0))
-
     def scaled(self, a) -> "FiniteMeasure":
         a = Fraction(a)
         return FiniteMeasure(
             self.group_ref, tuple(m * a for m in self.atom_mass)
         )
-
-    def is_zero(self) -> bool:
-        return all(m == 0 for m in self.atom_mass)
 
 
 class HaarReport(Record):
@@ -115,8 +107,6 @@ def _check_invariance(g, weights, side, witnesses):
                 witnesses.append((side, 1 << j, rep))
                 return False
     return True
-
-
 def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarReport:
     """Verify every Haar axiom over the Borel lattice.
 
@@ -174,13 +164,6 @@ def haar_solution_space(g: FiniteTopGroup):
         for orbit in orbits
     ]
     return len(orbits), basis
-
-
-def invert_measure(g: FiniteTopGroup, mu: FiniteMeasure) -> FiniteMeasure:
-    """mu'(E) = mu(E^-1); inversion permutes atoms since N^-1 = N."""
-    _check_measure(g, mu)
-    masses = [mu.atom_mass[g.atom_of[g.group.inv(r)]] for r in g.reps]
-    return FiniteMeasure(g, tuple(masses))
 
 
 def pushforward(q: QuotientData, mu: FiniteMeasure) -> FiniteMeasure:
@@ -277,46 +260,3 @@ def riesz_check(g: FiniteTopGroup, mu1: FiniteMeasure, mu2: FiniteMeasure) -> bo
         if integrate(g, f, mu1) != integrate(g, f, mu2):
             return False
     return True
-
-
-class PositivityReport(Record):
-    _fields = ("closed_compact_positive", "opens_positive", "integrals_positive")
-
-    def __init__(
-        self,
-        closed_compact_positive: bool,
-        opens_positive: bool,
-        integrals_positive: bool,
-    ):
-        self._assign(closed_compact_positive, opens_positive, integrals_positive)
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.closed_compact_positive
-            and self.opens_positive
-            and self.integrals_positive
-        )
-
-
-def positivity_report(g: FiniteTopGroup, mu: FiniteMeasure) -> PositivityReport:
-    """Positivity facts for a Haar measure: a heavy closed compact set,
-    positive mass on nonempty opens, positive atom-indicator integrals.
-
-    Mass is monotone, every closed set is a union of the closed atoms, and
-    every nonempty open contains some minimal open U_x, so the first two
-    facts are read off the atoms and the n minimal opens."""
-    report = is_haar(g, mu)
-    if not report.is_haar:
-        raise NotHaar("positivity requires a Haar measure")
-    closed_positive = any(mu.mass_of(a) > 0 for a in g.atoms)
-    opens_positive = all(mu.mass_of(u) > 0 for u in g.space.min_open)
-    integrals_positive = all(
-        integrate(g, PointFunction.indicator(g.group.order, a), mu) > 0
-        for a in g.atoms
-    )
-    return PositivityReport(
-        closed_compact_positive=closed_positive,
-        opens_positive=opens_positive,
-        integrals_positive=integrals_positive,
-    )

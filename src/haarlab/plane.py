@@ -39,39 +39,11 @@ class Interval(Record):
         a = Fraction(a)
         return Interval(self.lo + a, self.hi + a, self.lo_closed, self.hi_closed)
 
-    def contains_point(self, x) -> bool:
-        x = Fraction(x)
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
-
-    def contains_interval(self, other: "Interval") -> bool:
-        lo_ok = self.lo < other.lo or (
-            self.lo == other.lo and (self.lo_closed or not other.lo_closed)
-        )
-        hi_ok = self.hi > other.hi or (
-            self.hi == other.hi and (self.hi_closed or not other.hi_closed)
-        )
-        return lo_ok and hi_ok
-
     def touches_or_overlaps(self, other: "Interval") -> bool:
         """Assuming self.lo <= other.lo: true if the union is one interval."""
         if self.hi > other.lo:
             return True
         return self.hi == other.lo and (self.hi_closed or other.lo_closed)
-
-    def overlaps(self, other: "Interval") -> bool:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo < hi:
-            return True
-        if lo > hi:
-            return False
-        return self.contains_point(lo) and other.contains_point(lo)
 
 
 class IntervalUnion:
@@ -105,28 +77,6 @@ class IntervalUnion:
     def shifted(self, a) -> "IntervalUnion":
         return IntervalUnion(iv.shifted(a) for iv in self.intervals)
 
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(self.intervals + other.intervals)
-
-    def intersects(self, other: "IntervalUnion") -> bool:
-        return any(
-            a.overlaps(b) for a in self.intervals for b in other.intervals
-        )
-
-    def contains(self, other: "IntervalUnion") -> bool:
-        return all(
-            any(mine.contains_interval(iv) for mine in self.intervals)
-            for iv in other.intervals
-        )
-
-    def is_closed(self) -> bool:
-        return all(iv.lo_closed and iv.hi_closed for iv in self.intervals)
-
-    def is_open(self) -> bool:
-        return all(
-            not iv.lo_closed and not iv.hi_closed for iv in self.intervals
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, IntervalUnion)
@@ -152,9 +102,6 @@ class CylinderSet(Record):
 
     def __init__(self, base: IntervalUnion):
         self._assign(base)
-
-    def is_closed_compact(self) -> bool:
-        return self.base.is_closed()
 
 
 def haar_v(e: CylinderSet) -> Fraction:
@@ -221,14 +168,6 @@ class Rect(Record):
             self.x_lo + dx, self.x_hi + dx, self.y_lo + dy, self.y_hi + dy
         )
 
-    def disjoint_from(self, other: "Rect") -> bool:
-        return (
-            self.x_hi < other.x_lo
-            or other.x_hi < self.x_lo
-            or self.y_hi < other.y_lo
-            or other.y_hi < self.y_lo
-        )
-
 
 #: The unit tile whose translates generate the contradiction.
 UNIT_TILE = Rect(0, 1, 0, 1)
@@ -282,6 +221,9 @@ class BkCertificate(Record):
 
 
 def counterexample_bk(c, probe_bound) -> BkCertificate:
+    """The certificate refuting tile mass c: for c > 0, floor(probe_bound
+    / c) + 1 tiles, 2 apart, whose total mass exceeds the bound; for c = 0,
+    the grid window."""
     c = Fraction(c)
     probe_bound = Fraction(probe_bound)
     if c < 0:

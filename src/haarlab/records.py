@@ -14,7 +14,9 @@ class Record:
     ``__init__`` that validates its arguments and stores them with
     ``_assign``, since ``__setattr__`` refuses every assignment.  Equality
     and hashing use the field values, and only instances of the same class
-    compare equal; ``repr`` has the form ``Name(field=value, ...)``.
+    compare equal; ``repr`` has the form ``Name(field=value, ...)``.  A
+    record with other values is built by the constructor, so that every
+    check runs.
     """
 
     _fields: tuple = ()
@@ -46,10 +48,3 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-    def replace(self, **changes):
-        """A copy with some fields changed, built by the class's own
-        ``__init__``, so every check runs again."""
-        values = {f: getattr(self, f) for f in self._fields}
-        values.update(changes)
-        return type(self)(**values)

@@ -186,8 +186,9 @@ class FiniteSpace:
 
 
 class SeparationFlags:
-    """The separation and local-compactness flags of a space, each computed
-    on first access.
+    """The flags of a space: `regular`, `normal` and
+    `base_closed_compact_nbhds`, each computed on first access, and the
+    local-compactness flags that hold on every finite space.
 
     Two sets have disjoint open supersets iff their smallest open supersets
     are disjoint (opens are intersection-closed), and every subset of a
@@ -201,11 +202,6 @@ class SeparationFlags:
     # The full set is a closed compact neighborhood of every point, and U_x
     # is a compact neighborhood of x inside every open containing x.
     locally_compact = strongly_locally_compact = base_compact_nbhds = True
-
-    @cached_property
-    def hausdorff(self) -> bool:
-        # Disjoint U_x, U_y for x != y leave U_x = {x}: the space is discrete.
-        return all(u == 1 << x for x, u in enumerate(self._space.min_open))
 
     @cached_property
     def regular(self) -> bool:
@@ -250,13 +246,6 @@ class PointFunction(Record):
     @classmethod
     def indicator(cls, n: int, mask: int) -> "PointFunction":
         return cls(tuple(Fraction(mask >> x & 1) for x in range(n)))
-
-    @classmethod
-    def constant(cls, n: int, value) -> "PointFunction":
-        return cls((Fraction(value),) * n)
-
-    def support_mask(self) -> int:
-        return mask_of(x for x, v in enumerate(self.values) if v != 0)
 
     def level_set(self, value) -> int:
         return mask_of(x for x, v in enumerate(self.values) if v == value)
@@ -312,20 +301,6 @@ def split_compact(space: FiniteSpace, k: int, u1: int, u2: int):
     if k1 | k2 != k or k1 & ~u1 or k2 & ~u2:
         raise InternalInconsistency("split postcondition failed")
     return k1, k2
-
-
-def closed_compact_sandwich(space: FiniteSpace, k: int):
-    """An open U and a closed compact L with k <= U <= L, built from the
-    per-point minimal neighborhoods; every finite space is strongly locally
-    compact (`SeparationFlags`), so the pair always exists."""
-    space.check_subset(k)
-    u = 0
-    l = 0
-    for x in bit_indices(k):
-        ux = space.min_open[x]
-        u |= ux
-        l |= space.closure(ux)
-    return u, l
 
 
 def urysohn_finite(space: FiniteSpace, k: int, u: int) -> PointFunction:

@@ -1,15 +1,17 @@
 """Literal references for the tests: the open family of a finite space
 (up to 2^k sets, which the library never lists), the product topological
-group, and the library's computations redone from their definitions."""
+group, predicates no command needs (Hausdorff spaces, interval unions,
+rectangles), and the library's computations redone from their
+definitions."""
 
 import functools
 import math
 from fractions import Fraction
 
-from haarlab import FiniteGroup, FiniteSpace, FiniteTopGroup, PointFunction, QuotientData
-from haarlab import coset_topology, direct_product, integrate, is_haar
-from haarlab.errors import InternalInconsistency, NotHaar
-from haarlab.measure import HaarReport, PositivityReport
+from haarlab import FiniteGroup, FiniteSpace, FiniteTopGroup, QuotientData
+from haarlab import coset_topology, direct_product
+from haarlab.errors import InternalInconsistency
+from haarlab.measure import HaarReport
 from haarlab.plane import FINITENESS_VIOLATED, GRID_WINDOW, NONZERO_VIOLATED, UNIT_TILE
 from haarlab.topology import bit_indices, mask_of
 
@@ -51,6 +53,12 @@ def literal_interior(space, s):
         if u & ~s == 0:
             acc |= u
     return acc
+
+def hausdorff(space):
+    """Distinct points have disjoint open neighbourhoods; U_x lies in every
+    open around x, so U_x and U_y must be disjoint."""
+    mo = space.min_open
+    return all(mo[x] & mo[y] == 0 for x in range(space.n) for y in range(x + 1, space.n))
 
 def reference_separate(space, a, b):
     """The lexicographically smallest disjoint open pair (U, V) with
@@ -96,7 +104,7 @@ def literal_continuity(group, space):
         for b in range(n)
         if w >> group.mul(a, b) & 1
     )
-    inv_ok = all(mask_of(group.inv(x) for x in bit_indices(w)) in open_sets for w in open_sets)
+    inv_ok = all(mask_of(group.inverse[x] for x in bit_indices(w)) in open_sets for w in open_sets)
     return mul_ok, inv_ok
 
 def literal_partition(g):
@@ -149,7 +157,7 @@ def reference_quotient(g):
             raise InternalInconsistency("projection is not open")
         if not qspace.is_closed(image(g.space.full ^ u)):
             raise InternalInconsistency("projection is not closed")
-    if not qspace.separation_flags().hausdorff:
+    if not hausdorff(qspace):
         raise InternalInconsistency("quotient is not Hausdorff")
     # topology and Borel sets of the quotient are exactly images
     if {image(u) for u in opens(g.space)} != set(opens(qspace)):
@@ -365,22 +373,43 @@ def literal_solution_space(g):
     basis = [tuple(Fraction(find(i) == r) for i in range(k)) for r in roots]
     return len(roots), basis
 
-def literal_positivity_report(tg, mu):
-    """Reference: the positivity facts over every closed set and every open."""
-    if not is_haar(tg, mu).is_haar:
-        raise NotHaar("positivity requires a Haar measure")
-    return PositivityReport(
-        closed_compact_positive=any(
-            mu.mass_of(c) > 0 for c in closed_sets(tg.space) if c != 0
-        ),
-        opens_positive=all(mu.mass_of(u) > 0 for u in opens(tg.space) if u != 0),
-        integrals_positive=all(
-            integrate(tg, PointFunction.indicator(tg.group.order, a), mu) > 0
-            for a in tg.atoms
-        ),
+# -- plane ---------------------------------------------------------------------
+
+def _holds(iv, x):
+    """The point x lies in the interval iv."""
+    return (iv.lo < x or x == iv.lo and iv.lo_closed) and (
+        x < iv.hi or x == iv.hi and iv.hi_closed
     )
 
-# -- plane ---------------------------------------------------------------------
+def is_open_union(iu):
+    return all(not iv.lo_closed and not iv.hi_closed for iv in iu.intervals)
+
+def is_closed_union(iu):
+    return all(iv.lo_closed and iv.hi_closed for iv in iu.intervals)
+
+def union_contains(outer, inner):
+    """Each interval of inner, being connected, lies in one interval of the
+    merged outer: both of its ends do, or are open at an equal end."""
+    def inside(o, iv):
+        return (o.lo < iv.lo or o.lo == iv.lo and (o.lo_closed or not iv.lo_closed)) and (
+            iv.hi < o.hi or o.hi == iv.hi and (o.hi_closed or not iv.hi_closed)
+        )
+    return all(any(inside(o, iv) for o in outer.intervals) for iv in inner.intervals)
+
+def unions_disjoint(a, b):
+    """Two intervals meet iff the larger lower end lies below the smaller
+    upper end, or equals it and lies in both."""
+    for p in a.intervals:
+        for q in b.intervals:
+            lo, hi = max(p.lo, q.lo), min(p.hi, q.hi)
+            if lo < hi or lo == hi and _holds(p, lo) and _holds(q, lo):
+                return False
+    return True
+
+def rects_disjoint(r, s):
+    """Closed rectangles are disjoint iff one lies strictly beside or
+    strictly above the other."""
+    return r.x_hi < s.x_lo or s.x_hi < r.x_lo or r.y_hi < s.y_lo or s.y_hi < r.y_lo
 
 def literal_verify(cert):
     """The tile-by-tile verifier that the O(1) one replaced: every tile's
@@ -396,7 +425,7 @@ def literal_verify(cert):
                 return False
         for i in range(len(tiles)):
             for j in range(i + 1, len(tiles)):
-                if not tiles[i].disjoint_from(tiles[j]):
+                if not rects_disjoint(tiles[i], tiles[j]):
                     return False
         for tile in tiles:
             if tile.x_lo < 0 or tile.x_hi > 1:

@@ -674,6 +674,40 @@ def test_rational_grammar_agrees_with_fraction(text):
     else:
         assert got == want, text
 
+def counterexample_on(tmp_path, capsys, text):
+    """Exit code and report of counterexample --probe-bound 3/10 on an
+    input file whose text is given."""
+    path = tmp_path / "input.json"
+    write_fresh(path, text)
+    code = cli.run(["counterexample", "--input", str(path), "--probe-bound", "3/10"])
+    return code, json.loads(capsys.readouterr().out)
+
+@pytest.mark.parametrize("number", ["1e-400", "0.30000000000000001", "1e400"])
+def test_lossy_json_number_exits_2(tmp_path, capsys, number):
+    """A JSON number whose float is another rational is refused by name:
+    1e-400 loads as 0.0 and 0.30000000000000001 as 0.3, which would be
+    verified in its place.  The check runs as the file loads, so it also
+    refuses such a number in a field the command ignores, here the
+    input's probe_bound under --probe-bound."""
+    message = (
+        f"JSON number {number} loads as the float {float(number)!r}, "
+        "not the rational written; give it as a string"
+    )
+    for text in (f'{{"c": {number}}}', f'{{"c": "1", "probe_bound": {number}}}'):
+        code, report = counterexample_on(tmp_path, capsys, text)
+        assert (code, report["error"]) == (2, message), text
+
+@pytest.mark.parametrize("number", ["0.5", "1e300", "0.1", "2.5e-3", "1E+2"])
+def test_exact_json_number_is_the_rational_written(tmp_path, capsys, number):
+    """A JSON number whose float's repr spells the rational written is
+    verified as that rational: the results are those of its string, and
+    the report echoes the float."""
+    code, report = counterexample_on(tmp_path, capsys, f'{{"c": {number}}}')
+    want_code, want = counterexample_on(tmp_path, capsys, f'{{"c": "{number}"}}')
+    assert code == want_code == 0
+    assert report["results"] == want["results"]
+    assert report["inputs"] == {"c": float(number)}
+
 def test_cli_import_skips_dataclasses_and_inspect(tmp_path):
     """Neither importing the CLI nor running a command, a usage error or
     --help loads dataclasses, inspect, argparse or gettext."""

@@ -21,11 +21,10 @@ from haarlab import (
     fubini_check,
     identity_closure,
     is_haar,
-    mu_u,
     symmetric3,
 )
 from haarlab.errors import EmptyInterior, NotClosed, NotOpen
-from haarlab.topology import bit_indices
+from haarlab.topology import bit_indices, mask_of
 
 from conftest import LARGE_INSTANCES, brute_force_covering_count
 from literal import closed_sets, opens
@@ -131,6 +130,13 @@ def test_chain_bound():
                 vu = covering_number(CoveringProblem(tg, v, u)).count
                 assert ku <= kv * vu
 
+def mu_u(tg, k, k0, u):
+    """The ratio functional (K:U) / (K0:U) of the existence construction."""
+    return Fraction(
+        covering_number(CoveringProblem(tg, k, u)).count,
+        covering_number(CoveringProblem(tg, k0, u)).count,
+    )
+
 def test_range_bound():
     for tg in instances_small():
         u = identity_closure(tg)
@@ -144,7 +150,7 @@ def test_separated_additivity():
     for tg in instances_small():
         u = identity_closure(tg)
         k0 = tg.space.full
-        u_inv = tg.group.inv_set(u)
+        u_inv = mask_of(tg.group.inverse[x] for x in bit_indices(u))
         closed = closed_sets(tg.space)
         for k1 in closed:
             for k2 in closed:
@@ -164,11 +170,12 @@ def test_mu_u_examples():
     assert mu_u(tg, 0, n, n) == 0
 
 def test_mu_u_rejects_bad_neighborhood():
+    """The construction's callers keep the checks on U and K0."""
     tg = z4_coset_instance()
     with pytest.raises(NotOpen):
-        mu_u(tg, 0b0101, 0b0101, 0b1010)  # open but misses the identity
+        covering_table(tg, 0b1010)  # open but misses the identity
     with pytest.raises(EmptyInterior):
-        mu_u(tg, 0b0101, 0b0001, 0b0101)
+        existence_via_covering(tg, 0)  # closed, with empty interior
 
 
 # -- existence construction --------------------------------------------------
@@ -324,7 +331,7 @@ def test_covering_reads_translates_off_the_atom_table(corpus_instances, monkeypa
             for k in (*tg.atoms, full):
                 assert covering_number(CoveringProblem(tg, k, u)).count == table[tg.image(k)]
         mu, lam = canonical_haar(tg), canonical_haar(z2)
-        f = PointFunction.constant(2 * tg.group.order, 1)
+        f = PointFunction((1,) * (2 * tg.group.order))
         assert fubini_check(tg, z2, f, mu, lam) == (len(tg.atoms) * 2,) * 2
 
 

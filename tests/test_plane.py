@@ -24,7 +24,14 @@ from haarlab.plane import (
     UNIT_TILE,
 )
 
-from literal import literal_verify
+from literal import (
+    is_closed_union,
+    is_open_union,
+    literal_verify,
+    rects_disjoint,
+    union_contains,
+    unions_disjoint,
+)
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
@@ -114,9 +121,9 @@ def test_translation_invariance(e, a, b):
 @given(cylinders(), cylinders())
 @settings(max_examples=200, deadline=None)
 def test_finite_additivity(e1, e2):
-    if e1.base.intersects(e2.base):
+    if not unions_disjoint(e1.base, e2.base):
         return
-    u = CylinderSet(e1.base.union(e2.base))
+    u = CylinderSet(IntervalUnion(e1.base.intervals + e2.base.intervals))
     assert haar_v(u) == haar_v(e1) + haar_v(e2)
 
 
@@ -127,10 +134,10 @@ def test_regularity_example():
     inner, outer = regularity_gap(e, Fraction(1, 10))
     iv = inner.base.intervals[0]
     assert (iv.lo, iv.hi) == (Fraction(1, 20), Fraction(19, 20))
-    assert inner.is_closed_compact()
+    assert is_closed_union(inner.base)
     ov = outer.base.intervals[0]
     assert (ov.lo, ov.hi) == (Fraction(-1, 20), Fraction(21, 20))
-    assert outer.base.is_open()
+    assert is_open_union(outer.base)
 
 def test_regularity_closed_base_is_fixed_point():
     e = cyl(Interval(0, 2), Interval(3, 4))
@@ -141,7 +148,7 @@ def test_regularity_closed_base_is_fixed_point():
 def test_regularity_empty_base():
     inner, outer = regularity_gap(CylinderSet(IntervalUnion([])), Fraction(1, 3))
     assert haar_v(inner) == 0
-    assert outer.base.is_open()
+    assert is_open_union(outer.base)
     assert haar_v(outer) <= Fraction(1, 3)
 
 def test_regularity_rejects_bad_eps():
@@ -153,10 +160,10 @@ def test_regularity_rejects_bad_eps():
 @settings(max_examples=200, deadline=None)
 def test_regularity_gap_bounds(e, eps):
     inner, outer = regularity_gap(e, eps)
-    assert inner.is_closed_compact()
-    assert outer.base.is_open()
-    assert e.base.contains(inner.base)
-    assert outer.base.contains(e.base)
+    assert is_closed_union(inner.base)
+    assert is_open_union(outer.base)
+    assert union_contains(e.base, inner.base)
+    assert union_contains(outer.base, e.base)
     assert haar_v(e) - haar_v(inner) <= eps
     assert haar_v(outer) - haar_v(e) <= eps
 
@@ -209,27 +216,32 @@ def test_bk_translates_are_disjoint_and_contained():
     for i in range(len(tiles)):
         assert 0 <= tiles[i].x_lo and tiles[i].x_hi <= 1
         for j in range(i + 1, len(tiles)):
-            assert tiles[i].disjoint_from(tiles[j])
+            assert rects_disjoint(tiles[i], tiles[j])
 
 def _tampered():
+    """Certificates that differ from the true ones for c = 1 and c = 0
+    (probe bound 10) in one field, each built by the constructor."""
     good = counterexample_bk(1, 10)
-    zero = counterexample_bk(0, 10)
-    offsets = zero.grid_offsets
+    assert (good.count, good.step) == (11, 2)
+    one, ten, two = Fraction(1), Fraction(10), Fraction(2)
+    offsets = counterexample_bk(0, 10).grid_offsets
+
+    def zero_mass(grid):
+        return BkCertificate(Fraction(0), ten, NONZERO_VIOLATED, grid_offsets=grid)
+
     return {
         # one tile fewer: total mass no longer exceeds the bound
-        "dropped_tile": good.replace(count=good.count - 1),
+        "dropped_tile": BkCertificate(one, ten, FINITENESS_VIOLATED, 10, two),
         # closed tiles that touch or overlap
-        "touching_tiles": good.replace(step=Fraction(1)),
-        "overlapping_tiles": good.replace(step=Fraction(1, 2)),
+        "touching_tiles": BkCertificate(one, ten, FINITENESS_VIOLATED, 11, one),
+        "overlapping_tiles": BkCertificate(one, ten, FINITENESS_VIOLATED, 11, one / 2),
         # wrong verdict for the mass
-        "zero_mass_finiteness": good.replace(input_mass=Fraction(0)),
-        "positive_mass_nonzero": BkCertificate(
-            Fraction(1), good.probe_bound, NONZERO_VIOLATED, grid_offsets=offsets
-        ),
-        "incomplete_grid": zero.replace(grid_offsets=offsets[:-1]),
+        "zero_mass_finiteness": BkCertificate(Fraction(0), ten, FINITENESS_VIOLATED, 11, two),
+        "positive_mass_nonzero": BkCertificate(one, ten, NONZERO_VIOLATED, grid_offsets=offsets),
+        "incomplete_grid": zero_mass(offsets[:-1]),
         # one offset listed twice, another missing
-        "duplicated_offset": zero.replace(grid_offsets=offsets[:-1] + offsets[:1]),
-        "unknown_verdict": BkCertificate(Fraction(1), Fraction(1), "SomethingElse"),
+        "duplicated_offset": zero_mass(offsets[:-1] + offsets[:1]),
+        "unknown_verdict": BkCertificate(one, one, "SomethingElse"),
     }
 
 def test_tampered_certificates_rejected():
@@ -238,7 +250,10 @@ def test_tampered_certificates_rejected():
 
 def test_grid_offsets_compared_exactly():
     zero = counterexample_bk(0, 10)
-    padded = zero.replace(grid_offsets=zero.grid_offsets + zero.grid_offsets[:1])
+    padded = BkCertificate(
+        zero.input_mass, zero.probe_bound, zero.verdict,
+        grid_offsets=zero.grid_offsets + zero.grid_offsets[:1],
+    )
     # the same set of offsets, one listed twice
     assert literal_verify(padded)
     assert not verify_bk_certificate(padded)

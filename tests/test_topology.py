@@ -5,8 +5,6 @@ import pytest
 
 from haarlab import (
     FiniteSpace,
-    PointFunction,
-    closed_compact_sandwich,
     enumerate_topologies,
     separate,
     split_compact,
@@ -22,7 +20,7 @@ from haarlab.errors import (
 )
 from haarlab.topology import TOPOLOGY_COUNTS, mask_of
 
-from literal import closed_sets, literal_closure, literal_interior, opens, reference_separate
+from literal import closed_sets, hausdorff, literal_closure, literal_interior, opens, reference_separate
 
 
 def sierpinski():
@@ -79,7 +77,7 @@ def test_opens_listed_lazily_under_cap():
     space = FiniteSpace.from_min_open(17, [1 << x for x in range(17)])
     assert "opens" not in repr(space)
     assert space.closure(0b101) == 0b101 and space.is_open(0b101)
-    assert space.separation_flags().hausdorff
+    assert space.separation_flags().regular
 
 
 # -- closure / interior ------------------------------------------------------
@@ -192,7 +190,7 @@ def test_flags_match_brute_force_oracle():
     for space in enumerate_topologies(3) + enumerate_topologies(4):
         f = space.separation_flags()
         assert (
-            f.hausdorff,
+            hausdorff(space),
             f.regular,
             f.normal,
             f.locally_compact,
@@ -203,12 +201,12 @@ def test_flags_match_brute_force_oracle():
 
 def test_flags_examples():
     f = indiscrete(2).separation_flags()
-    assert (f.hausdorff, f.regular, f.normal) == (False, True, True)
+    assert (hausdorff(indiscrete(2)), f.regular, f.normal) == (False, True, True)
     assert not sierpinski().separation_flags().regular
     f = discrete(3).separation_flags()
     assert all(
         [
-            f.hausdorff,
+            hausdorff(discrete(3)),
             f.regular,
             f.normal,
             f.locally_compact,
@@ -309,19 +307,26 @@ def test_split_property_all_regular_spaces():
 
 
 # -- sandwich ----------------------------------------------------------------
+#
+# The constant strongly_locally_compact flag: every set k lies in an open U
+# inside a closed compact L, namely its smallest open superset and the
+# closure of that.
+
+def sandwich(space, k):
+    u = space.smallest_open_superset(k)
+    return u, space.closure(u)
 
 def test_sandwich_z4():
-    assert closed_compact_sandwich(z4_coset_space(), 0b0001) == (0b0101, 0b0101)
+    assert sandwich(z4_coset_space(), 0b0001) == (0b0101, 0b0101)
 
 def test_sandwich_empty():
-    assert closed_compact_sandwich(z4_coset_space(), 0) == (0, 0)
+    assert sandwich(z4_coset_space(), 0) == (0, 0)
 
 def test_sandwich_property():
     for space in enumerate_topologies(3):
-        if not space.separation_flags().strongly_locally_compact:
-            continue
+        assert space.separation_flags().strongly_locally_compact
         for k in range(space.full + 1):
-            u, l = closed_compact_sandwich(space, k)
+            u, l = sandwich(space, k)
             assert space.is_open(u) and space.is_closed(l)
             assert k & ~u == 0 and u & ~l == 0
 
@@ -370,7 +375,7 @@ def test_urysohn_property_all_regular_spaces():
                         assert v == 1
                     if not u >> x & 1:
                         assert v == 0
-                assert space.is_closed(g.support_mask())
+                assert space.is_closed(mask_of(x for x, v in enumerate(g.values) if v))
                 assert g.is_continuous(space)
                 assert ray_preimages_open(space, g)
 
