@@ -6,10 +6,11 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed (the
 witness is in the report), 2 malformed input, a command line outside the
 grammar (see `parse_args`) or an --output that cannot be written (the
 error report then goes to stdout).  -h or --help prints the usage and
-exits 0.  Reports are byte-stable: sorted keys, canonical "p/q"
-rationals, LF line endings.  The command line is parsed here, not by
-argparse, whose import and locale lookups would add milliseconds to every
-process.
+exits 0.  Reports are byte-stable compact JSON: sorted keys, no
+whitespace between tokens, canonical "p/q" rationals and one LF at the
+end (`python -m json.tool` pretty-prints one).  The command line is
+parsed here, not by argparse, whose import and locale lookups would add
+milliseconds to every process.
 """
 
 from __future__ import annotations
@@ -535,8 +536,8 @@ commands: {", ".join(COMMANDS)}
 
   --input PATH       the JSON input (required)
   --output PATH      write the JSON report there instead of to stdout
-  --max-order N      largest group order accepted (default HAARLAB_MAX_ORDER,
-                     else {groups_mod.MAX_ORDER}); a value above
+  --max-order N      largest group order accepted, at least 1 (default
+                     HAARLAB_MAX_ORDER, else {groups_mod.MAX_ORDER}); a value above
                      {groups_mod.MAX_ORDER} leaves the cap at {groups_mod.MAX_ORDER}
   --probe-bound p/q  counterexample's probe bound, in place of the input's
 """
@@ -610,15 +611,18 @@ def parse_args(argv) -> Options | None:
 
 def _int_setting(text, name) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise InputError(f"{name} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise InputError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def _max_order(flag) -> int:
     """--max-order, else HAARLAB_MAX_ORDER, else groups.MAX_ORDER; each
-    given value must be an integer, and one above groups.MAX_ORDER leaves
-    the cap there."""
+    given value must be an integer of at least 1, and one above
+    groups.MAX_ORDER leaves the cap there."""
     if flag is not None:
         value = _int_setting(flag, "--max-order")
     else:
@@ -695,8 +699,13 @@ def run(argv=None) -> int:
 
 def _write_report(report, fh):
     """Stream the report's canonical text to fh, chunk by chunk, so that no
-    copy of the whole text is ever built."""
-    json.dump(report, fh, sort_keys=True, indent=2)
+    copy of the whole text is ever built: compact JSON with sorted keys and
+    no whitespace between tokens, then one LF.
+
+    json.dumps would encode the whole text at once in C, several times
+    faster, but it builds that whole text: a peak allocation the size of
+    the report, where json.dump's chunks keep it to kilobytes."""
+    json.dump(report, fh, sort_keys=True, separators=(",", ":"))
     fh.write("\n")
 
 

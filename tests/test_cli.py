@@ -515,6 +515,26 @@ def test_order_cap_stays_at_64(tmp_path, capsys, monkeypatch, setting):
     }
     assert calls == []
 
+@pytest.mark.parametrize("setting", ["flag", "env"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_order_cap_below_1_is_malformed(tmp_path, capsys, monkeypatch, setting, value):
+    """A cap below 1 admits no group: it exits 2 naming the flag or the
+    variable, not with the cap error of whatever group the input holds."""
+    path = tmp_path / "input.json"
+    write_fresh(path, json.dumps({"group": {"family": "cyclic", "params": {"n": 4}}}))
+    monkeypatch.delenv("HAARLAB_MAX_ORDER", raising=False)
+    if setting == "env":
+        monkeypatch.setenv("HAARLAB_MAX_ORDER", value)
+        name, flags = "HAARLAB_MAX_ORDER", []
+    else:
+        name, flags = "--max-order", ["--max-order", value]
+    assert cli.run(["enumerate", "--input", str(path), *flags]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "schema_version": "1",
+        "command": "enumerate",
+        "error": f"{name} must be at least 1, got {value}",
+    }
+
 def test_env_order_cap_not_an_int(tmp_path):
     path = tmp_path / "in.json"
     write_fresh(path, json.dumps({"group": {"family": "cyclic", "params": {"n": 5}}}))
@@ -785,18 +805,12 @@ def test_empty_output_path_exits_2(tmp_path):
     assert report["error"].startswith("cannot write output: ")
 
 def test_report_is_streamed(tmp_path):
-    """Writing the 1.6 MB construct report of Z48 over its subgroup of
-    order 8 never holds the whole text: under 256 KiB of peak allocation
-    into a sink that only counts characters."""
-    z48 = groups.cyclic(48)
-    n8 = list(bit_indices(z48.generated_subgroup([6])))
-    payload = {
-        "group": {"family": "cyclic", "params": {"n": 48}},
-        "topology": {"normal_subgroup": n8},
-        "k0": n8,
-    }
+    """Writing the 1.9 MB counterexample report of 40,960 tiles never holds
+    the whole text: under 256 KiB of peak allocation into a sink that only
+    counts characters."""
+    payload = {"c": "1/40959", "probe_bound": "1/1"}
     out = tmp_path / "report.json"
-    proc, _ = run_cli(tmp_path, "construct", payload, "--output", str(out))
+    proc, _ = run_cli(tmp_path, "counterexample", payload, "--output", str(out))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
     text = out.read_text(encoding="utf-8")
     report = json.loads(text)
@@ -857,6 +871,39 @@ def test_report_digest_is_unchanged():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
+        "42db73986d2506d74043c6f4732f83e6d4adaa27647f06016ccfa533af6f7420\n"
+    )
+
+# Runs tools/report_digest.py with each report re-encoded as the indented
+# text that reports were written as before they became compact.
+REINDENTED_DIGEST = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("report_digest", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+run_op = tool.run_op
+
+def reindented(op, path):
+    code, report = run_op(op, path)
+    text = json.dumps(json.loads(report), sort_keys=True, indent=2) + "\\n"
+    return code, text.encode()
+
+tool.run_op = reindented
+print(tool.digest([1])[0])
+"""
+
+def test_compact_reports_differ_from_indented_only_in_whitespace():
+    """Re-indented by 2, every compact seed-1 report and exit code gives
+    the digest the indented reports had, over the same framing: the
+    compact encoding changed whitespace and nothing else."""
+    tool = SRC.parent / "tools" / "report_digest.py"
+    proc = subprocess.run(
+        [sys.executable, "-c", REINDENTED_DIGEST, str(tool)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
         "ced1aae0df44b73a6afc8aa4ab1e98c275fd288a7ee61fd75679101d57b86a5e\n"
     )
 
@@ -872,8 +919,14 @@ def test_enumerate_z2_to_the_5_report_is_unchanged(tmp_path):
     assert cli.run(["enumerate", "--input", str(path), "--output", str(out)]) == 0
     report = out.read_bytes()
     assert len(json.loads(report)["results"]["topologies"]) == 374
-    assert len(report) == 380530
+    assert len(report) == 85578
     assert hashlib.sha256(report).hexdigest() == (
+        "dd36214b004b841bf7ab0fcbda15972b98ce45d3ce392c0a2fc95e3513018288"
+    )
+    # re-indented by 2, it is the indented report byte for byte
+    indented = (json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n").encode()
+    assert len(indented) == 380530
+    assert hashlib.sha256(indented).hexdigest() == (
         "39a0b0711865c5de9ba0a6c9fa4438b12043bcf21c2a1b7f40bbde85a97d89de"
     )
 
@@ -1035,8 +1088,8 @@ def test_fuzz_inputs_never_crash(tmp_path, capsys, case):
 
 # -- how the CLI process ends ----------------------------------------------------
 
-# 1,024 tiles: a report of about 150 kB, more than a pipe buffer holds
-BIG_REPORT = ("counterexample", {"c": "1/1023", "probe_bound": "1/1"})
+# 4,096 tiles: a report of about 180 kB, more than a pipe buffer holds
+BIG_REPORT = ("counterexample", {"c": "1/4095", "probe_bound": "1/1"})
 
 def in_process(tmp_path, capsys, command, payload, *extra):
     """Exit code and report bytes of cli.run in this process."""
