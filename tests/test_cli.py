@@ -650,6 +650,112 @@ def test_family_params_checked(spec, message):
         cli.load_group(spec, 64)
     assert str(info.value) == message
 
+def table_input(table):
+    return {"group": {"order": len(table), "table": table}}
+
+def z4_opens(*opens):
+    return dict(Z4_HAAR, topology={"opens": [[], *opens, [0, 1, 2, 3]]})
+
+#: One input per precondition the library checks, and the error text of its
+#: exit-2 report.
+ERROR_TEXTS = {
+    "table_not_square": (
+        "enumerate",
+        table_input([[0, 1], [1]]),
+        "bad Cayley table: Cayley table is not square over 0..order-1",
+    ),
+    "table_row": (
+        "enumerate", table_input([[0, 0], [1, 1]]), "bad Cayley table: row 0 is not a permutation"
+    ),
+    "table_column": (
+        "enumerate",
+        table_input([[0, 1], [0, 1]]),
+        "bad Cayley table: column 0 is not a permutation",
+    ),
+    "table_identity": (
+        "enumerate",
+        table_input([[0, 2, 1], [2, 1, 0], [1, 0, 2]]),
+        "bad Cayley table: no identity element",
+    ),
+    "table_inverse": (
+        "enumerate",
+        table_input(
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+        ),
+        "bad Cayley table: element 2 has no inverse",
+    ),
+    "table_associativity": (
+        "enumerate",
+        table_input(
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        ),
+        "bad Cayley table: associativity fails at (1, 1, 2)",
+    ),
+    "subgroup_not_normal": (
+        "quotient",
+        {"group": {"family": "symmetric3"}, "topology": {"normal_subgroup": [0, 1]}},
+        "mask is not a normal subgroup",
+    ),
+    "opens_without_empty_set": (
+        "verify-haar",
+        dict(Z4_HAAR, topology={"opens": [[0, 1, 2, 3]]}),
+        "opens must contain the empty set and the full set",
+    ),
+    "opens_not_closed_under_intersection": (
+        "verify-haar",
+        z4_opens([0, 1], [1, 2]),
+        "opens not closed under intersection near point 1",
+    ),
+    "opens_not_closed_under_union": (
+        "verify-haar", z4_opens([0], [1]), "opens not closed under pairwise union"
+    ),
+    "opens_incompatible": (
+        "verify-haar",
+        z4_opens([0]),
+        "incompatible topology: witness: pair (3, 1), open 0x1",
+    ),
+    "mass_count": (
+        "verify-haar", dict(Z4_COSET, measure={"atom_masses": ["1"] * 3}), "3 masses for 2 atoms"
+    ),
+    "mass_negative": (
+        "verify-haar",
+        dict(Z4_COSET, measure={"atom_masses": ["-1", "1"]}),
+        "atom masses must be nonnegative",
+    ),
+    "side": ("verify-haar", dict(Z4_HAAR, side="up"), "side must be left or right, got 'up'"),
+    "k0_not_closed": (
+        "construct", dict(Z4_COSET, k0=[0]), "k0 must be closed with nonempty interior"
+    ),
+    "k0_empty_interior": (
+        "construct", dict(Z4_COSET, k0=[]), "k0 must be closed with nonempty interior"
+    ),
+    "c_negative": ("counterexample", {"c": "-1"}, "hypothesized mass must be nonnegative"),
+    "probe_bound_zero": (
+        "counterexample", {"c": "1", "probe_bound": "0"}, "probe bound must be positive"
+    ),
+    "interval_empty": ("plane", {"intervals": [{"lo": "1", "hi": "0"}]}, "empty interval 1 > 0"),
+    "interval_degenerate_open": (
+        "plane",
+        {"intervals": [{"lo": "0", "hi": "0", "lo_closed": False}]},
+        "degenerate interval must be closed",
+    ),
+    "eps_zero": (
+        "plane", {"intervals": [{"lo": "0", "hi": "1"}], "eps": "0"}, "eps must be positive"
+    ),
+}
+
+@pytest.mark.parametrize("command,payload,message", ERROR_TEXTS.values(), ids=ERROR_TEXTS)
+def test_error_texts(tmp_path, capsys, command, payload, message):
+    """Each broken precondition exits 2 with exactly its error text."""
+    path = tmp_path / "input.json"
+    write_fresh(path, json.dumps(payload))
+    assert cli.run([command, "--input", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "schema_version": "1",
+        "command": command,
+        "error": message,
+    }
+
 def test_rational_caps_checked_before_fraction(tmp_path, monkeypatch):
     def no_fraction(*args):
         raise AssertionError("a Fraction was built")
