@@ -8,9 +8,17 @@ grammar (see `parse_args`) or an --output that cannot be written (the
 error report then goes to stdout).  -h or --help prints the usage and
 exits 0.  Reports are byte-stable compact JSON: sorted keys, no
 whitespace between tokens, canonical "p/q" rationals and one LF at the
-end (`python -m json.tool` pretty-prints one).  The command line is
-parsed here, not by argparse, whose import and locale lookups would add
-milliseconds to every process.
+end (`python -m json.tool` pretty-prints one).
+
+The library checks each precondition on its arguments itself: a broken
+one raises InputError, which is also a ValueError, and the error report
+carries its message as is.  Every other HaarlabError is reported as
+`Name: message`.  Both exit 2.  The CLI checks only what the library
+cannot: the JSON shape, the order cap, the rational grammar and the
+command line.  Any other exception is a bug: a traceback and exit 1.
+
+The command line is parsed here, not by argparse, whose import and
+locale lookups would add milliseconds to every process.
 """
 
 from __future__ import annotations
@@ -27,14 +35,10 @@ from . import covering as covering_mod
 from . import groups as groups_mod
 from . import measure as measure_mod
 from . import plane as plane_mod
-from .errors import HaarlabError
+from .errors import HaarlabError, InputError
 from .topology import FiniteSpace, PointFunction, bit_indices, mask_of
 
 SCHEMA_VERSION = "1"
-
-
-class InputError(Exception):
-    """Malformed user input; maps to exit code 2."""
 
 
 def frac_str(f: Fraction) -> str:
@@ -203,10 +207,7 @@ def load_group(spec, max_order) -> groups_mod.FiniteGroup:
             for row in table
         ):
             raise InputError("bad Cayley table: expected a list of rows of integers")
-        try:
-            g = groups_mod.FiniteGroup(table, name=name)
-        except (ValueError, KeyError) as exc:
-            raise InputError(f"bad Cayley table: {exc}") from exc
+        g = groups_mod.FiniteGroup(table, name=name)
         if g.order != spec["order"]:
             raise InputError("declared order does not match the table")
     _check_cap(g.order, max_order)
@@ -222,26 +223,17 @@ def load_top_group(group_spec, topo_spec, max_order) -> groups_mod.FiniteTopGrou
         n_mask = _point_mask(
             topo_spec["normal_subgroup"], group.order, "normal_subgroup"
         )
-        try:
-            space = groups_mod.coset_topology(group, n_mask)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        space = groups_mod.coset_topology(group, n_mask)
     elif "opens" in topo_spec:
         _require_keys(topo_spec, {"opens"}, {"opens"}, "topology")
         opens = topo_spec["opens"]
         if not isinstance(opens, list):
             raise InputError("opens must be a list of open sets")
         masks = [_point_mask(u, group.order, "open set") for u in opens]
-        try:
-            space = FiniteSpace(group.order, masks)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        space = FiniteSpace(group.order, masks)
     else:
         raise InputError("topology spec needs normal_subgroup or opens")
-    try:
-        return groups_mod.FiniteTopGroup(group, space)
-    except HaarlabError as exc:
-        raise InputError(f"incompatible topology: {exc}") from exc
+    return groups_mod.FiniteTopGroup(group, space)
 
 
 def load_measure(spec, g) -> measure_mod.FiniteMeasure:
@@ -249,12 +241,7 @@ def load_measure(spec, g) -> measure_mod.FiniteMeasure:
     if not isinstance(spec["atom_masses"], list):
         raise InputError("atom_masses must be a list of rationals")
     masses = tuple(parse_frac(s) for s in spec["atom_masses"])
-    if any(m < 0 for m in masses):
-        raise InputError("atom masses must be nonnegative")
-    try:
-        return measure_mod.FiniteMeasure(g, masses)
-    except HaarlabError as exc:
-        raise InputError(str(exc)) from exc
+    return measure_mod.FiniteMeasure(g, masses)
 
 
 def load_cylinder(spec) -> plane_mod.CylinderSet:
@@ -268,17 +255,14 @@ def load_cylinder(spec) -> plane_mod.CylinderSet:
             {"lo", "hi"},
             "interval",
         )
-        try:
-            ivs.append(
-                plane_mod.Interval(
-                    parse_frac(entry["lo"]),
-                    parse_frac(entry["hi"]),
-                    _bool_value(entry.get("lo_closed", True), "lo_closed"),
-                    _bool_value(entry.get("hi_closed", True), "hi_closed"),
-                )
+        ivs.append(
+            plane_mod.Interval(
+                parse_frac(entry["lo"]),
+                parse_frac(entry["hi"]),
+                _bool_value(entry.get("lo_closed", True), "lo_closed"),
+                _bool_value(entry.get("hi_closed", True), "hi_closed"),
             )
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        )
     return plane_mod.CylinderSet(plane_mod.IntervalUnion(ivs))
 
 
@@ -324,8 +308,6 @@ def cmd_verify_haar(data, opts):
         data, {"group", "topology", "measure", "side"}, {"group", "topology", "measure"}, "input"
     )
     side = data.get("side", "left")
-    if side not in ("left", "right"):
-        raise InputError(f"side must be left or right, got {side!r}")
     tg = load_top_group(data["group"], data["topology"], opts.max_order)
     mu = load_measure(data["measure"], tg)
     report = measure_mod.is_haar(tg, mu, side=side)
@@ -355,8 +337,6 @@ def cmd_construct(data, opts):
     _require_keys(data, {"group", "topology", "k0"}, {"group", "topology", "k0"}, "input")
     tg = load_top_group(data["group"], data["topology"], opts.max_order)
     k0 = _point_mask(data["k0"], tg.group.order, "k0")
-    if tg.space.interior(k0) == 0 or not tg.space.is_closed(k0):
-        raise InputError("k0 must be closed with nonempty interior")
     k_atoms = len(tg.atoms)
     mu = covering_mod.existence_via_covering(tg, k0)
     # the canonical Haar measure has mass 1 on every atom
@@ -427,11 +407,7 @@ def cmd_counterexample(data, opts):
     flag = parse_frac(opts.probe_bound) if opts.probe_bound is not None else None
     _require_keys(data, {"c", "probe_bound"}, {"c"}, "input")
     c = parse_frac(data["c"])
-    if c < 0:
-        raise InputError("hypothesized mass must be nonnegative")
     probe_bound = flag if flag is not None else parse_frac(data.get("probe_bound", "1"))
-    if probe_bound <= 0:
-        raise InputError("probe bound must be positive")
     cert = plane_mod.counterexample_bk(c, probe_bound)
     verified = plane_mod.verify_bk_certificate(cert)
     results = {
@@ -501,8 +477,6 @@ def cmd_plane(data, opts):
         ok = ok and plane_mod.haar_v(moved) == plane_mod.haar_v(e)
     if "eps" in data:
         eps = parse_frac(data["eps"])
-        if eps <= 0:
-            raise InputError("eps must be positive")
         inner, outer = plane_mod.regularity_gap(e, eps)
         mass = plane_mod.haar_v(e)
         results["inner"] = intervals_json(inner.base)
@@ -649,6 +623,8 @@ def _read_input(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_float=_json_float)
+    except InputError:  # a number _json_float refuses, reported as it stands
+        raise
     # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
     # literal past the int-to-text digit limit; RecursionError is nesting
     # deeper than the parser's recursion limit.

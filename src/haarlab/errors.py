@@ -1,8 +1,19 @@
-"""Exception hierarchy shared by all haarlab modules."""
+"""Exception hierarchy shared by all haarlab modules.
+
+A caller's argument that breaks a precondition raises InputError, which is
+also a ValueError, with a message that says on its own what is wrong.  The
+other named errors name what failed by their class.  So the CLI reports an
+InputError's message as is and every other HaarlabError as `Name: message`,
+both with exit 2; any other exception is a bug, a traceback with exit 1.
+"""
 
 
 class HaarlabError(Exception):
     """Base class for all errors raised by this library."""
+
+
+class InputError(HaarlabError, ValueError):
+    """A caller's argument breaks a precondition: malformed input."""
 
 
 class TooLarge(HaarlabError):
@@ -33,11 +44,11 @@ class NotNested(HaarlabError):
     pass
 
 
-class NotContinuousMultiplication(HaarlabError):
+class NotContinuousMultiplication(InputError):
     """Carries a witness (a, b, open_mask) where the product map fails."""
 
 
-class MeasureSpaceMismatch(HaarlabError):
+class MeasureSpaceMismatch(InputError):
     pass
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import NotContinuousMultiplication, NotMeasurable, TooLarge
+from .errors import InputError, NotContinuousMultiplication, NotMeasurable, TooLarge
 from .records import Record
 from .topology import FiniteSpace, bit_indices, mask_of
 
@@ -34,19 +34,21 @@ class FiniteGroup:
         table = tuple(tuple(row) for row in table)
         for row in table:
             if len(row) != order or any(not 0 <= v < order for v in row):
-                raise ValueError("Cayley table is not square over 0..order-1")
+                raise InputError(
+                    "bad Cayley table: Cayley table is not square over 0..order-1"
+                )
         for i in range(order):
             if len({table[i][j] for j in range(order)}) != order:
-                raise ValueError(f"row {i} is not a permutation")
+                raise InputError(f"bad Cayley table: row {i} is not a permutation")
             if len({table[j][i] for j in range(order)}) != order:
-                raise ValueError(f"column {i} is not a permutation")
+                raise InputError(f"bad Cayley table: column {i} is not a permutation")
         identity = None
         for e in range(order):
             if all(table[e][x] == x and table[x][e] == x for x in range(order)):
                 identity = e
                 break
         if identity is None:
-            raise ValueError("no identity element")
+            raise InputError("bad Cayley table: no identity element")
         inverse = [None] * order
         for x in range(order):
             for y in range(order):
@@ -54,7 +56,7 @@ class FiniteGroup:
                     inverse[x] = y
                     break
             if inverse[x] is None:
-                raise ValueError(f"element {x} has no inverse")
+                raise InputError(f"bad Cayley table: element {x} has no inverse")
         # (ab)c == a(bc) for every c at once: row ab against row a read
         # through row b.  Pairs go in the order of the triples, and the
         # first bad row is scanned for its first c, so the error names the
@@ -69,7 +71,9 @@ class FiniteGroup:
                         c = next(
                             c for c in range(order) if table[ab][c] != row_a[row_b[c]]
                         )
-                        raise ValueError(f"associativity fails at {(a, b, c)}")
+                        raise InputError(
+                            f"bad Cayley table: associativity fails at {(a, b, c)}"
+                        )
 
         self.order = order
         self.table = table
@@ -172,7 +176,7 @@ def cyclic(n: int) -> FiniteGroup:
 def dihedral(n: int) -> FiniteGroup:
     """Order 2n; index k*n + i encodes s^k r^i with s r s = r^-1."""
     if n < 1:
-        raise ValueError("dihedral requires n >= 1")
+        raise InputError("dihedral requires n >= 1")
     _check_order(2 * n)
 
     def mul(a, b):
@@ -291,13 +295,13 @@ class FiniteTopGroup:
 
     def __init__(self, group: FiniteGroup, space: FiniteSpace):
         if group.order != space.n:
-            raise ValueError("group and space must share the index set")
+            raise InputError("group and space must share the index set")
         mo = space.min_open
         table, inverse, e = group.table, group.inverse, group.identity
 
         def fail(a, b):
             raise NotContinuousMultiplication(
-                f"witness: pair ({a}, {b}), open {mo[table[a][b]]:#x}"
+                f"incompatible topology: witness: pair ({a}, {b}), open {mo[table[a][b]]:#x}"
             )
 
         u_e = mo[e]
@@ -410,7 +414,7 @@ def _coset_space(group: FiniteGroup, n_mask: int) -> FiniteSpace:
 def coset_topology(group: FiniteGroup, n_mask: int) -> FiniteSpace:
     """The topology whose opens are all unions of cosets of a normal subgroup."""
     if not group.is_subgroup(n_mask) or not group.is_normal(n_mask):
-        raise ValueError("mask is not a normal subgroup")
+        raise InputError("mask is not a normal subgroup")
     return _coset_space(group, n_mask)
 
 

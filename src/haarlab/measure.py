@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import MeasureSpaceMismatch, NotMeasurable
+from .errors import InputError, MeasureSpaceMismatch, NotMeasurable
 from .groups import FiniteTopGroup, QuotientData
 from .records import Record
 from .topology import PointFunction, bit_indices, mask_of
@@ -28,7 +28,7 @@ class FiniteMeasure(Record):
                 f"{len(masses)} masses for {len(group_ref.atoms)} atoms"
             )
         if any(m < 0 for m in masses):
-            raise ValueError("atom masses must be nonnegative")
+            raise InputError("atom masses must be nonnegative")
         self._assign(group_ref, masses)
 
     def total(self) -> Fraction:
@@ -127,7 +127,7 @@ def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarRep
     mass among its supersets and the largest among its subsets.
     """
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise InputError(f"side must be left or right, got {side!r}")
     weights = _int_weights(g, mu)
     witnesses = []
     left_inv = _check_invariance(g, weights, "left", witnesses)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import NegativeMass, TooLarge
+from .errors import InputError, NegativeMass, TooLarge
 from .records import Record
 
 
@@ -26,9 +26,9 @@ class Interval(Record):
         lo = Fraction(lo)
         hi = Fraction(hi)
         if lo > hi:
-            raise ValueError(f"empty interval {lo} > {hi}")
+            raise InputError(f"empty interval {lo} > {hi}")
         if lo == hi and not (lo_closed and hi_closed):
-            raise ValueError("degenerate interval must be closed")
+            raise InputError("degenerate interval must be closed")
         self._assign(lo, hi, lo_closed, hi_closed)
 
     @property
@@ -120,7 +120,7 @@ def regularity_gap(e: CylinderSet, eps):
     masses are within eps of e, obtained by rational endpoint nudges."""
     eps = Fraction(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InputError("eps must be positive")
     m = len(e.base.intervals)
     if m == 0:
         outer = IntervalUnion([Interval(0, eps / 2, False, False)])
@@ -156,7 +156,7 @@ class Rect(Record):
         x_lo, x_hi = Fraction(x_lo), Fraction(x_hi)
         y_lo, y_hi = Fraction(y_lo), Fraction(y_hi)
         if x_lo > x_hi or y_lo > y_hi:
-            raise ValueError("empty rectangle")
+            raise InputError("empty rectangle")
         # plain stores: a listing builds up to 2^17 tiles
         object.__setattr__(self, "x_lo", x_lo)
         object.__setattr__(self, "x_hi", x_hi)
@@ -229,7 +229,7 @@ def counterexample_bk(c, probe_bound) -> BkCertificate:
     if c < 0:
         raise NegativeMass(f"hypothesized tile mass {c} is negative")
     if probe_bound <= 0:
-        raise ValueError("probe bound must be positive")
+        raise InputError("probe bound must be positive")
     if c > 0:
         return BkCertificate(
             c, probe_bound, FINITENESS_VIOLATED, probe_bound // c + 1, Fraction(2)

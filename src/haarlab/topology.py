@@ -16,6 +16,7 @@ from functools import cached_property
 from itertools import product
 
 from .errors import (
+    InputError,
     InternalInconsistency,
     NotClosed,
     NotCovered,
@@ -69,9 +70,9 @@ class FiniteSpace:
         fam = sorted(set(opens))
         for u in fam:
             if u < 0 or u > full:
-                raise ValueError(f"open set {u:#x} not a subset of {n} points")
+                raise InputError(f"open set {u:#x} not a subset of {n} points")
         if 0 not in fam or full not in fam:
-            raise ValueError("opens must contain the empty set and the full set")
+            raise InputError("opens must contain the empty set and the full set")
 
         fam_set = frozenset(fam)
         min_open = []
@@ -82,7 +83,7 @@ class FiniteSpace:
                     m &= u
             min_open.append(m)
             if m not in fam_set:
-                raise ValueError(
+                raise InputError(
                     f"opens not closed under intersection near point {x}"
                 )
         # Every open u is the union of the minimal opens of its points, so
@@ -91,7 +92,7 @@ class FiniteSpace:
         # never builds more sets than the input has.
         distinct_min = set(min_open)
         if any(u | r not in fam_set for u in fam for r in distinct_min):
-            raise ValueError("opens not closed under pairwise union")
+            raise InputError("opens not closed under pairwise union")
         self._set(n, min_open)
 
     @classmethod
@@ -103,13 +104,13 @@ class FiniteSpace:
         rows = tuple(rows)
         full = (1 << n) - 1
         if len(rows) != n:
-            raise ValueError(f"{len(rows)} minimal opens for {n} points")
+            raise InputError(f"{len(rows)} minimal opens for {n} points")
         for x, r in enumerate(rows):
             if r < 0 or r > full or not r >> x & 1:
-                raise ValueError(f"minimal open {r:#x} does not contain point {x}")
+                raise InputError(f"minimal open {r:#x} does not contain point {x}")
             for y in bit_indices(r):
                 if rows[y] & ~r:
-                    raise ValueError(
+                    raise InputError(
                         f"minimal open of {y} not inside that of {x}"
                     )
         space = cls.__new__(cls)
@@ -132,7 +133,7 @@ class FiniteSpace:
 
     def check_subset(self, mask: int) -> int:
         if mask < 0 or mask > self.full:
-            raise ValueError(f"subset {mask:#x} not valid for {self.n} points")
+            raise InputError(f"subset {mask:#x} not valid for {self.n} points")
         return mask
 
     # -- closure / interior ----------------------------------------------
@@ -254,7 +255,7 @@ class PointFunction(Record):
         """The image is a finite subset of the reals, hence discrete in the
         subspace topology: continuity means every level set is open."""
         if len(self.values) != space.n:
-            raise ValueError("function defined on a different point set")
+            raise InputError("function defined on a different point set")
         return all(space.is_open(self.level_set(v)) for v in set(self.values))
 
 
@@ -342,7 +343,7 @@ def enumerate_topologies(n: int):
     for rows in product(*candidates):
         try:
             spaces.append(FiniteSpace.from_min_open(n, rows))
-        except ValueError:  # not a preorder
+        except InputError:  # not a preorder
             pass
     spaces.sort(key=lambda s: s.min_open)
     return spaces

@@ -1,4 +1,3 @@
-import argparse
 import functools
 import hashlib
 import json
@@ -348,7 +347,8 @@ def test_partition_once_per_top_group(corpus, monkeypatch):
     z48 = groups.cyclic(48)
     n8 = z48.generated_subgroup([6])
     cases = [(g, n) for g in corpus for n in g.normal_subgroups()] + [(z48, n8)]
-    opts = argparse.Namespace(max_order=64)
+    opts = cli.Options("enumerate")
+    opts.max_order = 64
     for group in [*corpus, z48]:
         built.clear()
         calls.clear()
@@ -400,7 +400,8 @@ def test_enumerate_checks_each_subgroup_once(corpus, monkeypatch):
     monkeypatch.setattr(groups.FiniteGroup, "is_normal", counting_is_normal)
     monkeypatch.setattr(groups.FiniteGroup, "translate", counting_translate)
     monkeypatch.setattr(groups.FiniteGroup, "subgroups", lattice)
-    opts = argparse.Namespace(max_order=64)
+    opts = cli.Options("enumerate")
+    opts.max_order = 64
     for group, n_subgroups in cases:
         counts.update(is_normal=0, translate=0)
         results, _ = cli.cmd_enumerate({"group": table_spec(group)}, opts)
@@ -428,7 +429,8 @@ def test_construct_never_lists_the_open_family(corpus_instances):
             [(list(bit_indices(k)), list(bit_indices(u))) for k in closed for u in nbhds]
         )
 
-    opts = argparse.Namespace(max_order=64)
+    opts = cli.Options("construct")
+    opts.max_order = 64
     for (group, n_mask), want in zip(cases, expected):
         n_points = list(bit_indices(n_mask))
         payload = {
@@ -724,12 +726,14 @@ ERROR_TEXTS = {
     ),
     "side": ("verify-haar", dict(Z4_HAAR, side="up"), "side must be left or right, got 'up'"),
     "k0_not_closed": (
-        "construct", dict(Z4_COSET, k0=[0]), "k0 must be closed with nonempty interior"
+        "construct", dict(Z4_COSET, k0=[0]), "NotClosed: reference set 0x1 is not closed"
     ),
     "k0_empty_interior": (
-        "construct", dict(Z4_COSET, k0=[]), "k0 must be closed with nonempty interior"
+        "construct", dict(Z4_COSET, k0=[]), "EmptyInterior: reference set 0x0 has empty interior"
     ),
-    "c_negative": ("counterexample", {"c": "-1"}, "hypothesized mass must be nonnegative"),
+    "c_negative": (
+        "counterexample", {"c": "-1"}, "NegativeMass: hypothesized tile mass -1 is negative"
+    ),
     "probe_bound_zero": (
         "counterexample", {"c": "1", "probe_bound": "0"}, "probe bound must be positive"
     ),
@@ -1262,6 +1266,35 @@ def test_exception_in_handler_gives_traceback_and_exit_1(tmp_path):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" in proc.stderr and "RuntimeError: boom" in proc.stderr
+
+#: A library call made to fail as a bug would, and an input that reaches it.
+Z2_GROUP = {"group": Z2_TABLE["group"]}
+LIBRARY_BUGS = {
+    "table": (groups.FiniteGroup, "__init__", ValueError, "enumerate", Z2_GROUP),
+    "table_key": (groups.FiniteGroup, "__init__", KeyError, "enumerate", Z2_GROUP),
+    "coset_topology": (groups, "coset_topology", ValueError, "quotient", Z4_COSET),
+    "opens": (FiniteSpace, "__init__", ValueError, "quotient", Z2_TABLE),
+    "interval": (plane.Interval, "__init__", ValueError, "plane", VALID_INPUTS["plane"][0]),
+}
+
+@pytest.mark.parametrize(
+    "owner,name,error,command,payload", LIBRARY_BUGS.values(), ids=LIBRARY_BUGS
+)
+def test_library_bug_is_not_malformed_input(
+    tmp_path, monkeypatch, owner, name, error, command, payload
+):
+    """A bare ValueError or KeyError from the library is a bug, not a
+    malformed input: run lets it propagate, and no report is written."""
+    def bug(*args, **kwargs):
+        raise error("bug")
+
+    monkeypatch.setattr(owner, name, bug)
+    path = tmp_path / "input.json"
+    write_fresh(path, json.dumps(payload))
+    out = tmp_path / "out.json"
+    with pytest.raises(error) as info:
+        cli.run([command, "--input", str(path), "--output", str(out)])
+    assert type(info.value) is error and not out.exists()
 
 # Command lines outside the grammar; "P" stands for the input's path.
 USAGE_ERRORS = {

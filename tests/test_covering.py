@@ -1,4 +1,3 @@
-import argparse
 import random
 from fractions import Fraction
 
@@ -276,7 +275,8 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
     z48 = cyclic(48)
     instances = [tg for tg in corpus_instances if len(tg.atoms) <= 6]
     instances.append(FiniteTopGroup(z48, coset_topology(z48, z48.generated_subgroup([6]))))
-    opts = argparse.Namespace(max_order=64)
+    opts = cli.Options("construct")
+    opts.max_order = 64
     for tg in instances:
         k = len(tg.atoms)
         n_nbhds = sum(u >> tg.group.identity & 1 for u in opens(tg.space))
@@ -291,7 +291,8 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
 def test_construct_truncated_table():
     """Past 6 atoms construct lists (K:U) only for K an atom or G and U = N
     or G, in that order, each count checked against the brute-force oracle."""
-    opts = argparse.Namespace(max_order=64)
+    opts = cli.Options("construct")
+    opts.max_order = 64
     for n, k0 in ((8, [0]), (12, [0, 5])):
         tg = discrete_instance(cyclic(n))
         data = dict(construct_input(tg), k0=k0)
