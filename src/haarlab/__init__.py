@@ -1,12 +1,6 @@
 """Exact verification of generalized Haar measures at desk scale."""
 
-from .covering import (
-    CoveringProblem,
-    CoveringSolution,
-    covering_number,
-    covering_table,
-    existence_via_covering,
-)
+from .covering import covering_number, covering_table, existence_via_covering
 from .groups import (
     FiniteGroup,
     FiniteTopGroup,

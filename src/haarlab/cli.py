@@ -141,8 +141,6 @@ def _size_param(params, family, order_per_n, max_order) -> int:
     if "n" not in params:
         raise InputError(f"{family} params: missing fields ['n']")
     n = _int_value(params["n"], f"{family} params: n")
-    if n < 1:
-        raise InputError(f"{family} params: n must be positive, got {n}")
     if n > max_order:
         # named by n: order_per_n * n can have more digits than an int
         # converts to text (sys.get_int_max_str_digits)
@@ -345,8 +343,9 @@ def cmd_construct(data, opts):
     # full (K:U) table over closed sets and open identity neighborhoods,
     # truncated to atoms and the full set past the size cap.  Closed and
     # open sets alike are the unions of atoms, so both run over atom
-    # selections in the order of their point masks; the neighborhoods are
-    # the selections holding atom 0, N.
+    # selections in the order of their point masks, and `covering` takes
+    # them as they are; the neighborhoods are the selections holding atom
+    # 0, N.
     full = (1 << k_atoms) - 1
     truncated = k_atoms > 6
     if truncated:
@@ -354,14 +353,13 @@ def cmd_construct(data, opts):
         nbhd_sels = [1, full]
 
         def count(k, u):
-            problem = covering_mod.CoveringProblem(tg, tg.preimage(k), tg.preimage(u))
-            return covering_mod.covering_number(problem).count
+            return covering_mod.covering_number(tg, k, u)
 
     else:
         closed_sels = sorted(range(1, full + 1), key=tg.preimage)
         nbhd_sels = [u for u in closed_sels if u & 1]
         # one table of (K:U) per U, indexed by K's atom selection
-        tables = {u: covering_mod.covering_table(tg, tg.preimage(u)) for u in nbhd_sels}
+        tables = {u: covering_mod.covering_table(tg, u) for u in nbhd_sels}
 
         def count(k, u):
             return tables[u][k]

@@ -19,7 +19,11 @@ MAX_ORDER = 64
 
 
 def _check_order(order: int):
-    if not 1 <= order <= MAX_ORDER:
+    if order < 1:
+        # the order goes unnamed: a dihedral input's 2n can have more
+        # digits than an int converts to text
+        raise InputError("group order must be at least 1")
+    if order > MAX_ORDER:
         raise TooLarge(f"order {order} outside 1..{MAX_ORDER}")
 
 
@@ -175,8 +179,6 @@ def cyclic(n: int) -> FiniteGroup:
 
 def dihedral(n: int) -> FiniteGroup:
     """Order 2n; index k*n + i encodes s^k r^i with s r s = r^-1."""
-    if n < 1:
-        raise InputError("dihedral requires n >= 1")
     _check_order(2 * n)
 
     def mul(a, b):

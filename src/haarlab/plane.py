@@ -50,10 +50,7 @@ class IntervalUnion:
     """A finite union of intervals in canonical (sorted, merged) form."""
 
     def __init__(self, intervals):
-        ivs = sorted(
-            (iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals),
-            key=lambda iv: (iv.lo, not iv.lo_closed),
-        )
+        ivs = sorted(intervals, key=lambda iv: (iv.lo, not iv.lo_closed))
         merged = []
         for iv in ivs:
             if merged and merged[-1].touches_or_overlaps(iv):

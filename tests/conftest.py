@@ -76,20 +76,19 @@ def random_fraction(rng: random.Random, nonneg=True, max_num=99):
     return Fraction(num, den)
 
 
-def brute_force_covering_count(p) -> int:
-    """Independent all-subsets oracle for the covering number."""
-    if p.k == 0:
+def brute_force_covering_count(tg, k, s) -> int:
+    """Independent all-subsets oracle for the covering number (K:S) of the
+    point mask k by left translates of the open point mask s, translated
+    point by point with the group law."""
+    if k == 0:
         return 0
-    group = p.group.group
-    s_int = p.group.space.interior(p.s)
-    translate_masks = sorted(
-        {group.translate(g, s_int) for g in range(group.order)}
-    )
+    group = tg.group
+    translate_masks = sorted({group.translate(g, s) for g in range(group.order)})
     for size in range(1, len(translate_masks) + 1):
         for combo in combinations(translate_masks, size):
             acc = 0
             for m in combo:
                 acc |= m
-            if p.k & ~acc == 0:
+            if k & ~acc == 0:
                 return size
     raise AssertionError("no cover found")

@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from haarlab import (
-    CoveringProblem,
     CylinderSet,
     FiniteMeasure,
     Interval,
@@ -114,8 +113,8 @@ def test_criterion_3_existence_construction(corpus_instances, verdict):
             templates = {identity_closure(tg), tg.space.full}
             for k in sorted(targets):
                 for s in sorted(templates):
-                    p = CoveringProblem(tg, k, s)
-                    if covering_number(p).count != brute_force_covering_count(p):
+                    count = covering_number(tg, tg.selection(k), tg.selection(s))
+                    if count != brute_force_covering_count(tg, k, s):
                         ok = False
     verdict(3, ok, "covering construction equals canonical Haar; counts match brute-force oracle")
 

@@ -693,6 +693,34 @@ ERROR_TEXTS = {
         ),
         "bad Cayley table: associativity fails at (1, 1, 2)",
     ),
+    "cyclic_n_zero": (
+        "enumerate",
+        {"group": {"family": "cyclic", "params": {"n": 0}}},
+        "group order must be at least 1",
+    ),
+    "cyclic_n_negative": (
+        "enumerate",
+        {"group": {"family": "cyclic", "params": {"n": -3}}},
+        "group order must be at least 1",
+    ),
+    "dihedral_n_zero": (
+        "enumerate",
+        {"group": {"family": "dihedral", "params": {"n": 0}}},
+        "group order must be at least 1",
+    ),
+    "dihedral_n_negative": (
+        "enumerate",
+        {"group": {"family": "dihedral", "params": {"n": -3}}},
+        "group order must be at least 1",
+    ),
+    # 2n has 4,301 digits, more than an int converts to text: the message
+    # must not name the order
+    "dihedral_order_past_int_text": (
+        "enumerate",
+        {"group": {"family": "dihedral", "params": {"n": -5 * 10**4299}}},
+        "group order must be at least 1",
+    ),
+    "table_order_zero": ("enumerate", table_input([]), "group order must be at least 1"),
     "subgroup_not_normal": (
         "quotient",
         {"group": {"family": "symmetric3"}, "topology": {"normal_subgroup": [0, 1]}},

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from haarlab import (
-    CoveringProblem,
     FiniteGroup,
     FiniteSpace,
     FiniteTopGroup,
@@ -22,7 +21,7 @@ from haarlab import (
     is_haar,
     symmetric3,
 )
-from haarlab.errors import EmptyInterior, NotClosed, NotOpen
+from haarlab.errors import EmptyInterior, InputError, NotClosed, NotOpen
 from haarlab.topology import bit_indices, mask_of
 
 from conftest import LARGE_INSTANCES, brute_force_covering_count
@@ -38,42 +37,62 @@ def discrete_instance(group):
         group, FiniteSpace(group.order, range(1 << group.order))
     )
 
+def count(tg, k, s):
+    """(K:S) for the point masks k and s, through their atom selections."""
+    return covering_number(tg, tg.selection(k), tg.selection(s))
+
 
 # -- problem validation ------------------------------------------------------
 
 def test_problem_validation():
-    tg = z4_coset_instance()
-    with pytest.raises(NotClosed):
-        CoveringProblem(tg, 0b0001, 0b0101)
+    """Both functions refuse a selection with a bit past the atoms as
+    malformed input, a typed InputError, and an empty template U for its
+    empty interior; the checks run before the empty target's shortcut."""
+    tg = z4_coset_instance()  # 2 atoms
+    for k, u in ((0b100, 0b1), (0b1, 0b100), (-1, 0b1), (0b1, -1), (0, 0b111)):
+        with pytest.raises(InputError, match="holds a bit past the 2 atoms"):
+            covering_number(tg, k, u)
+    for u in (0b101, -1):
+        with pytest.raises(InputError, match="holds a bit past the 2 atoms"):
+            covering_table(tg, u)
+    for k in (0, 0b1, 0b11):
+        with pytest.raises(EmptyInterior):
+            covering_number(tg, k, 0)
     with pytest.raises(EmptyInterior):
-        CoveringProblem(tg, 0b0101, 0b0001)
+        covering_table(tg, 0)
 
 
 # -- covering_number examples ------------------------------------------------
 
 def test_covering_examples():
-    tg = z4_coset_instance()
-    sol = covering_number(CoveringProblem(tg, 0b0101, 0b0101))
-    assert (sol.count, sol.translates) == (1, (0,))
-    sol = covering_number(CoveringProblem(tg, 0, 0b0101))
-    assert (sol.count, sol.translates) == (0, ())
-    sol = covering_number(CoveringProblem(tg, 0b1111, 0b0101))
-    assert (sol.count, sol.translates) == (2, (0, 1))
+    tg = z4_coset_instance()  # atoms {0, 2} and {1, 3}
+    assert covering_number(tg, 0b01, 0b01) == 1
+    assert covering_number(tg, 0, 0b01) == 0
+    assert covering_number(tg, 0b11, 0b01) == 2
+    assert covering_number(tg, 0b11, 0b11) == 1
+    assert covering_number(tg, 0b10, 0b10) == 1
 
 def test_covering_discrete_singleton_template():
     tg = discrete_instance(cyclic(5))
-    sol = covering_number(CoveringProblem(tg, 0b11111, 0b00001))
-    assert sol.count == 5
-    assert sol.translates == (0, 1, 2, 3, 4)
+    assert covering_number(tg, 0b11111, 0b00001) == 5
 
 def test_translates_really_cover():
-    tg = z4_coset_instance()
-    for k in closed_sets(tg.space):
-        sol = covering_number(CoveringProblem(tg, k, 0b0101))
-        acc = 0
-        for g in sol.translates:
-            acc |= tg.group.translate(g, 0b0101)
-        assert k & ~acc == 0
+    """`_translates` lists, sorted, exactly the distinct left translates of
+    each nonempty open U, taken point by point with the group law, and
+    those meeting a closed K cover it, as the search assumes."""
+    for tg in instances_small():
+        for s in opens(tg.space):
+            if s == 0:
+                continue
+            translates = covering._translates(tg, tg.selection(s))
+            literal = {tg.selection(tg.group.translate(x, s)) for x in range(tg.group.order)}
+            assert translates == sorted(literal), (tg, s)
+            for k in map(tg.selection, closed_sets(tg.space)):
+                acc = 0
+                for t in translates:
+                    if t & k:
+                        acc |= t
+                assert k & ~acc == 0, (tg, s, k)
 
 
 # -- brute-force oracle ------------------------------------------------------
@@ -91,8 +110,7 @@ def test_matches_brute_force_oracle():
             for s in opens(tg.space):
                 if tg.space.interior(s) == 0:
                     continue
-                p = CoveringProblem(tg, k, s)
-                assert covering_number(p).count == brute_force_covering_count(p)
+                assert count(tg, k, s) == brute_force_covering_count(tg, k, s)
 
 
 # -- covering-number properties ----------------------------------------------
@@ -101,10 +119,10 @@ def test_translation_invariance():
     for tg in instances_small():
         for k in closed_sets(tg.space):
             s = identity_closure(tg)
-            base = covering_number(CoveringProblem(tg, k, s)).count
+            base = count(tg, k, s)
             for g in range(tg.group.order):
                 gk = tg.group.translate(g, k)
-                assert covering_number(CoveringProblem(tg, gk, s)).count == base
+                assert count(tg, gk, s) == base
 
 def test_subadditivity():
     for tg in instances_small():
@@ -112,9 +130,9 @@ def test_subadditivity():
         closed = closed_sets(tg.space)
         for k1 in closed:
             for k2 in closed:
-                c1 = covering_number(CoveringProblem(tg, k1, s)).count
-                c2 = covering_number(CoveringProblem(tg, k2, s)).count
-                cu = covering_number(CoveringProblem(tg, k1 | k2, s)).count
+                c1 = count(tg, k1, s)
+                c2 = count(tg, k2, s)
+                cu = count(tg, k1 | k2, s)
                 assert cu <= c1 + c2
 
 def test_chain_bound():
@@ -124,17 +142,14 @@ def test_chain_bound():
             for v in opens(tg.space):
                 if tg.space.interior(v) == 0 or not tg.space.is_closed(v):
                     continue
-                ku = covering_number(CoveringProblem(tg, k, u)).count
-                kv = covering_number(CoveringProblem(tg, k, v)).count
-                vu = covering_number(CoveringProblem(tg, v, u)).count
+                ku = count(tg, k, u)
+                kv = count(tg, k, v)
+                vu = count(tg, v, u)
                 assert ku <= kv * vu
 
 def mu_u(tg, k, k0, u):
     """The ratio functional (K:U) / (K0:U) of the existence construction."""
-    return Fraction(
-        covering_number(CoveringProblem(tg, k, u)).count,
-        covering_number(CoveringProblem(tg, k0, u)).count,
-    )
+    return Fraction(count(tg, k, u), count(tg, k0, u))
 
 def test_range_bound():
     for tg in instances_small():
@@ -142,7 +157,7 @@ def test_range_bound():
         k0 = tg.space.full
         for k in closed_sets(tg.space):
             val = mu_u(tg, k, k0, u)
-            bound = covering_number(CoveringProblem(tg, k, k0)).count
+            bound = count(tg, k, k0)
             assert 0 <= val <= bound
 
 def test_separated_additivity():
@@ -172,7 +187,7 @@ def test_mu_u_rejects_bad_neighborhood():
     """The construction's callers keep the checks on U and K0."""
     tg = z4_coset_instance()
     with pytest.raises(NotOpen):
-        covering_table(tg, 0b1010)  # open but misses the identity
+        covering_table(tg, 0b10)  # the atom {1, 3}: open but misses the identity
     with pytest.raises(EmptyInterior):
         existence_via_covering(tg, 0)  # closed, with empty interior
 
@@ -221,20 +236,23 @@ def test_covering_table_matches_search_and_brute_force(corpus_instances):
                 for _ in range(2)
             ]
         for u in nbhds:
-            table = covering_table(tg, u)
+            u_sel = tg.selection(u)
+            table = covering_table(tg, u_sel)
             assert len(table) == 1 << len(tg.atoms)
             for k in closed_sets(tg.space):
-                p = CoveringProblem(tg, k, u)
-                count = table[tg.image(k)]
-                assert count == covering_number(p).count, (tg.group.name, k, u)
-                assert count == brute_force_covering_count(p), (tg.group.name, k, u)
+                k_sel = tg.selection(k)
+                got = table[k_sel]
+                assert got == covering_number(tg, k_sel, u_sel), (tg.group.name, k, u)
+                assert got == brute_force_covering_count(tg, k, u), (tg.group.name, k, u)
 
 def test_covering_table_rejects_bad_neighborhood():
     tg = z4_coset_instance()
     with pytest.raises(NotOpen):
-        covering_table(tg, 0b1010)  # open but misses the identity
-    with pytest.raises(NotOpen):
-        covering_table(tg, 0b0001)  # not open
+        covering_table(tg, 0b10)  # the atom {1, 3}: open but misses the identity
+    with pytest.raises(InputError):
+        covering_table(tg, 0b100)  # no atom 2
+    with pytest.raises(EmptyInterior):
+        covering_table(tg, 0)
 
 
 def construct_input(tg):
@@ -253,10 +271,10 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
     search = covering.covering_number
     distances = covering._union_distances
 
-    def counting_search(p):
+    def counting_search(*args):
         nonlocal searches
         searches += 1
-        return search(p)
+        return search(*args)
 
     def counting_distances(translates, k):
         nonlocal tables, states
@@ -288,6 +306,36 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
         assert states <= n_nbhds * 2**k, tg.group.name
 
 
+@pytest.mark.parametrize("n,gen", [(48, 6), (12, 0)], ids=["Z48-N8", "Z12-discrete"])
+def test_construct_checks_only_k0_on_points(monkeypatch, n, gen):
+    """Counter bound: construct's covering runs on atom selections, so its
+    only point-mask checks are those of the input k0: at most one call
+    each of FiniteSpace.is_open, interior and check_subset, with the full
+    table (Z48/N8, 6 atoms) and with the truncated one (discrete Z12)."""
+    calls = {}
+
+    def counting(name):
+        method = getattr(FiniteSpace, name)
+
+        def counted(self, mask):
+            calls[name] += 1
+            return method(self, mask)
+
+        return counted
+
+    for name in ("is_open", "interior", "check_subset"):
+        calls[name] = 0
+        monkeypatch.setattr(FiniteSpace, name, counting(name))
+    group = cyclic(n)
+    tg = FiniteTopGroup(group, coset_topology(group, group.generated_subgroup([gen])))
+    opts = cli.Options("construct")
+    opts.max_order = 64
+    results, ok = cli.cmd_construct(construct_input(tg), opts)
+    assert ok and results["table_truncated"] == (len(tg.atoms) > 6)
+    assert len(tg.atoms) == {48: 6, 12: 12}[n]
+    assert all(c <= 1 for c in calls.values()), calls
+
+
 def test_construct_truncated_table():
     """Past 6 atoms construct lists (K:U) only for K an atom or G and U = N
     or G, in that order, each count checked against the brute-force oracle."""
@@ -304,7 +352,7 @@ def test_construct_truncated_table():
             (list(bit_indices(k)), list(bit_indices(u))) for k, u in cells
         ]
         for entry, (k, u) in zip(results["covering_table"], cells):
-            assert entry["count"] == brute_force_covering_count(CoveringProblem(tg, k, u))
+            assert entry["count"] == brute_force_covering_count(tg, k, u)
         # (atom:N) = 1 and (K0:N) = |K0|, so every atom weighs 1/|K0|
         assert results["measure"] == [f"1/{len(k0)}"] * n
         assert results["canonical_scalar"] == f"1/{len(k0)}"
@@ -326,11 +374,11 @@ def test_covering_reads_translates_off_the_atom_table(corpus_instances, monkeypa
 
     monkeypatch.setattr(FiniteGroup, "translate", no_translate)
     for tg in instances:
-        full = tg.space.full
-        for u in (tg.atoms[0], full):
+        every = (1 << len(tg.atoms)) - 1
+        for u in (1, every):
             table = covering_table(tg, u)
-            for k in (*tg.atoms, full):
-                assert covering_number(CoveringProblem(tg, k, u)).count == table[tg.image(k)]
+            for k in (*(1 << i for i in range(len(tg.atoms))), every):
+                assert covering_number(tg, k, u) == table[k]
         mu, lam = canonical_haar(tg), canonical_haar(z2)
         f = PointFunction((1,) * (2 * tg.group.order))
         assert fubini_check(tg, z2, f, mu, lam) == (len(tg.atoms) * 2,) * 2

@@ -8,8 +8,6 @@ import pytest
 
 from haarlab import (
     BkCertificate,
-    CoveringProblem,
-    CoveringSolution,
     CylinderSet,
     FiniteMeasure,
     FiniteTopGroup,
@@ -19,12 +17,11 @@ from haarlab import (
     canonical_haar,
     coset_topology,
     counterexample_bk,
-    covering_number,
     cyclic,
     is_haar,
     quotient,
 )
-from haarlab.errors import MeasureSpaceMismatch, NotClosed
+from haarlab.errors import MeasureSpaceMismatch
 from haarlab.groups import QuotientData
 from haarlab.measure import HaarReport
 from haarlab.plane import Rect
@@ -37,10 +34,9 @@ def z4():
 
 
 def samples():
-    """Two unequal instances of each of the ten record classes."""
+    """Two unequal instances of each of the eight record classes."""
     tg = z4()
     canon = canonical_haar(tg)
-    problem = CoveringProblem(tg, 0b1111, 0b0101)
     cert = counterexample_bk(1, 10)
     cert.translates  # a cached listing must not take part in eq or repr
     return {
@@ -48,8 +44,6 @@ def samples():
         QuotientData: (quotient(tg), quotient(FiniteTopGroup(cyclic(3), coset_topology(cyclic(3), 0b111)))),
         FiniteMeasure: (canon, canon.scaled(2)),
         HaarReport: (is_haar(tg, canon), is_haar(tg, FiniteMeasure(tg, (1, 2)))),
-        CoveringProblem: (problem, CoveringProblem(tg, 0b0101, 0b0101)),
-        CoveringSolution: (covering_number(problem), CoveringSolution(1, (0,))),
         Interval: (Interval(0, 1, False, True), Interval(0, 1)),
         CylinderSet: (CylinderSet(IntervalUnion([Interval(0, 1)])), CylinderSet(IntervalUnion([]))),
         Rect: (Rect(0, 1, 0, 1), Rect(0, 1, 2, 3)),
@@ -64,8 +58,8 @@ def twin(record):
     return dc(*record._values())
 
 
-def test_ten_record_classes():
-    assert len(samples()) == 10
+def test_eight_record_classes():
+    assert len(samples()) == 8
     assert all(issubclass(cls, Record) for cls in samples())
 
 
@@ -99,7 +93,8 @@ def test_different_classes_never_equal():
     # the same field values in another class still differ
     assert PointFunction((1, 2)) != CylinderSet((Fraction(1), Fraction(2)))
     assert PointFunction((1, 2)).values == CylinderSet((1, 2)).base
-    assert CoveringSolution(1, (0,)) != CylinderSet(1)
+    assert Interval(0, 1) != Rect(0, 1, 1, 1)
+    assert Interval(0, 1)._values() == Rect(0, 1, 1, 1)._values()  # True == 1
 
 
 def test_constructors_validate():
@@ -110,8 +105,6 @@ def test_constructors_validate():
         FiniteMeasure(tg, (1,))
     with pytest.raises(ValueError):
         FiniteMeasure(tg, (1, -1))
-    with pytest.raises(NotClosed):
-        CoveringProblem(tg, 0b0001, 0b0101)
     with pytest.raises(ValueError, match="empty interval"):
         Interval(2, 1)
     with pytest.raises(ValueError, match="degenerate"):
