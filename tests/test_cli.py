@@ -658,6 +658,11 @@ def table_input(table):
 def z4_opens(*opens):
     return dict(Z4_HAAR, topology={"opens": [[], *opens, [0, 1, 2, 3]]})
 
+DISCRETE_Z16 = {
+    "group": {"family": "cyclic", "params": {"n": 16}},
+    "topology": {"normal_subgroup": [0]},
+}
+
 #: One input per precondition the library checks, and the error text of its
 #: exit-2 report.
 ERROR_TEXTS = {
@@ -721,6 +726,42 @@ ERROR_TEXTS = {
         "group order must be at least 1",
     ),
     "table_order_zero": ("enumerate", table_input([]), "group order must be at least 1"),
+    "cyclic_over_cap": (
+        "enumerate",
+        {"group": {"family": "cyclic", "params": {"n": 65}}},
+        "cyclic params: n = 65 exceeds the cap 64",
+    ),
+    "dihedral_over_cap": (
+        "enumerate",
+        {"group": {"family": "dihedral", "params": {"n": 33}}},
+        "order 66 exceeds the cap 64",
+    ),
+    "product_over_cap": (
+        "enumerate",
+        {
+            "group": {
+                "family": "product",
+                "params": {
+                    "factors": [
+                        {"family": "dihedral", "params": {"n": 5}},
+                        {"family": "quaternion8"},
+                    ]
+                },
+            }
+        },
+        "order 80 exceeds the cap 64",
+    ),
+    "table_over_cap": (
+        "enumerate",
+        table_input([[(i + j) % 65 for j in range(65)] for i in range(65)]),
+        "order 65 exceeds the cap 64",
+    ),
+    # the one size check the CLI makes itself: fubini's product order
+    "fubini_over_cap": (
+        "fubini",
+        {"group1": DISCRETE_Z16, "group2": DISCRETE_Z16},
+        "combined order exceeds the cap",
+    ),
     "subgroup_not_normal": (
         "quotient",
         {"group": {"family": "symmetric3"}, "topology": {"normal_subgroup": [0, 1]}},
