@@ -1,6 +1,6 @@
 """haarlab: deterministic JSON verification reports.
 
-    haarlab <command> --input PATH [--output PATH] [--max-order N] [--probe-bound p/q]
+    haarlab <command> --input PATH [--output PATH] [--probe-bound p/q]
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the
 witness is in the report), 2 malformed input, a command line outside the
@@ -14,8 +14,8 @@ The library checks each precondition on its arguments itself: a broken
 one raises InputError, which is also a ValueError, and the error report
 carries its message as is.  Every other HaarlabError is reported as
 `Name: message`.  Both exit 2.  The CLI checks only what the library
-cannot: the JSON shape, the order cap, the rational grammar and the
-command line.  Any other exception is a bug: a traceback and exit 1.
+cannot: the JSON shape, fubini's combined order, the rational grammar
+and the command line.  Any other exception is a bug: a traceback and exit 1.
 
 The command line is parsed here, not by argparse, whose import and
 locale lookups would add milliseconds to every process.
@@ -131,24 +131,6 @@ def _point_mask(values, order, where) -> int:
     return mask_of(values)
 
 
-def _check_cap(order, max_order):
-    if order > max_order:
-        raise InputError(f"order {order} exceeds the cap {max_order}")
-
-
-def _size_param(params, family, order_per_n, max_order) -> int:
-    """params["n"] of a family whose group has order order_per_n * n."""
-    if "n" not in params:
-        raise InputError(f"{family} params: missing fields ['n']")
-    n = _int_value(params["n"], f"{family} params: n")
-    if n > max_order:
-        # named by n: order_per_n * n can have more digits than an int
-        # converts to text (sys.get_int_max_str_digits)
-        raise InputError(f"{family} params: n = {n} exceeds the cap {max_order}")
-    _check_cap(order_per_n * n, max_order)
-    return n
-
-
 #: The params keys each group family accepts.
 _FAMILY_PARAMS = {
     "cyclic": ("n",),
@@ -160,9 +142,9 @@ _FAMILY_PARAMS = {
 }
 
 
-def load_group(spec, max_order) -> groups_mod.FiniteGroup:
-    """Build a group from its JSON spec; every order is checked against
-    max_order before any Cayley table is built."""
+def load_group(spec) -> groups_mod.FiniteGroup:
+    """Build a group from its JSON spec; the library checks every order
+    against groups.MAX_ORDER before any Cayley table is built."""
     if not isinstance(spec, dict):
         raise InputError("group spec must be an object")
     if "family" in spec:
@@ -174,11 +156,13 @@ def load_group(spec, max_order) -> groups_mod.FiniteGroup:
         allowed = _FAMILY_PARAMS.get(family) if isinstance(family, str) else None
         if allowed is None:
             raise InputError(f"unknown family {family!r}")
-        _require_keys(params, allowed, (), f"{family} params")
+        # each key is required but product's factors, counted below
+        required = () if family == "product" else allowed
+        _require_keys(params, allowed, required, f"{family} params")
         if family == "cyclic":
-            g = groups_mod.cyclic(_size_param(params, family, 1, max_order))
+            g = groups_mod.cyclic(_int_value(params["n"], "cyclic params: n"))
         elif family == "dihedral":
-            g = groups_mod.dihedral(_size_param(params, family, 2, max_order))
+            g = groups_mod.dihedral(_int_value(params["n"], "dihedral params: n"))
         elif family == "symmetric3":
             g = groups_mod.symmetric3()
         elif family == "quaternion8":
@@ -189,13 +173,10 @@ def load_group(spec, max_order) -> groups_mod.FiniteGroup:
             factors = params.get("factors", [])
             if not isinstance(factors, list) or len(factors) != 2:
                 raise InputError("product family needs exactly two factors")
-            g1 = load_group(factors[0], max_order)
-            g2 = load_group(factors[1], max_order)
-            _check_cap(g1.order * g2.order, max_order)
-            g = groups_mod.direct_product(g1, g2)
+            g = groups_mod.direct_product(load_group(factors[0]), load_group(factors[1]))
     else:
         _require_keys(spec, {"name", "order", "table"}, {"order", "table"}, "group")
-        _check_cap(_int_value(spec["order"], "group order"), max_order)
+        order = _int_value(spec["order"], "group order")
         name = spec.get("name", "group")
         if type(name) is not str:
             raise InputError("group name must be a string")
@@ -206,14 +187,13 @@ def load_group(spec, max_order) -> groups_mod.FiniteGroup:
         ):
             raise InputError("bad Cayley table: expected a list of rows of integers")
         g = groups_mod.FiniteGroup(table, name=name)
-        if g.order != spec["order"]:
+        if g.order != order:
             raise InputError("declared order does not match the table")
-    _check_cap(g.order, max_order)
     return g
 
 
-def load_top_group(group_spec, topo_spec, max_order) -> groups_mod.FiniteTopGroup:
-    group = load_group(group_spec, max_order)
+def load_top_group(group_spec, topo_spec) -> groups_mod.FiniteTopGroup:
+    group = load_group(group_spec)
     if not isinstance(topo_spec, dict):
         raise InputError("topology spec must be an object")
     if "normal_subgroup" in topo_spec:
@@ -277,13 +257,11 @@ def intervals_json(iu: plane_mod.IntervalUnion):
 
 
 # -- command handlers: (data, opts) -> (results, math_ok) ---------------------
-#
-# opts is the parsed command line with opts.max_order resolved.
 
 
 def cmd_enumerate(data, opts):
     _require_keys(data, {"group"}, {"group"}, "input")
-    group = load_group(data["group"], opts.max_order)
+    group = load_group(data["group"])
     topologies = []
     for tg in groups_mod.group_topologies(group):
         dim, _ = measure_mod.haar_solution_space(tg)
@@ -306,7 +284,7 @@ def cmd_verify_haar(data, opts):
         data, {"group", "topology", "measure", "side"}, {"group", "topology", "measure"}, "input"
     )
     side = data.get("side", "left")
-    tg = load_top_group(data["group"], data["topology"], opts.max_order)
+    tg = load_top_group(data["group"], data["topology"])
     mu = load_measure(data["measure"], tg)
     report = measure_mod.is_haar(tg, mu, side=side)
     witnesses = [
@@ -333,7 +311,7 @@ def cmd_verify_haar(data, opts):
 
 def cmd_construct(data, opts):
     _require_keys(data, {"group", "topology", "k0"}, {"group", "topology", "k0"}, "input")
-    tg = load_top_group(data["group"], data["topology"], opts.max_order)
+    tg = load_top_group(data["group"], data["topology"])
     k0 = _point_mask(data["k0"], tg.group.order, "k0")
     k_atoms = len(tg.atoms)
     mu = covering_mod.existence_via_covering(tg, k0)
@@ -382,7 +360,7 @@ def cmd_construct(data, opts):
 
 def cmd_quotient(data, opts):
     _require_keys(data, {"group", "topology"}, {"group", "topology"}, "input")
-    tg = load_top_group(data["group"], data["topology"], opts.max_order)
+    tg = load_top_group(data["group"], data["topology"])
     q = groups_mod.quotient(tg)
     canon = measure_mod.canonical_haar(tg)
     pushed = measure_mod.pushforward(q, canon)
@@ -430,9 +408,9 @@ def cmd_fubini(data, opts):
     for key in ("group1", "group2"):
         entry = data[key]
         _require_keys(entry, {"group", "topology"}, {"group", "topology"}, key)
-        tgs.append(load_top_group(entry["group"], entry["topology"], opts.max_order))
+        tgs.append(load_top_group(entry["group"], entry["topology"]))
     g, h = tgs
-    if g.group.order * h.group.order > opts.max_order:
+    if g.group.order * h.group.order > groups_mod.MAX_ORDER:
         raise InputError("combined order exceeds the cap")
     mu = measure_mod.canonical_haar(g)
     lam = measure_mod.canonical_haar(h)
@@ -500,7 +478,7 @@ COMMANDS = {
 
 
 HELP = f"""\
-usage: haarlab <command> --input PATH [--output PATH] [--max-order N] [--probe-bound p/q]
+usage: haarlab <command> --input PATH [--output PATH] [--probe-bound p/q]
 
 Verify Haar-measure facts on finite groups and the seminorm plane.
 
@@ -508,9 +486,6 @@ commands: {", ".join(COMMANDS)}
 
   --input PATH       the JSON input (required)
   --output PATH      write the JSON report there instead of to stdout
-  --max-order N      largest group order accepted, at least 1 (default
-                     HAARLAB_MAX_ORDER, else {groups_mod.MAX_ORDER}); a value above
-                     {groups_mod.MAX_ORDER} leaves the cap at {groups_mod.MAX_ORDER}
   --probe-bound p/q  counterexample's probe bound, in place of the input's
 """
 
@@ -518,7 +493,6 @@ commands: {", ".join(COMMANDS)}
 _FLAGS = {
     "--input": "input",
     "--output": "output",
-    "--max-order": "max_order",
     "--probe-bound": "probe_bound",
 }
 _HELP = ("-h", "--help")
@@ -537,16 +511,16 @@ class Options:
     """A parsed command line: the command and each flag's value, None
     where the flag is not given."""
 
-    __slots__ = ("command", "input", "output", "max_order", "probe_bound")
+    __slots__ = ("command", "input", "output", "probe_bound")
 
     def __init__(self, command):
         self.command = command
-        self.input = self.output = self.max_order = self.probe_bound = None
+        self.input = self.output = self.probe_bound = None
 
 
 def parse_args(argv) -> Options | None:
     """The Options of `haarlab <command> --input PATH [--output PATH]
-    [--max-order N] [--probe-bound p/q]`, or None for -h or --help.
+    [--probe-bound p/q]`, or None for -h or --help.
 
     Flags follow the command in any order, as `--flag value` or
     `--flag=value`, and a repeated flag keeps its last value.  A value
@@ -579,28 +553,6 @@ def parse_args(argv) -> Options | None:
     if opts.input is None:
         raise UsageError("--input is required", command)
     return opts
-
-
-def _int_setting(text, name) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise InputError(f"{name} must be an integer, got {text!r}") from None
-    if value < 1:
-        raise InputError(f"{name} must be at least 1, got {value}")
-    return value
-
-
-def _max_order(flag) -> int:
-    """--max-order, else HAARLAB_MAX_ORDER, else groups.MAX_ORDER; each
-    given value must be an integer of at least 1, and one above
-    groups.MAX_ORDER leaves the cap there."""
-    if flag is not None:
-        value = _int_setting(flag, "--max-order")
-    else:
-        env = os.environ.get("HAARLAB_MAX_ORDER")
-        value = _int_setting(env, "HAARLAB_MAX_ORDER") if env else groups_mod.MAX_ORDER
-    return min(value, groups_mod.MAX_ORDER)
 
 
 def _json_float(text):
@@ -643,7 +595,6 @@ def run(argv=None) -> int:
         sys.stdout.write(HELP)
         return 0
     try:
-        opts.max_order = _max_order(opts.max_order)
         data = _read_input(opts.input)
         results, ok = COMMANDS[opts.command](data, opts)
     except InputError as exc:

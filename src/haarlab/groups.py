@@ -13,18 +13,20 @@ from operator import itemgetter
 
 from .errors import InputError, NotContinuousMultiplication, NotMeasurable, TooLarge
 from .records import Record
-from .topology import FiniteSpace, bit_indices, mask_of
+from .topology import MAX_POINTS, FiniteSpace, bit_indices, mask_of
 
-MAX_ORDER = 64
+#: The group-order cap: a group's space has one point per element.
+MAX_ORDER = MAX_POINTS
 
 
 def _check_order(order: int):
+    # an order below 1 or past 2^64 goes unnamed: a dihedral input's 2n
+    # can have more digits than an int converts to text
     if order < 1:
-        # the order goes unnamed: a dihedral input's 2n can have more
-        # digits than an int converts to text
         raise InputError("group order must be at least 1")
     if order > MAX_ORDER:
-        raise TooLarge(f"order {order} outside 1..{MAX_ORDER}")
+        shown = order if order <= 1 << 64 else "past 2^64"
+        raise TooLarge(f"order {shown} outside 1..{MAX_ORDER}")
 
 
 class FiniteGroup:
@@ -248,8 +250,7 @@ def quaternion8() -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     order = g.order * h.order
-    if order > MAX_ORDER:
-        raise TooLarge(f"combined order {order} exceeds {MAX_ORDER}")
+    _check_order(order)  # before the product table is built
 
     def mul(a, b):
         a1, a2 = divmod(a, h.order)

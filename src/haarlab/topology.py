@@ -53,6 +53,14 @@ def mask_of(points) -> int:
     return m
 
 
+def _check_points(n: int):
+    if n < 1:
+        raise InputError("point count must be at least 1")
+    if n > MAX_POINTS:
+        shown = n if n <= 1 << 64 else "past 2^64"
+        raise TooLarge(f"point count {shown} outside 1..{MAX_POINTS}")
+
+
 class FiniteSpace:
     """A topology on points 0..n-1, stored as the minimal open set of each
     point (``min_open[x]``, a mask containing x).
@@ -64,8 +72,7 @@ class FiniteSpace:
     """
 
     def __init__(self, n: int, opens):
-        if not 1 <= n <= MAX_POINTS:
-            raise TooLarge(f"point count {n} outside 1..{MAX_POINTS}")
+        _check_points(n)
         full = (1 << n) - 1
         fam = sorted(set(opens))
         for u in fam:
@@ -99,8 +106,7 @@ class FiniteSpace:
     def from_min_open(cls, n: int, rows) -> "FiniteSpace":
         """The space whose minimal opens are rows[x]; they must form a
         preorder: x in U_x, and U_y <= U_x for every y in U_x."""
-        if not 1 <= n <= MAX_POINTS:
-            raise TooLarge(f"point count {n} outside 1..{MAX_POINTS}")
+        _check_points(n)
         rows = tuple(rows)
         full = (1 << n) - 1
         if len(rows) != n:

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from haarlab import cli, groups, measure, plane
+from haarlab.errors import TooLarge
 from haarlab.topology import FiniteSpace, bit_indices
 
 from conftest import SRC, src_env, write_fresh
@@ -348,7 +349,6 @@ def test_partition_once_per_top_group(corpus, monkeypatch):
     n8 = z48.generated_subgroup([6])
     cases = [(g, n) for g in corpus for n in g.normal_subgroups()] + [(z48, n8)]
     opts = cli.Options("enumerate")
-    opts.max_order = 64
     for group in [*corpus, z48]:
         built.clear()
         calls.clear()
@@ -401,7 +401,6 @@ def test_enumerate_checks_each_subgroup_once(corpus, monkeypatch):
     monkeypatch.setattr(groups.FiniteGroup, "translate", counting_translate)
     monkeypatch.setattr(groups.FiniteGroup, "subgroups", lattice)
     opts = cli.Options("enumerate")
-    opts.max_order = 64
     for group, n_subgroups in cases:
         counts.update(is_normal=0, translate=0)
         results, _ = cli.cmd_enumerate({"group": table_spec(group)}, opts)
@@ -430,7 +429,6 @@ def test_construct_never_lists_the_open_family(corpus_instances):
         )
 
     opts = cli.Options("construct")
-    opts.max_order = 64
     for (group, n_mask), want in zip(cases, expected):
         n_points = list(bit_indices(n_mask))
         payload = {
@@ -478,38 +476,27 @@ def test_incompatible_topology(tmp_path):
     assert proc.returncode == 2
     assert "incompatible" in report["error"]
 
-def test_order_cap(tmp_path):
-    payload = {"group": {"family": "cyclic", "params": {"n": 5}}}
-    proc, report = run_cli(tmp_path, "enumerate", payload, "--max-order", "4")
-    assert proc.returncode == 2
-    assert "cap" in report["error"]
-
-def test_env_order_cap(tmp_path):
+def test_env_order_cap_is_ignored(tmp_path):
+    """The CLI reads no environment variable: HAARLAB_MAX_ORDER=4 leaves
+    enumerate on Z5 at exit 0, with the bytes of a run without it."""
     path = tmp_path / "in.json"
     write_fresh(path, json.dumps({"group": {"family": "cyclic", "params": {"n": 5}}}))
-    env = src_env(HAARLAB_MAX_ORDER="4")
-    proc = subprocess.run(
-        [sys.executable, "-m", "haarlab.cli", "enumerate", "--input", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 2
+    argv = [sys.executable, "-m", "haarlab.cli", "enumerate", "--input", str(path)]
+    procs = [
+        subprocess.run(argv, capture_output=True, env=env)
+        for env in (src_env(), src_env(HAARLAB_MAX_ORDER="4"))
+    ]
+    assert [(p.returncode, p.stderr) for p in procs] == [(0, b"")] * 2
+    assert procs[0].stdout == procs[1].stdout
 
-@pytest.mark.parametrize("setting", ["flag", "env"])
-def test_order_cap_stays_at_64(tmp_path, capsys, monkeypatch, setting):
-    """A --max-order or HAARLAB_MAX_ORDER above groups.MAX_ORDER leaves the
-    cap at 64: fubini on discrete Z16 x Z16, of order 256, exits 2 with an
-    error report before any fubini_check call."""
-    z16 = {"group": {"family": "cyclic", "params": {"n": 16}}, "topology": {"normal_subgroup": [0]}}
+def test_order_cap_stays_at_64(tmp_path, capsys, monkeypatch):
+    """fubini on discrete Z16 x Z16, of order 256, exits 2 with an error
+    report before any fubini_check call."""
     path = tmp_path / "input.json"
-    write_fresh(path, json.dumps({"group1": z16, "group2": z16}))
+    write_fresh(path, json.dumps({"group1": DISCRETE_Z16, "group2": DISCRETE_Z16}))
     calls = []
     monkeypatch.setattr(measure, "fubini_check", lambda *args: calls.append(args))
-    if setting == "env":
-        monkeypatch.setenv("HAARLAB_MAX_ORDER", "4096")
-    flags = ["--max-order", "4096"] if setting == "flag" else []
-    assert cli.run(["fubini", "--input", str(path), *flags]) == 2
+    assert cli.run(["fubini", "--input", str(path)]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "schema_version": "1",
         "command": "fubini",
@@ -517,42 +504,16 @@ def test_order_cap_stays_at_64(tmp_path, capsys, monkeypatch, setting):
     }
     assert calls == []
 
-@pytest.mark.parametrize("setting", ["flag", "env"])
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_order_cap_below_1_is_malformed(tmp_path, capsys, monkeypatch, setting, value):
-    """A cap below 1 admits no group: it exits 2 naming the flag or the
-    variable, not with the cap error of whatever group the input holds."""
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps({"group": {"family": "cyclic", "params": {"n": 4}}}))
-    monkeypatch.delenv("HAARLAB_MAX_ORDER", raising=False)
-    if setting == "env":
-        monkeypatch.setenv("HAARLAB_MAX_ORDER", value)
-        name, flags = "HAARLAB_MAX_ORDER", []
-    else:
-        name, flags = "--max-order", ["--max-order", value]
-    assert cli.run(["enumerate", "--input", str(path), *flags]) == 2
-    assert json.loads(capsys.readouterr().out) == {
-        "schema_version": "1",
-        "command": "enumerate",
-        "error": f"{name} must be at least 1, got {value}",
-    }
-
-def test_env_order_cap_not_an_int(tmp_path):
-    path = tmp_path / "in.json"
-    write_fresh(path, json.dumps({"group": {"family": "cyclic", "params": {"n": 5}}}))
-    env = src_env(HAARLAB_MAX_ORDER="abc")
-    proc = subprocess.run(
-        [sys.executable, "-m", "haarlab.cli", "enumerate", "--input", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 2 and proc.stderr == ""
-    assert json.loads(proc.stdout)["error"] == (
-        "HAARLAB_MAX_ORDER must be an integer, got 'abc'"
-    )
-
 Z4_HAAR = dict(Z4_COSET, measure={"atom_masses": ["1/1", "1/1"]})
+DISCRETE_Z16 = {
+    "group": {"family": "cyclic", "params": {"n": 16}},
+    "topology": {"normal_subgroup": [0]},
+}
+# order 80, past the cap of 64
+D5_X_Q8 = {
+    "family": "product",
+    "params": {"factors": [{"family": "dihedral", "params": {"n": 5}}, {"family": "quaternion8"}]},
+}
 MALFORMED = {
     "masses_not_a_list": ("verify-haar", dict(Z4_HAAR, measure={"atom_masses": "11"})),
     "subgroup_element_not_int": (
@@ -649,7 +610,7 @@ FAMILY_PARAMS_ERRORS = [
 @pytest.mark.parametrize("spec,message", FAMILY_PARAMS_ERRORS)
 def test_family_params_checked(spec, message):
     with pytest.raises(cli.InputError) as info:
-        cli.load_group(spec, 64)
+        cli.load_group(spec)
     assert str(info.value) == message
 
 def table_input(table):
@@ -657,11 +618,6 @@ def table_input(table):
 
 def z4_opens(*opens):
     return dict(Z4_HAAR, topology={"opens": [[], *opens, [0, 1, 2, 3]]})
-
-DISCRETE_Z16 = {
-    "group": {"family": "cyclic", "params": {"n": 16}},
-    "topology": {"normal_subgroup": [0]},
-}
 
 #: One input per precondition the library checks, and the error text of its
 #: exit-2 report.
@@ -729,32 +685,28 @@ ERROR_TEXTS = {
     "cyclic_over_cap": (
         "enumerate",
         {"group": {"family": "cyclic", "params": {"n": 65}}},
-        "cyclic params: n = 65 exceeds the cap 64",
+        "TooLarge: order 65 outside 1..64",
     ),
     "dihedral_over_cap": (
         "enumerate",
         {"group": {"family": "dihedral", "params": {"n": 33}}},
-        "order 66 exceeds the cap 64",
+        "TooLarge: order 66 outside 1..64",
+    ),
+    # 2n has 4,301 digits: the message must not name the order
+    "dihedral_over_cap_past_int_text": (
+        "enumerate",
+        {"group": {"family": "dihedral", "params": {"n": 5 * 10**4299}}},
+        "TooLarge: order past 2^64 outside 1..64",
     ),
     "product_over_cap": (
         "enumerate",
-        {
-            "group": {
-                "family": "product",
-                "params": {
-                    "factors": [
-                        {"family": "dihedral", "params": {"n": 5}},
-                        {"family": "quaternion8"},
-                    ]
-                },
-            }
-        },
-        "order 80 exceeds the cap 64",
+        {"group": D5_X_Q8},
+        "TooLarge: order 80 outside 1..64",
     ),
     "table_over_cap": (
         "enumerate",
         table_input([[(i + j) % 65 for j in range(65)] for i in range(65)]),
-        "order 65 exceeds the cap 64",
+        "TooLarge: order 65 outside 1..64",
     ),
     # the one size check the CLI makes itself: fubini's product order
     "fubini_over_cap": (
@@ -935,21 +887,24 @@ def test_cli_import_skips_dataclasses_and_inspect(tmp_path):
 SIZE_CAP_SPECS = {
     "cyclic": {"family": "cyclic", "params": {"n": 10**9}},
     "dihedral": {"family": "dihedral", "params": {"n": 10**9}},
-    "product": {
-        "family": "product",
-        "params": {"factors": [{"family": "symmetric3"}, {"family": "quaternion8"}]},
-    },
+    "product": D5_X_Q8,
 }
 
 @pytest.mark.parametrize("spec", SIZE_CAP_SPECS.values(), ids=SIZE_CAP_SPECS)
 def test_order_cap_checked_before_tables(spec, monkeypatch):
-    def no_table(*args):
-        raise AssertionError("table built past the cap")
+    """An order past groups.MAX_ORDER raises TooLarge before a FiniteGroup
+    of that order is built; the product's factors, under the cap, are."""
+    orders = []
+    init = groups.FiniteGroup.__init__
 
-    for family in ("cyclic", "dihedral", "direct_product"):
-        monkeypatch.setattr(groups, family, no_table)
-    with pytest.raises(cli.InputError, match="exceeds the cap 32"):
-        cli.load_group(spec, 32)
+    def recording_init(self, table, *args, **kwargs):
+        orders.append(len(table))
+        init(self, table, *args, **kwargs)
+
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", recording_init)
+    with pytest.raises(TooLarge):
+        cli.load_group(spec)
+    assert all(order <= groups.MAX_ORDER for order in orders)
 
 @pytest.mark.parametrize("readable", [True, False], ids=["success", "error"])
 @pytest.mark.parametrize("where", ["directory", "missing_parent"])
@@ -1234,14 +1189,8 @@ def cli_inputs(draw):
             payload = with_node(payload, path, None, drop=True)
         else:
             payload = with_node(payload, path, draw(new_values))
-    flags = draw(
-        st.lists(
-            st.sampled_from([("--max-order", "8"), ("--probe-bound", "1/3")]),
-            unique=True,
-            max_size=2,
-        )
-    )
-    return command, payload, [arg for flag in flags for arg in flag]
+    flags = draw(st.sampled_from([[], ["--probe-bound", "1/3"]]))
+    return command, payload, flags
 
 @given(cli_inputs())
 @settings(
@@ -1373,8 +1322,7 @@ USAGE_ERRORS = {
     "flag_without_value": (["counterexample", "--input"], "counterexample", "--input needs a value"),
     "unknown_flag": (["counterexample", "--input", "P", "--verbose"], "counterexample", "unknown flag '--verbose'"),
     "abbreviated_flag": (["counterexample", "--inp", "P"], "counterexample", "unknown flag '--inp'"),
-    "max_order_abc": (["counterexample", "--input", "P", "--max-order", "abc"], "counterexample", "--max-order must be an integer"),
-    "max_order_empty": (["counterexample", "--input", "P", "--max-order", ""], "counterexample", "--max-order must be an integer"),
+    "max_order": (["counterexample", "--input", "P", "--max-order", "8"], "counterexample", "unknown flag '--max-order'"),
 }
 
 @pytest.mark.parametrize("argv,command,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)

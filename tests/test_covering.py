@@ -294,7 +294,6 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
     instances = [tg for tg in corpus_instances if len(tg.atoms) <= 6]
     instances.append(FiniteTopGroup(z48, coset_topology(z48, z48.generated_subgroup([6]))))
     opts = cli.Options("construct")
-    opts.max_order = 64
     for tg in instances:
         k = len(tg.atoms)
         n_nbhds = sum(u >> tg.group.identity & 1 for u in opens(tg.space))
@@ -329,7 +328,6 @@ def test_construct_checks_only_k0_on_points(monkeypatch, n, gen):
     group = cyclic(n)
     tg = FiniteTopGroup(group, coset_topology(group, group.generated_subgroup([gen])))
     opts = cli.Options("construct")
-    opts.max_order = 64
     results, ok = cli.cmd_construct(construct_input(tg), opts)
     assert ok and results["table_truncated"] == (len(tg.atoms) > 6)
     assert len(tg.atoms) == {48: 6, 12: 12}[n]
@@ -340,7 +338,6 @@ def test_construct_truncated_table():
     """Past 6 atoms construct lists (K:U) only for K an atom or G and U = N
     or G, in that order, each count checked against the brute-force oracle."""
     opts = cli.Options("construct")
-    opts.max_order = 64
     for n, k0 in ((8, [0]), (12, [0, 5])):
         tg = discrete_instance(cyclic(n))
         data = dict(construct_input(tg), k0=k0)

@@ -596,3 +596,12 @@ def test_product_indiscrete_squared():
 def test_product_order_cap():
     with pytest.raises(TooLarge):
         direct_product(cyclic(9), cyclic(9))
+
+@pytest.mark.parametrize(
+    "make,n", [(cyclic, 10**5000), (dihedral, 5 * 10**4299)], ids=["cyclic", "dihedral"]
+)
+def test_order_past_int_text_is_too_large(make, n):
+    """An order with more digits than an int converts to text still raises
+    TooLarge, with a message that does not name it."""
+    with pytest.raises(TooLarge, match=r"^order past 2\^64 outside 1\.\.64$"):
+        make(n)

@@ -11,6 +11,7 @@ from haarlab import (
     urysohn_finite,
 )
 from haarlab.errors import (
+    InputError,
     NotClosed,
     NotCovered,
     NotDisjoint,
@@ -55,6 +56,14 @@ def test_rejects_family_not_intersection_closed():
 def test_rejects_too_many_points():
     with pytest.raises(TooLarge):
         FiniteSpace(65, [0])
+    # more digits than an int converts to text: the count goes unnamed
+    with pytest.raises(TooLarge, match=r"^point count past 2\^64 outside 1\.\.64$"):
+        FiniteSpace(10**5000, [0])
+
+def test_rejects_no_points():
+    for build in (lambda: FiniteSpace(0, [0]), lambda: FiniteSpace.from_min_open(0, [])):
+        with pytest.raises(InputError, match="^point count must be at least 1$"):
+            build()
 
 def test_rejects_non_topology_without_generating_its_unions():
     # 64 singleton minimal opens would generate 2^64 unions
