@@ -489,18 +489,28 @@ def test_env_order_cap_is_ignored(tmp_path):
     assert [(p.returncode, p.stderr) for p in procs] == [(0, b"")] * 2
     assert procs[0].stdout == procs[1].stdout
 
-def test_order_cap_stays_at_64(tmp_path, capsys, monkeypatch):
-    """fubini on discrete Z16 x Z16, of order 256, exits 2 with an error
-    report before any fubini_check call."""
+@pytest.mark.parametrize("setting", ["flag", "env"])
+def test_order_cap_stays_at_64(tmp_path, capsys, monkeypatch, setting):
+    """Neither old way of raising the cap lifts it: with HAARLAB_MAX_ORDER
+    at 4096, fubini on discrete Z16 x Z16, of order 256, exits 2 with the
+    cap error; --max-order 4096 exits 2 as an unknown flag. Neither run
+    reaches fubini_check."""
     path = tmp_path / "input.json"
     write_fresh(path, json.dumps({"group1": DISCRETE_Z16, "group2": DISCRETE_Z16}))
     calls = []
     monkeypatch.setattr(measure, "fubini_check", lambda *args: calls.append(args))
-    assert cli.run(["fubini", "--input", str(path)]) == 2
+    if setting == "env":
+        monkeypatch.setenv("HAARLAB_MAX_ORDER", "4096")
+    flags = ["--max-order", "4096"] if setting == "flag" else []
+    assert cli.run(["fubini", "--input", str(path), *flags]) == 2
+    error = {
+        "env": "combined order exceeds the cap",
+        "flag": "unknown flag '--max-order'",
+    }[setting]
     assert json.loads(capsys.readouterr().out) == {
         "schema_version": "1",
         "command": "fubini",
-        "error": "combined order exceeds the cap",
+        "error": error,
     }
     assert calls == []
 
