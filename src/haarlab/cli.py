@@ -14,8 +14,9 @@ The library checks each precondition on its arguments itself: a broken
 one raises InputError, which is also a ValueError, and the error report
 carries its message as is.  Every other HaarlabError is reported as
 `Name: message`.  Both exit 2.  The CLI checks only what the library
-cannot: the JSON shape, fubini's combined order, the rational grammar
-and the command line.  Any other exception is a bug: a traceback and exit 1.
+cannot: the JSON shape, fubini's combined order, the rational grammar,
+the command line, and that each rational of the report converts to
+text.  Any other exception is a bug: a traceback and exit 1.
 
 The command line is parsed here, not by argparse, whose import and
 locale lookups would add milliseconds to every process.
@@ -35,15 +36,25 @@ from . import covering as covering_mod
 from . import groups as groups_mod
 from . import measure as measure_mod
 from . import plane as plane_mod
-from .errors import HaarlabError, InputError
+from .errors import HaarlabError, InputError, TooLarge
 from .topology import FiniteSpace, PointFunction, bit_indices, mask_of
 
 SCHEMA_VERSION = "1"
 
 
 def frac_str(f: Fraction) -> str:
+    """The text p/q of f; TooLarge if p or q has more digits than an int
+    converts to text.  A mass sums its intervals' lengths, so its
+    denominator can pass that limit while every rational of the input is
+    under the caps below."""
     f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:  # formatting fails, so the message names no number
+        raise TooLarge(
+            "a rational in the report has a numerator or denominator of more "
+            f"than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 #: Longest accepted spelling of a rational, and the largest accepted

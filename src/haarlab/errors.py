@@ -1,10 +1,14 @@
 """Exception hierarchy shared by all haarlab modules.
 
 A caller's argument that breaks a precondition raises InputError, which is
-also a ValueError, with a message that says on its own what is wrong.  The
-other named errors name what failed by their class.  So the CLI reports an
-InputError's message as is and every other HaarlabError as `Name: message`,
-both with exit 2; any other exception is a bug, a traceback with exit 1.
+also a ValueError, with a message that says on its own what is wrong; the
+separation, splitting and Urysohn lemmas of `topology` do so too.  The
+other named errors name what failed by their class: a size cap, a set that
+is not closed or not open where a construction needs one, a set or function
+that is not measurable, an empty interior, a negative mass.  So the CLI
+reports an InputError's message as is and every other HaarlabError as
+`Name: message`, both with exit 2; any other exception is a bug, a
+traceback with exit 1.
 """
 
 
@@ -17,11 +21,7 @@ class InputError(HaarlabError, ValueError):
 
 
 class TooLarge(HaarlabError):
-    """Input exceeds the configured size cap."""
-
-
-class NotDisjoint(HaarlabError):
-    pass
+    """Input, or a number of its report, exceeds a fixed size cap."""
 
 
 class NotClosed(HaarlabError):
@@ -29,18 +29,6 @@ class NotClosed(HaarlabError):
 
 
 class NotOpen(HaarlabError):
-    pass
-
-
-class NotRegular(HaarlabError):
-    pass
-
-
-class NotCovered(HaarlabError):
-    pass
-
-
-class NotNested(HaarlabError):
     pass
 
 

@@ -32,7 +32,9 @@ def _check_order(order: int):
 class FiniteGroup:
     """A group on elements 0..order-1 given by its Cayley table, checked to
     be a Latin square with an identity, inverses and associativity; an
-    associativity error names the first failing triple (a, b, c)."""
+    associativity error names the first failing triple (a, b, c).  In a
+    Latin square only the row with 0 in column 0 can be the identity, and
+    only the y with xy = e in row x can be x^-1, so both are read by index."""
 
     def __init__(self, table, name: str = "group"):
         order = len(table)
@@ -43,25 +45,19 @@ class FiniteGroup:
                 raise InputError(
                     "bad Cayley table: Cayley table is not square over 0..order-1"
                 )
+        columns = tuple(zip(*table))
         for i in range(order):
-            if len({table[i][j] for j in range(order)}) != order:
+            if len(set(table[i])) != order:
                 raise InputError(f"bad Cayley table: row {i} is not a permutation")
-            if len({table[j][i] for j in range(order)}) != order:
+            if len(set(columns[i])) != order:
                 raise InputError(f"bad Cayley table: column {i} is not a permutation")
-        identity = None
-        for e in range(order):
-            if all(table[e][x] == x and table[x][e] == x for x in range(order)):
-                identity = e
-                break
-        if identity is None:
+        identity = columns[0].index(0)
+        elements = tuple(range(order))
+        if table[identity] != elements or columns[identity] != elements:
             raise InputError("bad Cayley table: no identity element")
-        inverse = [None] * order
-        for x in range(order):
-            for y in range(order):
-                if table[x][y] == identity and table[y][x] == identity:
-                    inverse[x] = y
-                    break
-            if inverse[x] is None:
+        inverse = tuple(row.index(identity) for row in table)
+        for x, y in enumerate(inverse):
+            if table[y][x] != identity:
                 raise InputError(f"bad Cayley table: element {x} has no inverse")
         # (ab)c == a(bc) for every c at once: row ab against row a read
         # through row b.  Pairs go in the order of the triples, and the
@@ -84,7 +80,7 @@ class FiniteGroup:
         self.order = order
         self.table = table
         self.identity = identity
-        self.inverse = tuple(inverse)
+        self.inverse = inverse
         self.name = name
 
     def mul(self, a: int, b: int) -> int:
@@ -105,17 +101,17 @@ class FiniteGroup:
     # -- subgroup machinery ------------------------------------------------
 
     def generated_subgroup(self, gens) -> int:
-        """Mask of the subgroup generated by the given elements."""
+        """Mask of the products of gens, their subgroup as g^-1 = g^(ord g - 1)."""
         seen = {self.identity}
         frontier = [self.identity]
         gens = list(gens)
         while frontier:
             x = frontier.pop()
             for g in gens:
-                for y in (self.table[x][g], self.table[x][self.inverse[g]]):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
+                y = self.table[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
         return mask_of(seen)
 
     def subgroups(self):
@@ -139,12 +135,10 @@ class FiniteGroup:
         return sorted(found)
 
     def is_subgroup(self, mask: int) -> bool:
-        if not mask >> self.identity & 1:
-            return False
-        members = list(bit_indices(mask))
-        return all(
-            mask >> self.table[a][b] & 1 for a in members for b in members
-        ) and all(mask >> self.inverse[a] & 1 for a in members)
+        """A nonempty set H closed under products is a subgroup: for x in H
+        every power x^j lies in H, and x^|G| = e and x^(|G|-1) = x^-1 by
+        Lagrange's theorem."""
+        return mask != 0 and not self.mul_sets(mask, mask) & ~mask
 
     def is_normal(self, mask: int) -> bool:
         return all(
@@ -210,39 +204,19 @@ def symmetric3() -> FiniteGroup:
 
 
 def quaternion8() -> FiniteGroup:
-    """Q8 on 1, -1, i, -i, j, -j, k, -k in that order."""
-    units = ["1", "i", "j", "k"]
-    # unit multiplication: (sign, unit)
-    rules = {
-        ("1", "1"): (1, "1"),
-        ("1", "i"): (1, "i"),
-        ("1", "j"): (1, "j"),
-        ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"),
-        ("j", "1"): (1, "j"),
-        ("k", "1"): (1, "k"),
-        ("i", "i"): (-1, "1"),
-        ("j", "j"): (-1, "1"),
-        ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"),
-        ("j", "k"): (1, "i"),
-        ("k", "i"): (1, "j"),
-        ("j", "i"): (-1, "k"),
-        ("k", "j"): (-1, "i"),
-        ("i", "k"): (-1, "j"),
-    }
-
-    def decode(x):
-        return (1 if x % 2 == 0 else -1), units[x // 2]
-
-    def encode(sign, unit):
-        return units.index(unit) * 2 + (0 if sign == 1 else 1)
+    """Q8 on 1, -1, i, -i, j, -j, k, -k in that order: index 2u + s is the
+    unit u of (1, i, j, k) with sign (-1)^s.  Hamilton's rule: i^2 = j^2 =
+    k^2 = -1 and ij = k, jk = i, ki = j, negated against that cycle."""
 
     def mul(a, b):
-        sa, ua = decode(a)
-        sb, ub = decode(b)
-        sr, ur = rules[(ua, ub)]
-        return encode(sa * sb * sr, ur)
+        (u, s), (v, t) = divmod(a, 2), divmod(b, 2)
+        if u == 0 or v == 0:
+            w, minus = u + v, 0
+        elif u == v:
+            w, minus = 0, 1
+        else:  # the third unit
+            w, minus = 6 - u - v, int((v - u) % 3 == 2)
+        return 2 * w + (s ^ t ^ minus)
 
     table = [[mul(a, b) for b in range(8)] for a in range(8)]
     return FiniteGroup(table, name="Q8")
@@ -308,7 +282,7 @@ class FiniteTopGroup:
             )
 
         u_e = mo[e]
-        if group.mul_sets(u_e, u_e) & ~u_e:
+        if not group.is_subgroup(u_e):  # U_e * U_e <= U_e, as e is in U_e
             fail(e, e)
         members = list(bit_indices(u_e))
         for a, u_a in enumerate(mo):

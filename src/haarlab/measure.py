@@ -184,18 +184,25 @@ def pullback(q: QuotientData, nu: FiniteMeasure) -> FiniteMeasure:
     return FiniteMeasure(q.base, tuple(masses))
 
 
+def _cell_values(f: PointFunction, cells, noun: str):
+    """The value of f on each cell, a point mask; NotMeasurable names the
+    first cell f is not constant on, as the noun says ("atom")."""
+    values = []
+    for cell in cells:
+        vals = {f.values[x] for x in bit_indices(cell)}
+        if len(vals) != 1:
+            raise NotMeasurable(f"function not constant on {noun} {cell:#x}")
+        values.append(vals.pop())
+    return values
+
+
 def integrate(g: FiniteTopGroup, f: PointFunction, mu: FiniteMeasure) -> Fraction:
     """Sum over atoms of f(atom) * mass(atom); f must be constant on atoms."""
     _check_measure(g, mu)
     if len(f.values) != g.group.order:
         raise MeasureSpaceMismatch("function defined on a different point set")
-    acc = Fraction(0)
-    for i, a in enumerate(g.atoms):
-        vals = {f.values[x] for x in bit_indices(a)}
-        if len(vals) != 1:
-            raise NotMeasurable(f"function not constant on atom {a:#x}")
-        acc += vals.pop() * mu.atom_mass[i]
-    return acc
+    values = _cell_values(f, g.atoms, "atom")
+    return sum((v * m for v, m in zip(values, mu.atom_mass)), Fraction(0))
 
 
 def product_cells(g: FiniteTopGroup, h: FiniteTopGroup):
@@ -225,12 +232,7 @@ def fubini_check(
         raise MeasureSpaceMismatch("measures do not match the factor groups")
     if len(f.values) != g.group.order * h.group.order:
         raise MeasureSpaceMismatch("function not defined on the product points")
-    cell_values = []
-    for cell in product_cells(g, h):
-        vals = {f.values[p] for p in bit_indices(cell)}
-        if len(vals) != 1:
-            raise NotMeasurable(f"function not constant on product atom {cell:#x}")
-        cell_values.append(vals.pop())
+    cell_values = _cell_values(f, product_cells(g, h), "product atom")
     k = len(h.atoms)
     values = [cell_values[i : i + k] for i in range(0, len(cell_values), k)]
     # lhs: integrate over lam in y first, then mu in x

@@ -15,17 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .errors import (
-    InputError,
-    InternalInconsistency,
-    NotClosed,
-    NotCovered,
-    NotDisjoint,
-    NotNested,
-    NotOpen,
-    NotRegular,
-    TooLarge,
-)
+from .errors import InputError, InternalInconsistency, NotClosed, NotOpen, TooLarge
 from .records import Record
 
 MAX_POINTS = 64
@@ -281,11 +271,11 @@ def separate(space: FiniteSpace, a: int, b: int):
     space.check_subset(a)
     space.check_subset(b)
     if a & b:
-        raise NotDisjoint(f"sets share points {a & b:#x}")
+        raise InputError(f"sets share points {a & b:#x}")
     if not space.is_closed(b):
         raise NotClosed(f"{b:#x} is not closed")
     if not space.separation_flags().regular:
-        raise NotRegular("separation is only guaranteed on regular spaces")
+        raise InputError("separation is only guaranteed on regular spaces")
     return space.smallest_open_superset(a), space.smallest_open_superset(b)
 
 
@@ -299,7 +289,7 @@ def split_compact(space: FiniteSpace, k: int, u1: int, u2: int):
         if not space.is_open(u):
             raise NotOpen(f"{u:#x} is not open")
     if k & ~(u1 | u2):
-        raise NotCovered(f"{k:#x} not covered by {u1:#x} | {u2:#x}")
+        raise InputError(f"{k:#x} not covered by {u1:#x} | {u2:#x}")
     l1 = k & ~u1
     l2 = k & ~u2
     v1, v2 = separate(space, l1, l2)
@@ -322,9 +312,9 @@ def urysohn_finite(space: FiniteSpace, k: int, u: int) -> PointFunction:
     if not space.is_open(u):
         raise NotOpen(f"{u:#x} is not open")
     if k & ~u:
-        raise NotNested(f"{k:#x} is not contained in {u:#x}")
+        raise InputError(f"{k:#x} is not contained in {u:#x}")
     if not space.separation_flags().regular:
-        raise NotRegular("construction requires a regular space")
+        raise InputError("construction requires a regular space")
     g = PointFunction.indicator(space.n, k)
     if not g.is_continuous(space):
         raise InternalInconsistency("indicator of closed set not continuous")

@@ -84,6 +84,32 @@ def literal_associativity_error(table):
                     return f"associativity fails at {(a, b, c)}"
     return None
 
+def literal_identity_and_inverses(table):
+    """Reference: a search of every element for a two-sided identity e, then
+    of every y for a two-sided inverse of each x in turn; (e, inverses), or
+    the message for the first that is missing."""
+    n = len(table)
+    found = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if not found:
+        return "no identity element"
+    e, inverse = found[0], []
+    for x in range(n):
+        ys = [y for y in range(n) if table[x][y] == e == table[y][x]]
+        if not ys:
+            return f"element {x} has no inverse"
+        inverse.append(ys[0])
+    return e, tuple(inverse)
+
+def literal_is_subgroup(group, mask):
+    """Reference: mask holds e and, with any a and b, holds ab and some
+    two-sided inverse of a."""
+    e, members = group.identity, list(bit_indices(mask))
+    return (
+        mask >> e & 1 == 1
+        and all(mask >> group.mul(a, b) & 1 for a in members for b in members)
+        and all(any(group.mul(a, b) == e == group.mul(b, a) for b in members) for a in members)
+    )
+
 def literal_continuity(group, space):
     """Reference: (multiplication, inversion) continuous, each checked as
     "the preimage of every open is open" over the listed open family.  The

@@ -629,6 +629,18 @@ def table_input(table):
 def z4_opens(*opens):
     return dict(Z4_HAAR, topology={"opens": [[], *opens, [0, 1, 2, 3]]})
 
+# 12 intervals [i + 1/q, i + 2/q], q = 10^494 + 3 + 2i: each endpoint has at
+# most 992 characters, under the cap, but the mass, the sum of the 1/q, has a
+# denominator of 5,924 digits, more than an int converts to text
+PLANE_MASS_PAST_INT_TEXT = {
+    "intervals": [
+        {"lo": f"{i * q + 1}/{q}", "hi": f"{i * q + 2}/{q}"}
+        for i, q in ((i, 10**494 + 3 + 2 * i) for i in range(12))
+    ],
+    "shift": ["1/2", "0"],
+    "eps": "1/10",
+}
+
 #: One input per precondition the library checks, and the error text of its
 #: exit-2 report.
 ERROR_TEXTS = {
@@ -777,6 +789,12 @@ ERROR_TEXTS = {
     "eps_zero": (
         "plane", {"intervals": [{"lo": "0", "hi": "1"}], "eps": "0"}, "eps must be positive"
     ),
+    "plane_mass_past_int_text": (
+        "plane",
+        PLANE_MASS_PAST_INT_TEXT,
+        "TooLarge: a rational in the report has a numerator or denominator of more than "
+        "4300 digits",
+    ),
 }
 
 @pytest.mark.parametrize("command,payload,message", ERROR_TEXTS.values(), ids=ERROR_TEXTS)
@@ -790,6 +808,13 @@ def test_error_texts(tmp_path, capsys, command, payload, message):
         "command": command,
         "error": message,
     }
+
+def test_plane_mass_past_int_text_as_process(tmp_path):
+    """The same input through `python -m haarlab.cli`: exit 2 and the same
+    report, with no traceback."""
+    proc, report = run_cli(tmp_path, "plane", PLANE_MASS_PAST_INT_TEXT)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert report["error"] == ERROR_TEXTS["plane_mass_past_int_text"][2]
 
 def test_rational_caps_checked_before_fraction(tmp_path, monkeypatch):
     def no_fraction(*args):
@@ -1155,7 +1180,8 @@ VALID_INPUTS = {
             "intervals": [{"lo": "0", "hi": "1", "lo_closed": False, "hi_closed": True}],
             "shift": ["1/2", "-3"],
             "eps": "1/10",
-        }
+        },
+        PLANE_MASS_PAST_INT_TEXT,
     ],
 }
 

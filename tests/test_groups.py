@@ -32,6 +32,7 @@ from haarlab.topology import bit_indices, mask_of
 
 from conftest import LARGE_INSTANCES
 from literal import hausdorff, literal_associativity_error, literal_continuity, literal_partition, opens
+from literal import literal_identity_and_inverses, literal_is_subgroup
 from literal import product_group, reference_atom_perm, reference_borel_atoms, reference_quotient
 
 
@@ -62,18 +63,20 @@ def test_rejects_broken_tables():
     with pytest.raises(ValueError, match="associativity"):
         FiniteGroup(t)
 
-def random_loop(n, rng):
+def random_loop(n, rng, inverses=True):
     """A random Latin square on 0..n-1 with identity 0 in which every x
     has a two-sided inverse: a loop that passes every FiniteGroup check
     before associativity.  The inverses are a random involution; the rest
     is filled by backtracking with shuffled candidates, starting over with
-    a new involution when one cannot be completed within a step budget."""
+    a new involution when one cannot be completed within a step budget.
+    With inverses=False no involution is placed, and the 0s are filled
+    like any other value."""
     while True:
         t = [[None] * n for _ in range(n)]
         t[0] = list(range(n))
         for x in range(n):
             t[x][0] = x
-        rest = list(range(1, n))
+        rest = list(range(1, n)) if inverses else []
         rng.shuffle(rest)
         while rest:
             x = rest.pop()
@@ -90,7 +93,7 @@ def random_loop(n, rng):
                 return False
             i, j = cells[c]
             used = set(t[i]) | {t[r][j] for r in range(n)}
-            options = [v for v in range(1, n) if v not in used]
+            options = [v for v in range(n) if v not in used]
             rng.shuffle(options)
             for v in options:
                 t[i][j] = v
@@ -102,6 +105,14 @@ def random_loop(n, rng):
         if fill(0):
             return t
 
+def renamed(table, p):
+    """The table with each element x renamed p[x]."""
+    out = [[None] * len(p) for _ in p]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            out[p[a]][p[b]] = p[ab]
+    return out
+
 def test_row_associativity_matches_triple_loop(corpus):
     tables = [g.table for g in corpus]
     rng = random.Random(5)
@@ -111,12 +122,7 @@ def test_row_associativity_matches_triple_loop(corpus):
             # each loop also renamed by a random p fixing 0, which moves
             # its first failing triple
             t = random_loop(n, rng)
-            p = [0] + rng.sample(range(1, n), n - 1)
-            renamed = [[None] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(n):
-                    renamed[p[a]][p[b]] = p[t[a][b]]
-            loops += [t, renamed]
+            loops += [t, renamed(t, [0] + rng.sample(range(1, n), n - 1))]
     for table in tables + loops:
         want = literal_associativity_error(table)
         try:
@@ -127,6 +133,42 @@ def test_row_associativity_matches_triple_loop(corpus):
             assert want is None, table
     # most loops are not groups, so the failing branch is exercised
     assert sum(literal_associativity_error(t) is not None for t in loops) >= 36
+
+def test_identity_and_inverses_match_search(corpus):
+    """FiniteGroup reads e and the inverses off the Latin square by index;
+    the element-by-element searches find the same ones, or fail first on
+    the same element.  Cases: random loops, with two-sided inverses or
+    without, renamed so that e moves off 0; random isotopes of the corpus
+    tables, x * y = c(a(x) b(y)), which have no identity; and x^-1 y and
+    x y^-1 on the corpus groups, where e is an identity on one side only
+    unless every element is its own inverse."""
+    rng = random.Random(27)
+    tables = []
+    for n in range(2, 9):
+        for inverses in (True, False):
+            for _ in range(6):
+                tables.append(renamed(random_loop(n, rng, inverses), rng.sample(range(n), n)))
+    for g in corpus:
+        a, b, c = (rng.sample(range(g.order), g.order) for _ in range(3))
+        tables.append([[c[g.mul(x, y)] for y in b] for x in a])
+        inv, elements = g.inverse, range(g.order)
+        tables.append([[g.mul(inv[x], y) for y in elements] for x in elements])
+        tables.append([[g.mul(x, inv[y]) for y in elements] for x in elements])
+    outcomes = {"identity": 0, "inverse": 0, "group": 0}
+    for table in tables:
+        want = literal_identity_and_inverses(table)
+        try:
+            group = FiniteGroup(table)
+        except ValueError as exc:
+            if isinstance(want, str):
+                assert str(exc) == f"bad Cayley table: {want}", table
+                outcomes["identity" if "identity" in want else "inverse"] += 1
+            else:
+                assert str(exc) == f"bad Cayley table: {literal_associativity_error(table)}"
+        else:
+            assert (group.identity, group.inverse) == want, table
+            outcomes["group"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 def test_constructor_basics():
     assert trivial_group().order == 1
@@ -154,6 +196,8 @@ def test_quaternion_relations():
     assert q8.mul(i, j) == k
     assert q8.mul(j, i) == q8.inverse[k]
     assert q8.mul(minus, minus) == one
+    # -1 flips the sign bit: with the relations above, every label is pinned
+    assert all(q8.mul(minus, x) == x ^ 1 for x in range(8))
 
 
 # -- subgroup lattice --------------------------------------------------------
@@ -165,7 +209,7 @@ def brute_force_subgroups(group):
     for size in range(1, group.order + 1):
         for combo in combinations(elems, size):
             mask = mask_of(combo)
-            if group.is_subgroup(mask):
+            if literal_is_subgroup(group, mask):
                 out.append(mask)
     return sorted(out)
 
@@ -187,6 +231,14 @@ def test_subgroup_counts(group, n_subgroups, n_normal):
 def test_subgroups_match_brute_force():
     for group in (cyclic(8), symmetric3(), quaternion8(), dihedral(4)):
         assert group.subgroups() == brute_force_subgroups(group)
+
+def test_is_subgroup_matches_literal():
+    """Closure under products alone against the literal definition, on
+    every subset, the empty one included."""
+    z2_z4 = direct_product(cyclic(2), cyclic(4))
+    for group in (cyclic(8), symmetric3(), dihedral(4), quaternion8(), z2_z4):
+        for mask in range(1 << group.order):
+            assert group.is_subgroup(mask) == literal_is_subgroup(group, mask), (group, mask)
 
 def test_subgroups_try_one_element_per_coset(monkeypatch):
     """(Z2)^4: one join per left coset outside each subgroup h, so
