@@ -30,7 +30,6 @@ from .measure import (
 )
 from .plane import (
     BkCertificate,
-    CylinderSet,
     Interval,
     IntervalUnion,
     counterexample_bk,

@@ -43,11 +43,10 @@ SCHEMA_VERSION = "1"
 
 
 def frac_str(f: Fraction) -> str:
-    """The text p/q of f; TooLarge if p or q has more digits than an int
-    converts to text.  A mass sums its intervals' lengths, so its
-    denominator can pass that limit while every rational of the input is
-    under the caps below."""
-    f = Fraction(f)
+    """The text p/q of a Fraction or int f; TooLarge if p or q has more
+    digits than an int converts to text.  A mass sums its intervals'
+    lengths, so its denominator can pass that limit while every rational of
+    the input is under the caps below."""
     try:
         return f"{f.numerator}/{f.denominator}"
     except ValueError as exc:  # formatting fails, so the message names no number
@@ -233,7 +232,8 @@ def load_measure(spec, g) -> measure_mod.FiniteMeasure:
     return measure_mod.FiniteMeasure(g, masses)
 
 
-def load_cylinder(spec) -> plane_mod.CylinderSet:
+def load_cylinder(spec) -> plane_mod.IntervalUnion:
+    """The base E of the cylinder E x R given by a list of intervals."""
     if not isinstance(spec, list):
         raise InputError("intervals must be a list")
     ivs = []
@@ -252,7 +252,7 @@ def load_cylinder(spec) -> plane_mod.CylinderSet:
                 _bool_value(entry.get("hi_closed", True), "hi_closed"),
             )
         )
-    return plane_mod.CylinderSet(plane_mod.IntervalUnion(ivs))
+    return plane_mod.IntervalUnion(ivs)
 
 
 def intervals_json(iu: plane_mod.IntervalUnion):
@@ -397,16 +397,15 @@ def cmd_counterexample(data, opts):
     probe_bound = flag if flag is not None else parse_frac(data.get("probe_bound", "1"))
     cert = plane_mod.counterexample_bk(c, probe_bound)
     verified = plane_mod.verify_bk_certificate(cert)
+    side = plane_mod.UNIT_SIDE
+    x = [frac_str(side.lo), frac_str(side.hi)]
     results = {
         "verdict": cert.verdict,
         "verified": verified,
         "translate_count": cert.count,
         "translates": [
-            {
-                "x": [frac_str(t.x_lo), frac_str(t.x_hi)],
-                "y": [frac_str(t.y_lo), frac_str(t.y_hi)],
-            }
-            for t in cert.translates
+            {"x": x, "y": [frac_str(side.lo + dy), frac_str(side.hi + dy)]}
+            for dy in cert.translates
         ],
         "grid_offsets": [list(o) for o in cert.grid_offsets],
     }
@@ -449,7 +448,7 @@ def cmd_plane(data, opts):
     _require_keys(data, {"intervals", "shift", "eps"}, {"intervals"}, "input")
     e = load_cylinder(data["intervals"])
     results = {
-        "base": intervals_json(e.base),
+        "base": intervals_json(e),
         "mass": frac_str(plane_mod.haar_v(e)),
     }
     ok = True
@@ -459,16 +458,16 @@ def cmd_plane(data, opts):
             raise InputError("shift must be a pair of rationals")
         a, b = (parse_frac(s) for s in shift)
         moved = plane_mod.translate_v(e, a, b)
-        results["shifted"] = intervals_json(moved.base)
+        results["shifted"] = intervals_json(moved)
         results["shifted_mass"] = frac_str(plane_mod.haar_v(moved))
         ok = ok and plane_mod.haar_v(moved) == plane_mod.haar_v(e)
     if "eps" in data:
         eps = parse_frac(data["eps"])
         inner, outer = plane_mod.regularity_gap(e, eps)
         mass = plane_mod.haar_v(e)
-        results["inner"] = intervals_json(inner.base)
+        results["inner"] = intervals_json(inner)
         results["inner_mass"] = frac_str(plane_mod.haar_v(inner))
-        results["outer"] = intervals_json(outer.base)
+        results["outer"] = intervals_json(outer)
         results["outer_mass"] = frac_str(plane_mod.haar_v(outer))
         ok = ok and mass - plane_mod.haar_v(inner) <= eps
         ok = ok and plane_mod.haar_v(outer) - mass <= eps

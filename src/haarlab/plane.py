@@ -1,11 +1,13 @@
 """The seminorm plane: R^2 with the topology of |x|, and its Haar measure.
 
 Borel sets are represented on the sub-lattice of cylinders E x R where E
-is a finite union of rational-endpoint intervals; the Haar measure of a
-cylinder is the Lebesgue length of its base, which is what the seminorm
-topology forces.  The module also produces the counterexample certificate
-for the compact-generated measure attempt, and an independent verifier
-for it.
+is a finite union of rational-endpoint intervals, and a cylinder is given
+by its base E, an `IntervalUnion`; the Haar measure of a cylinder is the
+Lebesgue length of its base, which is what the seminorm topology forces.
+The module also produces the counterexample certificate for the
+compact-generated measure attempt, whose tiles are vertical translates of
+the unit square UNIT_SIDE x UNIT_SIDE listed by their offsets, and an
+independent verifier for it.
 """
 
 from __future__ import annotations
@@ -46,8 +48,11 @@ class Interval(Record):
         return self.hi == other.lo and (self.hi_closed or other.lo_closed)
 
 
-class IntervalUnion:
-    """A finite union of intervals in canonical (sorted, merged) form."""
+class IntervalUnion(Record):
+    """A finite union of intervals in canonical (sorted, merged) form.  In
+    the plane, the union E stands for the cylinder E x R."""
+
+    _fields = ("intervals",)
 
     def __init__(self, intervals):
         ivs = sorted(intervals, key=lambda iv: (iv.lo, not iv.lo_closed))
@@ -64,7 +69,7 @@ class IntervalUnion:
                 merged.append(Interval(last.lo, hi, last.lo_closed, hic))
             else:
                 merged.append(iv)
-        self.intervals = tuple(merged)
+        self._assign(tuple(merged))
 
     @property
     def length(self) -> Fraction:
@@ -74,57 +79,32 @@ class IntervalUnion:
     def shifted(self, a) -> "IntervalUnion":
         return IntervalUnion(iv.shifted(a) for iv in self.intervals)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntervalUnion)
-            and self.intervals == other.intervals
-        )
 
-    def __hash__(self):
-        return hash(self.intervals)
-
-    def __repr__(self):
-        parts = ", ".join(
-            f"{'[' if iv.lo_closed else '('}{iv.lo}, {iv.hi}"
-            f"{']' if iv.hi_closed else ')'}"
-            for iv in self.intervals
-        )
-        return f"IntervalUnion({parts})"
+def haar_v(e: IntervalUnion) -> Fraction:
+    """Haar mass of the cylinder e x R: the Lebesgue length of e."""
+    return e.length
 
 
-class CylinderSet(Record):
-    """The Borel set base x R of the seminorm plane."""
-
-    _fields = ("base",)
-
-    def __init__(self, base: IntervalUnion):
-        self._assign(base)
-
-
-def haar_v(e: CylinderSet) -> Fraction:
-    """Haar mass of a cylinder: the Lebesgue length of its base."""
-    return e.base.length
-
-
-def translate_v(e: CylinderSet, a, b=0) -> CylinderSet:
-    """Translate by (a, b); the second coordinate cannot affect the set."""
+def translate_v(e: IntervalUnion, a, b=0) -> IntervalUnion:
+    """The base of (e x R) + (a, b); the second coordinate cannot affect
+    the set."""
     Fraction(b)  # validated but irrelevant: the base ignores y
-    return CylinderSet(e.base.shifted(a))
+    return e.shifted(a)
 
 
-def regularity_gap(e: CylinderSet, eps):
-    """A closed compact inner cylinder and an open outer cylinder whose
-    masses are within eps of e, obtained by rational endpoint nudges."""
+def regularity_gap(e: IntervalUnion, eps):
+    """The bases of a closed compact inner cylinder and an open outer
+    cylinder whose masses are within eps of e x R, obtained by rational
+    endpoint nudges."""
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
-    m = len(e.base.intervals)
+    m = len(e.intervals)
     if m == 0:
-        outer = IntervalUnion([Interval(0, eps / 2, False, False)])
-        return CylinderSet(IntervalUnion([])), CylinderSet(outer)
+        return e, IntervalUnion([Interval(0, eps / 2, False, False)])
     delta = eps / (2 * m)
     inner_ivs = []
-    for iv in e.base.intervals:
+    for iv in e.intervals:
         lo = iv.lo if iv.lo_closed else iv.lo + delta
         hi = iv.hi if iv.hi_closed else iv.hi - delta
         if lo > hi:
@@ -133,41 +113,17 @@ def regularity_gap(e: CylinderSet, eps):
         inner_ivs.append(Interval(lo, hi, True, True))
     outer_ivs = [
         Interval(iv.lo - delta, iv.hi + delta, False, False)
-        for iv in e.base.intervals
+        for iv in e.intervals
     ]
-    return (
-        CylinderSet(IntervalUnion(inner_ivs)),
-        CylinderSet(IntervalUnion(outer_ivs)),
-    )
+    return IntervalUnion(inner_ivs), IntervalUnion(outer_ivs)
 
 
 # -- the counterexample for the compact-generated attempt --------------------
 
 
-class Rect(Record):
-    """A closed axis-aligned rectangle with rational corners."""
-
-    _fields = ("x_lo", "x_hi", "y_lo", "y_hi")
-
-    def __init__(self, x_lo, x_hi, y_lo, y_hi):
-        x_lo, x_hi = Fraction(x_lo), Fraction(x_hi)
-        y_lo, y_hi = Fraction(y_lo), Fraction(y_hi)
-        if x_lo > x_hi or y_lo > y_hi:
-            raise InputError("empty rectangle")
-        # plain stores: a listing builds up to 2^17 tiles
-        object.__setattr__(self, "x_lo", x_lo)
-        object.__setattr__(self, "x_hi", x_hi)
-        object.__setattr__(self, "y_lo", y_lo)
-        object.__setattr__(self, "y_hi", y_hi)
-
-    def shifted(self, dx, dy) -> "Rect":
-        return Rect(
-            self.x_lo + dx, self.x_hi + dx, self.y_lo + dy, self.y_hi + dy
-        )
-
-
-#: The unit tile whose translates generate the contradiction.
-UNIT_TILE = Rect(0, 1, 0, 1)
+#: The side of the unit tile [0,1] x [0,1], whose vertical translates
+#: generate the contradiction.
+UNIT_SIDE = Interval(0, 1)
 
 FINITENESS_VIOLATED = "FinitenessViolated"
 NONZERO_VIOLATED = "NonzeroViolated"
@@ -209,12 +165,14 @@ class BkCertificate(Record):
 
     @cached_property
     def translates(self) -> tuple:
-        """The `count` tiles, for reports; raises TooLarge past the cap."""
+        """The vertical offsets of the `count` tiles, for reports: tile n
+        is UNIT_SIDE x (UNIT_SIDE + step * n).  Raises TooLarge past the
+        cap."""
         if self.count > MAX_LISTED_TILES:
             raise TooLarge(
                 f"{self.count} tiles exceeds the listing cap {MAX_LISTED_TILES}"
             )
-        return tuple(UNIT_TILE.shifted(0, self.step * n) for n in range(self.count))
+        return tuple(self.step * n for n in range(self.count))
 
 
 def counterexample_bk(c, probe_bound) -> BkCertificate:
@@ -243,10 +201,10 @@ def verify_bk_certificate(cert: BkCertificate) -> bool:
             c > 0
             # closed tiles `step` apart are disjoint when step exceeds their
             # height; tiles that only touch still overlap
-            and cert.step > UNIT_TILE.y_hi - UNIT_TILE.y_lo
+            and cert.step > UNIT_SIDE.length
             # every translate is vertical, so each lies in K = [0,1] x R
-            and 0 <= UNIT_TILE.x_lo
-            and UNIT_TILE.x_hi <= 1
+            and 0 <= UNIT_SIDE.lo
+            and UNIT_SIDE.hi <= 1
             # total mass exceeds the probe bound
             and cert.count * c > cert.probe_bound
         )

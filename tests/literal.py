@@ -12,7 +12,7 @@ from haarlab import FiniteGroup, FiniteSpace, FiniteTopGroup, QuotientData
 from haarlab import coset_topology, direct_product
 from haarlab.errors import InternalInconsistency
 from haarlab.measure import HaarReport
-from haarlab.plane import FINITENESS_VIOLATED, GRID_WINDOW, NONZERO_VIOLATED, UNIT_TILE
+from haarlab.plane import FINITENESS_VIOLATED, GRID_WINDOW, NONZERO_VIOLATED, UNIT_SIDE
 from haarlab.topology import bit_indices, mask_of
 
 @functools.lru_cache(maxsize=None)
@@ -432,10 +432,16 @@ def unions_disjoint(a, b):
                 return False
     return True
 
+def tile_rects(cert):
+    """A certificate's closed tiles as (x_lo, x_hi, y_lo, y_hi): the unit
+    side across, and the unit side raised by each listed offset."""
+    s = UNIT_SIDE
+    return [(s.lo, s.hi, s.lo + dy, s.hi + dy) for dy in cert.translates]
+
 def rects_disjoint(r, s):
-    """Closed rectangles are disjoint iff one lies strictly beside or
-    strictly above the other."""
-    return r.x_hi < s.x_lo or s.x_hi < r.x_lo or r.y_hi < s.y_lo or s.y_hi < r.y_lo
+    """Closed rectangles (x_lo, x_hi, y_lo, y_hi) are disjoint iff one lies
+    strictly beside or strictly above the other."""
+    return r[1] < s[0] or s[1] < r[0] or r[3] < s[2] or s[3] < r[2]
 
 def literal_verify(cert):
     """The tile-by-tile verifier that the O(1) one replaced: every tile's
@@ -445,16 +451,17 @@ def literal_verify(cert):
     if cert.verdict == FINITENESS_VIOLATED:
         if c <= 0:
             return False
-        tiles = cert.translates
+        tiles = tile_rects(cert)
         for n, tile in enumerate(tiles):
-            if tile != UNIT_TILE.shifted(0, 2 * n):
+            # tile n is the unit square raised by 2n
+            if tile != (0, 1, 2 * n, 2 * n + 1):
                 return False
         for i in range(len(tiles)):
             for j in range(i + 1, len(tiles)):
                 if not rects_disjoint(tiles[i], tiles[j]):
                     return False
         for tile in tiles:
-            if tile.x_lo < 0 or tile.x_hi > 1:
+            if tile[0] < 0 or tile[1] > 1:
                 return False
         return len(tiles) * c > cert.probe_bound
     if cert.verdict == NONZERO_VIOLATED:

@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from haarlab import (
-    CylinderSet,
     FiniteMeasure,
     Interval,
     IntervalUnion,
@@ -232,12 +231,10 @@ def test_criterion_7_counterexample(verdict):
 
 
 def test_criterion_8_plane(verdict):
-    unit = CylinderSet(IntervalUnion([Interval(0, 1)]))
+    unit = IntervalUnion([Interval(0, 1)])
     ok = haar_v(unit) == 1
     rng = random.Random(409)
-    e = CylinderSet(
-        IntervalUnion([Interval(0, 1, False, True), Interval(2, Fraction(5, 2))])
-    )
+    e = IntervalUnion([Interval(0, 1, False, True), Interval(2, Fraction(5, 2))])
     for _ in range(100):
         a = random_fraction(rng, nonneg=False)
         b = random_fraction(rng, nonneg=False)

@@ -136,17 +136,28 @@ def test_counterexample_verifies_once(tmp_path, monkeypatch):
     assert cli.run(argv) == 1
     assert json.loads(out.read_text())["results"]["verified"] is False
 
-def test_counterexample_over_listing_cap(tmp_path, monkeypatch):
-    def no_tile(*args, **kwargs):
-        raise AssertionError("a tile was built")
+class UnlistedStep(Fraction):
+    """A certificate step that refuses to make a tile offset from it."""
 
-    monkeypatch.setattr(plane.Rect, "shifted", no_tile)
-    monkeypatch.setattr(plane.Rect, "__init__", no_tile)
-    # 10^12 + 1 tiles: verified without building one
+    def __mul__(self, other):
+        raise AssertionError("a tile offset was built")
+
+    __rmul__ = __add__ = __radd__ = __mul__
+
+def test_counterexample_over_listing_cap(tmp_path, monkeypatch):
+    build = plane.counterexample_bk
+
+    def unlisted(c, probe_bound):
+        cert = build(c, probe_bound)
+        fields = dict(zip(cert._fields, cert._values()), step=UnlistedStep(cert.step))
+        return plane.BkCertificate(**fields)
+
+    monkeypatch.setattr(plane, "counterexample_bk", unlisted)
+    # 10^12 + 1 tiles: verified without listing one
     cert = plane.counterexample_bk(Fraction(1, 10**12), 1)
     assert cert.count == 10**12 + 1
     assert plane.verify_bk_certificate(cert)
-    # the CLI rejects the listing before building a tile
+    # the CLI rejects the listing before building an offset
     payload = {"c": "1/1000000000000", "probe_bound": "1/1"}
     path = tmp_path / "in.json"
     write_fresh(path, json.dumps(payload))
@@ -159,6 +170,33 @@ def test_counterexample_over_listing_cap(tmp_path, monkeypatch):
     proc, report = run_cli(tmp_path, "counterexample", payload)
     assert proc.returncode == 2 and proc.stderr == ""
     assert set(report) == {"schema_version", "command", "error"}
+
+def test_counterexample_listing_builds_three_fractions_per_tile(tmp_path, monkeypatch):
+    """Listing a certificate builds at most 3 Fractions per tile: the
+    1,000-tile report builds at most 3 * 999 more than the one-tile report
+    of the same mass.  A count of constructions, not a timing."""
+    new = Fraction.__new__
+    built = 0
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    def fractions_built(probe_bound, tiles):
+        nonlocal built
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        write_fresh(path, json.dumps({"c": "1", "probe_bound": probe_bound}))
+        built = 0
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", staticmethod(counting_new))
+            code = cli.run(["counterexample", "--input", str(path), "--output", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["results"]["translate_count"] == tiles
+        return built
+
+    one = fractions_built("1/2", 1)
+    assert fractions_built("999", 1000) - one <= 3 * 999
 
 def test_fubini(tmp_path):
     payload = {

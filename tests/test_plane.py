@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from haarlab import (
     BkCertificate,
-    CylinderSet,
     Interval,
     IntervalUnion,
     counterexample_bk,
@@ -21,7 +20,6 @@ from haarlab.plane import (
     FINITENESS_VIOLATED,
     GRID_WINDOW,
     NONZERO_VIOLATED,
-    UNIT_TILE,
 )
 
 from literal import (
@@ -29,6 +27,7 @@ from literal import (
     is_open_union,
     literal_verify,
     rects_disjoint,
+    tile_rects,
     union_contains,
     unions_disjoint,
 )
@@ -39,7 +38,7 @@ rationals = st.fractions(
 
 
 def cyl(*ivs):
-    return CylinderSet(IntervalUnion(ivs))
+    return IntervalUnion(ivs)
 
 
 @st.composite
@@ -57,7 +56,7 @@ def cylinders(draw):
             ivs.append(
                 Interval(lo, lo + width, draw(st.booleans()), draw(st.booleans()))
             )
-    return CylinderSet(IntervalUnion(ivs))
+    return IntervalUnion(ivs)
 
 
 # -- interval plumbing -------------------------------------------------------
@@ -90,7 +89,7 @@ def test_union_order_independent():
 
 def test_haar_v_examples():
     assert haar_v(cyl(Interval(0, 1))) == 1
-    assert haar_v(CylinderSet(IntervalUnion([]))) == 0
+    assert haar_v(IntervalUnion([])) == 0
     assert haar_v(cyl(Interval(0, 1), Interval(2, Fraction(5, 2)))) == Fraction(3, 2)
 
 def test_haar_v_flag_independent():
@@ -104,11 +103,11 @@ def test_haar_v_flag_independent():
 def test_translate_examples():
     e = cyl(Interval(0, 1))
     t = translate_v(e, 3, -7)
-    assert t.base.intervals[0].lo == 3 and t.base.intervals[0].hi == 4
+    assert t.intervals[0].lo == 3 and t.intervals[0].hi == 4
     assert translate_v(e, 0, 5) == e
     e2 = cyl(Interval(0, 1), Interval(2, 3))
     t2 = translate_v(e2, Fraction(1, 2), 0)
-    assert [(iv.lo, iv.hi) for iv in t2.base.intervals] == [
+    assert [(iv.lo, iv.hi) for iv in t2.intervals] == [
         (Fraction(1, 2), Fraction(3, 2)),
         (Fraction(5, 2), Fraction(7, 2)),
     ]
@@ -121,9 +120,9 @@ def test_translation_invariance(e, a, b):
 @given(cylinders(), cylinders())
 @settings(max_examples=200, deadline=None)
 def test_finite_additivity(e1, e2):
-    if not unions_disjoint(e1.base, e2.base):
+    if not unions_disjoint(e1, e2):
         return
-    u = CylinderSet(IntervalUnion(e1.base.intervals + e2.base.intervals))
+    u = IntervalUnion(e1.intervals + e2.intervals)
     assert haar_v(u) == haar_v(e1) + haar_v(e2)
 
 
@@ -132,12 +131,12 @@ def test_finite_additivity(e1, e2):
 def test_regularity_example():
     e = cyl(Interval(0, 1, False, False))
     inner, outer = regularity_gap(e, Fraction(1, 10))
-    iv = inner.base.intervals[0]
+    iv = inner.intervals[0]
     assert (iv.lo, iv.hi) == (Fraction(1, 20), Fraction(19, 20))
-    assert is_closed_union(inner.base)
-    ov = outer.base.intervals[0]
+    assert is_closed_union(inner)
+    ov = outer.intervals[0]
     assert (ov.lo, ov.hi) == (Fraction(-1, 20), Fraction(21, 20))
-    assert is_open_union(outer.base)
+    assert is_open_union(outer)
 
 def test_regularity_closed_base_is_fixed_point():
     e = cyl(Interval(0, 2), Interval(3, 4))
@@ -146,9 +145,9 @@ def test_regularity_closed_base_is_fixed_point():
     assert haar_v(outer) - haar_v(e) <= Fraction(1, 7)
 
 def test_regularity_empty_base():
-    inner, outer = regularity_gap(CylinderSet(IntervalUnion([])), Fraction(1, 3))
+    inner, outer = regularity_gap(IntervalUnion([]), Fraction(1, 3))
     assert haar_v(inner) == 0
-    assert is_open_union(outer.base)
+    assert is_open_union(outer)
     assert haar_v(outer) <= Fraction(1, 3)
 
 def test_regularity_rejects_bad_eps():
@@ -160,10 +159,10 @@ def test_regularity_rejects_bad_eps():
 @settings(max_examples=200, deadline=None)
 def test_regularity_gap_bounds(e, eps):
     inner, outer = regularity_gap(e, eps)
-    assert is_closed_union(inner.base)
-    assert is_open_union(outer.base)
-    assert union_contains(e.base, inner.base)
-    assert union_contains(outer.base, e.base)
+    assert is_closed_union(inner)
+    assert is_open_union(outer)
+    assert union_contains(e, inner)
+    assert union_contains(outer, e)
     assert haar_v(e) - haar_v(inner) <= eps
     assert haar_v(outer) - haar_v(e) <= eps
 
@@ -189,7 +188,7 @@ def test_bk_positive_mass_example():
     cert = counterexample_bk(1, 10)
     assert cert.verdict == FINITENESS_VIOLATED
     assert len(cert.translates) == 11
-    assert cert.translates[0] == UNIT_TILE
+    assert cert.translates[0] == 0
     assert verify_bk_certificate(cert)
 
 def test_bk_fractional_mass():
@@ -212,9 +211,9 @@ def test_bk_negative_mass():
 
 def test_bk_translates_are_disjoint_and_contained():
     cert = counterexample_bk(Fraction(7, 2), 1000)
-    tiles = cert.translates
+    tiles = tile_rects(cert)
     for i in range(len(tiles)):
-        assert 0 <= tiles[i].x_lo and tiles[i].x_hi <= 1
+        assert 0 <= tiles[i][0] and tiles[i][1] <= 1
         for j in range(i + 1, len(tiles)):
             assert rects_disjoint(tiles[i], tiles[j])
 
@@ -272,7 +271,7 @@ def test_verifier_matches_literal_check():
 def test_certificate_is_count_and_step():
     cert = counterexample_bk(Fraction(3, 7), Fraction(10))
     assert (cert.count, cert.step) == (24, 2)
-    assert cert.translates == tuple(UNIT_TILE.shifted(0, 2 * n) for n in range(24))
+    assert cert.translates == tuple(2 * n for n in range(24))
     assert counterexample_bk(0, 10).translates == ()
 
 def test_listing_cap(monkeypatch):

@@ -8,7 +8,6 @@ import pytest
 
 from haarlab import (
     BkCertificate,
-    CylinderSet,
     FiniteMeasure,
     FiniteTopGroup,
     Interval,
@@ -24,7 +23,6 @@ from haarlab import (
 from haarlab.errors import MeasureSpaceMismatch
 from haarlab.groups import QuotientData
 from haarlab.measure import HaarReport
-from haarlab.plane import Rect
 from haarlab.records import Record
 
 
@@ -34,7 +32,7 @@ def z4():
 
 
 def samples():
-    """Two unequal instances of each of the eight record classes."""
+    """Two unequal instances of each of the seven record classes."""
     tg = z4()
     canon = canonical_haar(tg)
     cert = counterexample_bk(1, 10)
@@ -45,8 +43,7 @@ def samples():
         FiniteMeasure: (canon, canon.scaled(2)),
         HaarReport: (is_haar(tg, canon), is_haar(tg, FiniteMeasure(tg, (1, 2)))),
         Interval: (Interval(0, 1, False, True), Interval(0, 1)),
-        CylinderSet: (CylinderSet(IntervalUnion([Interval(0, 1)])), CylinderSet(IntervalUnion([]))),
-        Rect: (Rect(0, 1, 0, 1), Rect(0, 1, 2, 3)),
+        IntervalUnion: (IntervalUnion([Interval(0, 1)]), IntervalUnion([])),
         BkCertificate: (cert, counterexample_bk(0, 10)),
     }
 
@@ -58,8 +55,8 @@ def twin(record):
     return dc(*record._values())
 
 
-def test_eight_record_classes():
-    assert len(samples()) == 8
+def test_seven_record_classes():
+    assert len(samples()) == 7
     assert all(issubclass(cls, Record) for cls in samples())
 
 
@@ -91,10 +88,8 @@ def test_different_classes_never_equal():
             if type(x) is not type(y):
                 assert x != y and not x == y
     # the same field values in another class still differ
-    assert PointFunction((1, 2)) != CylinderSet((Fraction(1), Fraction(2)))
-    assert PointFunction((1, 2)).values == CylinderSet((1, 2)).base
-    assert Interval(0, 1) != Rect(0, 1, 1, 1)
-    assert Interval(0, 1)._values() == Rect(0, 1, 1, 1)._values()  # True == 1
+    assert PointFunction(()) != IntervalUnion([])
+    assert PointFunction(())._values() == IntervalUnion([])._values() == ((),)
 
 
 def test_constructors_validate():
@@ -110,8 +105,6 @@ def test_constructors_validate():
     with pytest.raises(ValueError, match="degenerate"):
         Interval(0, 0, False)
     assert Interval(0, "3/2").hi == Fraction(3, 2)
-    with pytest.raises(ValueError, match="empty rectangle"):
-        Rect(0, 1, 2, 1)
     # a certificate built from another's fields lists its own tiles, not
     # the other's cached ones
     cert = counterexample_bk(1, 3)

@@ -1,9 +1,13 @@
 import ast
 import importlib
+import sys
+
+import pytest
 
 from conftest import SRC
 
-TRACING = SRC.parent / "bench" / "tracing.py"
+BENCH = SRC.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def trace_targets():
@@ -28,3 +32,35 @@ def test_every_trace_target_resolves():
             assert cls_name in vars(owner), (mod_name, cls_name)
             owner = vars(owner)[cls_name]
         assert attr in vars(owner), (mod_name, cls_name, attr)
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """bench/run.py, tracing.py and workloads.py, imported from bench/
+    without writing bytecode there; sys.path and sys.modules are restored
+    afterwards."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    before = set(sys.modules)
+    yield tuple(importlib.import_module(m) for m in ("run", "tracing", "workloads"))
+    for name in set(sys.modules) - before:
+        if not name.startswith("haarlab"):
+            del sys.modules[name]
+
+
+def test_traced_tiny_rounds_pass(bench, tmp_path):
+    """Every workload's tiny round runs in process under the bench tracer
+    with no failed command, so a library change that breaks a trace hook
+    (say, a certificate listing without a length) fails here."""
+    run, tracing, workloads = bench
+    mods = run.load_haarlab()
+    tracer = tracing.Tracer(mods)
+    for name, build in workloads.WORKLOADS.items():
+        ops = build(1, tiny=True)
+        work = tmp_path / name
+        work.mkdir()
+        tally = run.Tally()
+        for i, (op, path) in enumerate(zip(ops, run.write_inputs(ops, work))):
+            run.run_op(mods, i, op, path, tally, tracer)
+        assert (tally.attempted, tally.failed, tally.wrong) == (len(ops), 0, []), name
+    assert tracer.counts["plane.tile_pairs_checked"] > 0
