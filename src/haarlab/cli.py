@@ -12,11 +12,12 @@ end (`python -m json.tool` pretty-prints one).
 
 The library checks each precondition on its arguments itself: a broken
 one raises InputError, which is also a ValueError, and the error report
-carries its message as is.  Every other HaarlabError is reported as
-`Name: message`.  Both exit 2.  The CLI checks only what the library
-cannot: the JSON shape, fubini's combined order, the rational grammar,
-the command line, and that each rational of the report converts to
-text.  Any other exception is a bug: a traceback and exit 1.
+carries its message as is.  An input past a size cap raises TooLarge,
+reported by name as `TooLarge: message`.  Both exit 2.  The CLI checks
+only what the library cannot: the JSON shape, fubini's combined order,
+the rational grammar, the command line, and that each rational of the
+report converts to text.  Any other exception, InternalInconsistency
+included, is a bug: a traceback and exit 1.
 
 The command line is parsed here, not by argparse, whose import and
 locale lookups would add milliseconds to every process.
@@ -36,7 +37,7 @@ from . import covering as covering_mod
 from . import groups as groups_mod
 from . import measure as measure_mod
 from . import plane as plane_mod
-from .errors import HaarlabError, InputError, TooLarge
+from .errors import InputError, TooLarge
 from .topology import FiniteSpace, PointFunction, bit_indices, mask_of
 
 SCHEMA_VERSION = "1"
@@ -141,14 +142,15 @@ def _point_mask(values, order, where) -> int:
     return mask_of(values)
 
 
-#: The params keys each group family accepts.
-_FAMILY_PARAMS = {
-    "cyclic": ("n",),
-    "dihedral": ("n",),
-    "product": ("factors",),
-    "symmetric3": (),
-    "quaternion8": (),
-    "trivial": (),
+#: Each group family: its constructor and its params keys, each an
+#: integer but product's factors.
+_FAMILIES = {
+    "cyclic": (groups_mod.cyclic, ("n",)),
+    "dihedral": (groups_mod.dihedral, ("n",)),
+    "product": (groups_mod.direct_product, ("factors",)),
+    "symmetric3": (groups_mod.symmetric3, ()),
+    "quaternion8": (groups_mod.quaternion8, ()),
+    "trivial": (groups_mod.trivial_group, ()),
 }
 
 
@@ -163,27 +165,19 @@ def load_group(spec) -> groups_mod.FiniteGroup:
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise InputError("group params: expected an object")
-        allowed = _FAMILY_PARAMS.get(family) if isinstance(family, str) else None
-        if allowed is None:
+        entry = _FAMILIES.get(family) if isinstance(family, str) else None
+        if entry is None:
             raise InputError(f"unknown family {family!r}")
-        # each key is required but product's factors, counted below
-        required = () if family == "product" else allowed
-        _require_keys(params, allowed, required, f"{family} params")
-        if family == "cyclic":
-            g = groups_mod.cyclic(_int_value(params["n"], "cyclic params: n"))
-        elif family == "dihedral":
-            g = groups_mod.dihedral(_int_value(params["n"], "dihedral params: n"))
-        elif family == "symmetric3":
-            g = groups_mod.symmetric3()
-        elif family == "quaternion8":
-            g = groups_mod.quaternion8()
-        elif family == "trivial":
-            g = groups_mod.trivial_group()
-        elif family == "product":
+        make, keys = entry
+        if family == "product":  # factors is optional here, counted below
+            _require_keys(params, keys, (), "product params")
             factors = params.get("factors", [])
             if not isinstance(factors, list) or len(factors) != 2:
                 raise InputError("product family needs exactly two factors")
-            g = groups_mod.direct_product(load_group(factors[0]), load_group(factors[1]))
+            g = make(load_group(factors[0]), load_group(factors[1]))
+        else:
+            _require_keys(params, keys, keys, f"{family} params")
+            g = make(*(_int_value(params[k], f"{family} params: {k}") for k in keys))
     else:
         _require_keys(spec, {"name", "order", "table"}, {"order", "table"}, "group")
         order = _int_value(spec["order"], "group order")
@@ -609,8 +603,8 @@ def run(argv=None) -> int:
         results, ok = COMMANDS[opts.command](data, opts)
     except InputError as exc:
         report, code = _error_report(opts.command, str(exc)), 2
-    except HaarlabError as exc:
-        report, code = _error_report(opts.command, f"{type(exc).__name__}: {exc}"), 2
+    except TooLarge as exc:
+        report, code = _error_report(opts.command, f"TooLarge: {exc}"), 2
     else:
         report = {
             "schema_version": SCHEMA_VERSION,

@@ -21,21 +21,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import EmptyInterior, InputError, NotClosed, NotOpen
+from .errors import InputError
 from .groups import FiniteTopGroup
 from .measure import FiniteMeasure
 from .topology import bit_indices, mask_of
 
 
 def _check_selections(g: FiniteTopGroup, k: int, u: int):
-    """InputError for a selection with a bit past the atoms, then
-    EmptyInterior for an empty template u."""
+    """InputError for a selection with a bit past the atoms or an empty
+    template u."""
     atoms = len(g.atoms)
     for sel in (k, u):
         if not 0 <= sel < 1 << atoms:
             raise InputError(f"selection {sel:#x} holds a bit past the {atoms} atoms")
     if u == 0:
-        raise EmptyInterior("template 0x0 has empty interior")
+        raise InputError("template 0x0 has empty interior")
 
 
 def covering_number(g: FiniteTopGroup, k: int, u: int) -> int:
@@ -112,7 +112,7 @@ def covering_table(g: FiniteTopGroup, u: int) -> tuple:
     """
     _check_selections(g, 0, u)
     if not u & 1:
-        raise NotOpen(f"selection {u:#x} misses N, so it is no neighborhood of the identity")
+        raise InputError(f"selection {u:#x} misses N, so it is no neighborhood of the identity")
     k = len(g.atoms)
     dist = _union_distances(_translates(g, u), k)
     # no cover uses more than the k distinct translates
@@ -135,10 +135,10 @@ def existence_via_covering(g: FiniteTopGroup, k0: int) -> FiniteMeasure:
     space = g.space
     space.check_subset(k0)
     if not space.is_closed(k0):
-        raise NotClosed(f"reference set {k0:#x} is not closed")
+        raise InputError(f"reference set {k0:#x} is not closed")
     # a closed set is a union of atoms, so open: its own interior
     if k0 == 0:
-        raise EmptyInterior(f"reference set {k0:#x} has empty interior")
+        raise InputError(f"reference set {k0:#x} has empty interior")
     # N = U_e, selected by 1, is an open neighbourhood of the identity.
     # mu_N on each atom, with the reference count (K0:N) >= 1 found once
     den = covering_number(g, g.selection(k0), 1)

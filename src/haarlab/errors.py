@@ -1,14 +1,13 @@
-"""Exception hierarchy shared by all haarlab modules.
+"""The four exception classes shared by all haarlab modules.
 
-A caller's argument that breaks a precondition raises InputError, which is
-also a ValueError, with a message that says on its own what is wrong; the
-separation, splitting and Urysohn lemmas of `topology` do so too.  The
-other named errors name what failed by their class: a size cap, a set that
-is not closed or not open where a construction needs one, a set or function
-that is not measurable, an empty interior, a negative mass.  So the CLI
-reports an InputError's message as is and every other HaarlabError as
-`Name: message`, both with exit 2; any other exception is a bug, a
-traceback with exit 1.
+A caller's argument that breaks a precondition raises InputError, also a
+ValueError, with a message that says on its own what is wrong: a set that
+is not closed, open or a union of atoms, an empty interior, a negative
+mass, a measure on another group.  An input, or a number of its report,
+past a fixed size cap raises TooLarge.  The CLI reports an InputError by
+its message and a TooLarge as `TooLarge: message`, both with exit 2.
+InternalInconsistency is a broken invariant of the library, a bug: it
+reaches the caller as a traceback, exit 1, like any other exception.
 """
 
 
@@ -22,35 +21,6 @@ class InputError(HaarlabError, ValueError):
 
 class TooLarge(HaarlabError):
     """Input, or a number of its report, exceeds a fixed size cap."""
-
-
-class NotClosed(HaarlabError):
-    pass
-
-
-class NotOpen(HaarlabError):
-    pass
-
-
-class NotContinuousMultiplication(InputError):
-    """Carries a witness (a, b, open_mask) where the product map fails."""
-
-
-class MeasureSpaceMismatch(InputError):
-    pass
-
-
-class NotMeasurable(HaarlabError):
-    """A set that is not a union of atoms, or a function that is not
-    constant on some atom; the message names the witness atom or set."""
-
-
-class EmptyInterior(HaarlabError):
-    pass
-
-
-class NegativeMass(HaarlabError):
-    pass
 
 
 class InternalInconsistency(HaarlabError):

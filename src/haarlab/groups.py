@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import InputError, NotContinuousMultiplication, NotMeasurable, TooLarge
+from .errors import InputError, TooLarge
 from .records import Record
 from .topology import MAX_POINTS, FiniteSpace, bit_indices, mask_of
 
@@ -277,7 +277,7 @@ class FiniteTopGroup:
         table, inverse, e = group.table, group.inverse, group.identity
 
         def fail(a, b):
-            raise NotContinuousMultiplication(
+            raise InputError(
                 f"incompatible topology: witness: pair ({a}, {b}), open {mo[table[a][b]]:#x}"
             )
 
@@ -344,14 +344,14 @@ class FiniteTopGroup:
 
     def selection(self, mask: int) -> int:
         """The atom selection of a union of atoms, the inverse of
-        `preimage`; NotMeasurable if mask cuts an atom or holds a bit past
+        `preimage`; InputError if mask cuts an atom or holds a bit past
         the points."""
         sel = self.image(mask & self.space.full)
         for i in bit_indices(sel):
             if self.atoms[i] & ~mask:
-                raise NotMeasurable(f"set {mask:#x} cuts atom {self.atoms[i]:#x}")
+                raise InputError(f"set {mask:#x} cuts atom {self.atoms[i]:#x}")
         if self.preimage(sel) != mask:
-            raise NotMeasurable(f"set {mask:#x} is not a union of atoms")
+            raise InputError(f"set {mask:#x} is not a union of atoms")
         return sel
 
     def __repr__(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InputError, MeasureSpaceMismatch, NotMeasurable
+from .errors import InputError
 from .groups import FiniteTopGroup, QuotientData
 from .records import Record
 from .topology import PointFunction, bit_indices, mask_of
@@ -24,9 +24,7 @@ class FiniteMeasure(Record):
     def __init__(self, group_ref: FiniteTopGroup, atom_mass):
         masses = tuple(Fraction(m) for m in atom_mass)
         if len(masses) != len(group_ref.atoms):
-            raise MeasureSpaceMismatch(
-                f"{len(masses)} masses for {len(group_ref.atoms)} atoms"
-            )
+            raise InputError(f"{len(masses)} masses for {len(group_ref.atoms)} atoms")
         if any(m < 0 for m in masses):
             raise InputError("atom masses must be nonnegative")
         self._assign(group_ref, masses)
@@ -70,7 +68,7 @@ class HaarReport(Record):
 def _check_measure(g: FiniteTopGroup, mu: FiniteMeasure):
     """mu lives on g."""
     if mu.group_ref is not g and mu.group_ref != g:
-        raise MeasureSpaceMismatch("measure lives on a different group")
+        raise InputError("measure lives on a different group")
 
 
 def _int_weights(g: FiniteTopGroup, mu: FiniteMeasure):
@@ -84,8 +82,9 @@ def _int_weights(g: FiniteTopGroup, mu: FiniteMeasure):
     return [m.numerator * (den // m.denominator) for m in mu.atom_mass]
 
 
-def _check_invariance(g, weights, side, witnesses):
-    """Every atom's mass against that of its translate by every element.
+def _check_invariance(g, weights, side):
+    """The witness (side, selection, element) of the first translation on
+    this side that moves some atom's mass, or None if none does.
 
     An element of atom i moves atom j to atom table[i][j] on the left and
     to table[j][i] on the right: a permutation perm, row i or column i.
@@ -104,9 +103,10 @@ def _check_invariance(g, weights, side, witnesses):
         perm = table[i] if side == "left" else [row[i] for row in table]
         for j, moved in enumerate(perm):
             if weights[moved] != weights[j]:
-                witnesses.append((side, 1 << j, rep))
-                return False
-    return True
+                return (side, 1 << j, rep)
+    return None
+
+
 def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarReport:
     """Verify every Haar axiom over the Borel lattice.
 
@@ -129,15 +129,14 @@ def is_haar(g: FiniteTopGroup, mu: FiniteMeasure, side: str = "left") -> HaarRep
     if side not in ("left", "right"):
         raise InputError(f"side must be left or right, got {side!r}")
     weights = _int_weights(g, mu)
-    witnesses = []
-    left_inv = _check_invariance(g, weights, "left", witnesses)
-    right_inv = _check_invariance(g, weights, "right", witnesses)
+    left = _check_invariance(g, weights, "left")
+    right = _check_invariance(g, weights, "right")
     return HaarReport(
         side=side,
         nonzero=any(m > 0 for m in mu.atom_mass),
-        left_invariant=left_inv,
-        right_invariant=right_inv,
-        witnesses=tuple(witnesses),
+        left_invariant=left is None,
+        right_invariant=right is None,
+        witnesses=tuple(w for w in (left, right) if w is not None),
     )
 
 
@@ -169,7 +168,7 @@ def haar_solution_space(g: FiniteTopGroup):
 def pushforward(q: QuotientData, mu: FiniteMeasure) -> FiniteMeasure:
     """(pi_* mu)(F) = mu(pi^-1(F)), per quotient atom."""
     if mu.group_ref != q.base:
-        raise MeasureSpaceMismatch("measure does not live on the base group")
+        raise InputError("measure does not live on the base group")
     masses = [Fraction(0)] * len(q.quotient.atoms)
     for i, rep in enumerate(q.base.reps):
         masses[q.quotient.atom_of[q.proj[rep]]] += mu.atom_mass[i]
@@ -179,19 +178,19 @@ def pushforward(q: QuotientData, mu: FiniteMeasure) -> FiniteMeasure:
 def pullback(q: QuotientData, nu: FiniteMeasure) -> FiniteMeasure:
     """(pi^* nu)(E) = nu(pi(E)), per base atom."""
     if nu.group_ref != q.quotient:
-        raise MeasureSpaceMismatch("measure does not live on the quotient")
+        raise InputError("measure does not live on the quotient")
     masses = [nu.atom_mass[q.quotient.atom_of[q.proj[r]]] for r in q.base.reps]
     return FiniteMeasure(q.base, tuple(masses))
 
 
 def _cell_values(f: PointFunction, cells, noun: str):
-    """The value of f on each cell, a point mask; NotMeasurable names the
+    """The value of f on each cell, a point mask; InputError names the
     first cell f is not constant on, as the noun says ("atom")."""
     values = []
     for cell in cells:
         vals = {f.values[x] for x in bit_indices(cell)}
         if len(vals) != 1:
-            raise NotMeasurable(f"function not constant on {noun} {cell:#x}")
+            raise InputError(f"function not constant on {noun} {cell:#x}")
         values.append(vals.pop())
     return values
 
@@ -200,7 +199,7 @@ def integrate(g: FiniteTopGroup, f: PointFunction, mu: FiniteMeasure) -> Fractio
     """Sum over atoms of f(atom) * mass(atom); f must be constant on atoms."""
     _check_measure(g, mu)
     if len(f.values) != g.group.order:
-        raise MeasureSpaceMismatch("function defined on a different point set")
+        raise InputError("function defined on a different point set")
     values = _cell_values(f, g.atoms, "atom")
     return sum((v * m for v, m in zip(values, mu.atom_mass)), Fraction(0))
 
@@ -229,9 +228,9 @@ def fubini_check(
     atoms of `product_cells`.
     """
     if mu.group_ref != g or lam.group_ref != h:
-        raise MeasureSpaceMismatch("measures do not match the factor groups")
+        raise InputError("measures do not match the factor groups")
     if len(f.values) != g.group.order * h.group.order:
-        raise MeasureSpaceMismatch("function not defined on the product points")
+        raise InputError("function not defined on the product points")
     cell_values = _cell_values(f, product_cells(g, h), "product atom")
     k = len(h.atoms)
     values = [cell_values[i : i + k] for i in range(0, len(cell_values), k)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InputError, NegativeMass, TooLarge
+from .errors import InputError, TooLarge
 from .records import Record
 
 
@@ -182,7 +182,7 @@ def counterexample_bk(c, probe_bound) -> BkCertificate:
     c = Fraction(c)
     probe_bound = Fraction(probe_bound)
     if c < 0:
-        raise NegativeMass(f"hypothesized tile mass {c} is negative")
+        raise InputError(f"hypothesized tile mass {c} is negative")
     if probe_bound <= 0:
         raise InputError("probe bound must be positive")
     if c > 0:

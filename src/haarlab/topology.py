@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .errors import InputError, InternalInconsistency, NotClosed, NotOpen, TooLarge
+from .errors import InputError, InternalInconsistency, TooLarge
 from .records import Record
 
 MAX_POINTS = 64
@@ -273,7 +273,7 @@ def separate(space: FiniteSpace, a: int, b: int):
     if a & b:
         raise InputError(f"sets share points {a & b:#x}")
     if not space.is_closed(b):
-        raise NotClosed(f"{b:#x} is not closed")
+        raise InputError(f"{b:#x} is not closed")
     if not space.separation_flags().regular:
         raise InputError("separation is only guaranteed on regular spaces")
     return space.smallest_open_superset(a), space.smallest_open_superset(b)
@@ -284,10 +284,10 @@ def split_compact(space: FiniteSpace, k: int, u1: int, u2: int):
     K1 <= u1, K2 <= u2 with K1 | K2 == k, replaying the separation proof."""
     space.check_subset(k)
     if not space.is_closed(k):
-        raise NotClosed(f"{k:#x} is not closed")
+        raise InputError(f"{k:#x} is not closed")
     for u in (u1, u2):
         if not space.is_open(u):
-            raise NotOpen(f"{u:#x} is not open")
+            raise InputError(f"{u:#x} is not open")
     if k & ~(u1 | u2):
         raise InputError(f"{k:#x} not covered by {u1:#x} | {u2:#x}")
     l1 = k & ~u1
@@ -308,9 +308,9 @@ def urysohn_finite(space: FiniteSpace, k: int, u: int) -> PointFunction:
     """
     space.check_subset(k)
     if not space.is_closed(k):
-        raise NotClosed(f"{k:#x} is not closed")
+        raise InputError(f"{k:#x} is not closed")
     if not space.is_open(u):
-        raise NotOpen(f"{u:#x} is not open")
+        raise InputError(f"{u:#x} is not open")
     if k & ~u:
         raise InputError(f"{k:#x} is not contained in {u:#x}")
     if not space.separation_flags().regular:

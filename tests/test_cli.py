@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from haarlab import cli, groups, measure, plane
-from haarlab.errors import TooLarge
+from haarlab.errors import InternalInconsistency, TooLarge
 from haarlab.topology import FiniteSpace, bit_indices
 
 from conftest import SRC, src_env, write_fresh
@@ -807,13 +807,13 @@ ERROR_TEXTS = {
     ),
     "side": ("verify-haar", dict(Z4_HAAR, side="up"), "side must be left or right, got 'up'"),
     "k0_not_closed": (
-        "construct", dict(Z4_COSET, k0=[0]), "NotClosed: reference set 0x1 is not closed"
+        "construct", dict(Z4_COSET, k0=[0]), "reference set 0x1 is not closed"
     ),
     "k0_empty_interior": (
-        "construct", dict(Z4_COSET, k0=[]), "EmptyInterior: reference set 0x0 has empty interior"
+        "construct", dict(Z4_COSET, k0=[]), "reference set 0x0 has empty interior"
     ),
     "c_negative": (
-        "counterexample", {"c": "-1"}, "NegativeMass: hypothesized tile mass -1 is negative"
+        "counterexample", {"c": "-1"}, "hypothesized tile mass -1 is negative"
     ),
     "probe_bound_zero": (
         "counterexample", {"c": "1", "probe_bound": "0"}, "probe bound must be positive"
@@ -1365,6 +1365,9 @@ LIBRARY_BUGS = {
     "table": (groups.FiniteGroup, "__init__", ValueError, "enumerate", Z2_GROUP),
     "table_key": (groups.FiniteGroup, "__init__", KeyError, "enumerate", Z2_GROUP),
     "coset_topology": (groups, "coset_topology", ValueError, "quotient", Z4_COSET),
+    "internal_inconsistency": (
+        groups, "coset_topology", InternalInconsistency, "quotient", Z4_COSET
+    ),
     "opens": (FiniteSpace, "__init__", ValueError, "quotient", Z2_TABLE),
     "interval": (plane.Interval, "__init__", ValueError, "plane", VALID_INPUTS["plane"][0]),
 }
@@ -1375,8 +1378,9 @@ LIBRARY_BUGS = {
 def test_library_bug_is_not_malformed_input(
     tmp_path, monkeypatch, owner, name, error, command, payload
 ):
-    """A bare ValueError or KeyError from the library is a bug, not a
-    malformed input: run lets it propagate, and no report is written."""
+    """A bare ValueError or KeyError, or an InternalInconsistency, from the
+    library is a bug, not a malformed input: run lets it propagate, and no
+    report is written."""
     def bug(*args, **kwargs):
         raise error("bug")
 

@@ -21,7 +21,7 @@ from haarlab import (
     is_haar,
     symmetric3,
 )
-from haarlab.errors import EmptyInterior, InputError, NotClosed, NotOpen
+from haarlab.errors import InputError
 from haarlab.topology import bit_indices, mask_of
 
 from conftest import LARGE_INSTANCES, brute_force_covering_count
@@ -56,9 +56,9 @@ def test_problem_validation():
         with pytest.raises(InputError, match="holds a bit past the 2 atoms"):
             covering_table(tg, u)
     for k in (0, 0b1, 0b11):
-        with pytest.raises(EmptyInterior):
+        with pytest.raises(InputError, match=r"^template 0x0 has empty interior$"):
             covering_number(tg, k, 0)
-    with pytest.raises(EmptyInterior):
+    with pytest.raises(InputError, match=r"^template 0x0 has empty interior$"):
         covering_table(tg, 0)
 
 
@@ -186,9 +186,11 @@ def test_mu_u_examples():
 def test_mu_u_rejects_bad_neighborhood():
     """The construction's callers keep the checks on U and K0."""
     tg = z4_coset_instance()
-    with pytest.raises(NotOpen):
+    with pytest.raises(
+        InputError, match=r"^selection 0x2 misses N, so it is no neighborhood of the identity$"
+    ):
         covering_table(tg, 0b10)  # the atom {1, 3}: open but misses the identity
-    with pytest.raises(EmptyInterior):
+    with pytest.raises(InputError, match=r"^reference set 0x0 has empty interior$"):
         existence_via_covering(tg, 0)  # closed, with empty interior
 
 
@@ -204,9 +206,9 @@ def test_existence_examples():
 
 def test_existence_errors():
     tg = z4_coset_instance()
-    with pytest.raises(NotClosed):
+    with pytest.raises(InputError, match=r"^reference set 0x1 is not closed$"):
         existence_via_covering(tg, 0b0001)
-    with pytest.raises(EmptyInterior):
+    with pytest.raises(InputError, match=r"^reference set 0x0 has empty interior$"):
         existence_via_covering(discrete_instance(cyclic(2)), 0)
 
 def test_existence_matches_canonical(corpus_instances):
@@ -247,11 +249,13 @@ def test_covering_table_matches_search_and_brute_force(corpus_instances):
 
 def test_covering_table_rejects_bad_neighborhood():
     tg = z4_coset_instance()
-    with pytest.raises(NotOpen):
+    with pytest.raises(
+        InputError, match=r"^selection 0x2 misses N, so it is no neighborhood of the identity$"
+    ):
         covering_table(tg, 0b10)  # the atom {1, 3}: open but misses the identity
     with pytest.raises(InputError):
         covering_table(tg, 0b100)  # no atom 2
-    with pytest.raises(EmptyInterior):
+    with pytest.raises(InputError, match=r"^template 0x0 has empty interior$"):
         covering_table(tg, 0)
 
 

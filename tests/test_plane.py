@@ -15,7 +15,7 @@ from haarlab import (
     verify_bk_certificate,
 )
 from haarlab import plane
-from haarlab.errors import NegativeMass, TooLarge
+from haarlab.errors import InputError, TooLarge
 from haarlab.plane import (
     FINITENESS_VIOLATED,
     GRID_WINDOW,
@@ -204,7 +204,7 @@ def test_bk_zero_mass():
     assert verify_bk_certificate(cert)
 
 def test_bk_negative_mass():
-    with pytest.raises(NegativeMass):
+    with pytest.raises(InputError, match=r"^hypothesized tile mass -1 is negative$"):
         counterexample_bk(-1, 10)
     with pytest.raises(ValueError):
         counterexample_bk(1, 0)

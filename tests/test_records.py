@@ -20,7 +20,7 @@ from haarlab import (
     is_haar,
     quotient,
 )
-from haarlab.errors import MeasureSpaceMismatch
+from haarlab.errors import InputError
 from haarlab.groups import QuotientData
 from haarlab.measure import HaarReport
 from haarlab.records import Record
@@ -96,7 +96,7 @@ def test_constructors_validate():
     """Each record's own __init__ checks and converts its fields."""
     tg = z4()
     assert PointFunction(("1/2",)).values == (Fraction(1, 2),)
-    with pytest.raises(MeasureSpaceMismatch):
+    with pytest.raises(InputError, match=r"^1 masses for 2 atoms$"):
         FiniteMeasure(tg, (1,))
     with pytest.raises(ValueError):
         FiniteMeasure(tg, (1, -1))
