@@ -376,7 +376,7 @@ def cmd_quotient(data, opts):
         "normal_subgroup": points_list(tg.atoms[0]),
         "atoms": [points_list(a) for a in tg.atoms],
         "quotient_order": q.quotient.group.order,
-        "projection": list(q.proj),
+        "projection": list(tg.atom_of),
         "pushforward_masses": [frac_str(m) for m in pushed.atom_mass],
         "pullback_roundtrip_ok": roundtrip_ok,
         "pushforward_is_haar": pushed_haar,
@@ -441,10 +441,9 @@ def cmd_fubini(data, opts):
 def cmd_plane(data, opts):
     _require_keys(data, {"intervals", "shift", "eps"}, {"intervals"}, "input")
     e = load_cylinder(data["intervals"])
-    results = {
-        "base": intervals_json(e),
-        "mass": frac_str(plane_mod.haar_v(e)),
-    }
+    results = {"base": intervals_json(e)}
+    mass = plane_mod.haar_v(e)
+    results["mass"] = frac_str(mass)
     ok = True
     if "shift" in data:
         shift = data["shift"]
@@ -453,18 +452,19 @@ def cmd_plane(data, opts):
         a, b = (parse_frac(s) for s in shift)
         moved = plane_mod.translate_v(e, a, b)
         results["shifted"] = intervals_json(moved)
-        results["shifted_mass"] = frac_str(plane_mod.haar_v(moved))
-        ok = ok and plane_mod.haar_v(moved) == plane_mod.haar_v(e)
+        moved_mass = plane_mod.haar_v(moved)
+        results["shifted_mass"] = frac_str(moved_mass)
+        ok = moved_mass == mass
     if "eps" in data:
         eps = parse_frac(data["eps"])
         inner, outer = plane_mod.regularity_gap(e, eps)
-        mass = plane_mod.haar_v(e)
         results["inner"] = intervals_json(inner)
-        results["inner_mass"] = frac_str(plane_mod.haar_v(inner))
+        inner_mass = plane_mod.haar_v(inner)
+        results["inner_mass"] = frac_str(inner_mass)
         results["outer"] = intervals_json(outer)
-        results["outer_mass"] = frac_str(plane_mod.haar_v(outer))
-        ok = ok and mass - plane_mod.haar_v(inner) <= eps
-        ok = ok and plane_mod.haar_v(outer) - mass <= eps
+        outer_mass = plane_mod.haar_v(outer)
+        results["outer_mass"] = frac_str(outer_mass)
+        ok = ok and mass - inner_mass <= eps and outer_mass - mass <= eps
     return results, ok
 
 

@@ -238,7 +238,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 # -- topological groups ------------------------------------------------------
 
 
-class FiniteTopGroup:
+class FiniteTopGroup(Record):
     """A finite group together with a compatible topology on its elements.
 
     Continuity of multiplication reduces to U_a * U_b <= U_ab on minimal
@@ -270,6 +270,8 @@ class FiniteTopGroup:
     every Borel set, a union of atoms, is open, closed and compact.
     """
 
+    _fields = ("group", "space")
+
     def __init__(self, group: FiniteGroup, space: FiniteSpace):
         if group.order != space.n:
             raise InputError("group and space must share the index set")
@@ -293,8 +295,7 @@ class FiniteTopGroup:
                 fail(inverse[a], a)
             if mask_of(table[x][a] for x in members) & ~u_a:  # U_e * a
                 fail(e, a)
-        self.group = group
-        self.space = space
+        self._assign(group, space)
 
     @cached_property
     def _partition(self):
@@ -354,22 +355,6 @@ class FiniteTopGroup:
             raise InputError(f"set {mask:#x} is not a union of atoms")
         return sel
 
-    def __repr__(self):
-        return (
-            f"FiniteTopGroup({self.group.name}, "
-            f"N={sorted(bit_indices(self.atoms[0]))})"
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteTopGroup)
-            and self.group == other.group
-            and self.space == other.space
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.space))
-
 
 def identity_closure(g: FiniteTopGroup) -> int:
     """N = closure({e}) = U_e, the first atom (`FiniteTopGroup`)."""
@@ -407,11 +392,13 @@ def group_topologies(group: FiniteGroup):
 
 
 class QuotientData(Record):
-    _fields = ("base", "quotient", "proj")
+    """G and G/N, whose point i is atom i of G (`quotient`): the projection
+    is `base.atom_of`, and each point i of G/N is its own atom i."""
 
-    def __init__(self, base: FiniteTopGroup, quotient: FiniteTopGroup, proj: tuple):
-        # proj: base point -> quotient point
-        self._assign(base, quotient, proj)
+    _fields = ("base", "quotient")
+
+    def __init__(self, base: FiniteTopGroup, quotient: FiniteTopGroup):
+        self._assign(base, quotient)
 
 
 def quotient(g: FiniteTopGroup) -> QuotientData:
@@ -429,10 +416,13 @@ def quotient(g: FiniteTopGroup) -> QuotientData:
     - Hausdorff quotient: the space is discrete;
     - compact lifting: the preimage of a set of labels is a union of
       atoms, closed and, the space being finite, compact.
+
+    The labelling: point i is atom i of G, so the projection is `atom_of`.
+    G/N has identity 0, as row 0 of `atom_table` is that of atom 0 = N,
+    and the discrete topology, so its atoms are the singletons in point
+    order: atom i of G/N is point i.
     """
     k = len(g.atoms)
     qspace = FiniteSpace.from_min_open(k, [1 << i for i in range(k)])
     qgroup = FiniteGroup(g.atom_table, name=f"{g.group.name}/N")
-    qtg = FiniteTopGroup(qgroup, qspace)
-    return QuotientData(base=g, quotient=qtg, proj=g.atom_of)
-
+    return QuotientData(base=g, quotient=FiniteTopGroup(qgroup, qspace))

@@ -166,21 +166,23 @@ def haar_solution_space(g: FiniteTopGroup):
 
 
 def pushforward(q: QuotientData, mu: FiniteMeasure) -> FiniteMeasure:
-    """(pi_* mu)(F) = mu(pi^-1(F)), per quotient atom."""
+    """(pi_* mu)(F) = mu(pi^-1(F)), per quotient atom.
+
+    Atom i of G/N is its point i, and pi^-1 of point i is atom i of G
+    (`QuotientData`), so the masses carry over by index."""
     if mu.group_ref != q.base:
         raise InputError("measure does not live on the base group")
-    masses = [Fraction(0)] * len(q.quotient.atoms)
-    for i, rep in enumerate(q.base.reps):
-        masses[q.quotient.atom_of[q.proj[rep]]] += mu.atom_mass[i]
-    return FiniteMeasure(q.quotient, tuple(masses))
+    return FiniteMeasure(q.quotient, mu.atom_mass)
 
 
 def pullback(q: QuotientData, nu: FiniteMeasure) -> FiniteMeasure:
-    """(pi^* nu)(E) = nu(pi(E)), per base atom."""
+    """(pi^* nu)(E) = nu(pi(E)), per base atom.
+
+    Atom i of G projects to point i of G/N, which is its atom i
+    (`QuotientData`), so the masses carry over by index."""
     if nu.group_ref != q.quotient:
         raise InputError("measure does not live on the quotient")
-    masses = [nu.atom_mass[q.quotient.atom_of[q.proj[r]]] for r in q.base.reps]
-    return FiniteMeasure(q.base, tuple(masses))
+    return FiniteMeasure(q.base, nu.atom_mass)
 
 
 def _cell_values(f: PointFunction, cells, noun: str):

@@ -8,7 +8,7 @@ import functools
 import math
 from fractions import Fraction
 
-from haarlab import FiniteGroup, FiniteSpace, FiniteTopGroup, QuotientData
+from haarlab import FiniteGroup, FiniteMeasure, FiniteSpace, FiniteTopGroup, QuotientData
 from haarlab import coset_topology, direct_product
 from haarlab.errors import InternalInconsistency
 from haarlab.measure import HaarReport
@@ -133,16 +133,19 @@ def literal_continuity(group, space):
     inv_ok = all(mask_of(group.inverse[x] for x in bit_indices(w)) in open_sets for w in open_sets)
     return mul_ok, inv_ok
 
-def literal_partition(g):
+def literal_partition(g, n_mask=None):
     """The atoms, atom_of and atom table from the definitions: N is the
-    intersection of the closed sets holding e, the atoms are the cosets xN,
-    N first then by smallest member, and entry (i, j) of the table is the
-    atom equal to the set product of atoms i and j."""
+    intersection of the closed sets holding e (or n_mask, for a group whose
+    N is known by construction and whose opens are too many to list), the
+    atoms are the cosets xN, N first then by smallest member, and entry
+    (i, j) of the table is the atom equal to the set product of atoms i
+    and j."""
     group, space = g.group, g.space
-    n_mask = space.full
-    for u in opens(space):
-        if not u >> group.identity & 1:
-            n_mask &= space.full ^ u
+    if n_mask is None:
+        n_mask = space.full
+        for u in opens(space):
+            if not u >> group.identity & 1:
+                n_mask &= space.full ^ u
     cosets = {mask_of(group.mul(x, y) for y in bit_indices(n_mask)) for x in range(group.order)}
     atoms = (n_mask, *sorted(cosets - {n_mask}, key=lambda a: min(bit_indices(a))))
     atom_of = tuple(next(i for i, a in enumerate(atoms) if a >> x & 1) for x in range(group.order))
@@ -198,7 +201,7 @@ def reference_quotient(g):
         lift = preimage(c)
         if image(lift) != c or not g.space.is_closed(lift):
             raise InternalInconsistency("compact lifting failed")
-    return QuotientData(base=g, quotient=qtg, proj=proj)
+    return QuotientData(base=g, quotient=qtg)
 
 def reference_borel_atoms(g):
     space = g.space
@@ -260,6 +263,35 @@ def reference_atom_perm(g, elem, side):
     return tuple(perm)
 
 # -- measure -------------------------------------------------------------------
+
+def _mass_inside(atoms, masses, points):
+    """The mass of a point set: the masses of the atoms inside it."""
+    return sum((m for a, m in zip(atoms, masses) if a & ~points == 0), Fraction(0))
+
+def literal_pushforward(q, mu, n_base=None, n_quotient=None):
+    """Reference: (pi_* mu)(B) = mu(pi^-1(B)) for each atom B of G/N, from
+    points.  pi sends x to the number of its coset in
+    literal_partition(q.base), the number of its point in G/N; the atoms of
+    G/N are literal_partition(q.quotient)'s.  n_base and n_quotient pass N
+    on to literal_partition."""
+    atoms, proj, _ = literal_partition(q.base, n_base)
+    q_atoms = literal_partition(q.quotient, n_quotient)[0]
+    masses = [
+        _mass_inside(atoms, mu.atom_mass, mask_of(x for x, p in enumerate(proj) if b >> p & 1))
+        for b in q_atoms
+    ]
+    return FiniteMeasure(q.quotient, masses)
+
+def literal_pullback(q, nu, n_base=None, n_quotient=None):
+    """Reference: (pi^* nu)(A) = nu(pi(A)) for each atom A of G, from
+    points, with pi and the atoms of G/N as in `literal_pushforward`."""
+    atoms, proj, _ = literal_partition(q.base, n_base)
+    q_atoms = literal_partition(q.quotient, n_quotient)[0]
+    masses = [
+        _mass_inside(q_atoms, nu.atom_mass, mask_of(proj[x] for x in bit_indices(a)))
+        for a in atoms
+    ]
+    return FiniteMeasure(q.base, masses)
 
 def literal_regularity(g, mu):
     """Reference: outer regularity of every Borel set and inner regularity

@@ -228,6 +228,26 @@ def test_plane(tmp_path):
         {"lo": "-1/20", "hi": "21/20", "lo_closed": False, "hi_closed": False}
     ]
 
+def test_plane_computes_each_mass_once(tmp_path, monkeypatch):
+    """With a shift and an eps, `plane` reports four masses (base, shifted,
+    inner and outer) and calls haar_v at most once for each."""
+    haar_v = plane.haar_v
+    calls = 0
+
+    def counting_haar_v(e):
+        nonlocal calls
+        calls += 1
+        return haar_v(e)
+
+    monkeypatch.setattr(plane, "haar_v", counting_haar_v)
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    payload = {"intervals": [{"lo": "0", "hi": "1"}, {"lo": "2", "hi": "5/2"}],
+               "shift": ["1/3", "0"], "eps": "1/10"}
+    write_fresh(path, json.dumps(payload))
+    assert cli.run(["plane", "--input", str(path), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["mass"] == "3/2"
+    assert calls <= 4
+
 
 # Normal subgroup counts: divisors of 24 and 64; Z2xZ16 has 10 cyclic
 # subgroups and the 4 non-cyclic Z2 x Z(2^j), j = 1..4.

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 from itertools import combinations
@@ -6,6 +7,7 @@ import pytest
 
 from haarlab import (
     FiniteGroup,
+    FiniteMeasure,
     FiniteSpace,
     FiniteTopGroup,
     SeparationFlags,
@@ -16,6 +18,8 @@ from haarlab import (
     enumerate_topologies,
     group_topologies,
     identity_closure,
+    pullback,
+    pushforward,
     quaternion8,
     quotient,
     symmetric3,
@@ -25,10 +29,11 @@ from haarlab.errors import InputError, InternalInconsistency, TooLarge
 from haarlab.measure import product_cells
 from haarlab.topology import bit_indices, mask_of
 
-from conftest import LARGE_INSTANCES
+from conftest import LARGE_INSTANCES, random_fraction
 from literal import hausdorff, literal_associativity_error, literal_continuity, literal_partition, opens
 from literal import literal_identity_and_inverses, literal_is_subgroup
 from literal import product_group, reference_atom_perm, reference_borel_atoms, reference_quotient
+from literal import literal_pullback, literal_pushforward
 
 
 def discrete_group(group):
@@ -404,14 +409,14 @@ def test_quotient_z4_mod_n():
     tg = FiniteTopGroup(z4, coset_topology(z4, 0b0101))
     q = quotient(tg)
     assert q.quotient.group.order == 2
-    assert q.proj == (0, 1, 0, 1)
-    assert q.proj[0] == q.proj[2]
+    assert q.base.atom_of == (0, 1, 0, 1)
+    assert q.base.atom_of[0] == q.base.atom_of[2]
 
 def test_quotient_discrete_is_identity():
     z3 = cyclic(3)
     q = quotient(discrete_group(z3))
     assert q.quotient.group.order == 3
-    assert q.proj == (0, 1, 2)
+    assert q.base.atom_of == (0, 1, 2)
     assert q.quotient.group.table == z3.table
 
 def test_quotient_indiscrete_is_trivial():
@@ -461,9 +466,34 @@ def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
 def test_quotient_of_hausdorff_group_is_isomorphic_copy():
     for group in (cyclic(5), symmetric3()):
         q = quotient(discrete_group(group))
-        assert q.proj == tuple(range(group.order))
+        assert q.base.atom_of == tuple(range(group.order))
         q2 = quotient(q.quotient)
-        assert q2.proj == tuple(range(group.order))
+        assert q2.base.atom_of == tuple(range(group.order))
+
+
+def test_push_pull_relabel_matches_point_level_reference(corpus_instances):
+    """pushforward and pullback carry atom masses over by index; on random
+    masses they equal the point-level references, on the corpus, on the
+    spaces FiniteTopGroup accepts among `continuity_cases` and on
+    LARGE_INSTANCES.  There the opens are too many to list, so N is the
+    instance's normal subgroup and, G/N being Hausdorff, its points are
+    closed and its N is {e}.  The labelling the relabel rests on holds:
+    G/N has identity 0 and its atoms are its points in order."""
+    cases = [(tg, None) for tg in [*corpus_instances, *accepted_cases()]]
+    cases += [(FiniteTopGroup(g, coset_topology(g, n)), n) for g, n in LARGE_INSTANCES]
+    rng = random.Random(61)
+    for tg, n_base in cases:
+        q, k = quotient(tg), len(tg.atoms)
+        assert q.quotient.atoms == tuple(1 << i for i in range(k))
+        assert q.quotient.group.identity == 0
+        n_quotient = None
+        if n_base is not None:
+            assert hausdorff(q.quotient.space)
+            n_quotient = 1 << q.quotient.group.identity
+        mu = FiniteMeasure(tg, [random_fraction(rng) for _ in range(k)])
+        nu = FiniteMeasure(q.quotient, [random_fraction(rng) for _ in range(k)])
+        assert pushforward(q, mu) == literal_pushforward(q, mu, n_base, n_quotient)
+        assert pullback(q, nu) == literal_pullback(q, nu, n_base, n_quotient)
 
 
 # -- borel atoms -------------------------------------------------------------
@@ -493,17 +523,24 @@ def test_borel_atoms_partition(corpus_instances):
 # statement literally: over all 2^k opens of the base, every subset of a
 # quotient of at most 12 points, and every pair of atom unions up to 8 atoms.
 
-def test_generator_checks_match_literal_references(corpus_instances):
-    """On the corpus, and on every space FiniteTopGroup accepts among
-    `continuity_cases` (every topology of at most 4 points with every group
-    of that order, and the random preorders), the atoms, atom_of, the atom
-    table and the quotient equal the literal references."""
+@functools.cache
+def accepted_cases():
+    """The spaces FiniteTopGroup accepts among `continuity_cases`, as
+    FiniteTopGroups; every rejection names its witness."""
     accepted = []
     for group, space in continuity_cases():
         try:
             accepted.append(FiniteTopGroup(group, space))
         except InputError as exc:
             assert str(exc).startswith("incompatible topology: witness:"), exc
+    return tuple(accepted)
+
+def test_generator_checks_match_literal_references(corpus_instances):
+    """On the corpus, and on every space FiniteTopGroup accepts among
+    `continuity_cases` (every topology of at most 4 points with every group
+    of that order, and the random preorders), the atoms, atom_of, the atom
+    table and the quotient equal the literal references."""
+    accepted = accepted_cases()
     for tg in [*corpus_instances, *accepted]:
         assert (tg.atoms, tg.atom_of, tg.atom_table) == literal_partition(tg)
         assert reference_borel_atoms(tg) == tg.atoms
@@ -541,7 +578,7 @@ def test_tampered_partitions_rejected(partition):
         (reference_borel_atoms, InternalInconsistency),
     ):
         tg = z6_mod_3()
-        tg._partition = partition
+        object.__setattr__(tg, "_partition", partition)
         with pytest.raises(errors):
             fn(tg)
 
@@ -550,7 +587,7 @@ def test_quotient_rejects_non_coset_partition():
     the representatives 0 and 2 is a group, but 1 + 1 = 2 maps atom 0 to
     atom 1: the projection is not a homomorphism."""
     tg = z6_mod_3()
-    tg._partition = ((0b011011, 0b100100), (0, 0, 1, 0, 0, 1))
+    object.__setattr__(tg, "_partition", ((0b011011, 0b100100), (0, 0, 1, 0, 0, 1)))
     with pytest.raises(InternalInconsistency, match="not a homomorphism"):
         reference_quotient(tg)
 
@@ -559,7 +596,7 @@ def test_borel_atoms_rejects_non_coset_partition():
     saturate every open, but the minimal open and the closure of 0 are
     {0,3}, not its atom."""
     tg = z6_mod_3()
-    tg._partition = ((0b011011, 0b100100), (0, 0, 1, 0, 0, 1))
+    object.__setattr__(tg, "_partition", ((0b011011, 0b100100), (0, 0, 1, 0, 0, 1)))
     with pytest.raises(InternalInconsistency, match="atom is not a point closure"):
         reference_borel_atoms(tg)
 
@@ -568,7 +605,7 @@ def test_quotient_checks_hausdorff():
     atoms, the final topology on Z6/{0,3} is indiscrete, not the discrete
     quotient the atoms give."""
     tg = z6_mod_3()
-    tg.space = FiniteSpace.from_min_open(6, [0b111111] * 6)
+    object.__setattr__(tg, "space", FiniteSpace.from_min_open(6, [0b111111] * 6))
     with pytest.raises(InternalInconsistency, match="not the image family"):
         reference_quotient(tg)
 

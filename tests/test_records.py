@@ -1,6 +1,8 @@
 """The frozen value records: immutability, equality, hashing and repr,
-checked for each record class against a dataclass twin."""
+checked for each record class against a dataclass twin; and a static
+guard that a class with its own equality is a record unless listed."""
 
+import ast
 import dataclasses
 from fractions import Fraction
 
@@ -25,6 +27,8 @@ from haarlab.groups import QuotientData
 from haarlab.measure import HaarReport
 from haarlab.records import Record
 
+from conftest import SRC
+
 
 def z4():
     g = cyclic(4)
@@ -32,12 +36,13 @@ def z4():
 
 
 def samples():
-    """Two unequal instances of each of the seven record classes."""
+    """Two unequal instances of each of the eight record classes."""
     tg = z4()
     canon = canonical_haar(tg)
     cert = counterexample_bk(1, 10)
     cert.translates  # a cached listing must not take part in eq or repr
     return {
+        FiniteTopGroup: (tg, FiniteTopGroup(cyclic(4), coset_topology(cyclic(4), 0b0001))),
         PointFunction: (PointFunction((1, 2)), PointFunction((1, 3))),
         QuotientData: (quotient(tg), quotient(FiniteTopGroup(cyclic(3), coset_topology(cyclic(3), 0b111)))),
         FiniteMeasure: (canon, canon.scaled(2)),
@@ -55,8 +60,8 @@ def twin(record):
     return dc(*record._values())
 
 
-def test_seven_record_classes():
-    assert len(samples()) == 7
+def test_eight_record_classes():
+    assert len(samples()) == 8
     assert all(issubclass(cls, Record) for cls in samples())
 
 
@@ -111,3 +116,51 @@ def test_constructors_validate():
     assert len(cert.translates) == 4
     fields = dict(zip(cert._fields, cert._values()), count=2)
     assert len(BkCertificate(**fields).translates) == 2
+
+
+#: The classes in src/haarlab that define __eq__ without being records,
+#: and why each stays a plain class.
+PLAIN_EQ_CLASSES = {
+    "FiniteGroup": "its equality ignores name",
+    "FiniteSpace": "its constructor takes an open family, so a copy cannot "
+    "be rebuilt from its fields",
+}
+
+
+def plain_eq_classes(source: str) -> list:
+    """The names of the classes in source, other than Record, that define
+    __eq__ and do not name Record among their bases."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or node.name == "Record":
+            continue
+        bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+        defines_eq = any(
+            isinstance(f, ast.FunctionDef) and f.name == "__eq__" for f in node.body
+        )
+        if defines_eq and "Record" not in bases:
+            found.append(node.name)
+    return found
+
+
+def test_guard_finds_plain_eq_classes():
+    source = (
+        "class Record:\n    def __eq__(self, o): pass\n"
+        "class A(Record):\n    pass\n"
+        "class B:\n    def __eq__(self, o): pass\n"
+        "class C(records.Record):\n    def __eq__(self, o): pass\n"
+        "class D:\n    def __hash__(self): pass\n"
+        "def f():\n    class E(object):\n        def __eq__(self, o): pass\n"
+    )
+    assert plain_eq_classes(source) == ["B", "E"]
+
+
+def test_value_classes_are_records():
+    found = [
+        name
+        for path in sorted((SRC / "haarlab").glob("*.py"))
+        for name in plain_eq_classes(path.read_text(encoding="utf-8"))
+    ]
+    assert sorted(found) == sorted(PLAIN_EQ_CLASSES), (
+        "make a value class a records.Record, or list it with its reason"
+    )
