@@ -212,7 +212,7 @@ def load_top_group(group_spec, topo_spec) -> groups_mod.FiniteTopGroup:
         if not isinstance(opens, list):
             raise InputError("opens must be a list of open sets")
         masks = [_point_mask(u, group.order, "open set") for u in opens]
-        space = FiniteSpace(group.order, masks)
+        space = FiniteSpace.from_opens(group.order, masks)
     else:
         raise InputError("topology spec needs normal_subgroup or opens")
     return groups_mod.FiniteTopGroup(group, space)
@@ -265,6 +265,9 @@ def intervals_json(iu: plane_mod.IntervalUnion):
 
 
 def cmd_enumerate(data, opts):
+    """Every compatible topology with its Haar data.  It passes on every
+    valid input: each column of G/N's atom table holds every atom, so
+    translation has one orbit on the atoms, and `haar_dimension` is 1."""
     _require_keys(data, {"group"}, {"group"}, "input")
     group = load_group(data["group"])
     topologies = []

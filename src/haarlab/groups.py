@@ -29,17 +29,20 @@ def _check_order(order: int):
         raise TooLarge(f"order {shown} outside 1..{MAX_ORDER}")
 
 
-class FiniteGroup:
+class FiniteGroup(Record):
     """A group on elements 0..order-1 given by its Cayley table, checked to
     be a Latin square with an identity, inverses and associativity; an
     associativity error names the first failing triple (a, b, c).  In a
     Latin square only the row with 0 in column 0 can be the identity, and
     only the y with xy = e in row x can be x^-1, so both are read by index."""
 
+    _fields = ("table", "name")
+
     def __init__(self, table, name: str = "group"):
-        order = len(table)
-        _check_order(order)
+        _check_order(len(table))
         table = tuple(tuple(row) for row in table)
+        self._assign(table, name)
+        order = self.order
         for row in table:
             if len(row) != order or any(not 0 <= v < order for v in row):
                 raise InputError(
@@ -51,12 +54,11 @@ class FiniteGroup:
                 raise InputError(f"bad Cayley table: row {i} is not a permutation")
             if len(set(columns[i])) != order:
                 raise InputError(f"bad Cayley table: column {i} is not a permutation")
-        identity = columns[0].index(0)
+        identity = self.identity
         elements = tuple(range(order))
         if table[identity] != elements or columns[identity] != elements:
             raise InputError("bad Cayley table: no identity element")
-        inverse = tuple(row.index(identity) for row in table)
-        for x, y in enumerate(inverse):
+        for x, y in enumerate(self.inverse):
             if table[y][x] != identity:
                 raise InputError(f"bad Cayley table: element {x} has no inverse")
         # (ab)c == a(bc) for every c at once: row ab against row a read
@@ -77,11 +79,19 @@ class FiniteGroup:
                             f"bad Cayley table: associativity fails at {(a, b, c)}"
                         )
 
-        self.order = order
-        self.table = table
-        self.identity = identity
-        self.inverse = inverse
-        self.name = name
+    @cached_property
+    def order(self) -> int:
+        return len(self.table)
+
+    @cached_property
+    def identity(self) -> int:
+        """The row with 0 in column 0."""
+        return [row[0] for row in self.table].index(0)
+
+    @cached_property
+    def inverse(self) -> tuple:
+        """x^-1 for each x: the column holding the identity in row x."""
+        return tuple(row.index(self.identity) for row in self.table)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -149,15 +159,6 @@ class FiniteGroup:
 
     def normal_subgroups(self):
         return [h for h in self.subgroups() if self.is_normal(h)]
-
-    def __repr__(self):
-        return f"FiniteGroup({self.name}, order={self.order})"
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
 
 
 # -- named constructors ------------------------------------------------------
@@ -370,7 +371,7 @@ def _coset_space(group: FiniteGroup, n_mask: int) -> FiniteSpace:
             coset = group.translate(x, n_mask)
             for y in bit_indices(coset):
                 rows[y] = coset
-    return FiniteSpace.from_min_open(group.order, rows)
+    return FiniteSpace(group.order, rows)
 
 
 def coset_topology(group: FiniteGroup, n_mask: int) -> FiniteSpace:
@@ -423,6 +424,6 @@ def quotient(g: FiniteTopGroup) -> QuotientData:
     order: atom i of G/N is point i.
     """
     k = len(g.atoms)
-    qspace = FiniteSpace.from_min_open(k, [1 << i for i in range(k)])
+    qspace = FiniteSpace(k, [1 << i for i in range(k)])
     qgroup = FiniteGroup(g.atom_table, name=f"{g.group.name}/N")
     return QuotientData(base=g, quotient=FiniteTopGroup(qgroup, qspace))

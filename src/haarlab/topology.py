@@ -51,17 +51,39 @@ def _check_points(n: int):
         raise TooLarge(f"point count {shown} outside 1..{MAX_POINTS}")
 
 
-class FiniteSpace:
+class FiniteSpace(Record):
     """A topology on points 0..n-1, stored as the minimal open set of each
     point (``min_open[x]``, a mask containing x).
 
-    ``FiniteSpace(n, opens)`` validates an explicit open family: it must
-    contain the empty and full sets and be closed under pairwise union and
-    intersection.  ``FiniteSpace.from_min_open(n, rows)`` builds a space
-    from the minimal opens directly.
+    ``FiniteSpace(n, min_open)`` checks that the minimal opens form a
+    preorder: x in U_x, and U_y <= U_x for every y in U_x.
+    ``FiniteSpace.from_opens(n, opens)`` validates an explicit open family:
+    it must contain the empty and full sets and be closed under pairwise
+    union and intersection.
     """
 
-    def __init__(self, n: int, opens):
+    _fields = ("n", "min_open")
+
+    def __init__(self, n: int, min_open):
+        _check_points(n)
+        rows = tuple(min_open)
+        full = (1 << n) - 1
+        if len(rows) != n:
+            raise InputError(f"{len(rows)} minimal opens for {n} points")
+        for x, r in enumerate(rows):
+            if r < 0 or r > full or not r >> x & 1:
+                raise InputError(f"minimal open {r:#x} does not contain point {x}")
+            for y in bit_indices(r):
+                if rows[y] & ~r:
+                    raise InputError(
+                        f"minimal open of {y} not inside that of {x}"
+                    )
+        self._assign(n, rows)
+
+    @classmethod
+    def from_opens(cls, n: int, opens) -> "FiniteSpace":
+        """The space with open family opens.  The minimal opens of a valid
+        family always form a preorder, so the constructor accepts them."""
         _check_points(n)
         full = (1 << n) - 1
         fam = sorted(set(opens))
@@ -90,33 +112,11 @@ class FiniteSpace:
         distinct_min = set(min_open)
         if any(u | r not in fam_set for u in fam for r in distinct_min):
             raise InputError("opens not closed under pairwise union")
-        self._set(n, min_open)
+        return cls(n, min_open)
 
-    @classmethod
-    def from_min_open(cls, n: int, rows) -> "FiniteSpace":
-        """The space whose minimal opens are rows[x]; they must form a
-        preorder: x in U_x, and U_y <= U_x for every y in U_x."""
-        _check_points(n)
-        rows = tuple(rows)
-        full = (1 << n) - 1
-        if len(rows) != n:
-            raise InputError(f"{len(rows)} minimal opens for {n} points")
-        for x, r in enumerate(rows):
-            if r < 0 or r > full or not r >> x & 1:
-                raise InputError(f"minimal open {r:#x} does not contain point {x}")
-            for y in bit_indices(r):
-                if rows[y] & ~r:
-                    raise InputError(
-                        f"minimal open of {y} not inside that of {x}"
-                    )
-        space = cls.__new__(cls)
-        space._set(n, rows)
-        return space
-
-    def _set(self, n, min_open):
-        self.n = n
-        self.full = (1 << n) - 1
-        self.min_open = tuple(min_open)
+    @property
+    def full(self) -> int:
+        return (1 << self.n) - 1
 
     # -- basic predicates ------------------------------------------------
 
@@ -165,21 +165,6 @@ class FiniteSpace:
     @cached_property
     def _flags(self) -> "SeparationFlags":
         return SeparationFlags(self)
-
-    # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteSpace)
-            and self.n == other.n
-            and self.min_open == other.min_open
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.min_open))
-
-    def __repr__(self):
-        return f"FiniteSpace(n={self.n}, min_open={[hex(u) for u in self.min_open]})"
 
 
 class SeparationFlags:
@@ -338,7 +323,7 @@ def enumerate_topologies(n: int):
     spaces = []
     for rows in product(*candidates):
         try:
-            spaces.append(FiniteSpace.from_min_open(n, rows))
+            spaces.append(FiniteSpace(n, rows))
         except InputError:  # not a preorder
             pass
     spaces.sort(key=lambda s: s.min_open)

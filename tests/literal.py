@@ -168,7 +168,7 @@ def reference_quotient(g):
     qtable = [
         [proj[group.mul(reps[i], reps[j])] for j in range(k)] for i in range(k)
     ]
-    qspace = FiniteSpace.from_min_open(k, [1 << i for i in range(k)])  # discrete
+    qspace = FiniteSpace(k, [1 << i for i in range(k)])  # discrete
     qgroup = FiniteGroup(qtable, name=f"{group.name}/N")
     qtg = FiniteTopGroup(qgroup, qspace)
 

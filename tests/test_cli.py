@@ -498,6 +498,33 @@ def test_construct_never_lists_the_open_family(corpus_instances):
         assert ok
         assert [(e["k"], e["u"]) for e in results["covering_table"]] == want
 
+def test_opens_form_matches_normal_subgroup_form(corpus_instances):
+    """A topology given by its full open family loads the same space as
+    the one given by N = U_e: verify-haar, quotient and construct give the
+    same results and verdict on every corpus instance either way."""
+    for tg in corpus_instances:
+        n_points = list(bit_indices(tg.atoms[0]))
+        k = len(tg.atoms)
+        forms = (
+            {"normal_subgroup": n_points},
+            {"opens": [list(bit_indices(u)) for u in opens(tg.space)]},
+        )
+        extras = [
+            ("verify-haar", {"measure": {"atom_masses": ["1"] * k}}),
+            ("verify-haar", {"measure": {"atom_masses": ["1"] + ["2"] * (k - 1)}}),
+            ("quotient", {}),
+            ("construct", {"k0": n_points}),
+        ]
+        for command, extra in extras:
+            by_form = [
+                cli.COMMANDS[command](
+                    {"group": table_spec(tg.group), "topology": topology, **extra},
+                    cli.Options(command),
+                )
+                for topology in forms
+            ]
+            assert by_form[0] == by_form[1], (tg.group.name, k, command)
+
 
 # -- input errors -> exit 2 ---------------------------------------------------
 

@@ -34,7 +34,7 @@ def z4_coset_instance():
 
 def discrete_instance(group):
     return FiniteTopGroup(
-        group, FiniteSpace(group.order, range(1 << group.order))
+        group, FiniteSpace.from_opens(group.order, range(1 << group.order))
     )
 
 def count(tg, k, s):

@@ -37,11 +37,11 @@ from literal import literal_pullback, literal_pushforward
 
 
 def discrete_group(group):
-    return FiniteTopGroup(group, FiniteSpace(group.order, range(1 << group.order)))
+    return FiniteTopGroup(group, FiniteSpace.from_opens(group.order, range(1 << group.order)))
 
 def indiscrete_group(group):
     full = (1 << group.order) - 1
-    return FiniteTopGroup(group, FiniteSpace(group.order, [0, full]))
+    return FiniteTopGroup(group, FiniteSpace.from_opens(group.order, [0, full]))
 
 
 # -- FiniteGroup validation and constructors ---------------------------------
@@ -271,7 +271,7 @@ def test_validate_z4_coset_topology():
 
 def test_validate_rejects_sierpinski_style_opens():
     z4 = cyclic(4)
-    space = FiniteSpace(4, [0b0000, 0b0001, 0b1111])
+    space = FiniteSpace.from_opens(4, [0b0000, 0b0001, 0b1111])
     witness = r"^incompatible topology: witness: pair \(3, 1\), open 0x1$"
     with pytest.raises(InputError, match=witness):
         FiniteTopGroup(z4, space)
@@ -290,7 +290,7 @@ def random_preorder_space(n, rng):
         for x in range(n):
             if below[x] >> y & 1:
                 below[x] |= below[y]
-    return FiniteSpace.from_min_open(n, below)
+    return FiniteSpace(n, below)
 
 def continuity_cases():
     """Every topology of at most 4 points with every group of that order,
@@ -334,7 +334,7 @@ def test_continuity_witness_fails_literally():
     of pair the check can name occurs.  The left cosets of a subgroup
     that is not normal pass every check but (e, a)."""
     left_cosets = [
-        (group, FiniteSpace.from_min_open(
+        (group, FiniteSpace(
             group.order, [group.translate(x, h) for x in range(group.order)]))
         for group in (symmetric3(), dihedral(4))
         for h in group.subgroups()
@@ -605,7 +605,7 @@ def test_quotient_checks_hausdorff():
     atoms, the final topology on Z6/{0,3} is indiscrete, not the discrete
     quotient the atoms give."""
     tg = z6_mod_3()
-    object.__setattr__(tg, "space", FiniteSpace.from_min_open(6, [0b111111] * 6))
+    object.__setattr__(tg, "space", FiniteSpace(6, [0b111111] * 6))
     with pytest.raises(InternalInconsistency, match="not the image family"):
         reference_quotient(tg)
 

@@ -42,12 +42,12 @@ def z4_coset_instance():
 
 def discrete_instance(group):
     return FiniteTopGroup(
-        group, FiniteSpace(group.order, range(1 << group.order))
+        group, FiniteSpace.from_opens(group.order, range(1 << group.order))
     )
 
 def indiscrete_instance(group):
     full = (1 << group.order) - 1
-    return FiniteTopGroup(group, FiniteSpace(group.order, [0, full]))
+    return FiniteTopGroup(group, FiniteSpace.from_opens(group.order, [0, full]))
 
 
 # -- FiniteMeasure basics ----------------------------------------------------

@@ -1,6 +1,6 @@
 """The frozen value records: immutability, equality, hashing and repr,
 checked for each record class against a dataclass twin; and a static
-guard that a class with its own equality is a record unless listed."""
+guard that no class but Record writes its own equality, hash or repr."""
 
 import ast
 import dataclasses
@@ -10,7 +10,9 @@ import pytest
 
 from haarlab import (
     BkCertificate,
+    FiniteGroup,
     FiniteMeasure,
+    FiniteSpace,
     FiniteTopGroup,
     Interval,
     IntervalUnion,
@@ -36,12 +38,14 @@ def z4():
 
 
 def samples():
-    """Two unequal instances of each of the eight record classes."""
+    """Two unequal instances of each of the ten record classes."""
     tg = z4()
     canon = canonical_haar(tg)
     cert = counterexample_bk(1, 10)
     cert.translates  # a cached listing must not take part in eq or repr
     return {
+        FiniteGroup: (tg.group, cyclic(3)),
+        FiniteSpace: (tg.space, FiniteSpace(2, (0b11, 0b10))),
         FiniteTopGroup: (tg, FiniteTopGroup(cyclic(4), coset_topology(cyclic(4), 0b0001))),
         PointFunction: (PointFunction((1, 2)), PointFunction((1, 3))),
         QuotientData: (quotient(tg), quotient(FiniteTopGroup(cyclic(3), coset_topology(cyclic(3), 0b111)))),
@@ -60,8 +64,8 @@ def twin(record):
     return dc(*record._values())
 
 
-def test_eight_record_classes():
-    assert len(samples()) == 8
+def test_ten_record_classes():
+    assert len(samples()) == 10
     assert all(issubclass(cls, Record) for cls in samples())
 
 
@@ -118,27 +122,43 @@ def test_constructors_validate():
     assert len(BkCertificate(**fields).translates) == 2
 
 
-#: The classes in src/haarlab that define __eq__ without being records,
-#: and why each stays a plain class.
-PLAIN_EQ_CLASSES = {
-    "FiniteGroup": "its equality ignores name",
-    "FiniteSpace": "its constructor takes an open family, so a copy cannot "
-    "be rebuilt from its fields",
-}
+def test_parts_of_a_top_group_are_frozen():
+    """The group and space a checked FiniteTopGroup holds cannot be
+    changed under it, nor can the group's derived order."""
+    tg = z4()
+    with pytest.raises(AttributeError):
+        tg.space.min_open = (0b1111,) * 4
+    with pytest.raises(AttributeError):
+        tg.group.table = cyclic(4).table[::-1]
+    with pytest.raises(AttributeError):
+        tg.group.order = 2
+    assert tg.atoms == (0b0101, 0b1010) and tg.group.order == 4
 
 
-def plain_eq_classes(source: str) -> list:
+def test_group_equality_includes_name():
+    """A group is a record of its table and its name: the same table
+    under another name is another value."""
+    table = cyclic(3).table
+    assert FiniteGroup(table, name="Z3") == cyclic(3)
+    assert FiniteGroup(table) != cyclic(3)
+    assert FiniteGroup(table).name == "group"
+
+
+#: Methods that give a class value semantics; only Record writes them.
+VALUE_DUNDERS = {"__eq__", "__hash__", "__repr__"}
+
+
+def classes_with_value_dunders(source: str) -> list:
     """The names of the classes in source, other than Record, that define
-    __eq__ and do not name Record among their bases."""
+    __eq__, __hash__ or __repr__ themselves."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef) or node.name == "Record":
             continue
-        bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
-        defines_eq = any(
-            isinstance(f, ast.FunctionDef) and f.name == "__eq__" for f in node.body
-        )
-        if defines_eq and "Record" not in bases:
+        if any(
+            isinstance(f, ast.FunctionDef) and f.name in VALUE_DUNDERS
+            for f in node.body
+        ):
             found.append(node.name)
     return found
 
@@ -146,21 +166,22 @@ def plain_eq_classes(source: str) -> list:
 def test_guard_finds_plain_eq_classes():
     source = (
         "class Record:\n    def __eq__(self, o): pass\n"
+        "    def __hash__(self): pass\n    def __repr__(self): pass\n"
         "class A(Record):\n    pass\n"
         "class B:\n    def __eq__(self, o): pass\n"
         "class C(records.Record):\n    def __eq__(self, o): pass\n"
         "class D:\n    def __hash__(self): pass\n"
+        "class F(Record):\n    def __repr__(self): pass\n"
+        "class G:\n    def __str__(self): pass\n"
         "def f():\n    class E(object):\n        def __eq__(self, o): pass\n"
     )
-    assert plain_eq_classes(source) == ["B", "E"]
+    assert classes_with_value_dunders(source) == ["B", "C", "D", "F", "E"]
 
 
 def test_value_classes_are_records():
     found = [
         name
         for path in sorted((SRC / "haarlab").glob("*.py"))
-        for name in plain_eq_classes(path.read_text(encoding="utf-8"))
+        for name in classes_with_value_dunders(path.read_text(encoding="utf-8"))
     ]
-    assert sorted(found) == sorted(PLAIN_EQ_CLASSES), (
-        "make a value class a records.Record, or list it with its reason"
-    )
+    assert found == [], "make a value class a records.Record"

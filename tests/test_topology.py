@@ -18,42 +18,42 @@ from literal import closed_sets, hausdorff, literal_closure, literal_interior, o
 
 def sierpinski():
     # opens {∅, {1}, {0,1}}
-    return FiniteSpace(2, [0b00, 0b10, 0b11])
+    return FiniteSpace.from_opens(2, [0b00, 0b10, 0b11])
 
 def discrete(n):
-    return FiniteSpace(n, range(1 << n))
+    return FiniteSpace.from_opens(n, range(1 << n))
 
 def indiscrete(n):
-    return FiniteSpace(n, [0, (1 << n) - 1])
+    return FiniteSpace.from_opens(n, [0, (1 << n) - 1])
 
 def z4_coset_space():
     # opens = unions of cosets of {0,2} in Z4
-    return FiniteSpace(4, [0b0000, 0b0101, 0b1010, 0b1111])
+    return FiniteSpace.from_opens(4, [0b0000, 0b0101, 0b1010, 0b1111])
 
 
 # -- construction validation -------------------------------------------------
 
 def test_rejects_family_missing_full_set():
     with pytest.raises(ValueError):
-        FiniteSpace(2, [0b00, 0b01])
+        FiniteSpace.from_opens(2, [0b00, 0b01])
 
 def test_rejects_family_not_union_closed():
     with pytest.raises(ValueError):
-        FiniteSpace(3, [0b000, 0b001, 0b010, 0b111])
+        FiniteSpace.from_opens(3, [0b000, 0b001, 0b010, 0b111])
 
 def test_rejects_family_not_intersection_closed():
     with pytest.raises(ValueError):
-        FiniteSpace(3, [0b000, 0b011, 0b110, 0b111])
+        FiniteSpace.from_opens(3, [0b000, 0b011, 0b110, 0b111])
 
 def test_rejects_too_many_points():
     with pytest.raises(TooLarge):
-        FiniteSpace(65, [0])
+        FiniteSpace.from_opens(65, [0])
     # more digits than an int converts to text: the count goes unnamed
     with pytest.raises(TooLarge, match=r"^point count past 2\^64 outside 1\.\.64$"):
-        FiniteSpace(10**5000, [0])
+        FiniteSpace.from_opens(10**5000, [0])
 
 def test_rejects_no_points():
-    for build in (lambda: FiniteSpace(0, [0]), lambda: FiniteSpace.from_min_open(0, [])):
+    for build in (lambda: FiniteSpace.from_opens(0, [0]), lambda: FiniteSpace(0, [])):
         with pytest.raises(InputError, match="^point count must be at least 1$"):
             build()
 
@@ -61,21 +61,21 @@ def test_rejects_non_topology_without_generating_its_unions():
     # 64 singleton minimal opens would generate 2^64 unions
     full = (1 << 64) - 1
     with pytest.raises(ValueError, match="pairwise union"):
-        FiniteSpace(64, [0, full] + [1 << x for x in range(64)])
+        FiniteSpace.from_opens(64, [0, full] + [1 << x for x in range(64)])
 
-def test_from_min_open_validation():
-    assert FiniteSpace.from_min_open(2, [0b11, 0b10]) == sierpinski()
+def test_min_open_validation():
+    assert FiniteSpace(2, [0b11, 0b10]) == sierpinski()
     with pytest.raises(ValueError):
-        FiniteSpace.from_min_open(2, [0b10, 0b10])  # 0 not in U_0
+        FiniteSpace(2, [0b10, 0b10])  # 0 not in U_0
     with pytest.raises(ValueError):
-        FiniteSpace.from_min_open(3, [0b011, 0b110, 0b100])  # U_1 not in U_0
+        FiniteSpace(3, [0b011, 0b110, 0b100])  # U_1 not in U_0
     with pytest.raises(ValueError):
-        FiniteSpace.from_min_open(2, [0b11])
+        FiniteSpace(2, [0b11])
     with pytest.raises(TooLarge):
-        FiniteSpace.from_min_open(65, [0] * 65)
+        FiniteSpace(65, [0] * 65)
 
 def test_opens_listed_lazily_under_cap():
-    space = FiniteSpace.from_min_open(17, [1 << x for x in range(17)])
+    space = FiniteSpace(17, [1 << x for x in range(17)])
     assert "opens" not in repr(space)
     assert space.closure(0b101) == 0b101 and space.is_open(0b101)
     assert space.separation_flags().regular
@@ -404,8 +404,11 @@ def test_enumeration_counts():
 def test_enumeration_matches_brute_force():
     for n in (1, 2, 3, 4):
         expected = brute_force_topologies(n)
-        got = sorted(opens(s) for s in enumerate_topologies(n))
+        spaces = enumerate_topologies(n)
+        got = sorted(opens(s) for s in spaces)
         assert got == expected
+        # each brute-force family, read back into its minimal opens
+        assert {FiniteSpace.from_opens(n, f) for f in expected} == set(spaces)
 
 def test_enumeration_bound():
     with pytest.raises(TooLarge):

@@ -64,3 +64,5 @@ def test_traced_tiny_rounds_pass(bench, tmp_path):
             run.run_op(mods, i, op, path, tally, tracer)
         assert (tally.attempted, tally.failed, tally.wrong) == (len(ops), 0, []), name
     assert tracer.counts["plane.tile_pairs_checked"] > 0
+    # every space is built by FiniteSpace.__init__, so its span sees them
+    assert tracer.totals()["topology.space_build"][1] > 0
