@@ -4,7 +4,6 @@ from .covering import covering_number, covering_table, existence_via_covering
 from .groups import (
     FiniteGroup,
     FiniteTopGroup,
-    QuotientData,
     coset_topology,
     cyclic,
     dihedral,

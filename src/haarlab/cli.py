@@ -369,16 +369,16 @@ def cmd_construct(data, opts):
 def cmd_quotient(data, opts):
     _require_keys(data, {"group", "topology"}, {"group", "topology"}, "input")
     tg = load_top_group(data["group"], data["topology"])
-    q = groups_mod.quotient(tg)
+    qtg = groups_mod.quotient(tg)
     canon = measure_mod.canonical_haar(tg)
-    pushed = measure_mod.pushforward(q, canon)
-    pulled = measure_mod.pullback(q, pushed)
+    pushed = measure_mod.pushforward(tg, canon)
+    pulled = measure_mod.pullback(tg, pushed)
     roundtrip_ok = pulled == canon
-    pushed_haar = measure_mod.is_haar(q.quotient, pushed).is_haar
+    pushed_haar = measure_mod.is_haar(qtg, pushed).is_haar
     results = {
         "normal_subgroup": points_list(tg.atoms[0]),
         "atoms": [points_list(a) for a in tg.atoms],
-        "quotient_order": q.quotient.group.order,
+        "quotient_order": qtg.group.order,
         "projection": list(tg.atom_of),
         "pushforward_masses": [frac_str(m) for m in pushed.atom_mass],
         "pullback_roundtrip_ok": roundtrip_ok,
@@ -391,8 +391,8 @@ def cmd_counterexample(data, opts):
     flag = parse_frac(opts.probe_bound) if opts.probe_bound is not None else None
     _require_keys(data, {"c", "probe_bound"}, {"c"}, "input")
     c = parse_frac(data["c"])
-    probe_bound = flag if flag is not None else parse_frac(data.get("probe_bound", "1"))
-    cert = plane_mod.counterexample_bk(c, probe_bound)
+    probe_bound = parse_frac(data.get("probe_bound", "1"))  # checked under the flag too
+    cert = plane_mod.counterexample_bk(c, probe_bound if flag is None else flag)
     verified = plane_mod.verify_bk_certificate(cert)
     side = plane_mod.UNIT_SIDE
     x = [frac_str(side.lo), frac_str(side.hi)]
@@ -533,7 +533,8 @@ def parse_args(argv) -> Options | None:
     `--flag=value`, and a repeated flag keeps its last value.  A value
     that starts with `--` needs the `=` form.  Anything else raises
     UsageError: no command or an unknown one, an unknown or abbreviated
-    flag, a flag with no value, a stray argument, or no --input."""
+    flag, a flag with no value, a stray argument, --probe-bound on a
+    command other than counterexample, or no --input."""
     if not argv:
         raise UsageError(f"no command; expected one of {', '.join(COMMANDS)}")
     command, *rest = argv
@@ -557,6 +558,8 @@ def parse_args(argv) -> Options | None:
             if value is None or value.startswith("--"):
                 raise UsageError(f"{flag} needs a value", command)
         setattr(opts, _FLAGS[flag], value)
+    if opts.probe_bound is not None and command != "counterexample":
+        raise UsageError("--probe-bound applies only to counterexample", command)
     if opts.input is None:
         raise UsageError("--input is required", command)
     return opts

@@ -356,6 +356,14 @@ class FiniteTopGroup(Record):
             raise InputError(f"set {mask:#x} is not a union of atoms")
         return sel
 
+    @cached_property
+    def _quotient(self):
+        """G/N, built on first use (`quotient`)."""
+        k = len(self.atoms)
+        qspace = FiniteSpace(k, [1 << i for i in range(k)])
+        qgroup = FiniteGroup(self.atom_table, name=f"{self.group.name}/N")
+        return FiniteTopGroup(qgroup, qspace)
+
 
 def identity_closure(g: FiniteTopGroup) -> int:
     """N = closure({e}) = U_e, the first atom (`FiniteTopGroup`)."""
@@ -376,7 +384,7 @@ def _coset_space(group: FiniteGroup, n_mask: int) -> FiniteSpace:
 
 def coset_topology(group: FiniteGroup, n_mask: int) -> FiniteSpace:
     """The topology whose opens are all unions of cosets of a normal subgroup."""
-    if not group.is_subgroup(n_mask) or not group.is_normal(n_mask):
+    if n_mask >> group.order or not group.is_subgroup(n_mask) or not group.is_normal(n_mask):
         raise InputError("mask is not a normal subgroup")
     return _coset_space(group, n_mask)
 
@@ -392,19 +400,10 @@ def group_topologies(group: FiniteGroup):
 # -- quotient ----------------------------------------------------------------
 
 
-class QuotientData(Record):
-    """G and G/N, whose point i is atom i of G (`quotient`): the projection
-    is `base.atom_of`, and each point i of G/N is its own atom i."""
-
-    _fields = ("base", "quotient")
-
-    def __init__(self, base: FiniteTopGroup, quotient: FiniteTopGroup):
-        self._assign(base, quotient)
-
-
-def quotient(g: FiniteTopGroup) -> QuotientData:
-    """The quotient by the identity closure N, with the final topology of
-    the projection: V is open iff preimage(V) is open.
+def quotient(g: FiniteTopGroup) -> FiniteTopGroup:
+    """G/N for the identity closure N, with the final topology of the
+    projection: V is open iff preimage(V) is open.  It is built once per
+    group, so quotient(g) is quotient(g).
 
     Every atom is a minimal open U_x = xN (`FiniteTopGroup`), so the
     preimage of every set of atom labels is open and the final topology
@@ -423,7 +422,4 @@ def quotient(g: FiniteTopGroup) -> QuotientData:
     and the discrete topology, so its atoms are the singletons in point
     order: atom i of G/N is point i.
     """
-    k = len(g.atoms)
-    qspace = FiniteSpace(k, [1 << i for i in range(k)])
-    qgroup = FiniteGroup(g.atom_table, name=f"{g.group.name}/N")
-    return QuotientData(base=g, quotient=FiniteTopGroup(qgroup, qspace))
+    return g._quotient

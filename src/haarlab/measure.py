@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
-from .groups import FiniteTopGroup, QuotientData
+from .groups import FiniteTopGroup, quotient
 from .records import Record
 from .topology import PointFunction, bit_indices, mask_of
 
@@ -165,24 +165,22 @@ def haar_solution_space(g: FiniteTopGroup):
     return len(orbits), basis
 
 
-def pushforward(q: QuotientData, mu: FiniteMeasure) -> FiniteMeasure:
-    """(pi_* mu)(F) = mu(pi^-1(F)), per quotient atom.
+def pushforward(g: FiniteTopGroup, mu: FiniteMeasure) -> FiniteMeasure:
+    """(pi_* mu)(F) = mu(pi^-1(F)) on G/N, per quotient atom.
 
     Atom i of G/N is its point i, and pi^-1 of point i is atom i of G
-    (`QuotientData`), so the masses carry over by index."""
-    if mu.group_ref != q.base:
-        raise InputError("measure does not live on the base group")
-    return FiniteMeasure(q.quotient, mu.atom_mass)
+    (`groups.quotient`), so the masses carry over by index."""
+    _check_measure(g, mu)
+    return FiniteMeasure(quotient(g), mu.atom_mass)
 
 
-def pullback(q: QuotientData, nu: FiniteMeasure) -> FiniteMeasure:
-    """(pi^* nu)(E) = nu(pi(E)), per base atom.
+def pullback(g: FiniteTopGroup, nu: FiniteMeasure) -> FiniteMeasure:
+    """(pi^* nu)(E) = nu(pi(E)) on G, per base atom, for nu on G/N.
 
     Atom i of G projects to point i of G/N, which is its atom i
-    (`QuotientData`), so the masses carry over by index."""
-    if nu.group_ref != q.quotient:
-        raise InputError("measure does not live on the quotient")
-    return FiniteMeasure(q.base, nu.atom_mass)
+    (`groups.quotient`), so the masses carry over by index."""
+    _check_measure(quotient(g), nu)
+    return FiniteMeasure(g, nu.atom_mass)
 
 
 def _cell_values(f: PointFunction, cells, noun: str):
@@ -229,8 +227,8 @@ def fubini_check(
     Continuity on the product topology means constancy on the product
     atoms of `product_cells`.
     """
-    if mu.group_ref != g or lam.group_ref != h:
-        raise InputError("measures do not match the factor groups")
+    _check_measure(g, mu)
+    _check_measure(h, lam)
     if len(f.values) != g.group.order * h.group.order:
         raise InputError("function not defined on the product points")
     cell_values = _cell_values(f, product_cells(g, h), "product atom")
@@ -254,9 +252,8 @@ def fubini_check(
 
 
 def riesz_check(g: FiniteTopGroup, mu1: FiniteMeasure, mu2: FiniteMeasure) -> bool:
-    """True iff the two Radon measures integrate every atom indicator alike."""
-    for m in (mu1, mu2):
-        _check_measure(g, m)
+    """True iff the two Radon measures integrate every atom indicator alike;
+    `integrate` checks that both live on g at the first atom."""
     n = g.group.order
     for a in g.atoms:
         f = PointFunction.indicator(n, a)

@@ -1,9 +1,9 @@
 """Frozen value records without the `dataclasses` import.
 
-The ten value classes are records: `FiniteGroup`, `FiniteTopGroup` and
-`QuotientData` (groups), `FiniteSpace` and `PointFunction` (topology),
-`FiniteMeasure` and `HaarReport` (measure), and `Interval`,
-`IntervalUnion` and `BkCertificate` (plane).
+The nine value classes are records: `FiniteGroup` and `FiniteTopGroup`
+(groups), `FiniteSpace` and `PointFunction` (topology), `FiniteMeasure`
+and `HaarReport` (measure), and `Interval`, `IntervalUnion` and
+`BkCertificate` (plane).
 
 `dataclasses` imports `inspect`, `ast` and `tokenize` and builds each
 class's methods with `exec`; every CLI process would pay for that at start.

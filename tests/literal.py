@@ -8,7 +8,7 @@ import functools
 import math
 from fractions import Fraction
 
-from haarlab import FiniteGroup, FiniteMeasure, FiniteSpace, FiniteTopGroup, QuotientData
+from haarlab import FiniteGroup, FiniteMeasure, FiniteSpace, FiniteTopGroup, quotient
 from haarlab import coset_topology, direct_product
 from haarlab.errors import InternalInconsistency
 from haarlab.measure import HaarReport
@@ -201,7 +201,7 @@ def reference_quotient(g):
         lift = preimage(c)
         if image(lift) != c or not g.space.is_closed(lift):
             raise InternalInconsistency("compact lifting failed")
-    return QuotientData(base=g, quotient=qtg)
+    return qtg
 
 def reference_borel_atoms(g):
     space = g.space
@@ -268,30 +268,30 @@ def _mass_inside(atoms, masses, points):
     """The mass of a point set: the masses of the atoms inside it."""
     return sum((m for a, m in zip(atoms, masses) if a & ~points == 0), Fraction(0))
 
-def literal_pushforward(q, mu, n_base=None, n_quotient=None):
+def literal_pushforward(g, mu, n_base=None, n_quotient=None):
     """Reference: (pi_* mu)(B) = mu(pi^-1(B)) for each atom B of G/N, from
     points.  pi sends x to the number of its coset in
-    literal_partition(q.base), the number of its point in G/N; the atoms of
-    G/N are literal_partition(q.quotient)'s.  n_base and n_quotient pass N
+    literal_partition(g), the number of its point in G/N; the atoms of
+    G/N are literal_partition(quotient(g))'s.  n_base and n_quotient pass N
     on to literal_partition."""
-    atoms, proj, _ = literal_partition(q.base, n_base)
-    q_atoms = literal_partition(q.quotient, n_quotient)[0]
+    atoms, proj, _ = literal_partition(g, n_base)
+    q_atoms = literal_partition(quotient(g), n_quotient)[0]
     masses = [
         _mass_inside(atoms, mu.atom_mass, mask_of(x for x, p in enumerate(proj) if b >> p & 1))
         for b in q_atoms
     ]
-    return FiniteMeasure(q.quotient, masses)
+    return FiniteMeasure(quotient(g), masses)
 
-def literal_pullback(q, nu, n_base=None, n_quotient=None):
+def literal_pullback(g, nu, n_base=None, n_quotient=None):
     """Reference: (pi^* nu)(A) = nu(pi(A)) for each atom A of G, from
     points, with pi and the atoms of G/N as in `literal_pushforward`."""
-    atoms, proj, _ = literal_partition(q.base, n_base)
-    q_atoms = literal_partition(q.quotient, n_quotient)[0]
+    atoms, proj, _ = literal_partition(g, n_base)
+    q_atoms = literal_partition(quotient(g), n_quotient)[0]
     masses = [
         _mass_inside(q_atoms, nu.atom_mass, mask_of(proj[x] for x in bit_indices(a)))
         for a in atoms
     ]
-    return FiniteMeasure(q.base, masses)
+    return FiniteMeasure(g, masses)
 
 def literal_regularity(g, mu):
     """Reference: outer regularity of every Borel set and inner regularity

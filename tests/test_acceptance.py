@@ -122,15 +122,14 @@ def test_criterion_4_quotient_correspondence(corpus_instances, verdict):
     rng = random.Random(51)
     ok = True
     for tg in corpus_instances:
-        q = quotient(tg)
         for scale in (Fraction(1), random_fraction(rng) + 1):
             mu = canonical_haar(tg).scaled(scale)
-            if pullback(q, pushforward(q, mu)).atom_mass != mu.atom_mass:
+            if pullback(tg, pushforward(tg, mu)).atom_mass != mu.atom_mass:
                 ok = False
-            nu = canonical_haar(q.quotient).scaled(scale)
-            if pushforward(q, pullback(q, nu)).atom_mass != nu.atom_mass:
+            nu = canonical_haar(quotient(tg)).scaled(scale)
+            if pushforward(tg, pullback(tg, nu)).atom_mass != nu.atom_mass:
                 ok = False
-            if not is_haar(tg, pullback(q, nu)).is_haar:
+            if not is_haar(tg, pullback(tg, nu)).is_haar:
                 ok = False
     verdict(4, ok, "pushforward/pullback are exact mutual inverses and preserve the Haar property")
 

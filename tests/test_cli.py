@@ -82,6 +82,18 @@ def test_empty_probe_bound_flag_exits_2(tmp_path):
     assert sorted(report) == ["command", "error", "schema_version"]
     assert report["error"].startswith("bad rational ''")
 
+def test_input_probe_bound_is_checked_under_the_flag(tmp_path):
+    """The flag takes the place of the input's probe_bound, which must
+    still be a rational."""
+    payload = {"c": "1/2", "probe_bound": "banana"}
+    proc, report = run_cli(tmp_path, "counterexample", payload, "--probe-bound", "1")
+    assert proc.returncode == 2
+    assert report["error"] == "bad rational 'banana': Invalid literal for Fraction: 'banana'"
+    payload = {"c": "1/1", "probe_bound": "2"}
+    proc, report = run_cli(tmp_path, "counterexample", payload, "--probe-bound", "10/1")
+    assert proc.returncode == 0
+    assert report["results"]["translate_count"] == 11
+
 def test_enumerate_z4(tmp_path):
     proc, report = run_cli(
         tmp_path, "enumerate", {"group": {"family": "cyclic", "params": {"n": 4}}}
@@ -427,6 +439,30 @@ def test_partition_once_per_top_group(corpus, monkeypatch):
             assert len(calls) == len(built) >= 1, (group.name, command.__name__)
             assert {id(tg) for tg in calls} == {id(tg) for tg in built}
     assert closures["inside"] == 0
+
+def test_quotient_builds_two_groups(corpus, monkeypatch):
+    """Counter bound: quotient builds exactly two groups, G and G/N, as
+    pushforward and pullback read the G/N that quotient(tg) holds."""
+    built = []
+    init = groups.FiniteGroup.__init__
+
+    def recording_init(self, table, name="group"):
+        init(self, table, name)
+        built.append(name)
+
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", recording_init)
+    opts = cli.Options("quotient")
+    for group in corpus:
+        for n_mask in group.normal_subgroups():
+            built.clear()
+            cli.cmd_quotient(
+                {
+                    "group": dict(table_spec(group), name=group.name),
+                    "topology": {"normal_subgroup": list(bit_indices(n_mask))},
+                },
+                opts,
+            )
+            assert built == [group.name, f"{group.name}/N"], (group.name, n_mask)
 
 def test_enumerate_checks_each_subgroup_once(corpus, monkeypatch):
     """Counter bound: enumerate makes one is_normal call per subgroup, and
@@ -958,8 +994,8 @@ def test_lossy_json_number_exits_2(tmp_path, capsys, number):
     """A JSON number whose float is another rational is refused by name:
     1e-400 loads as 0.0 and 0.30000000000000001 as 0.3, which would be
     verified in its place.  The check runs as the file loads, so it also
-    refuses such a number in a field the command ignores, here the
-    input's probe_bound under --probe-bound."""
+    refuses such a number in the input's probe_bound under --probe-bound,
+    which takes its place."""
     message = (
         f"JSON number {number} loads as the float {float(number)!r}, "
         "not the rational written; give it as a string"
@@ -1448,6 +1484,11 @@ USAGE_ERRORS = {
     "unknown_flag": (["counterexample", "--input", "P", "--verbose"], "counterexample", "unknown flag '--verbose'"),
     "abbreviated_flag": (["counterexample", "--inp", "P"], "counterexample", "unknown flag '--inp'"),
     "max_order": (["counterexample", "--input", "P", "--max-order", "8"], "counterexample", "unknown flag '--max-order'"),
+    "probe_bound_elsewhere": (
+        ["verify-haar", "--input", "P", "--probe-bound", "banana"],
+        "verify-haar",
+        "--probe-bound applies only to counterexample",
+    ),
 }
 
 @pytest.mark.parametrize("argv,command,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)

@@ -401,33 +401,45 @@ def test_opens_are_exactly_coset_unions():
                 expected.add(acc)
             assert set(opens(tg.space)) == expected
 
+@pytest.mark.parametrize("n_mask", [0b10001, 0b100000, -1, -0b1011])
+def test_coset_topology_refuses_masks_outside_the_group(n_mask):
+    """A mask with a bit past the group, or a negative one, holds no
+    subgroup of it, and is refused before any product reads a row past
+    the table."""
+    with pytest.raises(InputError, match=r"^mask is not a normal subgroup$"):
+        coset_topology(cyclic(4), n_mask)
+
 
 # -- quotient ----------------------------------------------------------------
 
 def test_quotient_z4_mod_n():
     z4 = cyclic(4)
     tg = FiniteTopGroup(z4, coset_topology(z4, 0b0101))
-    q = quotient(tg)
-    assert q.quotient.group.order == 2
-    assert q.base.atom_of == (0, 1, 0, 1)
-    assert q.base.atom_of[0] == q.base.atom_of[2]
+    assert quotient(tg).group.order == 2
+    assert tg.atom_of == (0, 1, 0, 1)
+    assert tg.atom_of[0] == tg.atom_of[2]
+
+def test_quotient_is_built_once_per_group(corpus_instances):
+    """G/N is a value of its group: every call returns the same object, so
+    no caller builds or validates it again."""
+    for tg in corpus_instances:
+        assert quotient(tg) is quotient(tg)
+        assert quotient(tg) == quotient(FiniteTopGroup(tg.group, tg.space))
 
 def test_quotient_discrete_is_identity():
     z3 = cyclic(3)
-    q = quotient(discrete_group(z3))
-    assert q.quotient.group.order == 3
-    assert q.base.atom_of == (0, 1, 2)
-    assert q.quotient.group.table == z3.table
+    tg = discrete_group(z3)
+    assert quotient(tg).group.order == 3
+    assert tg.atom_of == (0, 1, 2)
+    assert quotient(tg).group.table == z3.table
 
 def test_quotient_indiscrete_is_trivial():
-    q = quotient(indiscrete_group(cyclic(4)))
-    assert q.quotient.group.order == 1
+    assert quotient(indiscrete_group(cyclic(4))).group.order == 1
 
 def test_quotient_projection_open_closed_hausdorff(corpus_instances):
     # the constructor re-verifies statements (i)-(v); just exercise it
     for tg in corpus_instances:
-        q = quotient(tg)
-        assert hausdorff(q.quotient.space)
+        assert hausdorff(quotient(tg).space)
 
 def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
     """Counter bound: no closure call per quotient or per reading of the
@@ -465,10 +477,9 @@ def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
 
 def test_quotient_of_hausdorff_group_is_isomorphic_copy():
     for group in (cyclic(5), symmetric3()):
-        q = quotient(discrete_group(group))
-        assert q.base.atom_of == tuple(range(group.order))
-        q2 = quotient(q.quotient)
-        assert q2.base.atom_of == tuple(range(group.order))
+        tg = discrete_group(group)
+        assert tg.atom_of == tuple(range(group.order))
+        assert quotient(tg).atom_of == tuple(range(group.order))
 
 
 def test_push_pull_relabel_matches_point_level_reference(corpus_instances):
@@ -484,16 +495,16 @@ def test_push_pull_relabel_matches_point_level_reference(corpus_instances):
     rng = random.Random(61)
     for tg, n_base in cases:
         q, k = quotient(tg), len(tg.atoms)
-        assert q.quotient.atoms == tuple(1 << i for i in range(k))
-        assert q.quotient.group.identity == 0
+        assert q.atoms == tuple(1 << i for i in range(k))
+        assert q.group.identity == 0
         n_quotient = None
         if n_base is not None:
-            assert hausdorff(q.quotient.space)
-            n_quotient = 1 << q.quotient.group.identity
+            assert hausdorff(q.space)
+            n_quotient = 1 << q.group.identity
         mu = FiniteMeasure(tg, [random_fraction(rng) for _ in range(k)])
-        nu = FiniteMeasure(q.quotient, [random_fraction(rng) for _ in range(k)])
-        assert pushforward(q, mu) == literal_pushforward(q, mu, n_base, n_quotient)
-        assert pullback(q, nu) == literal_pullback(q, nu, n_base, n_quotient)
+        nu = FiniteMeasure(q, [random_fraction(rng) for _ in range(k)])
+        assert pushforward(tg, mu) == literal_pushforward(tg, mu, n_base, n_quotient)
+        assert pullback(tg, nu) == literal_pullback(tg, nu, n_base, n_quotient)
 
 
 # -- borel atoms -------------------------------------------------------------
@@ -545,8 +556,8 @@ def test_generator_checks_match_literal_references(corpus_instances):
         assert (tg.atoms, tg.atom_of, tg.atom_table) == literal_partition(tg)
         assert reference_borel_atoms(tg) == tg.atoms
         q, ref = quotient(tg), reference_quotient(tg)
-        assert q == ref and q.quotient.group.name == ref.quotient.group.name
-        assert q.quotient.space.min_open == ref.quotient.space.min_open
+        assert q == ref and q.group.name == ref.group.name
+        assert q.space.min_open == ref.space.min_open
     assert len(accepted) == 144
 
 Z6_ATOMS = ((0b001001, 0b010010, 0b100100), (0, 1, 2, 0, 1, 2))

@@ -112,11 +112,30 @@ def test_is_haar_side_argument():
     with pytest.raises(ValueError):
         is_haar(tg, mu, "both")
 
-def test_is_haar_mismatch():
-    tg = z4_coset_instance()
-    other = discrete_instance(cyclic(2))
+#: Calls that each pass one measure on another group: tg is the Z4 coset
+#: group and h is Z2 discrete, mu lives on tg (not on G/N) and stray on h.
+STRAY_MEASURE_CALLS = {
+    "is_haar": lambda tg, h, mu, stray: is_haar(tg, stray),
+    "integrate": lambda tg, h, mu, stray: integrate(tg, PointFunction((1,) * 4), stray),
+    "riesz_check_first": lambda tg, h, mu, stray: riesz_check(tg, stray, mu),
+    "riesz_check_second": lambda tg, h, mu, stray: riesz_check(tg, mu, stray),
+    "fubini_check_first": lambda tg, h, mu, stray: fubini_check(
+        tg, h, PointFunction((1,) * 8), stray, stray
+    ),
+    "fubini_check_second": lambda tg, h, mu, stray: fubini_check(
+        tg, h, PointFunction((1,) * 8), mu, mu
+    ),
+    "pushforward": lambda tg, h, mu, stray: pushforward(tg, stray),
+    "pullback": lambda tg, h, mu, stray: pullback(tg, mu),
+}
+
+@pytest.mark.parametrize("call", STRAY_MEASURE_CALLS.values(), ids=STRAY_MEASURE_CALLS)
+def test_measure_on_another_group_is_refused(call):
+    """Each function that takes a measure refuses one on another group,
+    with the one message of `_check_measure`."""
+    tg, h = z4_coset_instance(), discrete_instance(cyclic(2))
     with pytest.raises(InputError, match=r"^measure lives on a different group$"):
-        is_haar(tg, canonical_haar(other))
+        call(tg, h, canonical_haar(tg), canonical_haar(h))
 
 
 # -- is_haar against the literal Fraction sweep --------------------------------
@@ -334,39 +353,36 @@ def test_uniqueness_over_corpus(corpus_instances):
 
 def test_pushforward_examples():
     tg = z4_coset_instance()
-    q = quotient(tg)
-    nu = pushforward(q, FiniteMeasure(tg, (3, 3)))
+    nu = pushforward(tg, FiniteMeasure(tg, (3, 3)))
     assert nu.atom_mass == (3, 3)
-    assert pushforward(q, canonical_haar(tg)).atom_mass == (1, 1)
-    assert pushforward(q, FiniteMeasure(tg, (0, 0))).atom_mass == (0, 0)
-    with pytest.raises(InputError, match=r"^measure does not live on the base group$"):
-        pushforward(q, canonical_haar(q.quotient))
+    assert pushforward(tg, canonical_haar(tg)).atom_mass == (1, 1)
+    assert pushforward(tg, FiniteMeasure(tg, (0, 0))).atom_mass == (0, 0)
+    with pytest.raises(InputError, match=r"^measure lives on a different group$"):
+        pushforward(tg, canonical_haar(quotient(tg)))
 
 def test_pullback_examples():
     tg = z4_coset_instance()
-    q = quotient(tg)
-    counting = canonical_haar(q.quotient)
-    assert pullback(q, counting).atom_mass == (1, 1)
-    assert pullback(q, counting.scaled(5)).atom_mass == (5, 5)
-    assert pullback(q, counting.scaled(0)).atom_mass == (0, 0)
-    with pytest.raises(InputError, match=r"^measure does not live on the quotient$"):
-        pullback(q, canonical_haar(tg))
+    counting = canonical_haar(quotient(tg))
+    assert pullback(tg, counting).atom_mass == (1, 1)
+    assert pullback(tg, counting.scaled(5)).atom_mass == (5, 5)
+    assert pullback(tg, counting.scaled(0)).atom_mass == (0, 0)
+    with pytest.raises(InputError, match=r"^measure lives on a different group$"):
+        pullback(tg, canonical_haar(tg))
 
 def test_pushforward_pullback_inverse_pair(corpus_instances):
     rng = random.Random(53)
     for tg in corpus_instances:
-        q = quotient(tg)
         mu = canonical_haar(tg).scaled(random_fraction(rng) + 1)
         # base atoms biject with quotient points, so the round trips are
         # exact identities
-        rt = pullback(q, pushforward(q, mu))
+        rt = pullback(tg, pushforward(tg, mu))
         assert rt.atom_mass == mu.atom_mass
-        nu = canonical_haar(q.quotient).scaled(random_fraction(rng) + 1)
-        rt2 = pushforward(q, pullback(q, nu))
+        nu = canonical_haar(quotient(tg)).scaled(random_fraction(rng) + 1)
+        rt2 = pushforward(tg, pullback(tg, nu))
         assert rt2.atom_mass == nu.atom_mass
         # Haar in -> Haar out, both directions
-        assert is_haar(q.quotient, pushforward(q, mu)).is_haar
-        assert is_haar(tg, pullback(q, nu)).is_haar
+        assert is_haar(quotient(tg), pushforward(tg, mu)).is_haar
+        assert is_haar(tg, pullback(tg, nu)).is_haar
 
 
 # -- integration -------------------------------------------------------------

@@ -22,10 +22,8 @@ from haarlab import (
     counterexample_bk,
     cyclic,
     is_haar,
-    quotient,
 )
 from haarlab.errors import InputError
-from haarlab.groups import QuotientData
 from haarlab.measure import HaarReport
 from haarlab.records import Record
 
@@ -38,7 +36,7 @@ def z4():
 
 
 def samples():
-    """Two unequal instances of each of the ten record classes."""
+    """Two unequal instances of each of the nine record classes."""
     tg = z4()
     canon = canonical_haar(tg)
     cert = counterexample_bk(1, 10)
@@ -48,7 +46,6 @@ def samples():
         FiniteSpace: (tg.space, FiniteSpace(2, (0b11, 0b10))),
         FiniteTopGroup: (tg, FiniteTopGroup(cyclic(4), coset_topology(cyclic(4), 0b0001))),
         PointFunction: (PointFunction((1, 2)), PointFunction((1, 3))),
-        QuotientData: (quotient(tg), quotient(FiniteTopGroup(cyclic(3), coset_topology(cyclic(3), 0b111)))),
         FiniteMeasure: (canon, canon.scaled(2)),
         HaarReport: (is_haar(tg, canon), is_haar(tg, FiniteMeasure(tg, (1, 2)))),
         Interval: (Interval(0, 1, False, True), Interval(0, 1)),
@@ -64,8 +61,8 @@ def twin(record):
     return dc(*record._values())
 
 
-def test_ten_record_classes():
-    assert len(samples()) == 10
+def test_nine_record_classes():
+    assert len(samples()) == 9
     assert all(issubclass(cls, Record) for cls in samples())
 
 

@@ -64,5 +64,10 @@ def test_traced_tiny_rounds_pass(bench, tmp_path):
             run.run_op(mods, i, op, path, tally, tracer)
         assert (tally.attempted, tally.failed, tally.wrong) == (len(ops), 0, []), name
     assert tracer.counts["plane.tile_pairs_checked"] > 0
+    totals = tracer.totals()
     # every space is built by FiniteSpace.__init__, so its span sees them
-    assert tracer.totals()["topology.space_build"][1] > 0
+    assert totals["topology.space_build"][1] > 0
+    # the quotient path is traced: measure reaches G/N through its own
+    # alias of groups.quotient, which the tracer patches too
+    assert totals["groups.quotient"][1] > 0
+    assert totals["measure.push_pull"][1] > 0
