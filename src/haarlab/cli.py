@@ -14,10 +14,11 @@ The library checks each precondition on its arguments itself: a broken
 one raises InputError, which is also a ValueError, and the error report
 carries its message as is.  An input past a size cap raises TooLarge,
 reported by name as `TooLarge: message`.  Both exit 2.  The CLI checks
-only what the library cannot: the JSON shape, fubini's combined order,
-the rational grammar, the command line, and that each rational of the
-report converts to text.  Any other exception, InternalInconsistency
-included, is a bug: a traceback and exit 1.
+only what the library cannot, with the same errors: the JSON shape,
+fubini's combined order, the rational grammar, the command line (one
+outside the grammar is an InputError) and that each report rational
+converts to text.  Any other exception, InternalInconsistency included,
+is a bug: a traceback and exit 1.
 
 The command line is parsed here, not by argparse, whose import and
 locale lookups would add milliseconds to every process.
@@ -505,15 +506,6 @@ _FLAGS = {
 _HELP = ("-h", "--help")
 
 
-class UsageError(InputError):
-    """A command line outside the grammar; command is the command it
-    names, or None when it names none that exists."""
-
-    def __init__(self, message, command=None):
-        super().__init__(message)
-        self.command = command
-
-
 class Options:
     """A parsed command line: the command and each flag's value, None
     where the flag is not given."""
@@ -532,18 +524,16 @@ def parse_args(argv) -> Options | None:
     Flags follow the command in any order, as `--flag value` or
     `--flag=value`, and a repeated flag keeps its last value.  A value
     that starts with `--` needs the `=` form.  Anything else raises
-    UsageError: no command or an unknown one, an unknown or abbreviated
+    InputError: no command or an unknown one, an unknown or abbreviated
     flag, a flag with no value, a stray argument, --probe-bound on a
     command other than counterexample, or no --input."""
     if not argv:
-        raise UsageError(f"no command; expected one of {', '.join(COMMANDS)}")
+        raise InputError(f"no command; expected one of {', '.join(COMMANDS)}")
     command, *rest = argv
     if command in _HELP:
         return None
     if command not in COMMANDS:
-        raise UsageError(
-            f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
-        )
+        raise InputError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
     opts = Options(command)
     tokens = iter(rest)
     for token in tokens:
@@ -552,16 +542,16 @@ def parse_args(argv) -> Options | None:
         flag, eq, value = token.partition("=")
         if flag not in _FLAGS:
             what = "flag" if token.startswith("-") else "argument"
-            raise UsageError(f"unknown {what} {token!r}", command)
+            raise InputError(f"unknown {what} {token!r}")
         if not eq:
             value = next(tokens, None)
             if value is None or value.startswith("--"):
-                raise UsageError(f"{flag} needs a value", command)
+                raise InputError(f"{flag} needs a value")
         setattr(opts, _FLAGS[flag], value)
     if opts.probe_bound is not None and command != "counterexample":
-        raise UsageError("--probe-bound applies only to counterexample", command)
+        raise InputError("--probe-bound applies only to counterexample")
     if opts.input is None:
-        raise UsageError("--input is required", command)
+        raise InputError("--input is required")
     return opts
 
 
@@ -596,38 +586,38 @@ def run(argv=None) -> int:
     """Run one command line (default sys.argv[1:]): write its report to
     stdout or --output and return the exit code.  A command line outside
     the grammar gets its error report on stdout."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    output = None
     try:
-        opts = parse_args(sys.argv[1:] if argv is None else argv)
-    except UsageError as exc:
-        _write_report(_error_report(exc.command, str(exc)), sys.stdout)
-        return 2
-    if opts is None:
-        sys.stdout.write(HELP)
-        return 0
-    try:
+        opts = parse_args(argv)
+        if opts is None:
+            sys.stdout.write(HELP)
+            return 0
+        output = opts.output
         data = _read_input(opts.input)
-        results, ok = COMMANDS[opts.command](data, opts)
+        results, ok = COMMANDS[command](data, opts)
     except InputError as exc:
-        report, code = _error_report(opts.command, str(exc)), 2
+        report, code = _error_report(command, str(exc)), 2
     except TooLarge as exc:
-        report, code = _error_report(opts.command, f"TooLarge: {exc}"), 2
+        report, code = _error_report(command, f"TooLarge: {exc}"), 2
     else:
         report = {
             "schema_version": SCHEMA_VERSION,
-            "command": opts.command,
+            "command": command,
             "inputs": data,
             "results": results,
             "passed": ok,
         }
         code = 0 if ok else 1
 
-    if opts.output is not None:
+    if output is not None:
         try:
-            with open(opts.output, "w", encoding="utf-8", newline="\n") as fh:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
                 _write_report(report, fh)
             return code
         except OSError as exc:
-            report, code = _error_report(opts.command, f"cannot write output: {exc}"), 2
+            report, code = _error_report(command, f"cannot write output: {exc}"), 2
     _write_report(report, sys.stdout)
     return code
 

@@ -13,7 +13,7 @@ from operator import itemgetter
 
 from .errors import InputError, TooLarge
 from .records import Record
-from .topology import MAX_POINTS, FiniteSpace, bit_indices, mask_of
+from .topology import MAX_POINTS, FiniteSpace, bit_indices, check_mask, mask_of
 
 #: The group-order cap: a group's space has one point per element.
 MAX_ORDER = MAX_POINTS
@@ -27,6 +27,12 @@ def _check_order(order: int):
     if order > MAX_ORDER:
         shown = order if order <= 1 << 64 else "past 2^64"
         raise TooLarge(f"order {shown} outside 1..{MAX_ORDER}")
+
+
+def _check_elements(xs, order: int):
+    for x in xs:
+        if not 0 <= x < order:
+            raise InputError(f"element {x} not valid for order {order}")
 
 
 class FiniteGroup(Record):
@@ -97,6 +103,8 @@ class FiniteGroup(Record):
         return self.table[a][b]
 
     def mul_sets(self, a_mask: int, b_mask: int) -> int:
+        check_mask(a_mask, self.order)
+        check_mask(b_mask, self.order)
         acc = 0
         for a in bit_indices(a_mask):
             row = self.table[a]
@@ -106,6 +114,8 @@ class FiniteGroup(Record):
 
     def translate(self, g: int, mask: int) -> int:
         """The left translate g * mask."""
+        _check_elements((g,), self.order)
+        check_mask(mask, self.order)
         return mask_of(self.table[g][x] for x in bit_indices(mask))
 
     # -- subgroup machinery ------------------------------------------------
@@ -115,6 +125,7 @@ class FiniteGroup(Record):
         seen = {self.identity}
         frontier = [self.identity]
         gens = list(gens)
+        _check_elements(gens, self.order)
         while frontier:
             x = frontier.pop()
             for g in gens:
@@ -148,10 +159,10 @@ class FiniteGroup(Record):
         """A nonempty set H closed under products is a subgroup: for x in H
         every power x^j lies in H, and x^|G| = e and x^(|G|-1) = x^-1 by
         Lagrange's theorem."""
-        return mask != 0 and not self.mul_sets(mask, mask) & ~mask
+        return 0 < mask and not mask >> self.order and not self.mul_sets(mask, mask) & ~mask
 
     def is_normal(self, mask: int) -> bool:
-        return all(
+        return mask >= 0 and not mask >> self.order and all(
             mask >> self.table[self.table[g][h]][self.inverse[g]] & 1
             for g in range(self.order)
             for h in bit_indices(mask)
@@ -289,7 +300,7 @@ class FiniteTopGroup(Record):
             fail(e, e)
         members = list(bit_indices(u_e))
         for a, u_a in enumerate(mo):
-            left = group.translate(a, u_e)
+            left = mask_of(table[a][x] for x in members)  # a * U_e
             if left & ~u_a:
                 fail(a, e)
             if u_a & ~left:
@@ -335,10 +346,12 @@ class FiniteTopGroup(Record):
 
     def image(self, mask: int) -> int:
         """Atom-index mask of the atoms meeting a point mask."""
+        check_mask(mask, self.group.order)
         return mask_of(self.atom_of[x] for x in bit_indices(mask))
 
     def preimage(self, sel: int) -> int:
         """Point mask of the union of the atoms selected by sel."""
+        check_mask(sel, len(self.atoms))
         acc = 0
         for i in bit_indices(sel):
             acc |= self.atoms[i]
@@ -384,7 +397,7 @@ def _coset_space(group: FiniteGroup, n_mask: int) -> FiniteSpace:
 
 def coset_topology(group: FiniteGroup, n_mask: int) -> FiniteSpace:
     """The topology whose opens are all unions of cosets of a normal subgroup."""
-    if n_mask >> group.order or not group.is_subgroup(n_mask) or not group.is_normal(n_mask):
+    if not group.is_subgroup(n_mask) or not group.is_normal(n_mask):
         raise InputError("mask is not a normal subgroup")
     return _coset_space(group, n_mask)
 

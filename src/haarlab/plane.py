@@ -37,10 +37,6 @@ class Interval(Record):
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    def shifted(self, a) -> "Interval":
-        a = Fraction(a)
-        return Interval(self.lo + a, self.hi + a, self.lo_closed, self.hi_closed)
-
     def touches_or_overlaps(self, other: "Interval") -> bool:
         """Assuming self.lo <= other.lo: true if the union is one interval."""
         if self.hi > other.lo:
@@ -71,25 +67,19 @@ class IntervalUnion(Record):
                 merged.append(iv)
         self._assign(tuple(merged))
 
-    @property
-    def length(self) -> Fraction:
-        """Lebesgue length; independent of the endpoint flags."""
-        return sum((iv.length for iv in self.intervals), Fraction(0))
-
-    def shifted(self, a) -> "IntervalUnion":
-        return IntervalUnion(iv.shifted(a) for iv in self.intervals)
-
 
 def haar_v(e: IntervalUnion) -> Fraction:
-    """Haar mass of the cylinder e x R: the Lebesgue length of e."""
-    return e.length
+    """Haar mass of the cylinder e x R: the Lebesgue length of e, whatever its endpoint flags."""
+    return sum((iv.length for iv in e.intervals), Fraction(0))
 
 
 def translate_v(e: IntervalUnion, a, b=0) -> IntervalUnion:
-    """The base of (e x R) + (a, b); the second coordinate cannot affect
-    the set."""
+    """The base of (e x R) + (a, b); the second coordinate cannot affect the set."""
+    a = Fraction(a)
     Fraction(b)  # validated but irrelevant: the base ignores y
-    return e.shifted(a)
+    return IntervalUnion(
+        Interval(iv.lo + a, iv.hi + a, iv.lo_closed, iv.hi_closed) for iv in e.intervals
+    )
 
 
 def regularity_gap(e: IntervalUnion, eps):

@@ -43,6 +43,13 @@ def mask_of(points) -> int:
     return m
 
 
+def check_mask(mask: int, n: int) -> int:
+    """mask, if it is a set of the points 0..n-1; InputError if not."""
+    if mask < 0 or mask >> n:
+        raise InputError(f"subset {mask:#x} not valid for {n} points")
+    return mask
+
+
 def _check_points(n: int):
     if n < 1:
         raise InputError("point count must be at least 1")
@@ -128,9 +135,7 @@ class FiniteSpace(Record):
         return self.is_open(self.full ^ mask)
 
     def check_subset(self, mask: int) -> int:
-        if mask < 0 or mask > self.full:
-            raise InputError(f"subset {mask:#x} not valid for {self.n} points")
-        return mask
+        return check_mask(mask, self.n)
 
     # -- closure / interior ----------------------------------------------
 
@@ -227,6 +232,7 @@ class PointFunction(Record):
 
     @classmethod
     def indicator(cls, n: int, mask: int) -> "PointFunction":
+        check_mask(mask, n)
         return cls(tuple(Fraction(mask >> x & 1) for x in range(n)))
 
     def level_set(self, value) -> int:

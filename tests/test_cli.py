@@ -1489,14 +1489,20 @@ USAGE_ERRORS = {
         "verify-haar",
         "--probe-bound applies only to counterexample",
     ),
+    "output_given": (
+        ["counterexample", "--input", "P", "--output", "O", "--verbose"],
+        "counterexample",
+        "unknown flag '--verbose'",
+    ),
 }
 
 @pytest.mark.parametrize("argv,command,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
 def test_usage_error_exits_2(tmp_path, argv, command, message):
-    """Exit 2 with a JSON error report on stdout and nothing on stderr."""
-    path = tmp_path / "input.json"
+    """Exit 2 with a JSON error report on stdout and nothing on stderr,
+    even when the command line names an --output, which is not created."""
+    path, out = tmp_path / "input.json", tmp_path / "out.json"
     write_fresh(path, json.dumps({"c": "1/2"}))
-    argv = [str(path) if a == "P" else a for a in argv]
+    argv = [{"P": str(path), "O": str(out)}.get(a, a) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "haarlab.cli", *argv], capture_output=True, text=True, env=src_env()
     )
@@ -1505,6 +1511,7 @@ def test_usage_error_exits_2(tmp_path, argv, command, message):
     assert sorted(report) == ["command", "error", "schema_version"]
     assert report["command"] == command
     assert message in report["error"]
+    assert not out.exists()
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["plane", "--help"]])
 def test_help_exits_0(argv):

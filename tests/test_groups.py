@@ -409,6 +409,47 @@ def test_coset_topology_refuses_masks_outside_the_group(n_mask):
     with pytest.raises(InputError, match=r"^mask is not a normal subgroup$"):
         coset_topology(cyclic(4), n_mask)
 
+#: Calls on Z4 with a mask or an element outside the group, and the error
+#: each raises in place of reading a row past the table or, for a negative
+#: element, a row from its end.
+OUTSIDE_Z4 = {
+    "translate_mask": (lambda g: g.translate(1, 0b10000), "subset 0x10 not valid for 4 points"),
+    "translate_negative_mask": (lambda g: g.translate(1, -1), "subset -0x1 not valid for 4 points"),
+    "translate_element": (lambda g: g.translate(4, 0b1), "element 4 not valid for order 4"),
+    "translate_negative_element": (lambda g: g.translate(-1, 0b1), "element -1 not valid for order 4"),
+    "mul_sets_left": (lambda g: g.mul_sets(0b10000, 0b1), "subset 0x10 not valid for 4 points"),
+    "mul_sets_right": (lambda g: g.mul_sets(0b1, -2), "subset -0x2 not valid for 4 points"),
+    "generated": (lambda g: g.generated_subgroup([7]), "element 7 not valid for order 4"),
+    "generated_negative": (lambda g: g.generated_subgroup([1, -1]), "element -1 not valid for order 4"),
+}
+
+@pytest.mark.parametrize("call,message", OUTSIDE_Z4.values(), ids=OUTSIDE_Z4)
+def test_set_methods_refuse_masks_and_elements_outside_the_group(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call(cyclic(4))
+
+@pytest.mark.parametrize("mask", [0b10000, 0b10001, -1, -0b1011])
+def test_subgroup_predicates_answer_false_outside_the_group(mask):
+    """A set outside the group is no subgroup of it, as a non-subset is not
+    open in `FiniteSpace.is_open`."""
+    g = cyclic(4)
+    assert g.is_subgroup(mask) is False
+    assert g.is_normal(mask) is False
+
+def test_image_and_preimage_refuse_sets_outside_their_points():
+    """image takes a set of the group's points, preimage a set of atom
+    indices."""
+    tg = FiniteTopGroup(cyclic(4), coset_topology(cyclic(4), 0b0101))
+    with pytest.raises(InputError, match=r"^subset 0x10 not valid for 4 points$"):
+        tg.image(0b10000)
+    with pytest.raises(InputError, match=r"^subset -0x1 not valid for 4 points$"):
+        tg.image(-1)
+    with pytest.raises(InputError, match=r"^subset 0x4 not valid for 2 points$"):
+        tg.preimage(0b100)
+    with pytest.raises(InputError, match=r"^subset -0x1 not valid for 2 points$"):
+        tg.preimage(-1)
+    assert (tg.image(0b0110), tg.preimage(0b10)) == (0b11, 0b1010)
+
 
 # -- quotient ----------------------------------------------------------------
 

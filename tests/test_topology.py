@@ -5,6 +5,7 @@ import pytest
 
 from haarlab import (
     FiniteSpace,
+    PointFunction,
     enumerate_topologies,
     separate,
     split_compact,
@@ -349,6 +350,13 @@ def test_urysohn_z4_clopen_indicator():
     g = urysohn_finite(space, 0b0101, space.full)
     assert g.values == (Fraction(1), Fraction(0), Fraction(1), Fraction(0))
     assert ray_preimages_open(space, g)
+
+@pytest.mark.parametrize("mask,shown", [(0b110000, "0x30"), (0b10001, "0x11"), (-1, "-0x1")])
+def test_indicator_refuses_sets_outside_the_points(mask, shown):
+    """A mask with a bit past the points, or a negative one, is refused
+    with check_subset's text, not read as the set of its low bits."""
+    with pytest.raises(InputError, match=rf"^subset {shown} not valid for 4 points$"):
+        PointFunction.indicator(4, mask)
 
 def test_urysohn_extremes():
     space = z4_coset_space()
