@@ -40,7 +40,6 @@ from .plane import (
 from .topology import (
     FiniteSpace,
     PointFunction,
-    SeparationFlags,
     enumerate_topologies,
     separate,
     split_compact,

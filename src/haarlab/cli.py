@@ -24,8 +24,6 @@ The command line is parsed here, not by argparse, whose import and
 locale lookups would add milliseconds to every process.
 """
 
-from __future__ import annotations
-
 import io
 import json
 import math
@@ -332,28 +330,23 @@ def cmd_construct(data, opts):
     # open sets alike are the unions of atoms, so both run over atom
     # selections in the order of their point masks, and `covering` takes
     # them as they are; the neighborhoods are the selections holding atom
-    # 0, N.
+    # 0, N.  counts[u][k] is (K:U).
     full = (1 << k_atoms) - 1
     truncated = k_atoms > 6
     if truncated:
         closed_sels = [1 << i for i in range(k_atoms)] + [full]
         nbhd_sels = [1, full]
-
-        def count(k, u):
-            return covering_mod.covering_number(tg, k, u)
-
+        counts = {
+            u: {k: covering_mod.covering_number(tg, k, u) for k in closed_sels}
+            for u in nbhd_sels
+        }
     else:
         closed_sels = sorted(range(1, full + 1), key=tg.preimage)
         nbhd_sels = [u for u in closed_sels if u & 1]
-        # one table of (K:U) per U, indexed by K's atom selection
-        tables = {u: covering_mod.covering_table(tg, u) for u in nbhd_sels}
-
-        def count(k, u):
-            return tables[u][k]
-
+        counts = {u: covering_mod.covering_table(tg, u) for u in nbhd_sels}
     listed = {s: points_list(tg.preimage(s)) for s in closed_sels}
     table = [
-        {"k": listed[k], "u": listed[u], "count": count(k, u)}
+        {"k": listed[k], "u": listed[u], "count": counts[u][k]}
         for k in closed_sels
         for u in nbhd_sels
     ]

@@ -17,14 +17,16 @@ target then needs at least one translate and at most k, the number of
 distinct translates.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, TooLarge
 from .groups import FiniteTopGroup
 from .measure import FiniteMeasure
 from .topology import bit_indices, mask_of
+
+#: `covering_table` lists all 2^k atom selections, so it refuses more atoms
+#: than this before allocating the list.
+MAX_TABLE_ATOMS = 16
 
 
 def _check_selections(g: FiniteTopGroup, k: int, u: int):
@@ -108,12 +110,15 @@ def covering_table(g: FiniteTopGroup, u: int) -> tuple:
     most k distinct translates (`_translates`).  A breadth-first search gives the fewest
     translates whose union is each selection; the fewest covering K is the
     least of these over the supersets of K, one superset-minimum pass over
-    the 2^k selections.  Work is O(k * 2^k).
+    the 2^k selections.  Work is O(k * 2^k), so more than MAX_TABLE_ATOMS
+    atoms raise TooLarge.
     """
     _check_selections(g, 0, u)
     if not u & 1:
         raise InputError(f"selection {u:#x} misses N, so it is no neighborhood of the identity")
     k = len(g.atoms)
+    if k > MAX_TABLE_ATOMS:
+        raise TooLarge(f"{k} atoms exceed the covering table bound {MAX_TABLE_ATOMS}")
     dist = _union_distances(_translates(g, u), k)
     # no cover uses more than the k distinct translates
     best = [k + 1 if d is None else d for d in dist]

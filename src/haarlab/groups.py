@@ -6,8 +6,6 @@ check at construction (`FiniteTopGroup`), and the test suite checks it
 against literal references.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from operator import itemgetter
 

@@ -7,8 +7,6 @@ the mass of each atom with the masses of its translates.
 Regularity holds for every such measure, as `is_haar` explains.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 
@@ -57,12 +55,9 @@ class HaarReport(Record):
     locally_finite = outer_regular = inner_regular_on_opens = True
 
     @property
-    def invariant_for_side(self) -> bool:
-        return self.left_invariant if self.side == "left" else self.right_invariant
-
-    @property
     def is_haar(self) -> bool:
-        return self.nonzero and self.invariant_for_side
+        invariant = self.left_invariant if self.side == "left" else self.right_invariant
+        return self.nonzero and invariant
 
 
 def _check_measure(g: FiniteTopGroup, mu: FiniteMeasure):

@@ -10,8 +10,6 @@ the unit square UNIT_SIDE x UNIT_SIDE listed by their offsets, and an
 independent verifier for it.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cached_property
 

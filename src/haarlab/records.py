@@ -9,8 +9,6 @@ and `HaarReport` (measure), and `Interval`, `IntervalUnion` and
 class's methods with `exec`; every CLI process would pay for that at start.
 """
 
-from __future__ import annotations
-
 
 class Record:
     """Base of haarlab's immutable value classes.

@@ -9,8 +9,6 @@ masks; closure, interior and openness are O(n) scans of them, and each
 separation flag is computed on first access.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -67,6 +65,10 @@ class FiniteSpace(Record):
     ``FiniteSpace.from_opens(n, opens)`` validates an explicit open family:
     it must contain the empty and full sets and be closed under pairwise
     union and intersection.
+
+    The separation flags are attributes: `regular`, `normal` and
+    `base_closed_compact_nbhds`, each computed on first access, and the
+    local-compactness flags that hold on every finite space.
     """
 
     _fields = ("n", "min_open")
@@ -163,28 +165,16 @@ class FiniteSpace(Record):
         return acc
 
     # -- separation flags -------------------------------------------------
+    #
+    # Two sets have disjoint open supersets iff their smallest open
+    # supersets are disjoint (opens are intersection-closed), and every
+    # subset of a finite space is compact; each flag below reduces its
+    # definition to the minimal opens with these two facts.
 
-    def separation_flags(self) -> "SeparationFlags":
-        return self._flags
-
-    @cached_property
-    def _flags(self) -> "SeparationFlags":
-        return SeparationFlags(self)
-
-
-class SeparationFlags:
-    """The flags of a space: `regular`, `normal` and
-    `base_closed_compact_nbhds`, each computed on first access, and the
-    local-compactness flags that hold on every finite space.
-
-    Two sets have disjoint open supersets iff their smallest open supersets
-    are disjoint (opens are intersection-closed), and every subset of a
-    finite space is compact; each flag below reduces its definition to the
-    minimal opens with these two facts.
-    """
-
-    def __init__(self, space: FiniteSpace):
-        self._space = space
+    def separation_flags(self) -> "FiniteSpace":
+        """The space itself, whose attributes are the flags; the bench's
+        `topology.flags` span times this call."""
+        return self
 
     # The full set is a closed compact neighborhood of every point, and U_x
     # is a compact neighborhood of x inside every open containing x.
@@ -194,9 +184,8 @@ class SeparationFlags:
     def regular(self) -> bool:
         # The largest closed set missing x is the complement of U_x, and the
         # smallest open superset is monotone, so that set is the hardest.
-        s = self._space
         return all(
-            u & s.smallest_open_superset(s.full ^ u) == 0 for u in s.min_open
+            u & self.smallest_open_superset(self.full ^ u) == 0 for u in self.min_open
         )
 
     @cached_property
@@ -204,13 +193,12 @@ class SeparationFlags:
         # Disjoint closed sets C1, C2 with overlapping smallest open
         # supersets contain points a, b with U_a, U_b overlapping; then
         # cl{a} <= C1 and cl{b} <= C2 fail already.
-        s = self._space
-        cl = [s.closure(1 << x) for x in range(s.n)]
-        sos = [s.smallest_open_superset(c) for c in cl]
+        cl = [self.closure(1 << x) for x in range(self.n)]
+        sos = [self.smallest_open_superset(c) for c in cl]
         return all(
             sos[a] & sos[b] == 0
-            for a in range(s.n)
-            for b in range(a + 1, s.n)
+            for a in range(self.n)
+            for b in range(a + 1, self.n)
             if cl[a] & cl[b] == 0
         )
 
@@ -218,8 +206,7 @@ class SeparationFlags:
     def base_closed_compact_nbhds(self) -> bool:
         # Every open W around x contains U_x, itself an open around x, so
         # the condition is cl(U_x) <= U_x: each minimal open is closed.
-        s = self._space
-        return all(s.closure(u) == u for u in s.min_open)
+        return all(self.closure(u) == u for u in self.min_open)
 
 
 class PointFunction(Record):
@@ -265,7 +252,7 @@ def separate(space: FiniteSpace, a: int, b: int):
         raise InputError(f"sets share points {a & b:#x}")
     if not space.is_closed(b):
         raise InputError(f"{b:#x} is not closed")
-    if not space.separation_flags().regular:
+    if not space.regular:
         raise InputError("separation is only guaranteed on regular spaces")
     return space.smallest_open_superset(a), space.smallest_open_superset(b)
 
@@ -304,7 +291,7 @@ def urysohn_finite(space: FiniteSpace, k: int, u: int) -> PointFunction:
         raise InputError(f"{u:#x} is not open")
     if k & ~u:
         raise InputError(f"{k:#x} is not contained in {u:#x}")
-    if not space.separation_flags().regular:
+    if not space.regular:
         raise InputError("construction requires a regular space")
     g = PointFunction.indicator(space.n, k)
     if not g.is_continuous(space):

@@ -862,6 +862,18 @@ ERROR_TEXTS = {
         {"group": {"family": "symmetric3"}, "topology": {"normal_subgroup": [0, 1]}},
         "mask is not a normal subgroup",
     ),
+    # JSON shapes the CLI checks before the library sees them
+    "topology_not_object": (
+        "verify-haar", dict(Z4_HAAR, topology=5), "topology spec must be an object"
+    ),
+    "opens_not_a_list": (
+        "verify-haar", dict(Z4_HAAR, topology={"opens": 5}), "opens must be a list of open sets"
+    ),
+    "fubini_group_without_topology": (
+        "fubini",
+        {"group1": {"group": Z4_COSET["group"]}, "group2": Z4_COSET},
+        "group1: missing fields ['topology']",
+    ),
     "opens_without_empty_set": (
         "verify-haar",
         dict(Z4_HAAR, topology={"opens": [[0, 1, 2, 3]]}),

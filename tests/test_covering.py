@@ -21,7 +21,7 @@ from haarlab import (
     is_haar,
     symmetric3,
 )
-from haarlab.errors import InputError
+from haarlab.errors import InputError, TooLarge
 from haarlab.topology import bit_indices, mask_of
 
 from conftest import LARGE_INSTANCES, brute_force_covering_count
@@ -257,6 +257,23 @@ def test_covering_table_rejects_bad_neighborhood():
         covering_table(tg, 0b100)  # no atom 2
     with pytest.raises(InputError, match=r"^template 0x0 has empty interior$"):
         covering_table(tg, 0)
+
+def test_covering_table_atom_cap(monkeypatch):
+    """Past MAX_TABLE_ATOMS = 16 atoms the table is refused before its
+    2^k entries are allocated; at 16 it is built."""
+    z16, z17 = cyclic(16), cyclic(17)
+    table = covering_table(FiniteTopGroup(z16, coset_topology(z16, 0b1)), 0b1)
+    assert len(table) == 1 << 16
+    assert (table[0], table[0b1], table[0b11], table[-1]) == (0, 1, 2, 16)
+
+    def no_search(*args):
+        raise AssertionError("covering table allocated past the cap")
+
+    monkeypatch.setattr(covering, "_union_distances", no_search)
+    monkeypatch.setattr(covering, "_translates", no_search)
+    tg = FiniteTopGroup(z17, coset_topology(z17, 0b1))
+    with pytest.raises(TooLarge, match=r"^17 atoms exceed the covering table bound 16$"):
+        covering_table(tg, 0b1)
 
 
 def construct_input(tg):

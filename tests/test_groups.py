@@ -10,7 +10,6 @@ from haarlab import (
     FiniteMeasure,
     FiniteSpace,
     FiniteTopGroup,
-    SeparationFlags,
     coset_topology,
     cyclic,
     dihedral,
@@ -213,6 +212,9 @@ def brute_force_subgroups(group):
                 out.append(mask)
     return sorted(out)
 
+# the Klein four-group with its identity at element 1
+KLEIN_IDENTITY_1 = FiniteGroup([[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]])
+
 @pytest.mark.parametrize(
     "group,n_subgroups,n_normal",
     [
@@ -222,6 +224,7 @@ def brute_force_subgroups(group):
         (dihedral(4), 10, 6),
         (quaternion8(), 6, 6),
         (direct_product(cyclic(2), cyclic(4)), 8, 8),
+        (KLEIN_IDENTITY_1, 5, 5),
     ],
 )
 def test_subgroup_counts(group, n_subgroups, n_normal):
@@ -229,7 +232,7 @@ def test_subgroup_counts(group, n_subgroups, n_normal):
     assert len(group.normal_subgroups()) == n_normal
 
 def test_subgroups_match_brute_force():
-    for group in (cyclic(8), symmetric3(), quaternion8(), dihedral(4)):
+    for group in (cyclic(8), symmetric3(), quaternion8(), dihedral(4), KLEIN_IDENTITY_1):
         assert group.subgroups() == brute_force_subgroups(group)
 
 def test_is_subgroup_matches_literal():
@@ -505,7 +508,7 @@ def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
         "base_compact_nbhds",
         "base_closed_compact_nbhds",
     ):
-        monkeypatch.setattr(SeparationFlags, name, property(unexpected_flag))
+        monkeypatch.setattr(FiniteSpace, name, property(unexpected_flag))
     instances = [(g, tg.space) for g in corpus for tg in group_topologies(g)]
     instances += [(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
     for group, space in instances:

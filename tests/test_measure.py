@@ -104,6 +104,13 @@ def test_is_haar_zero_measure():
     # invariance and regularity still hold for the zero measure
     assert report.left_invariant and report.outer_regular
 
+def test_is_haar_accepts_a_measure_on_an_equal_group():
+    """A measure lives on every group equal to its own, not only on the
+    same object."""
+    tg, twin = z4_coset_instance(), z4_coset_instance()
+    assert tg == twin and tg is not twin
+    assert is_haar(twin, canonical_haar(tg)).is_haar
+
 def test_is_haar_side_argument():
     tg = discrete_instance(symmetric3())
     mu = canonical_haar(tg)

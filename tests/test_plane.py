@@ -241,11 +241,16 @@ def _tampered():
         # one offset listed twice, another missing
         "duplicated_offset": zero_mass(offsets[:-1] + offsets[:1]),
         "unknown_verdict": BkCertificate(one, one, "SomethingElse"),
+        # fields that pass a branch, under a verdict that names neither
+        "unknown_verdict_positive_fields": BkCertificate(one, ten, "SomethingElse", 11, two),
+        "lowercase_verdict_zero_fields": BkCertificate(
+            Fraction(0), ten, NONZERO_VIOLATED.lower(), grid_offsets=offsets
+        ),
     }
 
 def test_tampered_certificates_rejected():
     for name, cert in _tampered().items():
-        assert not verify_bk_certificate(cert), name
+        assert verify_bk_certificate(cert) is False, name
 
 def test_grid_offsets_compared_exactly():
     zero = counterexample_bk(0, 10)

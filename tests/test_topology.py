@@ -293,6 +293,13 @@ def test_split_not_covered():
     with pytest.raises(InputError, match=r"^0x7 not covered by 0x1 \| 0x2$"):
         split_compact(discrete(3), 0b111, 0b001, 0b010)
 
+def test_split_refuses_a_cover_that_is_not_open():
+    # indiscrete(2) is regular, so without the check the split would go on
+    space = indiscrete(2)
+    for u1, u2 in ((0b01, 0b11), (0b11, 0b01)):
+        with pytest.raises(InputError, match=r"^0x1 is not open$"):
+            split_compact(space, 0b11, u1, u2)
+
 def test_split_property_all_regular_spaces():
     for space in enumerate_topologies(3):
         if not space.separation_flags().regular:
