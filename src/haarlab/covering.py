@@ -52,14 +52,14 @@ def covering_number(g: FiniteTopGroup, k: int, u: int) -> int:
         return 0
     # the translates meeting K together cover K (module docstring)
     cands = [t for t in _translates(g, u) if t & k]
-    max_gain = max(bin(t & k).count("1") for t in cands)
+    max_gain = max((t & k).bit_count() for t in cands)
 
     def covers(start, covered, depth):
         """Whether depth more candidates, with indices >= start, cover k."""
         missing = k & ~covered
         if not missing:
             return True
-        if depth == 0 or bin(missing).count("1") > depth * max_gain:
+        if depth == 0 or missing.bit_count() > depth * max_gain:
             return False
         return any(
             cands[i] & missing and covers(i + 1, covered | cands[i], depth - 1)

@@ -100,16 +100,6 @@ class FiniteGroup(Record):
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def mul_sets(self, a_mask: int, b_mask: int) -> int:
-        check_mask(a_mask, self.order)
-        check_mask(b_mask, self.order)
-        acc = 0
-        for a in bit_indices(a_mask):
-            row = self.table[a]
-            for b in bit_indices(b_mask):
-                acc |= 1 << row[b]
-        return acc
-
     def translate(self, g: int, mask: int) -> int:
         """The left translate g * mask."""
         _check_elements((g,), self.order)
@@ -133,31 +123,41 @@ class FiniteGroup(Record):
                     frontier.append(y)
         return mask_of(seen)
 
-    def subgroups(self):
-        """All subgroups, as masks, found by closing the join lattice.
+    def normal_subgroups(self):
+        """All normal subgroups, as masks, found by closing the join lattice.
 
-        <h, gx> = <h, g> for every x in h, so one element per left coset gh
-        outside h is tried: |G|/|h| - 1 joins for each subgroup h."""
+        For a normal h and g outside it, h joined with g's conjugacy class
+        is normal, as its generators are closed under conjugation, and it
+        is the least normal subgroup holding h and g.  So it is the same
+        join for every gx with x in h, and one element per left coset gh
+        outside h is tried: |G|/|h| - 1 joins for each h.  Every normal M
+        is found: take a found h <= M that is maximal among those found;
+        if h < M, some coset gh outside h lies inside M, and its join lies
+        in M and strictly above h, which contradicts maximality."""
+        rows, inverse, order = self.table, self.inverse, self.order
+        classes = [list({rows[rows[x][g]][inverse[x]] for x in range(order)}) for g in range(order)]
         found = {self.generated_subgroup([])}
         frontier = list(found)
         while frontier:
             h = frontier.pop()
             members = list(bit_indices(h))
-            rest = ((1 << self.order) - 1) & ~h
+            rest = ((1 << order) - 1) & ~h
             while rest:
                 g = next(bit_indices(rest))
                 rest &= ~self.translate(g, h)
-                j = self.generated_subgroup(members + [g])
+                j = self.generated_subgroup(members + classes[g])
                 if j not in found:
                     found.add(j)
                     frontier.append(j)
         return sorted(found)
 
     def is_subgroup(self, mask: int) -> bool:
-        """A nonempty set H closed under products is a subgroup: for x in H
-        every power x^j lies in H, and x^|G| = e and x^(|G|-1) = x^-1 by
-        Lagrange's theorem."""
-        return 0 < mask and not mask >> self.order and not self.mul_sets(mask, mask) & ~mask
+        """A set H is a subgroup iff H is nonempty and its members generate
+        exactly H."""
+        return (
+            0 < mask and not mask >> self.order
+            and self.generated_subgroup(bit_indices(mask)) == mask
+        )
 
     def is_normal(self, mask: int) -> bool:
         return mask >= 0 and not mask >> self.order and all(
@@ -165,9 +165,6 @@ class FiniteGroup(Record):
             for g in range(self.order)
             for h in bit_indices(mask)
         )
-
-    def normal_subgroups(self):
-        return [h for h in self.subgroups() if self.is_normal(h)]
 
 
 # -- named constructors ------------------------------------------------------
@@ -294,7 +291,7 @@ class FiniteTopGroup(Record):
             )
 
         u_e = mo[e]
-        if not group.is_subgroup(u_e):  # U_e * U_e <= U_e, as e is in U_e
+        if not group.is_subgroup(u_e):  # U_e * U_e <= U_e iff U_e, holding e, generates only itself
             fail(e, e)
         members = list(bit_indices(u_e))
         for a, u_a in enumerate(mo):

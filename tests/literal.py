@@ -100,6 +100,17 @@ def literal_identity_and_inverses(table):
         inverse.append(ys[0])
     return e, tuple(inverse)
 
+def literal_set_product(group, a, b):
+    """A * B = {xy : x in A, y in B}, pair by pair."""
+    return mask_of(group.mul(x, y) for x in bit_indices(a) for y in bit_indices(b))
+
+def literal_is_normal(group, mask):
+    """Reference: gH = Hg for every g."""
+    return all(
+        literal_set_product(group, 1 << g, mask) == literal_set_product(group, mask, 1 << g)
+        for g in range(group.order)
+    )
+
 def literal_is_subgroup(group, mask):
     """Reference: mask holds e and, with any a and b, holds ab and some
     two-sided inverse of a."""

@@ -30,7 +30,7 @@ from haarlab.topology import bit_indices, mask_of
 
 from conftest import LARGE_INSTANCES, random_fraction
 from literal import hausdorff, literal_associativity_error, literal_continuity, literal_partition, opens
-from literal import literal_identity_and_inverses, literal_is_subgroup
+from literal import literal_identity_and_inverses, literal_is_normal, literal_is_subgroup
 from literal import product_group, reference_atom_perm, reference_borel_atoms, reference_quotient
 from literal import literal_pullback, literal_pushforward
 
@@ -212,6 +212,10 @@ def brute_force_subgroups(group):
                 out.append(mask)
     return sorted(out)
 
+def brute_force_normal_subgroups(group):
+    """Oracle: the subgroups of the subset sweep with gH = Hg for every g."""
+    return [h for h in brute_force_subgroups(group) if literal_is_normal(group, h)]
+
 # the Klein four-group with its identity at element 1
 KLEIN_IDENTITY_1 = FiniteGroup([[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]])
 
@@ -228,41 +232,74 @@ KLEIN_IDENTITY_1 = FiniteGroup([[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0], [2, 3,
     ],
 )
 def test_subgroup_counts(group, n_subgroups, n_normal):
-    assert len(group.subgroups()) == n_subgroups
+    assert len(brute_force_subgroups(group)) == n_subgroups
     assert len(group.normal_subgroups()) == n_normal
 
-def test_subgroups_match_brute_force():
-    for group in (cyclic(8), symmetric3(), quaternion8(), dihedral(4), KLEIN_IDENTITY_1):
-        assert group.subgroups() == brute_force_subgroups(group)
+def test_subgroups_match_brute_force(corpus):
+    """normal_subgroups against the subset sweep, on the corpus (orders 1
+    to 12) and the Klein group with its identity at 1; (Z2)^4 is swept in
+    `test_subgroups_try_one_element_per_coset`."""
+    for group in (*corpus, KLEIN_IDENTITY_1):
+        assert group.normal_subgroups() == brute_force_normal_subgroups(group), group.name
 
 def test_is_subgroup_matches_literal():
-    """Closure under products alone against the literal definition, on
+    """The generation test against the literal definition, on
     every subset, the empty one included."""
     z2_z4 = direct_product(cyclic(2), cyclic(4))
     for group in (cyclic(8), symmetric3(), dihedral(4), quaternion8(), z2_z4):
         for mask in range(1 << group.order):
             assert group.is_subgroup(mask) == literal_is_subgroup(group, mask), (group, mask)
 
-def test_subgroups_try_one_element_per_coset(monkeypatch):
-    """(Z2)^4: one join per left coset outside each subgroup h, so
-    1 + sum over h of (|G|/|h| - 1) = 1 + 15 + 15*7 + 35*3 + 15 = 241
-    `generated_subgroup` calls, not one per element outside h."""
-    group = cyclic(2)
-    for _ in range(3):
-        group = direct_product(group, cyclic(2))
-    calls = 0
+def count_generated_subgroup(monkeypatch):
+    """A counter of `generated_subgroup` calls, patched in for the test."""
+    calls = {"n": 0}
     generate = FiniteGroup.generated_subgroup
 
     def counting(self, gens):
-        nonlocal calls
-        calls += 1
+        calls["n"] += 1
         return generate(self, gens)
 
     monkeypatch.setattr(FiniteGroup, "generated_subgroup", counting)
-    subgroups = group.subgroups()
-    assert calls == 1 + sum(16 // bin(h).count("1") - 1 for h in subgroups) == 241
+    return calls
+
+def power_of_z2(k):
+    group = cyclic(2)
+    for _ in range(k - 1):
+        group = direct_product(group, cyclic(2))
+    return group
+
+def test_subgroups_try_one_element_per_coset(monkeypatch):
+    """(Z2)^4, where every subgroup is normal: one join per left coset
+    outside each normal subgroup h, so 1 + sum over h of (|G|/|h| - 1) =
+    1 + 15 + 15*7 + 35*3 + 15 = 241 `generated_subgroup` calls, not one
+    per element outside h."""
+    group = power_of_z2(4)
+    calls = count_generated_subgroup(monkeypatch)
+    normals = group.normal_subgroups()
+    assert calls["n"] == 1 + sum(16 // h.bit_count() - 1 for h in normals) == 241
     monkeypatch.undo()
-    assert subgroups == brute_force_subgroups(group)
+    assert normals == brute_force_subgroups(group)
+
+def test_normal_subgroups_worst_case_counters(monkeypatch):
+    """Counter bound on enumerate's heaviest input, (Z2)^6: 2,825 normal
+    subgroups from exactly 23,563 joins and no normality test; D32, with 9
+    normal subgroups among its many subgroups, takes 123 joins."""
+    normality_tests = 0
+    is_normal = FiniteGroup.is_normal
+
+    def counting_is_normal(self, mask):
+        nonlocal normality_tests
+        normality_tests += 1
+        return is_normal(self, mask)
+
+    monkeypatch.setattr(FiniteGroup, "is_normal", counting_is_normal)
+    calls = count_generated_subgroup(monkeypatch)
+    for group, n_normal, n_calls in ((power_of_z2(6), 2825, 23563), (dihedral(32), 9, 123)):
+        calls["n"] = 0
+        normals = group.normal_subgroups()
+        assert len(normals) == n_normal, group.name
+        assert calls["n"] == 1 + sum(group.order // h.bit_count() - 1 for h in normals) == n_calls
+    assert normality_tests == 0
 
 
 # -- compatible topologies ---------------------------------------------------
@@ -340,8 +377,8 @@ def test_continuity_witness_fails_literally():
         (group, FiniteSpace(
             group.order, [group.translate(x, h) for x in range(group.order)]))
         for group in (symmetric3(), dihedral(4))
-        for h in group.subgroups()
-        if not group.is_normal(h)
+        for h in brute_force_subgroups(group)
+        if not literal_is_normal(group, h)
     ]
     kinds = set()
     for group, space in continuity_cases() + left_cosets:
@@ -420,8 +457,6 @@ OUTSIDE_Z4 = {
     "translate_negative_mask": (lambda g: g.translate(1, -1), "subset -0x1 not valid for 4 points"),
     "translate_element": (lambda g: g.translate(4, 0b1), "element 4 not valid for order 4"),
     "translate_negative_element": (lambda g: g.translate(-1, 0b1), "element -1 not valid for order 4"),
-    "mul_sets_left": (lambda g: g.mul_sets(0b10000, 0b1), "subset 0x10 not valid for 4 points"),
-    "mul_sets_right": (lambda g: g.mul_sets(0b1, -2), "subset -0x2 not valid for 4 points"),
     "generated": (lambda g: g.generated_subgroup([7]), "element 7 not valid for order 4"),
     "generated_negative": (lambda g: g.generated_subgroup([1, -1]), "element -1 not valid for order 4"),
 }
