@@ -204,17 +204,16 @@ def load_top_group(group_spec, topo_spec) -> groups_mod.FiniteTopGroup:
         n_mask = _point_mask(
             topo_spec["normal_subgroup"], group.order, "normal_subgroup"
         )
-        space = groups_mod.coset_topology(group, n_mask)
-    elif "opens" in topo_spec:
+        return groups_mod.FiniteTopGroup(group, n_mask)
+    if "opens" in topo_spec:
         _require_keys(topo_spec, {"opens"}, {"opens"}, "topology")
         opens = topo_spec["opens"]
         if not isinstance(opens, list):
             raise InputError("opens must be a list of open sets")
         masks = [_point_mask(u, group.order, "open set") for u in opens]
         space = FiniteSpace.from_opens(group.order, masks)
-    else:
-        raise InputError("topology spec needs normal_subgroup or opens")
-    return groups_mod.FiniteTopGroup(group, space)
+        return groups_mod.FiniteTopGroup.from_space(group, space)
+    raise InputError("topology spec needs normal_subgroup or opens")
 
 
 def load_measure(spec, g) -> measure_mod.FiniteMeasure:

@@ -1,9 +1,9 @@
 """Finite groups as Cayley tables, and finite topological groups.
 
 A compatible topology on a finite group is exactly the coset topology of
-a normal subgroup N = closure({e}).  That follows from the continuity
-check at construction (`FiniteTopGroup`), and the test suite checks it
-against literal references.
+a normal subgroup N = closure({e}), so `FiniteTopGroup` stores N.  That
+follows from the continuity check of `FiniteTopGroup.from_space`, and
+the test suite checks it against literal references.
 """
 
 from functools import cached_property
@@ -159,13 +159,6 @@ class FiniteGroup(Record):
             and self.generated_subgroup(bit_indices(mask)) == mask
         )
 
-    def is_normal(self, mask: int) -> bool:
-        return mask >= 0 and not mask >> self.order and all(
-            mask >> self.table[self.table[g][h]][self.inverse[g]] & 1
-            for g in range(self.order)
-            for h in bit_indices(mask)
-        )
-
 
 # -- named constructors ------------------------------------------------------
 
@@ -246,40 +239,60 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 
 class FiniteTopGroup(Record):
-    """A finite group together with a compatible topology on its elements.
+    """A finite group with a compatible topology, stored as the normal
+    subgroup N = closure({e}).
 
-    Continuity of multiplication reduces to U_a * U_b <= U_ab on minimal
-    open neighborhoods (any open around a contains U_a).  That holds for
-    every pair iff U_e * U_e <= U_e and U_a = a * U_e = U_e * a for every
-    a, which takes O(n |U_e| + |U_e|^2) products to check.  If: U_a * U_b
-    = a * U_e * U_e * b <= a * U_e * b = ab * U_e = U_ab.  Only if: the
-    pair (e, e) is the first condition; U_a * U_e >= a * U_e gives a * U_e
-    <= U_a from the pair (a, e), and U_{a^-1} * U_a >= a^-1 * U_a gives
-    a^-1 * U_a <= U_e, that is U_a <= a * U_e, from (a^-1, a); U_e * U_a
-    >= U_e * a gives U_e * a <= U_a from (e, a), and as U_e * a has as
-    many points as a * U_e = U_a, that makes them equal.  A failure names
-    that pair, which fails U_a * U_b <= U_ab literally.
+    Every compatible topology on a finite group is the coset topology of
+    the normal subgroup N = U_e (`from_space` proves it; Hewitt and Ross,
+    Abstract Harmonic Analysis I, Section 5), and every normal N gives one,
+    as U_a * U_b = aNbN = abN = U_ab and (aN)^-1 = Na^-1 = U_{a^-1}.  So N
+    determines the topology, and the constructor checks only that N is a
+    normal subgroup: xN = Nx for one x per coset, as Nxn = xNn = xN.
 
-    Continuity of inversion, (U_a)^-1 <= U_{a^-1}, then follows, as
-    inversion is the power map y -> y^(m-1) for m = |G| > 1 (Arhangel'skii
-    and Tkachenko, Topological Groups and Related Structures, 2008): for y
-    in U_a, induction on j gives y^j in U_a^j <= U_{a^j}, so y^-1 =
-    y^(m-1) lies in U_{a^(m-1)} = U_{a^-1}.
-
-    Everything past the check is read off U_e.  U_e holds e and is closed
-    under products, and it is finite, so it is a subgroup N.  As x lies in
-    closure({y}) iff y lies in U_x = xN, and y in xN iff x in yN,
-    closure({x}) = xN = U_x for every x; in particular N = closure({e}).
-    aN = U_a = Na, so N is normal and (aN)(bN) = abN: the projection onto
-    G/N is a homomorphism, and any members of two cosets give the same
-    product coset.  So the atoms, the N-cosets, are the distinct minimal
-    opens; each is a minimal open and a point closure, so clopen, and
-    every Borel set, a union of atoms, is open, closed and compact.
+    Everything is read off N.  x lies in closure({y}) iff y lies in U_x =
+    xN, iff x lies in yN; so closure({x}) = xN = U_x, and N = closure({e}).
+    (aN)(bN) = abN: the projection onto G/N is a homomorphism, and any
+    members of two cosets give the same product coset.  The atoms, the
+    N-cosets, are minimal opens and point closures, so clopen, and every
+    Borel set, a union of atoms, is open, closed and compact.
     """
 
-    _fields = ("group", "space")
+    _fields = ("group", "normal_subgroup")
 
-    def __init__(self, group: FiniteGroup, space: FiniteSpace):
+    def __init__(self, group: FiniteGroup, n_mask: int):
+        if not group.is_subgroup(n_mask):
+            raise InputError("mask is not a normal subgroup")
+        self._assign(group, n_mask)
+        rows, members = group.table, list(bit_indices(n_mask))
+        for x, coset in zip(self.reps, self.atoms):  # coset == xN
+            if mask_of(rows[n][x] for n in members) != coset:
+                raise InputError("mask is not a normal subgroup")
+
+    @classmethod
+    def from_space(cls, group: FiniteGroup, space: FiniteSpace) -> "FiniteTopGroup":
+        """The group with the topology of space, checked to be compatible.
+
+        Continuity of multiplication reduces to U_a * U_b <= U_ab on
+        minimal open neighborhoods (any open around a contains U_a).  That
+        holds for every pair iff U_e * U_e <= U_e and U_a = a * U_e = U_e *
+        a for every a, which takes O(n |U_e| + |U_e|^2) products to check.
+        If: U_a * U_b = a * U_e * U_e * b <= a * U_e * b = ab * U_e = U_ab.
+        Only if: the pair (e, e) is the first condition; U_a * U_e >= a *
+        U_e gives a * U_e <= U_a from the pair (a, e), and U_{a^-1} * U_a
+        >= a^-1 * U_a gives a^-1 * U_a <= U_e, that is U_a <= a * U_e, from
+        (a^-1, a); U_e * U_a >= U_e * a gives U_e * a <= U_a from (e, a),
+        and as U_e * a has as many points as a * U_e = U_a, that makes them
+        equal.  A failure names that pair, which fails U_a * U_b <= U_ab
+        literally.
+
+        Continuity of inversion, (U_a)^-1 <= U_{a^-1}, then follows, as
+        inversion is the power map y -> y^(m-1) for m = |G| > 1
+        (Arhangel'skii and Tkachenko, Topological Groups and Related
+        Structures, 2008): for y in U_a, induction on j gives y^j in U_a^j
+        <= U_{a^j}, so y^-1 = y^(m-1) lies in U_{a^(m-1)} = U_{a^-1}.
+        Past the check, U_e is a subgroup N, normal as aN = U_a = Na, and
+        the space is its coset topology.
+        """
         if group.order != space.n:
             raise InputError("group and space must share the index set")
         mo = space.min_open
@@ -302,17 +315,27 @@ class FiniteTopGroup(Record):
                 fail(inverse[a], a)
             if mask_of(table[x][a] for x in members) & ~u_a:  # U_e * a
                 fail(e, a)
-        self._assign(group, space)
+        return cls(group, u_e)
 
     @cached_property
     def _partition(self):
-        """N = U_e first, then the other distinct minimal opens by smallest
-        member: the N-cosets, as U_x = xN (class docstring)."""
-        mo = self.space.min_open
-        n_mask = mo[self.group.identity]
-        atoms = (n_mask, *sorted(set(mo) - {n_mask}, key=lambda a: a & -a))
-        index = {a: i for i, a in enumerate(atoms)}
-        return atoms, tuple(index[u] for u in mo)
+        """The cosets xN, one translate each: N = eN first, then the others
+        by smallest member; and each point's atom index."""
+        group, n_mask = self.group, self.normal_subgroup
+        atoms, atom_of = [], [None] * group.order
+        for x in (group.identity, *range(group.order)):
+            if atom_of[x] is None:
+                coset = group.translate(x, n_mask)
+                for y in bit_indices(coset):
+                    atom_of[y] = len(atoms)
+                atoms.append(coset)
+        return tuple(atoms), tuple(atom_of)
+
+    @cached_property
+    def space(self) -> FiniteSpace:
+        """The coset topology: the minimal open of each point is its atom."""
+        atoms = self.atoms
+        return FiniteSpace(self.group.order, [atoms[i] for i in self.atom_of])
 
     @property
     def atoms(self):
@@ -356,7 +379,7 @@ class FiniteTopGroup(Record):
         """The atom selection of a union of atoms, the inverse of
         `preimage`; InputError if mask cuts an atom or holds a bit past
         the points."""
-        sel = self.image(mask & self.space.full)
+        sel = self.image(mask & ((1 << self.group.order) - 1))
         for i in bit_indices(sel):
             if self.atoms[i] & ~mask:
                 raise InputError(f"set {mask:#x} cuts atom {self.atoms[i]:#x}")
@@ -367,45 +390,22 @@ class FiniteTopGroup(Record):
     @cached_property
     def _quotient(self):
         """G/N, built on first use (`quotient`)."""
-        k = len(self.atoms)
-        qspace = FiniteSpace(k, [1 << i for i in range(k)])
-        qgroup = FiniteGroup(self.atom_table, name=f"{self.group.name}/N")
-        return FiniteTopGroup(qgroup, qspace)
+        return FiniteTopGroup(FiniteGroup(self.atom_table, name=f"{self.group.name}/N"), 1)
 
 
 def identity_closure(g: FiniteTopGroup) -> int:
-    """N = closure({e}) = U_e, the first atom (`FiniteTopGroup`)."""
-    return g.atoms[0]
-
-
-def _coset_space(group: FiniteGroup, n_mask: int) -> FiniteSpace:
-    """The space whose minimal open at x is the coset xN of a subgroup N,
-    from one translate per coset."""
-    rows = [0] * group.order
-    for x in range(group.order):
-        if not rows[x]:
-            coset = group.translate(x, n_mask)
-            for y in bit_indices(coset):
-                rows[y] = coset
-    return FiniteSpace(group.order, rows)
+    """N = closure({e}), the normal subgroup g stores (`FiniteTopGroup`)."""
+    return g.normal_subgroup
 
 
 def coset_topology(group: FiniteGroup, n_mask: int) -> FiniteSpace:
     """The topology whose opens are all unions of cosets of a normal subgroup."""
-    if not group.is_subgroup(n_mask) or not group.is_normal(n_mask):
-        raise InputError("mask is not a normal subgroup")
-    return _coset_space(group, n_mask)
+    return FiniteTopGroup(group, n_mask).space
 
 
 def group_topologies(group: FiniteGroup):
     """All compatible topologies on the group, one per normal subgroup."""
-    return [
-        FiniteTopGroup(group, _coset_space(group, n_mask))
-        for n_mask in group.normal_subgroups()
-    ]
-
-
-# -- quotient ----------------------------------------------------------------
+    return [FiniteTopGroup(group, n_mask) for n_mask in group.normal_subgroups()]
 
 
 def quotient(g: FiniteTopGroup) -> FiniteTopGroup:
@@ -419,15 +419,14 @@ def quotient(g: FiniteTopGroup) -> FiniteTopGroup:
 
     - surjectivity: atom i is the image of its representative;
     - open and closed projection: every image is open and closed;
-    - homomorphism: `atom_table` is the group law the projection carries,
-      and it is the quotient's Cayley table;
+    - homomorphism: `atom_table`, the quotient's Cayley table, is the
+      group law the projection carries;
     - Hausdorff quotient: the space is discrete;
     - compact lifting: the preimage of a set of labels is a union of
       atoms, closed and, the space being finite, compact.
 
     The labelling: point i is atom i of G, so the projection is `atom_of`.
-    G/N has identity 0, as row 0 of `atom_table` is that of atom 0 = N,
-    and the discrete topology, so its atoms are the singletons in point
-    order: atom i of G/N is point i.
+    G/N has identity 0, as row 0 of `atom_table` is that of atom 0 = N, so
+    its N is {0} and its atoms are the singletons: atom i of G/N is point i.
     """
     return g._quotient

@@ -197,8 +197,15 @@ def verify_bk_certificate(cert: BkCertificate) -> bool:
             and cert.count * c > cert.probe_bound
         )
     if cert.verdict == NONZERO_VIOLATED:
-        # the window of integer translates of the closed unit tile covers
-        # the square [-GRID_WINDOW, GRID_WINDOW + 1]^2; subadditivity then forces the mass of
-        # every compact set to 0, contradicting nonzeroness
-        return c == 0 and tuple(cert.grid_offsets) == GRID_OFFSETS
+        # a closed side at least 1 long, the lattice step, makes the integer
+        # translates of the tile cover the plane, so countable subadditivity
+        # forces the mass of the plane to 0, contradicting nonzeroness; the
+        # listed window of them covers [-GRID_WINDOW, GRID_WINDOW + 1]^2
+        return (
+            c == 0
+            and UNIT_SIDE.lo_closed
+            and UNIT_SIDE.hi_closed
+            and UNIT_SIDE.length >= 1
+            and tuple(cert.grid_offsets) == GRID_OFFSETS
+        )
     return False

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from haarlab import FiniteGroup, FiniteMeasure, FiniteSpace, FiniteTopGroup, quotient
-from haarlab import coset_topology, direct_product
+from haarlab import direct_product
 from haarlab.errors import InternalInconsistency
 from haarlab.measure import HaarReport
 from haarlab.plane import FINITENESS_VIOLATED, GRID_WINDOW, NONZERO_VIOLATED, UNIT_SIDE
@@ -34,7 +34,7 @@ def product_group(g, h):
     N_g x N_h; the point (x, y) is indexed x * |H| + y."""
     pg, oh = _direct_product(g.group, h.group), h.group.order
     n_mask = mask_of(a * oh + b for a in bit_indices(g.atoms[0]) for b in bit_indices(h.atoms[0]))
-    return FiniteTopGroup(pg, coset_topology(pg, n_mask))
+    return FiniteTopGroup(pg, n_mask)
 
 # -- topology ------------------------------------------------------------------
 
@@ -104,6 +104,14 @@ def literal_set_product(group, a, b):
     """A * B = {xy : x in A, y in B}, pair by pair."""
     return mask_of(group.mul(x, y) for x in bit_indices(a) for y in bit_indices(b))
 
+def coset_space(g):
+    """The topology of a topological group, from its group and its stored
+    N alone: the minimal open of x is the set product {x} * N."""
+    group, n_mask = g.group, g.normal_subgroup
+    return FiniteSpace(
+        group.order, [literal_set_product(group, 1 << x, n_mask) for x in range(group.order)]
+    )
+
 def literal_is_normal(group, mask):
     """Reference: gH = Hg for every g."""
     return all(
@@ -146,12 +154,13 @@ def literal_continuity(group, space):
 
 def literal_partition(g, n_mask=None):
     """The atoms, atom_of and atom table from the definitions: N is the
-    intersection of the closed sets holding e (or n_mask, for a group whose
-    N is known by construction and whose opens are too many to list), the
+    intersection of the closed sets holding e in `coset_space(g)` (or
+    n_mask, for a group whose N is known by construction and whose opens
+    are too many to list), the
     atoms are the cosets xN, N first then by smallest member, and entry
     (i, j) of the table is the atom equal to the set product of atoms i
     and j."""
-    group, space = g.group, g.space
+    group, space = g.group, coset_space(g)
     if n_mask is None:
         n_mask = space.full
         for u in opens(space):
@@ -181,7 +190,7 @@ def reference_quotient(g):
     ]
     qspace = FiniteSpace(k, [1 << i for i in range(k)])  # discrete
     qgroup = FiniteGroup(qtable, name=f"{group.name}/N")
-    qtg = FiniteTopGroup(qgroup, qspace)
+    qtg = FiniteTopGroup.from_space(qgroup, qspace)
 
     # homomorphism + well-definedness
     for a in range(group.order):
@@ -192,15 +201,16 @@ def reference_quotient(g):
         raise InternalInconsistency("projection is not surjective")
 
     # statements: projection open and closed; quotient Hausdorff
-    for u in opens(g.space):
+    space = coset_space(g)
+    for u in opens(space):
         if not qspace.is_open(image(u)):
             raise InternalInconsistency("projection is not open")
-        if not qspace.is_closed(image(g.space.full ^ u)):
+        if not qspace.is_closed(image(space.full ^ u)):
             raise InternalInconsistency("projection is not closed")
     if not hausdorff(qspace):
         raise InternalInconsistency("quotient is not Hausdorff")
     # topology and Borel sets of the quotient are exactly images
-    if {image(u) for u in opens(g.space)} != set(opens(qspace)):
+    if {image(u) for u in opens(space)} != set(opens(qspace)):
         raise InternalInconsistency("quotient topology is not the image family")
     # compact lifting: every subset C of the quotient lifts to the closed
     # compact preimage
@@ -210,12 +220,12 @@ def reference_quotient(g):
     ]
     for c in candidates:
         lift = preimage(c)
-        if image(lift) != c or not g.space.is_closed(lift):
+        if image(lift) != c or not space.is_closed(lift):
             raise InternalInconsistency("compact lifting failed")
     return qtg
 
 def reference_borel_atoms(g):
-    space = g.space
+    space = coset_space(g)
     atoms = g.atoms
     k = len(atoms)
     # partition + clopen atoms
@@ -334,13 +344,14 @@ def literal_regularity(g, mu):
             for x in range(g.group.order)
         ]
 
-    open_sets = sorted(opens(g.space), key=mass_of, reverse=True)
-    closed = sorted(closed_sets(g.space), key=mass_of)
+    space = coset_space(g)
+    open_sets = sorted(opens(space), key=mass_of, reverse=True)
+    closed = sorted(closed_sets(space), key=mass_of)
     borel = [g.preimage(sel) for sel in range(1 << len(g.atoms))]
     flags, witnesses = [], []
     for kind, sets, family, index, outside in (
         ("outer", borel, open_sets, by_point(open_sets, True), 0),
-        ("inner", opens(g.space), closed, by_point(closed, False), g.space.full),
+        ("inner", opens(space), closed, by_point(closed, False), space.full),
     ):
         flags.append(True)
         every = (1 << len(family)) - 1

@@ -393,8 +393,8 @@ def test_partition_once_per_top_group(corpus, monkeypatch):
     init, partition = groups.FiniteTopGroup.__init__, groups.FiniteTopGroup._partition.func
     closure = FiniteSpace.closure
 
-    def recording_init(self, group, space):
-        init(self, group, space)
+    def recording_init(self, group, n_mask):
+        init(self, group, n_mask)
         built.append(self)
 
     def counting_partition(self):
@@ -465,17 +465,18 @@ def test_quotient_builds_two_groups(corpus, monkeypatch):
             assert built == [group.name, f"{group.name}/N"], (group.name, n_mask)
 
 def test_enumerate_makes_no_normality_test(corpus, monkeypatch):
-    """Counter bound: enumerate makes no is_normal call, as the lattice it
-    reads holds only normal subgroups, and past that lattice at most 2n
-    translate calls per topology: n in the continuity check and one per
-    coset to build the space."""
-    counts = {"is_normal": 0, "translate": 0, "lattice": False}
-    is_normal, translate = groups.FiniteGroup.is_normal, groups.FiniteGroup.translate
+    """Counter bound: enumerate builds no FiniteSpace, as each topology is
+    stored as the normal subgroup the lattice found, whose normality the
+    constructor checks in one pass per coset; and past that lattice it
+    makes at most 2n translate calls per topology: one per coset builds
+    the atoms."""
+    counts = {"spaces": 0, "translate": 0, "lattice": False}
+    space_init, translate = FiniteSpace.__init__, groups.FiniteGroup.translate
     normal_subgroups = groups.FiniteGroup.normal_subgroups
 
-    def counting_is_normal(self, mask):
-        counts["is_normal"] += 1
-        return is_normal(self, mask)
+    def counting_space_init(self, n, min_open):
+        counts["spaces"] += 1
+        space_init(self, n, min_open)
 
     def counting_translate(self, g, mask):
         if not counts["lattice"]:
@@ -491,17 +492,47 @@ def test_enumerate_makes_no_normality_test(corpus, monkeypatch):
 
     z2 = groups.cyclic(2)
     z2_4 = groups.direct_product(groups.direct_product(z2, z2), groups.direct_product(z2, z2))
-    monkeypatch.setattr(groups.FiniteGroup, "is_normal", counting_is_normal)
+    monkeypatch.setattr(FiniteSpace, "__init__", counting_space_init)
     monkeypatch.setattr(groups.FiniteGroup, "translate", counting_translate)
     monkeypatch.setattr(groups.FiniteGroup, "normal_subgroups", lattice)
     opts = cli.Options("enumerate")
     for group in [*corpus, z2_4]:
-        counts.update(is_normal=0, translate=0)
+        counts.update(spaces=0, translate=0)
         results, _ = cli.cmd_enumerate({"group": table_spec(group)}, opts)
         n_topologies = len(results["topologies"])
-        assert counts["is_normal"] == 0, group.name
+        assert counts["spaces"] == 0, group.name
         assert counts["translate"] <= 2 * group.order * n_topologies, group.name
     assert n_topologies == 67  # (Z2)^4, abelian: one per subgroup
+
+def test_spaces_built_per_command(corpus, monkeypatch):
+    """Counter bound: FiniteSpace.__init__ runs 0 times for enumerate on
+    each corpus group, and, on each of its topologies given as a normal
+    subgroup, 0 times for quotient and verify-haar and once for construct,
+    whose reference set K0 is checked to be closed in the space."""
+    built = []
+    init = FiniteSpace.__init__
+
+    def counting_init(self, n, min_open):
+        built.append(n)
+        init(self, n, min_open)
+
+    monkeypatch.setattr(FiniteSpace, "__init__", counting_init)
+    for group in corpus:
+        built.clear()
+        cli.cmd_enumerate({"group": table_spec(group)}, cli.Options("enumerate"))
+        assert built == [], group.name
+        for n_mask in group.normal_subgroups():
+            n_points = list(bit_indices(n_mask))
+            base = {"group": table_spec(group), "topology": {"normal_subgroup": n_points}}
+            k = group.order // len(n_points)
+            for command, payload, want in (
+                ("quotient", base, []),
+                ("verify-haar", dict(base, measure={"atom_masses": ["1"] * k}), []),
+                ("construct", dict(base, k0=n_points), [group.order]),
+            ):
+                built.clear()
+                cli.COMMANDS[command](payload, cli.Options(command))
+                assert built == want, (group.name, n_mask, command)
 
 def test_construct_never_lists_the_open_family(corpus_instances):
     """construct runs over atom selections, and its table has the sets of
@@ -511,7 +542,7 @@ def test_construct_never_lists_the_open_family(corpus_instances):
     cases += [(z48, z48.generated_subgroup([6])), (groups.cyclic(12), 1)]
     expected = []
     for group, n_mask in cases:
-        tg = groups.FiniteTopGroup(group, groups.coset_topology(group, n_mask))
+        tg = groups.FiniteTopGroup(group, n_mask)
         space = tg.space
         if len(tg.atoms) > 6:
             closed, nbhds = [*tg.atoms, space.full], [n_mask, space.full]
@@ -1459,9 +1490,9 @@ Z2_GROUP = {"group": Z2_TABLE["group"]}
 LIBRARY_BUGS = {
     "table": (groups.FiniteGroup, "__init__", ValueError, "enumerate", Z2_GROUP),
     "table_key": (groups.FiniteGroup, "__init__", KeyError, "enumerate", Z2_GROUP),
-    "coset_topology": (groups, "coset_topology", ValueError, "quotient", Z4_COSET),
+    "coset_topology": (groups.FiniteTopGroup, "__init__", ValueError, "quotient", Z4_COSET),
     "internal_inconsistency": (
-        groups, "coset_topology", InternalInconsistency, "quotient", Z4_COSET
+        groups.FiniteTopGroup, "__init__", InternalInconsistency, "quotient", Z4_COSET
     ),
     "opens": (FiniteSpace, "__init__", ValueError, "quotient", Z2_TABLE),
     "interval": (plane.Interval, "__init__", ValueError, "plane", VALID_INPUTS["plane"][0]),

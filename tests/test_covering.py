@@ -10,7 +10,6 @@ from haarlab import (
     PointFunction,
     canonical_haar,
     cli,
-    coset_topology,
     covering,
     covering_number,
     covering_table,
@@ -30,10 +29,10 @@ from literal import closed_sets, literal_set_product, opens
 
 def z4_coset_instance():
     z4 = cyclic(4)
-    return FiniteTopGroup(z4, coset_topology(z4, 0b0101))
+    return FiniteTopGroup(z4, 0b0101)
 
 def discrete_instance(group):
-    return FiniteTopGroup(
+    return FiniteTopGroup.from_space(
         group, FiniteSpace.from_opens(group.order, range(1 << group.order))
     )
 
@@ -101,7 +100,7 @@ def instances_small():
     out = [z4_coset_instance(), discrete_instance(cyclic(4))]
     s3 = symmetric3()
     a3 = s3.generated_subgroup([s3.mul(1, 2)])
-    out.append(FiniteTopGroup(s3, coset_topology(s3, a3)))
+    out.append(FiniteTopGroup(s3, a3))
     return out
 
 def test_matches_brute_force_oracle():
@@ -262,7 +261,7 @@ def test_covering_table_atom_cap(monkeypatch):
     """Past MAX_TABLE_ATOMS = 16 atoms the table is refused before its
     2^k entries are allocated; at 16 it is built."""
     z16, z17 = cyclic(16), cyclic(17)
-    table = covering_table(FiniteTopGroup(z16, coset_topology(z16, 0b1)), 0b1)
+    table = covering_table(FiniteTopGroup(z16, 0b1), 0b1)
     assert len(table) == 1 << 16
     assert (table[0], table[0b1], table[0b11], table[-1]) == (0, 1, 2, 16)
 
@@ -271,7 +270,7 @@ def test_covering_table_atom_cap(monkeypatch):
 
     monkeypatch.setattr(covering, "_union_distances", no_search)
     monkeypatch.setattr(covering, "_translates", no_search)
-    tg = FiniteTopGroup(z17, coset_topology(z17, 0b1))
+    tg = FiniteTopGroup(z17, 0b1)
     with pytest.raises(TooLarge, match=r"^17 atoms exceed the covering table bound 16$"):
         covering_table(tg, 0b1)
 
@@ -313,7 +312,7 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
 
     z48 = cyclic(48)
     instances = [tg for tg in corpus_instances if len(tg.atoms) <= 6]
-    instances.append(FiniteTopGroup(z48, coset_topology(z48, z48.generated_subgroup([6]))))
+    instances.append(FiniteTopGroup(z48, z48.generated_subgroup([6])))
     opts = cli.Options("construct")
     for tg in instances:
         k = len(tg.atoms)
@@ -347,7 +346,7 @@ def test_construct_checks_only_k0_on_points(monkeypatch, n, gen):
         calls[name] = 0
         monkeypatch.setattr(FiniteSpace, name, counting(name))
     group = cyclic(n)
-    tg = FiniteTopGroup(group, coset_topology(group, group.generated_subgroup([gen])))
+    tg = FiniteTopGroup(group, group.generated_subgroup([gen]))
     opts = cli.Options("construct")
     results, ok = cli.cmd_construct(construct_input(tg), opts)
     assert ok and results["table_truncated"] == (len(tg.atoms) > 6)
@@ -382,7 +381,7 @@ def test_covering_reads_translates_off_the_atom_table(corpus_instances, monkeypa
     they use is a row of the atom table."""
     z48 = cyclic(48)
     instances = list(corpus_instances)
-    instances.append(FiniteTopGroup(z48, coset_topology(z48, z48.generated_subgroup([6]))))
+    instances.append(FiniteTopGroup(z48, z48.generated_subgroup([6])))
     z2 = discrete_instance(cyclic(2))
     for tg in [*instances, z2]:
         assert tg.atom_table and tg.reps  # builds the partition, which translates N
@@ -409,7 +408,7 @@ def test_translates_of_every_nonempty_union_cover(corpus_instances):
     literally, from the group law on points.  Every nonempty selection up
     to 8 atoms, the singletons past that."""
     instances = list(corpus_instances)
-    instances += [FiniteTopGroup(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
+    instances += [FiniteTopGroup(g, n) for g, n in LARGE_INSTANCES]
     for tg in instances:
         k = len(tg.atoms)
         every = (1 << k) - 1

@@ -29,18 +29,21 @@ from haarlab.measure import product_cells
 from haarlab.topology import bit_indices, mask_of
 
 from conftest import LARGE_INSTANCES, random_fraction
-from literal import hausdorff, literal_associativity_error, literal_continuity, literal_partition, opens
+from literal import coset_space, hausdorff, literal_associativity_error, literal_continuity
+from literal import literal_partition, opens
 from literal import literal_identity_and_inverses, literal_is_normal, literal_is_subgroup
 from literal import product_group, reference_atom_perm, reference_borel_atoms, reference_quotient
 from literal import literal_pullback, literal_pushforward
 
 
 def discrete_group(group):
-    return FiniteTopGroup(group, FiniteSpace.from_opens(group.order, range(1 << group.order)))
+    return FiniteTopGroup.from_space(
+        group, FiniteSpace.from_opens(group.order, range(1 << group.order))
+    )
 
 def indiscrete_group(group):
     full = (1 << group.order) - 1
-    return FiniteTopGroup(group, FiniteSpace.from_opens(group.order, [0, full]))
+    return FiniteTopGroup.from_space(group, FiniteSpace.from_opens(group.order, [0, full]))
 
 
 # -- FiniteGroup validation and constructors ---------------------------------
@@ -282,31 +285,31 @@ def test_subgroups_try_one_element_per_coset(monkeypatch):
 
 def test_normal_subgroups_worst_case_counters(monkeypatch):
     """Counter bound on enumerate's heaviest input, (Z2)^6: 2,825 normal
-    subgroups from exactly 23,563 joins and no normality test; D32, with 9
+    subgroups from exactly 23,563 joins and no space built; D32, with 9
     normal subgroups among its many subgroups, takes 123 joins."""
-    normality_tests = 0
-    is_normal = FiniteGroup.is_normal
+    spaces_built = 0
+    init = FiniteSpace.__init__
 
-    def counting_is_normal(self, mask):
-        nonlocal normality_tests
-        normality_tests += 1
-        return is_normal(self, mask)
+    def counting_init(self, n, min_open):
+        nonlocal spaces_built
+        spaces_built += 1
+        init(self, n, min_open)
 
-    monkeypatch.setattr(FiniteGroup, "is_normal", counting_is_normal)
+    monkeypatch.setattr(FiniteSpace, "__init__", counting_init)
     calls = count_generated_subgroup(monkeypatch)
     for group, n_normal, n_calls in ((power_of_z2(6), 2825, 23563), (dihedral(32), 9, 123)):
         calls["n"] = 0
         normals = group.normal_subgroups()
         assert len(normals) == n_normal, group.name
         assert calls["n"] == 1 + sum(group.order // h.bit_count() - 1 for h in normals) == n_calls
-    assert normality_tests == 0
+    assert spaces_built == 0
 
 
 # -- compatible topologies ---------------------------------------------------
 
 def test_validate_z4_coset_topology():
     z4 = cyclic(4)
-    tg = FiniteTopGroup(z4, coset_topology(z4, 0b0101))
+    tg = FiniteTopGroup(z4, 0b0101)
     assert identity_closure(tg) == 0b0101
 
 def test_validate_rejects_sierpinski_style_opens():
@@ -314,7 +317,7 @@ def test_validate_rejects_sierpinski_style_opens():
     space = FiniteSpace.from_opens(4, [0b0000, 0b0001, 0b1111])
     witness = r"^incompatible topology: witness: pair \(3, 1\), open 0x1$"
     with pytest.raises(InputError, match=witness):
-        FiniteTopGroup(z4, space)
+        FiniteTopGroup.from_space(z4, space)
 
 def test_discrete_always_valid():
     for group in (cyclic(5), symmetric3(), quaternion8()):
@@ -349,15 +352,17 @@ def continuity_cases():
     return cases
 
 def test_inversion_continuity_follows_from_multiplication():
-    """FiniteTopGroup checks multiplication only, through U_e and the
-    translates of U_e; it accepts exactly the spaces where both literal
-    checks pass, on every case of `continuity_cases`."""
+    """FiniteTopGroup.from_space checks multiplication only, through U_e and
+    the translates of U_e; it accepts exactly the spaces where both literal
+    checks pass, on every case of `continuity_cases`, and each space it
+    accepts is the coset topology of the N it stores."""
     tally = {}
     for group, space in continuity_cases():
         mul_ok, inv_ok = literal_continuity(group, space)
         try:
-            FiniteTopGroup(group, space)
+            tg = FiniteTopGroup.from_space(group, space)
             accepted = True
+            assert coset_space(tg) == space, (group, space)
         except InputError as exc:
             assert str(exc).startswith("incompatible topology: witness:"), exc
             accepted = False
@@ -383,7 +388,7 @@ def test_continuity_witness_fails_literally():
     kinds = set()
     for group, space in continuity_cases() + left_cosets:
         try:
-            FiniteTopGroup(group, space)
+            FiniteTopGroup.from_space(group, space)
         except InputError as exc:
             assert str(exc).startswith("incompatible topology: witness:"), exc
             m = re.fullmatch(
@@ -411,7 +416,7 @@ def test_identity_closure_examples():
     z4 = cyclic(4)
     assert identity_closure(discrete_group(z4)) == 0b0001
     assert identity_closure(indiscrete_group(z4)) == 0b1111
-    tg = FiniteTopGroup(z4, coset_topology(z4, 0b0101))
+    tg = FiniteTopGroup(z4, 0b0101)
     assert identity_closure(tg) == 0b0101
 
 def test_group_topologies_counts():
@@ -449,6 +454,22 @@ def test_coset_topology_refuses_masks_outside_the_group(n_mask):
     with pytest.raises(InputError, match=r"^mask is not a normal subgroup$"):
         coset_topology(cyclic(4), n_mask)
 
+def test_constructor_accepts_exactly_the_normal_subgroups():
+    """FiniteTopGroup(group, N) compares xN with Nx for one x per coset
+    only; it accepts exactly the subgroups with gH = Hg for every g, on
+    groups with subgroups that are not normal, and on a group with identity
+    1, whose partition must still put N first."""
+    klein_e1 = FiniteGroup([[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]])
+    for group in (symmetric3(), dihedral(4), dihedral(6), klein_e1):
+        for h in brute_force_subgroups(group):
+            if literal_is_normal(group, h):
+                tg = FiniteTopGroup(group, h)
+                assert identity_closure(tg) == tg.atoms[0] == h
+                assert (tg.atoms, tg.atom_of, tg.atom_table) == literal_partition(tg)
+            else:
+                with pytest.raises(InputError, match=r"^mask is not a normal subgroup$"):
+                    FiniteTopGroup(group, h)
+
 #: Calls on Z4 with a mask or an element outside the group, and the error
 #: each raises in place of reading a row past the table or, for a negative
 #: element, a row from its end.
@@ -472,12 +493,11 @@ def test_subgroup_predicates_answer_false_outside_the_group(mask):
     open in `FiniteSpace.is_open`."""
     g = cyclic(4)
     assert g.is_subgroup(mask) is False
-    assert g.is_normal(mask) is False
 
 def test_image_and_preimage_refuse_sets_outside_their_points():
     """image takes a set of the group's points, preimage a set of atom
     indices."""
-    tg = FiniteTopGroup(cyclic(4), coset_topology(cyclic(4), 0b0101))
+    tg = FiniteTopGroup(cyclic(4), 0b0101)
     with pytest.raises(InputError, match=r"^subset 0x10 not valid for 4 points$"):
         tg.image(0b10000)
     with pytest.raises(InputError, match=r"^subset -0x1 not valid for 4 points$"):
@@ -493,7 +513,7 @@ def test_image_and_preimage_refuse_sets_outside_their_points():
 
 def test_quotient_z4_mod_n():
     z4 = cyclic(4)
-    tg = FiniteTopGroup(z4, coset_topology(z4, 0b0101))
+    tg = FiniteTopGroup(z4, 0b0101)
     assert quotient(tg).group.order == 2
     assert tg.atom_of == (0, 1, 0, 1)
     assert tg.atom_of[0] == tg.atom_of[2]
@@ -503,7 +523,7 @@ def test_quotient_is_built_once_per_group(corpus_instances):
     no caller builds or validates it again."""
     for tg in corpus_instances:
         assert quotient(tg) is quotient(tg)
-        assert quotient(tg) == quotient(FiniteTopGroup(tg.group, tg.space))
+        assert quotient(tg) == quotient(FiniteTopGroup.from_space(tg.group, tg.space))
 
 def test_quotient_discrete_is_identity():
     z3 = cyclic(3)
@@ -548,7 +568,7 @@ def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
     instances += [(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
     for group, space in instances:
         for fn in (quotient, lambda tg: tg.atoms):
-            tg = FiniteTopGroup(group, space)
+            tg = FiniteTopGroup.from_space(group, space)
             calls = 0
             fn(tg)
             # the atoms are the distinct minimal opens, read with no closure
@@ -570,7 +590,7 @@ def test_push_pull_relabel_matches_point_level_reference(corpus_instances):
     closed and its N is {e}.  The labelling the relabel rests on holds:
     G/N has identity 0 and its atoms are its points in order."""
     cases = [(tg, None) for tg in [*corpus_instances, *accepted_cases()]]
-    cases += [(FiniteTopGroup(g, coset_topology(g, n)), n) for g, n in LARGE_INSTANCES]
+    cases += [(FiniteTopGroup(g, n), n) for g, n in LARGE_INSTANCES]
     rng = random.Random(61)
     for tg, n_base in cases:
         q, k = quotient(tg), len(tg.atoms)
@@ -590,7 +610,7 @@ def test_push_pull_relabel_matches_point_level_reference(corpus_instances):
 
 def test_borel_atoms_examples():
     z4 = cyclic(4)
-    tg = FiniteTopGroup(z4, coset_topology(z4, 0b0101))
+    tg = FiniteTopGroup(z4, 0b0101)
     assert tg.atoms == (0b0101, 0b1010)
     assert discrete_group(cyclic(3)).atoms == (0b001, 0b010, 0b100)
     assert indiscrete_group(cyclic(3)).atoms == (0b111,)
@@ -608,9 +628,10 @@ def test_borel_atoms_partition(corpus_instances):
 
 # -- literal references ------------------------------------------------------
 #
-# The library reads the atoms and the quotient off the minimal opens, as the
+# The library reads the atoms and the quotient off the stored N, as the
 # FiniteTopGroup docstring argues.  The references in literal.py check each
-# statement literally: over all 2^k opens of the base, every subset of a
+# statement literally, on the topology they build from the group and N by
+# pairwise products: over all 2^k opens of the base, every subset of a
 # quotient of at most 12 points, and every pair of atom unions up to 8 atoms.
 
 @functools.cache
@@ -620,7 +641,7 @@ def accepted_cases():
     accepted = []
     for group, space in continuity_cases():
         try:
-            accepted.append(FiniteTopGroup(group, space))
+            accepted.append(FiniteTopGroup.from_space(group, space))
         except InputError as exc:
             assert str(exc).startswith("incompatible topology: witness:"), exc
     return tuple(accepted)
@@ -644,7 +665,7 @@ Z6_ATOMS = ((0b001001, 0b010010, 0b100100), (0, 1, 2, 0, 1, 2))
 def z6_mod_3():
     """Z6 mod {0, 3}: atoms {0,3} {1,4} {2,5} and atom_of (0,1,2,0,1,2)."""
     z6 = cyclic(6)
-    tg = FiniteTopGroup(z6, coset_topology(z6, 0b001001))
+    tg = FiniteTopGroup(z6, 0b001001)
     assert tg._partition == Z6_ATOMS
     return tg
 
@@ -691,11 +712,11 @@ def test_borel_atoms_rejects_non_coset_partition():
         reference_borel_atoms(tg)
 
 def test_quotient_checks_hausdorff():
-    """With the base space swapped for the indiscrete one behind the cached
+    """With the base's N swapped for the whole group behind the cached
     atoms, the final topology on Z6/{0,3} is indiscrete, not the discrete
     quotient the atoms give."""
     tg = z6_mod_3()
-    object.__setattr__(tg, "space", FiniteSpace(6, [0b111111] * 6))
+    object.__setattr__(tg, "normal_subgroup", 0b111111)
     with pytest.raises(InternalInconsistency, match="not the image family"):
         reference_quotient(tg)
 
@@ -723,7 +744,7 @@ def test_selection_inverts_preimage(corpus_instances):
             assert all(tg.selection(tg.preimage(s)) == s for s in range(1 << k))
 
 def test_selection_rejects_sets_that_are_not_unions_of_atoms():
-    tg = FiniteTopGroup(cyclic(4), coset_topology(cyclic(4), 0b0101))
+    tg = FiniteTopGroup(cyclic(4), 0b0101)
     with pytest.raises(InputError, match=r"^set 0x7 cuts atom 0xa$"):
         tg.selection(0b0111)
     # bit 4 lies past the 4 points

@@ -11,7 +11,6 @@ from haarlab import (
     FiniteTopGroup,
     PointFunction,
     canonical_haar,
-    coset_topology,
     cyclic,
     dihedral,
     direct_product,
@@ -38,16 +37,16 @@ from literal import literal_singleton_invariance, literal_solution_space
 
 def z4_coset_instance():
     z4 = cyclic(4)
-    return FiniteTopGroup(z4, coset_topology(z4, 0b0101))
+    return FiniteTopGroup(z4, 0b0101)
 
 def discrete_instance(group):
-    return FiniteTopGroup(
+    return FiniteTopGroup.from_space(
         group, FiniteSpace.from_opens(group.order, range(1 << group.order))
     )
 
 def indiscrete_instance(group):
     full = (1 << group.order) - 1
-    return FiniteTopGroup(group, FiniteSpace.from_opens(group.order, [0, full]))
+    return FiniteTopGroup.from_space(group, FiniteSpace.from_opens(group.order, [0, full]))
 
 
 # -- FiniteMeasure basics ----------------------------------------------------
@@ -209,7 +208,7 @@ def past_16_atoms():
     (32 atoms of two points)."""
     z64 = cyclic(64)
     return [
-        FiniteTopGroup(group, coset_topology(group, normal))
+        FiniteTopGroup(group, normal)
         for group, normal in (
             (cyclic(24), 1),
             (direct_product(cyclic(2), cyclic(16)), 1),
@@ -275,7 +274,7 @@ def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
     z48 = cyclic(48)
     n4 = z48.generated_subgroup([12])
     instances = list(corpus_instances)
-    instances.append(FiniteTopGroup(z48, coset_topology(z48, n4)))
+    instances.append(FiniteTopGroup(z48, n4))
     assert len(instances[-1].atoms) == 12
     instances += past_16_atoms()
     monkeypatch.setattr(measure, "_int_weights", counting_weights)
@@ -298,7 +297,7 @@ def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
 def test_is_haar_atom_cap():
     # no cap on the atom count: 32 atoms are checked like any other
     z64 = cyclic(64)
-    tg = FiniteTopGroup(z64, coset_topology(z64, z64.generated_subgroup([32])))
+    tg = FiniteTopGroup(z64, z64.generated_subgroup([32]))
     assert len(tg.atoms) == 32
     report = is_haar(tg, canonical_haar(tg))
     assert report.is_haar and report.witnesses == ()
@@ -329,14 +328,14 @@ def test_solution_space_examples():
     assert basis[0].atom_mass == (1, 1)
     s3 = symmetric3()
     a3 = s3.generated_subgroup([s3.mul(1, 2)])  # a 3-cycle generates A3
-    tg = FiniteTopGroup(s3, coset_topology(s3, a3))
+    tg = FiniteTopGroup(s3, a3)
     dim, basis = haar_solution_space(tg)
     assert dim == 1
     assert basis[0].atom_mass == canonical_haar(tg).atom_mass
 
 def test_solution_space_matches_point_level_orbits(corpus_instances):
     instances = list(corpus_instances)
-    instances += [FiniteTopGroup(g, coset_topology(g, n)) for g, n in LARGE_INSTANCES]
+    instances += [FiniteTopGroup(g, n) for g, n in LARGE_INSTANCES]
     for tg in instances:
         dim, basis = haar_solution_space(tg)
         assert (dim, [mu.atom_mass for mu in basis]) == literal_solution_space(tg)

@@ -252,6 +252,19 @@ def test_tampered_certificates_rejected():
     for name, cert in _tampered().items():
         assert verify_bk_certificate(cert) is False, name
 
+@pytest.mark.parametrize(
+    "side", [Interval(0, Fraction(1, 2)), Interval(0, 1, True, False)], ids=["short", "half_open"]
+)
+def test_zero_branch_needs_a_covering_tile(monkeypatch, side):
+    """c = 0 refutes the measure because the integer translates of the
+    closed unit tile cover the plane.  A side shorter than the lattice step
+    1, or one not closed, leaves gaps, and the zero branch must then fail;
+    the true side still verifies."""
+    zero = counterexample_bk(0, 10)
+    assert verify_bk_certificate(zero)
+    monkeypatch.setattr(plane, "UNIT_SIDE", side)
+    assert verify_bk_certificate(zero) is False
+
 def test_grid_offsets_compared_exactly():
     zero = counterexample_bk(0, 10)
     padded = BkCertificate(

@@ -18,7 +18,6 @@ from haarlab import (
     IntervalUnion,
     PointFunction,
     canonical_haar,
-    coset_topology,
     counterexample_bk,
     cyclic,
     is_haar,
@@ -32,7 +31,7 @@ from conftest import SRC
 
 def z4():
     g = cyclic(4)
-    return FiniteTopGroup(g, coset_topology(g, 0b0101))
+    return FiniteTopGroup(g, 0b0101)
 
 
 def samples():
@@ -44,7 +43,7 @@ def samples():
     return {
         FiniteGroup: (tg.group, cyclic(3)),
         FiniteSpace: (tg.space, FiniteSpace(2, (0b11, 0b10))),
-        FiniteTopGroup: (tg, FiniteTopGroup(cyclic(4), coset_topology(cyclic(4), 0b0001))),
+        FiniteTopGroup: (tg, FiniteTopGroup(cyclic(4), 0b0001)),
         PointFunction: (PointFunction((1, 2)), PointFunction((1, 3))),
         FiniteMeasure: (canon, canon.scaled(2)),
         HaarReport: (is_haar(tg, canon), is_haar(tg, FiniteMeasure(tg, (1, 2)))),
@@ -120,9 +119,12 @@ def test_constructors_validate():
 
 
 def test_parts_of_a_top_group_are_frozen():
-    """The group and space a checked FiniteTopGroup holds cannot be
-    changed under it, nor can the group's derived order."""
+    """The group and N a checked FiniteTopGroup holds, and the space it
+    derives from them, cannot be changed under it, nor can the group's
+    derived order."""
     tg = z4()
+    with pytest.raises(AttributeError):
+        tg.normal_subgroup = 0b1111
     with pytest.raises(AttributeError):
         tg.space.min_open = (0b1111,) * 4
     with pytest.raises(AttributeError):
