@@ -137,16 +137,15 @@ def existence_via_covering(g: FiniteTopGroup, k0: int) -> FiniteMeasure:
     ratio functionals stabilizes at mu_N; extending from closed compact
     sets to atoms (each atom is closed compact) gives the measure.
     """
-    space = g.space
-    space.check_subset(k0)
-    if not space.is_closed(k0):
+    sel = g.image(k0)
+    if g.preimage(sel) != k0:  # closed iff equal to its closure, the atoms it meets
         raise InputError(f"reference set {k0:#x} is not closed")
     # a closed set is a union of atoms, so open: its own interior
     if k0 == 0:
         raise InputError(f"reference set {k0:#x} has empty interior")
     # N = U_e, selected by 1, is an open neighbourhood of the identity.
     # mu_N on each atom, with the reference count (K0:N) >= 1 found once
-    den = covering_number(g, g.selection(k0), 1)
+    den = covering_number(g, sel, 1)
     masses = tuple(
         Fraction(covering_number(g, 1 << i, 1), den) for i in range(len(g.atoms))
     )

@@ -126,28 +126,28 @@ class FiniteGroup(Record):
     def normal_subgroups(self):
         """All normal subgroups, as masks, found by closing the join lattice.
 
-        For a normal h and g outside it, h joined with g's conjugacy class
-        is normal, as its generators are closed under conjugation, and it
-        is the least normal subgroup holding h and g.  So it is the same
-        join for every gx with x in h, and one element per left coset gh
-        outside h is tried: |G|/|h| - 1 joins for each h.  Every normal M
-        is found: take a found h <= M that is maximal among those found;
-        if h < M, some coset gh outside h lies inside M, and its join lies
-        in M and strictly above h, which contradicts maximality."""
+        Each found h keeps the generators it was joined from, a union of
+        conjugacy classes.  For g outside h, those and g's class generate
+        the least normal subgroup holding h and g (conjugation permutes
+        them), the same join for every gx with x in h; so one element per
+        left coset gh outside h is tried: |G|/|h| - 1 joins for each h.
+        Every normal M is found: take a found h <= M that is maximal among
+        those found; if h < M, some coset gh outside h lies inside M, and
+        its join lies in M and strictly above h, contradicting maximality."""
         rows, inverse, order = self.table, self.inverse, self.order
         classes = [list({rows[rows[x][g]][inverse[x]] for x in range(order)}) for g in range(order)]
-        found = {self.generated_subgroup([])}
+        found = {self.generated_subgroup([]): []}  # normal subgroup -> its generators
         frontier = list(found)
         while frontier:
             h = frontier.pop()
-            members = list(bit_indices(h))
             rest = ((1 << order) - 1) & ~h
             while rest:
                 g = next(bit_indices(rest))
                 rest &= ~self.translate(g, h)
-                j = self.generated_subgroup(members + classes[g])
+                gens = found[h] + classes[g]
+                j = self.generated_subgroup(gens)
                 if j not in found:
-                    found.add(j)
+                    found[j] = gens
                     frontier.append(j)
         return sorted(found)
 

@@ -204,9 +204,19 @@ def test_existence_examples():
     assert existence_via_covering(triv, 0b1).atom_mass == (Fraction(1),)
 
 def test_existence_errors():
+    """K0 is checked on the atoms, here of Z4 with N = {0, 2}: a set that
+    cuts an atom is not closed, the empty set has empty interior, and a
+    mask past the points is refused as any subset is."""
     tg = z4_coset_instance()
-    with pytest.raises(InputError, match=r"^reference set 0x1 is not closed$"):
-        existence_via_covering(tg, 0b0001)
+    for k0, text in (
+        (0b0001, "reference set 0x1 is not closed"),  # cuts the atom {0, 2}
+        (0, "reference set 0x0 has empty interior"),
+        (0b10000, "subset 0x10 not valid for 4 points"),
+        (-1, "subset -0x1 not valid for 4 points"),
+    ):
+        with pytest.raises(InputError) as info:
+            existence_via_covering(tg, k0)
+        assert str(info.value) == text, k0
     with pytest.raises(InputError, match=r"^reference set 0x0 has empty interior$"):
         existence_via_covering(discrete_instance(cyclic(2)), 0)
 

@@ -65,8 +65,15 @@ def test_traced_tiny_rounds_pass(bench, tmp_path):
         assert (tally.attempted, tally.failed, tally.wrong) == (len(ops), 0, []), name
     assert tracer.counts["plane.tile_pairs_checked"] > 0
     totals = tracer.totals()
-    # every space is built by FiniteSpace.__init__, so its span sees them
-    assert totals["topology.space_build"][1] > 0
+    # every space is built by FiniteSpace.__init__, so its span sees each
+    # build; no tiny round need build one, so the hook is checked directly
+    hook = tracing.Tracer(mods)
+    hook.install()
+    try:
+        mods["topology"].FiniteSpace(2, (0b11, 0b10))
+    finally:
+        hook.uninstall()
+    assert hook.totals()["topology.space_build"][1] == 1
     # the quotient path is traced: measure reaches G/N through its own
     # alias of groups.quotient, which the tracer patches too
     assert totals["groups.quotient"][1] > 0
