@@ -5,9 +5,8 @@ union of atoms (`FiniteTopGroup`), so both arguments of a covering number
 are atom selections here (bit i selects atom i), and U is its own
 interior.  The covering number (K:U) is the minimum number of left
 translates of U needed to cover K.  `covering_number` finds it for one
-pair by iterative deepening over the distinct translates;
-`covering_table` gives the counts for every target K at once for one
-neighbourhood U of the identity.
+pair by iterative deepening; `covering_table` gives the counts for every
+target K at once for one neighbourhood U of the identity.
 
 The left translates of every nonempty union of atoms cover G, so no
 search here can fail: for an atom i in the selection u and any atom j,
@@ -15,6 +14,12 @@ the row of `FiniteTopGroup.atom_table` for the atom j * i^-1 sends i to j
 (Folland, A Course in Abstract Harmonic Analysis, 2.2).  A nonempty
 target then needs at least one translate and at most k, the number of
 distinct translates.
+
+Both compute one recurrence: every cover of a nonempty K holds a
+translate t containing K's lowest atom, and the rest of it covers K - t,
+so (K:U) = 1 + min (K - t : U) over those t.  Branching only on the
+translates that hold the lowest uncovered atom is the element-first
+branching of Knuth's Dancing Links (2000).
 """
 
 from fractions import Fraction
@@ -44,6 +49,8 @@ def covering_number(g: FiniteTopGroup, k: int, u: int) -> int:
     """(K:U): the fewest left translates of the atoms selected by u whose
     union holds the atoms selected by k.
 
+    Iterative deepening on the module's recurrence: a search of depth d
+    gives up once the uncovered atoms outnumber what d translates hold.
     The empty target needs zero translates by convention (the measure
     axioms force mu(empty) = 0 downstream).
     """
@@ -54,22 +61,19 @@ def covering_number(g: FiniteTopGroup, k: int, u: int) -> int:
     cands = [t for t in _translates(g, u) if t & k]
     max_gain = max((t & k).bit_count() for t in cands)
 
-    def covers(start, covered, depth):
-        """Whether depth more candidates, with indices >= start, cover k."""
-        missing = k & ~covered
+    def covers(missing, depth):
+        """Whether depth more candidates cover the atoms in missing."""
         if not missing:
             return True
-        if depth == 0 or missing.bit_count() > depth * max_gain:
+        if missing.bit_count() > depth * max_gain:
             return False
-        return any(
-            cands[i] & missing and covers(i + 1, covered | cands[i], depth - 1)
-            for i in range(start, len(cands))
-        )
+        low = missing & -missing
+        return any(covers(missing & ~t, depth - 1) for t in cands if t & low)
 
     # every smaller depth failed, so the first that covers is the minimum;
     # the candidates together cover K, so some depth up to len(cands) does
     depth = 1
-    while not covers(0, 0, depth):
+    while not covers(k, depth):
         depth += 1
     return depth
 
@@ -81,36 +85,16 @@ def _translates(g: FiniteTopGroup, sel: int) -> list:
     return sorted({mask_of(row[j] for j in bit_indices(sel)) for row in g.atom_table})
 
 
-def _union_distances(translates, k: int) -> list:
-    """Breadth-first search over unions of the given atom selections: entry
-    sel is the fewest of them whose union is sel, or None if none is."""
-    dist = [None] * (1 << k)
-    dist[0] = 0
-    frontier = [0]
-    steps = 0
-    while frontier:
-        steps += 1
-        reached = []
-        for sel in frontier:
-            for t in translates:
-                nxt = sel | t
-                if dist[nxt] is None:
-                    dist[nxt] = steps
-                    reached.append(nxt)
-        frontier = reached
-    return dist
-
-
 def covering_table(g: FiniteTopGroup, u: int) -> tuple:
     """(K:U) for every union K of atoms, indexed by atom selection, for the
     union U of the atoms selected by u, a neighbourhood of the identity:
     u must hold atom 0, N.
 
-    Entry sel equals covering_number(g, sel, u).  For k atoms, U has at
-    most k distinct translates (`_translates`).  A breadth-first search gives the fewest
-    translates whose union is each selection; the fewest covering K is the
-    least of these over the supersets of K, one superset-minimum pass over
-    the 2^k selections.  Work is O(k * 2^k), so more than MAX_TABLE_ATOMS
+    Entry sel equals covering_number(g, sel, u).  The table fills the
+    module's recurrence by lowest atom, highest first: sel - t, for t
+    holding sel's lowest atom, has a higher lowest atom, so it is already
+    filled.  For k atoms, U has at most k distinct translates
+    (`_translates`), so the work is O(k * 2^k); more than MAX_TABLE_ATOMS
     atoms raise TooLarge.
     """
     _check_selections(g, 0, u)
@@ -119,14 +103,14 @@ def covering_table(g: FiniteTopGroup, u: int) -> tuple:
     k = len(g.atoms)
     if k > MAX_TABLE_ATOMS:
         raise TooLarge(f"{k} atoms exceed the covering table bound {MAX_TABLE_ATOMS}")
-    dist = _union_distances(_translates(g, u), k)
-    # no cover uses more than the k distinct translates
-    best = [k + 1 if d is None else d for d in dist]
-    for i in range(k):
-        bit = 1 << i
-        for sel in range(1 << k):
-            if not sel & bit and best[sel | bit] < best[sel]:
-                best[sel] = best[sel | bit]
+    translates = _translates(g, u)
+    best = [0] * (1 << k)
+    for low in reversed(range(k)):
+        bit = 1 << low
+        rests = [~t for t in translates if t & bit]
+        # the selections whose lowest atom is low
+        for sel in range(bit, 1 << k, bit << 1):
+            best[sel] = 1 + min(best[sel & r] for r in rests)
     return tuple(best)
 
 

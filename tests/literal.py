@@ -283,6 +283,26 @@ def reference_atom_perm(g, elem, side):
         perm.append(g.atom_of[moved])
     return tuple(perm)
 
+# -- covering ------------------------------------------------------------------
+
+def literal_arc_cover(n, k, w):
+    """Reference (K:U) on the discrete cyclic group Z_n, for the point mask
+    k and U the arc {0, ..., w - 1}, whose translates are the arcs of w
+    consecutive points.  Sliding each arc of an optimal cover forward to
+    the first point of K it holds keeps it a cover, so some optimal cover
+    has an arc starting at a point p of K.  Past that arc the rest of K
+    lies on a line, where an arc at each first uncovered point is optimal.
+    The minimum over p."""
+    points = [x for x in range(n) if k >> x & 1]
+    best = 0 if not points else n
+    for p in points:
+        arcs = reach = 0
+        for x in sorted((y - p) % n for y in points):
+            if x >= reach:
+                arcs, reach = arcs + 1, x + w
+        best = min(best, arcs)
+    return best
+
 # -- measure -------------------------------------------------------------------
 
 def _mass_inside(atoms, masses, points):

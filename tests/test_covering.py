@@ -14,6 +14,7 @@ from haarlab import (
     covering_number,
     covering_table,
     cyclic,
+    direct_product,
     existence_via_covering,
     fubini_check,
     identity_closure,
@@ -24,7 +25,7 @@ from haarlab.errors import InputError, TooLarge
 from haarlab.topology import bit_indices, mask_of
 
 from conftest import LARGE_INSTANCES, brute_force_covering_count
-from literal import closed_sets, literal_set_product, opens
+from literal import closed_sets, literal_arc_cover, literal_set_product, opens
 
 
 def z4_coset_instance():
@@ -278,11 +279,48 @@ def test_covering_table_atom_cap(monkeypatch):
     def no_search(*args):
         raise AssertionError("covering table allocated past the cap")
 
-    monkeypatch.setattr(covering, "_union_distances", no_search)
     monkeypatch.setattr(covering, "_translates", no_search)
     tg = FiniteTopGroup(z17, 0b1)
     with pytest.raises(TooLarge, match=r"^17 atoms exceed the covering table bound 16$"):
         covering_table(tg, 0b1)
+
+
+# -- deep searches against independent references -----------------------------
+
+@pytest.mark.parametrize("w", range(2, 11))
+def test_deep_search_matches_arc_cover(w):
+    """covering_number past 16 atoms with U neither N nor G: on discrete Z64
+    with U the arc of w atoms, against the arc-greedy reference, for three
+    seeded 16-point K's per w; for w = 6 also four K's of 27 to 35 points
+    whose counts are pinned."""
+    tg = FiniteTopGroup(cyclic(64), 0b1)
+    assert tg.atoms == tuple(1 << x for x in range(64))  # atom i is the point i
+    rng = random.Random(3800 + w)
+    cases = [mask_of(rng.sample(range(64), 16)) for _ in range(3)]
+    if w == 6:
+        cases += [0x6BCEFAB3A3B48C4A, 0xC12776E46DD451B2, 0x1A004483B96BA5CB, 0x5DCC39D710F48BB9]
+    counts = [covering_number(tg, k, (1 << w) - 1) for k in cases]
+    assert counts == [literal_arc_cover(64, k, w) for k in cases]
+    if w == 6:
+        assert counts[3:] == [10, 10, 9, 9]
+
+@pytest.mark.parametrize(
+    "group",
+    [cyclic(16), direct_product(cyclic(2), cyclic(8)), direct_product(cyclic(4), cyclic(4))],
+    ids=["Z16", "Z2xZ8", "Z4xZ4"],
+)
+def test_search_matches_table_on_16_atoms(group):
+    """covering_number against covering_table on the discrete groups of 16
+    atoms: three seeded neighbourhoods U of e, 150 seeded targets each."""
+    tg = FiniteTopGroup(group, 1 << group.identity)
+    assert len(tg.atoms) == 16
+    rng = random.Random(3816)
+    for _ in range(3):
+        u = rng.randrange(1 << 16) | 1
+        table = covering_table(tg, u)
+        for _ in range(150):
+            k = rng.randrange(1 << 16)
+            assert covering_number(tg, k, u) == table[k], (group.name, hex(u), hex(k))
 
 
 def construct_input(tg):
@@ -295,26 +333,25 @@ def construct_input(tg):
 
 def test_covering_work_is_bounded(corpus_instances, monkeypatch):
     """Counter bound: existence makes k + 1 covering searches, and construct
-    up to 6 atoms reads one table per neighbourhood U, visiting at most 2^k
-    BFS states each, with no search inside the table."""
-    searches = tables = states = 0
-    search = covering.covering_number
-    distances = covering._union_distances
+    up to 6 atoms reads exactly one table of 2^k entries per neighbourhood
+    U, with no search inside the table."""
+    searches = tables = entries = 0
+    search, table_of = covering.covering_number, covering.covering_table
 
     def counting_search(*args):
         nonlocal searches
         searches += 1
         return search(*args)
 
-    def counting_distances(translates, k):
-        nonlocal tables, states
-        dist = distances(translates, k)
+    def counting_table(*args):
+        nonlocal tables, entries
+        table = table_of(*args)
         tables += 1
-        states += sum(d is not None for d in dist)
-        return dist
+        entries += len(table)
+        return table
 
     monkeypatch.setattr(covering, "covering_number", counting_search)
-    monkeypatch.setattr(covering, "_union_distances", counting_distances)
+    monkeypatch.setattr(covering, "covering_table", counting_table)
     for tg in corpus_instances:
         searches = 0
         existence_via_covering(tg, identity_closure(tg))
@@ -327,12 +364,12 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
     for tg in instances:
         k = len(tg.atoms)
         n_nbhds = sum(u >> tg.group.identity & 1 for u in opens(tg.space))
-        searches = tables = states = 0
+        searches = tables = entries = 0
         results, ok = cli.cmd_construct(construct_input(tg), opts)
         assert ok and not results["table_truncated"]
         assert searches == k + 1, tg.group.name  # all from existence
         assert tables == n_nbhds, tg.group.name
-        assert states <= n_nbhds * 2**k, tg.group.name
+        assert entries == n_nbhds * 2**k, tg.group.name
 
 
 @pytest.mark.parametrize("n,gen", [(48, 6), (12, 0)], ids=["Z48-N8", "Z12-discrete"])
