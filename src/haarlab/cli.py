@@ -104,10 +104,6 @@ def parse_frac(s) -> Fraction:
         raise InputError(f"bad rational {s!r}: {exc}") from exc
 
 
-def points_list(mask: int):
-    return list(bit_indices(mask))
-
-
 def _require_keys(obj, allowed, required, where):
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected an object")
@@ -274,8 +270,8 @@ def cmd_enumerate(data, opts):
         canon = measure_mod.canonical_haar(tg)
         topologies.append(
             {
-                "normal_subgroup": points_list(tg.atoms[0]),
-                "atoms": [points_list(a) for a in tg.atoms],
+                "normal_subgroup": list(bit_indices(tg.atoms[0])),
+                "atoms": [list(bit_indices(a)) for a in tg.atoms],
                 "haar_dimension": dim,
                 "canonical_masses": [frac_str(m) for m in canon.atom_mass],
             }
@@ -296,7 +292,7 @@ def cmd_verify_haar(data, opts):
     witnesses = [
         {
             "kind": kind,
-            "set": points_list(tg.preimage(sel)),
+            "set": list(bit_indices(tg.preimage(sel))),
             "element": elem,
         }
         for kind, sel, elem in report.witnesses
@@ -343,7 +339,7 @@ def cmd_construct(data, opts):
         closed_sels = sorted(range(1, full + 1), key=tg.preimage)
         nbhd_sels = [u for u in closed_sels if u & 1]
         counts = {u: covering_mod.covering_table(tg, u) for u in nbhd_sels}
-    listed = {s: points_list(tg.preimage(s)) for s in closed_sels}
+    listed = {s: list(bit_indices(tg.preimage(s))) for s in closed_sels}
     table = [
         {"k": listed[k], "u": listed[u], "count": counts[u][k]}
         for k in closed_sels
@@ -369,8 +365,8 @@ def cmd_quotient(data, opts):
     roundtrip_ok = pulled == canon
     pushed_haar = measure_mod.is_haar(qtg, pushed).is_haar
     results = {
-        "normal_subgroup": points_list(tg.atoms[0]),
-        "atoms": [points_list(a) for a in tg.atoms],
+        "normal_subgroup": list(bit_indices(tg.atoms[0])),
+        "atoms": [list(bit_indices(a)) for a in tg.atoms],
         "quotient_order": qtg.group.order,
         "projection": list(tg.atom_of),
         "pushforward_masses": [frac_str(m) for m in pushed.atom_mass],

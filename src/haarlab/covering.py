@@ -50,7 +50,9 @@ def covering_number(g: FiniteTopGroup, k: int, u: int) -> int:
     union holds the atoms selected by k.
 
     Iterative deepening on the module's recurrence: a search of depth d
-    gives up once the uncovered atoms outnumber what d translates hold.
+    gives up once the uncovered atoms outnumber what d translates hold,
+    or once the same uncovered atoms were refuted at depth d or deeper,
+    in this pass or an earlier one (fewer translates cover no more).
     The empty target needs zero translates by convention (the measure
     axioms force mu(empty) = 0 downstream).
     """
@@ -60,15 +62,19 @@ def covering_number(g: FiniteTopGroup, k: int, u: int) -> int:
     # the translates meeting K together cover K (module docstring)
     cands = [t for t in _translates(g, u) if t & k]
     max_gain = max((t & k).bit_count() for t in cands)
+    refuted = {}  # remainder -> the largest depth found too small to cover it
 
     def covers(missing, depth):
         """Whether depth more candidates cover the atoms in missing."""
         if not missing:
             return True
-        if missing.bit_count() > depth * max_gain:
+        if missing.bit_count() > depth * max_gain or refuted.get(missing, 0) >= depth:
             return False
         low = missing & -missing
-        return any(covers(missing & ~t, depth - 1) for t in cands if t & low)
+        if any(covers(missing & ~t, depth - 1) for t in cands if t & low):
+            return True
+        refuted[missing] = depth
+        return False
 
     # every smaller depth failed, so the first that covers is the minimum;
     # the candidates together cover K, so some depth up to len(cands) does

@@ -180,23 +180,20 @@ class FiniteSpace(Record):
     # is a compact neighborhood of x inside every open containing x.
     locally_compact = strongly_locally_compact = base_compact_nbhds = True
 
-    @cached_property
+    @property
     def regular(self) -> bool:
-        # The largest closed set missing x is the complement of U_x, and the
-        # smallest open superset is monotone, so that set is the hardest.
-        return all(
-            u & self.smallest_open_superset(self.full ^ u) == 0 for u in self.min_open
-        )
+        # The largest closed set missing x is G - U_x, and it has an open
+        # superset missing U_x iff it is open itself: iff U_x is closed.
+        return self.base_closed_compact_nbhds
 
     @cached_property
     def normal(self) -> bool:
-        # Disjoint closed sets C1, C2 with overlapping smallest open
-        # supersets contain points a, b with U_a, U_b overlapping; then
-        # cl{a} <= C1 and cl{b} <= C2 fail already.
+        # Disjoint closed C1, C2 have overlapping smallest open supersets
+        # iff they hold points a, b with overlapping U_a, U_b; then cl{a}
+        # <= C1 and cl{b} <= C2 are disjoint closed sets already.
         cl = [self.closure(1 << x) for x in range(self.n)]
-        sos = [self.smallest_open_superset(c) for c in cl]
         return all(
-            sos[a] & sos[b] == 0
+            self.min_open[a] & self.min_open[b] == 0
             for a in range(self.n)
             for b in range(a + 1, self.n)
             if cl[a] & cl[b] == 0
@@ -310,7 +307,9 @@ def enumerate_topologies(n: int):
     y in U_x arises from exactly one topology, whose opens are the unions
     of the U_x.  This walks all such assignments.
     """
-    if n < 1 or n > MAX_ENUMERATED_POINTS:
+    if n < 1:
+        raise InputError("point count must be at least 1")
+    if n > MAX_ENUMERATED_POINTS:
         raise TooLarge(f"n={n} exceeds the enumeration bound {MAX_ENUMERATED_POINTS}")
     candidates = [[r for r in range(1 << n) if r >> x & 1] for x in range(n)]
     spaces = []

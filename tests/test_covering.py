@@ -291,18 +291,24 @@ def test_covering_table_atom_cap(monkeypatch):
 def test_deep_search_matches_arc_cover(w):
     """covering_number past 16 atoms with U neither N nor G: on discrete Z64
     with U the arc of w atoms, against the arc-greedy reference, for three
-    seeded 16-point K's per w; for w = 6 also four K's of 27 to 35 points
-    whose counts are pinned."""
+    seeded 16-point K's per w; for w = 6 also four K's of 27 to 35 points,
+    and for w = 2, 3, 4 the 32-point K's on which the search without its
+    refutation memo took seconds, whose counts are pinned."""
     tg = FiniteTopGroup(cyclic(64), 0b1)
     assert tg.atoms == tuple(1 << x for x in range(64))  # atom i is the point i
     rng = random.Random(3800 + w)
     cases = [mask_of(rng.sample(range(64), 16)) for _ in range(3)]
-    if w == 6:
-        cases += [0x6BCEFAB3A3B48C4A, 0xC12776E46DD451B2, 0x1A004483B96BA5CB, 0x5DCC39D710F48BB9]
+    pinned = {
+        2: {0x5569CF653A8B24A6: 24},
+        3: {0x231989BB9A663EB1: 17},
+        4: {0x1104FA73FB1179B4: 14, 0x665A434E9D664BE2: 14},
+        6: {0x6BCEFAB3A3B48C4A: 10, 0xC12776E46DD451B2: 10, 0x1A004483B96BA5CB: 9,
+            0x5DCC39D710F48BB9: 9},
+    }.get(w, {})
+    cases += pinned
     counts = [covering_number(tg, k, (1 << w) - 1) for k in cases]
     assert counts == [literal_arc_cover(64, k, w) for k in cases]
-    if w == 6:
-        assert counts[3:] == [10, 10, 9, 9]
+    assert counts[3:] == list(pinned.values())
 
 @pytest.mark.parametrize(
     "group",
@@ -334,7 +340,9 @@ def construct_input(tg):
 def test_covering_work_is_bounded(corpus_instances, monkeypatch):
     """Counter bound: existence makes k + 1 covering searches, and construct
     up to 6 atoms reads exactly one table of 2^k entries per neighbourhood
-    U, with no search inside the table."""
+    U, with no search inside the table.  Past 6 atoms construct's worst
+    case, discrete Z64 with K0 = G, makes 3(k + 1) searches: k + 1 for
+    existence and k + 1 for each of U = N and U = G, and reads no table."""
     searches = tables = entries = 0
     search, table_of = covering.covering_number, covering.covering_table
 
@@ -370,6 +378,12 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
         assert searches == k + 1, tg.group.name  # all from existence
         assert tables == n_nbhds, tg.group.name
         assert entries == n_nbhds * 2**k, tg.group.name
+
+    z64 = FiniteTopGroup(cyclic(64), 0b1)
+    searches = tables = 0
+    results, ok = cli.cmd_construct(dict(construct_input(z64), k0=list(range(64))), opts)
+    assert ok and results["table_truncated"]
+    assert (searches, tables) == (3 * 65, 0)
 
 
 @pytest.mark.parametrize("n,gen", [(48, 6), (12, 0)], ids=["Z48-N8", "Z12-discrete"])

@@ -54,7 +54,13 @@ def test_rejects_too_many_points():
         FiniteSpace.from_opens(10**5000, [0])
 
 def test_rejects_no_points():
-    for build in (lambda: FiniteSpace.from_opens(0, [0]), lambda: FiniteSpace(0, [])):
+    builds = (
+        lambda: FiniteSpace.from_opens(0, [0]),
+        lambda: FiniteSpace(0, []),
+        lambda: enumerate_topologies(0),
+        lambda: enumerate_topologies(-1),
+    )
+    for build in builds:
         with pytest.raises(InputError, match="^point count must be at least 1$"):
             build()
 
@@ -426,5 +432,5 @@ def test_enumeration_matches_brute_force():
         assert {FiniteSpace.from_opens(n, f) for f in expected} == set(spaces)
 
 def test_enumeration_bound():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="^n=5 exceeds the enumeration bound 4$"):
         enumerate_topologies(5)
