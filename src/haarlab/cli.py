@@ -158,8 +158,6 @@ def load_group(spec) -> groups_mod.FiniteGroup:
         _require_keys(spec, {"family", "params"}, {"family"}, "group")
         family = spec["family"]
         params = spec.get("params", {})
-        if not isinstance(params, dict):
-            raise InputError("group params: expected an object")
         entry = _FAMILIES.get(family) if isinstance(family, str) else None
         if entry is None:
             raise InputError(f"unknown family {family!r}")
@@ -352,7 +350,7 @@ def cmd_construct(data, opts):
         "canonical_scalar": frac_str(scalar) if scalar is not None else None,
     }
     report = measure_mod.is_haar(tg, mu)
-    return results, report.is_haar and scalar is not None
+    return results, report.is_haar
 
 
 def cmd_quotient(data, opts):
@@ -495,13 +493,12 @@ _HELP = ("-h", "--help")
 
 
 class Options:
-    """A parsed command line: the command and each flag's value, None
-    where the flag is not given."""
+    """A parsed command line: each flag's value, None where the flag is
+    not given."""
 
-    __slots__ = ("command", "input", "output", "probe_bound")
+    __slots__ = ("input", "output", "probe_bound")
 
-    def __init__(self, command):
-        self.command = command
+    def __init__(self):
         self.input = self.output = self.probe_bound = None
 
 
@@ -522,7 +519,7 @@ def parse_args(argv) -> Options | None:
         return None
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-    opts = Options(command)
+    opts = Options()
     tokens = iter(rest)
     for token in tokens:
         if token in _HELP:

@@ -136,20 +136,17 @@ class FiniteSpace(Record):
     def is_closed(self, mask: int) -> bool:
         return self.is_open(self.full ^ mask)
 
-    def check_subset(self, mask: int) -> int:
-        return check_mask(mask, self.n)
-
     # -- closure / interior ----------------------------------------------
 
     def closure(self, mask: int) -> int:
         """Smallest closed superset: y is in it iff every open around y,
         hence U_y, meets mask."""
-        self.check_subset(mask)
+        check_mask(mask, self.n)
         return mask_of(y for y, u in enumerate(self.min_open) if u & mask)
 
     def interior(self, mask: int) -> int:
         """Largest open subset: union of minimal opens contained in mask."""
-        self.check_subset(mask)
+        check_mask(mask, self.n)
         acc = 0
         for x in bit_indices(mask):
             u = self.min_open[x]
@@ -243,8 +240,8 @@ def separate(space: FiniteSpace, a: int, b: int):
     lies in the complement of U_x, whose smallest open superset misses U_x
     on a regular space.
     """
-    space.check_subset(a)
-    space.check_subset(b)
+    check_mask(a, space.n)
+    check_mask(b, space.n)
     if a & b:
         raise InputError(f"sets share points {a & b:#x}")
     if not space.is_closed(b):
@@ -257,7 +254,7 @@ def separate(space: FiniteSpace, a: int, b: int):
 def split_compact(space: FiniteSpace, k: int, u1: int, u2: int):
     """Split a closed compact k covered by opens u1, u2 into closed parts
     K1 <= u1, K2 <= u2 with K1 | K2 == k, replaying the separation proof."""
-    space.check_subset(k)
+    check_mask(k, space.n)
     if not space.is_closed(k):
         raise InputError(f"{k:#x} is not closed")
     for u in (u1, u2):
@@ -281,7 +278,7 @@ def urysohn_finite(space: FiniteSpace, k: int, u: int) -> PointFunction:
     On a regular finite space every closed set is clopen, so the indicator
     of k already qualifies.
     """
-    space.check_subset(k)
+    check_mask(k, space.n)
     if not space.is_closed(k):
         raise InputError(f"{k:#x} is not closed")
     if not space.is_open(u):

@@ -240,6 +240,22 @@ def test_plane(tmp_path):
         {"lo": "-1/20", "hi": "21/20", "lo_closed": False, "hi_closed": False}
     ]
 
+def test_plane_inner_midpoint(tmp_path):
+    """An eps wider than an open interval collapses its inner interval to
+    the midpoint; both masses stay within eps, so the report passes."""
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    payload = {
+        "intervals": [{"lo": "0", "hi": "1", "lo_closed": False, "hi_closed": False}],
+        "eps": "10",
+    }
+    write_fresh(path, json.dumps(payload))
+    assert cli.run(["plane", "--input", str(path), "--output", str(out)]) == 0
+    r = json.loads(out.read_text())["results"]
+    assert r["inner"] == [{"lo": "1/2", "hi": "1/2", "lo_closed": True, "hi_closed": True}]
+    assert r["inner_mass"] == "0/1"
+    assert r["outer"] == [{"lo": "-5/1", "hi": "6/1", "lo_closed": False, "hi_closed": False}]
+    assert r["outer_mass"] == "11/1"
+
 def test_plane_computes_each_mass_once(tmp_path, monkeypatch):
     """With a shift and an eps, `plane` reports four masses (base, shifted,
     inner and outer) and calls haar_v at most once for each."""
@@ -358,6 +374,32 @@ def test_fubini_atom_cap(tmp_path, capsys):
         )
 
 
+def test_fubini_worst_case_counters(tmp_path, capsys, monkeypatch):
+    """Counter bound at the order cap: fubini on discrete Z8 x discrete Z8
+    checks each of its 64 product atoms once, and lists the product atoms
+    once for the command and once in each check."""
+    calls = {"fubini_check": 0, "product_cells": 0}
+
+    def counting(name):
+        method = getattr(measure, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(measure, name, counting(name))
+    z8 = {"group": {"family": "cyclic", "params": {"n": 8}}, "topology": {"normal_subgroup": [0]}}
+    path = tmp_path / "input.json"
+    write_fresh(path, json.dumps({"group1": z8, "group2": z8}))
+    assert cli.run(["fubini", "--input", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["checks"]) == 64
+    assert calls["fubini_check"] == 64
+    assert calls["product_cells"] <= 65
+
+
 def test_verify_haar_witness_past_16_atoms(tmp_path, capsys):
     """A perturbed measure on discrete Z64 fails with the first light atom
     that translation by 1 moves onto the heavy atom 40, on both sides."""
@@ -418,7 +460,7 @@ def test_partition_once_per_top_group(corpus, monkeypatch):
     z48 = groups.cyclic(48)
     n8 = z48.generated_subgroup([6])
     cases = [(g, n) for g in corpus for n in g.normal_subgroups()] + [(z48, n8)]
-    opts = cli.Options("enumerate")
+    opts = cli.Options()
     for group in [*corpus, z48]:
         built.clear()
         calls.clear()
@@ -451,7 +493,7 @@ def test_quotient_builds_two_groups(corpus, monkeypatch):
         built.append(name)
 
     monkeypatch.setattr(groups.FiniteGroup, "__init__", recording_init)
-    opts = cli.Options("quotient")
+    opts = cli.Options()
     for group in corpus:
         for n_mask in group.normal_subgroups():
             built.clear()
@@ -495,7 +537,7 @@ def test_enumerate_makes_no_normality_test(corpus, monkeypatch):
     monkeypatch.setattr(FiniteSpace, "__init__", counting_space_init)
     monkeypatch.setattr(groups.FiniteGroup, "translate", counting_translate)
     monkeypatch.setattr(groups.FiniteGroup, "normal_subgroups", lattice)
-    opts = cli.Options("enumerate")
+    opts = cli.Options()
     for group in [*corpus, z2_4]:
         counts.update(spaces=0, translate=0)
         results, _ = cli.cmd_enumerate({"group": table_spec(group)}, opts)
@@ -519,7 +561,7 @@ def test_spaces_built_per_command(corpus, monkeypatch):
     monkeypatch.setattr(FiniteSpace, "__init__", counting_init)
     for group in corpus:
         built.clear()
-        cli.cmd_enumerate({"group": table_spec(group)}, cli.Options("enumerate"))
+        cli.cmd_enumerate({"group": table_spec(group)}, cli.Options())
         assert built == [], group.name
         for n_mask in group.normal_subgroups():
             n_points = list(bit_indices(n_mask))
@@ -531,7 +573,7 @@ def test_spaces_built_per_command(corpus, monkeypatch):
                 ("construct", dict(base, k0=n_points), []),
             ):
                 built.clear()
-                cli.COMMANDS[command](payload, cli.Options(command))
+                cli.COMMANDS[command](payload, cli.Options())
                 assert built == want, (group.name, n_mask, command)
 
 def test_construct_never_lists_the_open_family(corpus_instances):
@@ -553,7 +595,7 @@ def test_construct_never_lists_the_open_family(corpus_instances):
             [(list(bit_indices(k)), list(bit_indices(u))) for k in closed for u in nbhds]
         )
 
-    opts = cli.Options("construct")
+    opts = cli.Options()
     for (group, n_mask), want in zip(cases, expected):
         n_points = list(bit_indices(n_mask))
         payload = {
@@ -586,7 +628,7 @@ def test_opens_form_matches_normal_subgroup_form(corpus_instances):
             by_form = [
                 cli.COMMANDS[command](
                     {"group": table_spec(tg.group), "topology": topology, **extra},
-                    cli.Options(command),
+                    cli.Options(),
                 )
                 for topology in forms
             ]
@@ -900,6 +942,59 @@ ERROR_TEXTS = {
     "opens_not_a_list": (
         "verify-haar", dict(Z4_HAAR, topology={"opens": 5}), "opens must be a list of open sets"
     ),
+    "params_not_object": (
+        "enumerate",
+        {"group": {"family": "cyclic", "params": []}},
+        "cyclic params: expected an object",
+    ),
+    # the family is looked up before its params
+    "family_unknown_params_not_object": (
+        "enumerate",
+        {"group": {"family": "banana", "params": []}},
+        "unknown family 'banana'",
+    ),
+    "group_name_not_string": (
+        "enumerate",
+        {"group": {"name": 5, "order": 1, "table": [[0]]}},
+        "group name must be a string",
+    ),
+    "declared_order": (
+        "enumerate",
+        {"group": {"order": 2, "table": [[0]]}},
+        "declared order does not match the table",
+    ),
+    "atom_masses_not_a_list": (
+        "verify-haar",
+        dict(Z4_HAAR, measure={"atom_masses": "1/1"}),
+        "atom_masses must be a list of rationals",
+    ),
+    "intervals_not_a_list": ("plane", {"intervals": {}}, "intervals must be a list"),
+    "lo_closed_not_bool": (
+        "plane",
+        {"intervals": [{"lo": "0", "hi": "1", "lo_closed": 1}]},
+        "lo_closed must be true or false, got 1",
+    ),
+    "shift_not_a_pair": (
+        "plane",
+        {"intervals": [{"lo": "0", "hi": "1"}], "shift": ["1"]},
+        "shift must be a pair of rationals",
+    ),
+    "group_spec_not_object": ("verify-haar", dict(Z4_HAAR, group=5), "group spec must be an object"),
+    "topology_without_form": (
+        "verify-haar",
+        dict(Z4_HAAR, topology={}),
+        "topology spec needs normal_subgroup or opens",
+    ),
+    "subgroup_element_outside": (
+        "verify-haar",
+        dict(Z4_HAAR, topology={"normal_subgroup": [0, 4]}),
+        "normal_subgroup: 4 is not an element 0..3",
+    ),
+    "param_not_int": (
+        "verify-haar",
+        dict(Z4_HAAR, group={"family": "cyclic", "params": {"n": "4"}}),
+        "cyclic params: n must be an integer, got '4'",
+    ),
     "fubini_group_without_topology": (
         "fubini",
         {"group1": {"group": Z4_COSET["group"]}, "group2": Z4_COSET},
@@ -1207,39 +1302,6 @@ def test_report_digest_is_unchanged():
         "42db73986d2506d74043c6f4732f83e6d4adaa27647f06016ccfa533af6f7420\n"
     )
 
-# Runs tools/report_digest.py with each report re-encoded as the indented
-# text that reports were written as before they became compact.
-REINDENTED_DIGEST = """
-import importlib.util, json, sys
-spec = importlib.util.spec_from_file_location("report_digest", sys.argv[1])
-tool = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tool)
-run_op = tool.run_op
-
-def reindented(op, path):
-    code, report = run_op(op, path)
-    text = json.dumps(json.loads(report), sort_keys=True, indent=2) + "\\n"
-    return code, text.encode()
-
-tool.run_op = reindented
-print(tool.digest([1])[0])
-"""
-
-def test_compact_reports_differ_from_indented_only_in_whitespace():
-    """Re-indented by 2, every compact seed-1 report and exit code gives
-    the digest the indented reports had, over the same framing: the
-    compact encoding changed whitespace and nothing else."""
-    tool = SRC.parent / "tools" / "report_digest.py"
-    proc = subprocess.run(
-        [sys.executable, "-c", REINDENTED_DIGEST, str(tool)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
-        "ced1aae0df44b73a6afc8aa4ab1e98c275fd288a7ee61fd75679101d57b86a5e\n"
-    )
-
 def test_enumerate_z2_to_the_5_report_is_unchanged(tmp_path):
     """The enumerate report of (Z2)^5, 374 topologies (one per subgroup, as
     the group is abelian), byte for byte: no benchmark round has a group
@@ -1255,12 +1317,6 @@ def test_enumerate_z2_to_the_5_report_is_unchanged(tmp_path):
     assert len(report) == 85578
     assert hashlib.sha256(report).hexdigest() == (
         "dd36214b004b841bf7ab0fcbda15972b98ce45d3ce392c0a2fc95e3513018288"
-    )
-    # re-indented by 2, it is the indented report byte for byte
-    indented = (json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n").encode()
-    assert len(indented) == 380530
-    assert hashlib.sha256(indented).hexdigest() == (
-        "39a0b0711865c5de9ba0a6c9fa4438b12043bcf21c2a1b7f40bbde85a97d89de"
     )
 
 

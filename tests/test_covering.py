@@ -368,7 +368,7 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
     z48 = cyclic(48)
     instances = [tg for tg in corpus_instances if len(tg.atoms) <= 6]
     instances.append(FiniteTopGroup(z48, z48.generated_subgroup([6])))
-    opts = cli.Options("construct")
+    opts = cli.Options()
     for tg in instances:
         k = len(tg.atoms)
         n_nbhds = sum(u >> tg.group.identity & 1 for u in opens(tg.space))
@@ -390,8 +390,8 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
 def test_construct_checks_only_k0_on_points(monkeypatch, n, gen):
     """Counter bound: construct's covering runs on atom selections, so its
     only point-mask checks are those of the input k0: at most one call
-    each of FiniteSpace.is_open, interior and check_subset, with the full
-    table (Z48/N8, 6 atoms) and with the truncated one (discrete Z12)."""
+    each of FiniteSpace.is_open and interior, with the full table (Z48/N8,
+    6 atoms) and with the truncated one (discrete Z12)."""
     calls = {}
 
     def counting(name):
@@ -403,12 +403,12 @@ def test_construct_checks_only_k0_on_points(monkeypatch, n, gen):
 
         return counted
 
-    for name in ("is_open", "interior", "check_subset"):
+    for name in ("is_open", "interior"):
         calls[name] = 0
         monkeypatch.setattr(FiniteSpace, name, counting(name))
     group = cyclic(n)
     tg = FiniteTopGroup(group, group.generated_subgroup([gen]))
-    opts = cli.Options("construct")
+    opts = cli.Options()
     results, ok = cli.cmd_construct(construct_input(tg), opts)
     assert ok and results["table_truncated"] == (len(tg.atoms) > 6)
     assert len(tg.atoms) == {48: 6, 12: 12}[n]
@@ -418,7 +418,7 @@ def test_construct_checks_only_k0_on_points(monkeypatch, n, gen):
 def test_construct_truncated_table():
     """Past 6 atoms construct lists (K:U) only for K an atom or G and U = N
     or G, in that order, each count checked against the brute-force oracle."""
-    opts = cli.Options("construct")
+    opts = cli.Options()
     for n, k0 in ((8, [0]), (12, [0, 5])):
         tg = discrete_instance(cyclic(n))
         data = dict(construct_input(tg), k0=k0)

@@ -329,6 +329,10 @@ def test_validate_rejects_sierpinski_style_opens():
     with pytest.raises(InputError, match=witness):
         FiniteTopGroup.from_space(z4, space)
 
+def test_from_space_refuses_a_space_on_other_points():
+    with pytest.raises(InputError, match=r"^group and space must share the index set$"):
+        FiniteTopGroup.from_space(cyclic(4), FiniteSpace(3, [7, 7, 7]))
+
 def test_discrete_always_valid():
     for group in (cyclic(5), symmetric3(), quaternion8()):
         discrete_group(group)

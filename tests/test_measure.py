@@ -452,6 +452,12 @@ def test_fubini_non_measurable_slice():
     with pytest.raises(InputError, match=r"^function not constant on product atom 0x3$"):
         fubini_check(g, h, f, canonical_haar(g), canonical_haar(h))
 
+def test_fubini_refuses_a_function_off_the_product_points():
+    g, h = discrete_instance(cyclic(4)), discrete_instance(cyclic(2))
+    f = PointFunction((0,) * 7)
+    with pytest.raises(InputError, match=r"^function not defined on the product points$"):
+        fubini_check(g, h, f, canonical_haar(g), canonical_haar(h))
+
 def test_fubini_random_functions_exact():
     rng = random.Random(309)
     g = z4_coset_instance()

@@ -150,6 +150,15 @@ def test_regularity_empty_base():
     assert is_open_union(outer)
     assert haar_v(outer) <= Fraction(1, 3)
 
+def test_regularity_midpoint_when_eps_exceeds_an_open_interval():
+    """With eps = 10 the nudge delta = 5 crosses the open (0, 1) over, so
+    the inner interval collapses to its midpoint."""
+    inner, outer = regularity_gap(cyl(Interval(0, 1, False, False)), 10)
+    assert inner == cyl(Interval(Fraction(1, 2), Fraction(1, 2)))
+    assert haar_v(inner) == 0
+    assert outer == cyl(Interval(-5, 6, False, False))
+    assert haar_v(outer) == 11
+
 def test_regularity_rejects_bad_eps():
     with pytest.raises(ValueError):
         regularity_gap(cyl(Interval(0, 1)), 0)

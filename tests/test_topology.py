@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -367,7 +368,7 @@ def test_urysohn_z4_clopen_indicator():
 @pytest.mark.parametrize("mask,shown", [(0b110000, "0x30"), (0b10001, "0x11"), (-1, "-0x1")])
 def test_indicator_refuses_sets_outside_the_points(mask, shown):
     """A mask with a bit past the points, or a negative one, is refused
-    with check_subset's text, not read as the set of its low bits."""
+    with check_mask's text, not read as the set of its low bits."""
     with pytest.raises(InputError, match=rf"^subset {shown} not valid for 4 points$"):
         PointFunction.indicator(4, mask)
 
@@ -379,6 +380,36 @@ def test_urysohn_extremes():
 def test_urysohn_not_nested():
     with pytest.raises(InputError, match="^0x5 is not contained in 0xa$"):
         urysohn_finite(z4_coset_space(), 0b0101, 0b1010)
+
+# FiniteSpace(2, [1, 3]) is the Sierpinski space with U_0 = {0}: its only
+# proper closed set is {1}, and it is not regular.
+PRECONDITIONS = {
+    "from_opens_point_outside": (
+        lambda: FiniteSpace.from_opens(2, [0, 3, 4]), "open set 0x4 not a subset of 2 points"
+    ),
+    "is_continuous_other_points": (
+        lambda: PointFunction([0, 0]).is_continuous(FiniteSpace(3, [7, 7, 7])),
+        "function defined on a different point set",
+    ),
+    "split_not_closed": (
+        lambda: split_compact(FiniteSpace(2, [1, 3]), 1, 3, 3), "0x1 is not closed"
+    ),
+    "urysohn_not_closed": (
+        lambda: urysohn_finite(FiniteSpace(2, [1, 3]), 1, 3), "0x1 is not closed"
+    ),
+    "urysohn_not_open": (
+        lambda: urysohn_finite(FiniteSpace(2, [1, 3]), 2, 2), "0x2 is not open"
+    ),
+    "urysohn_not_regular": (
+        lambda: urysohn_finite(FiniteSpace(2, [1, 3]), 2, 3),
+        "construction requires a regular space",
+    ),
+}
+
+@pytest.mark.parametrize("call,message", PRECONDITIONS.values(), ids=PRECONDITIONS)
+def test_preconditions_refused(call, message):
+    with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+        call()
 
 def test_urysohn_property_all_regular_spaces():
     for space in enumerate_topologies(3):
