@@ -63,9 +63,12 @@ def frac_str(f: Fraction) -> str:
 MAX_RATIONAL_CHARS = 1000
 MAX_RATIONAL_EXPONENT = 1000
 
-# The spellings Fraction accepts: an optional sign, then an integer, a
-# quotient p/q, or a decimal with an optional exponent; digits may be
-# grouped by single underscores, and whitespace may surround the whole.
+# The README grammar, the spellings Python 3.11's Fraction accepts: an
+# optional sign, then an integer, a quotient p/q, or a decimal with an
+# optional exponent; digits may be grouped by single underscores, and
+# whitespace may surround the whole.  Other versions' Fraction reads other
+# spellings (3.10 refuses underscores, 3.12 and later allow spaces around
+# /), so parse_frac hands it the match with its underscores removed.
 _RATIONAL = re.compile(
     r"""
     \s*[-+]?
@@ -99,7 +102,7 @@ def parse_frac(s) -> Fraction:
             f"bad rational {s!r}: exponent exceeds the cap {MAX_RATIONAL_EXPONENT}"
         )
     try:
-        return Fraction(text)
+        return Fraction(text.replace("_", ""))  # each one lies between digits
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {s!r}: {exc}") from exc
 

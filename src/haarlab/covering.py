@@ -5,8 +5,8 @@ union of atoms (`FiniteTopGroup`), so both arguments of a covering number
 are atom selections here (bit i selects atom i), and U is its own
 interior.  The covering number (K:U) is the minimum number of left
 translates of U needed to cover K.  `covering_number` finds it for one
-pair by iterative deepening; `covering_table` gives the counts for every
-target K at once for one neighbourhood U of the identity.
+pair, top down from K; `covering_table` gives the counts for every target
+K at once for one neighbourhood U of the identity, bottom up.
 
 The left translates of every nonempty union of atoms cover G, so no
 search here can fail: for an atom i in the selection u and any atom j,
@@ -17,9 +17,7 @@ distinct translates.
 
 Both compute one recurrence: every cover of a nonempty K holds a
 translate t containing K's lowest atom, and the rest of it covers K - t,
-so (K:U) = 1 + min (K - t : U) over those t.  Branching only on the
-translates that hold the lowest uncovered atom is the element-first
-branching of Knuth's Dancing Links (2000).
+so (K:U) = 1 + min (K - t : U) over those t.
 """
 
 from fractions import Fraction
@@ -29,8 +27,10 @@ from .groups import FiniteTopGroup
 from .measure import FiniteMeasure
 from .topology import bit_indices, mask_of
 
-#: `covering_table` lists all 2^k atom selections, so it refuses more atoms
-#: than this before allocating the list.
+#: `covering_table` lists all 2^k atom selections, and `covering_number`
+#: may visit every subset of K when U's translates overlap, so both refuse
+#: more atoms than this: the table always, the search for overlapping
+#: translates only.
 MAX_TABLE_ATOMS = 16
 
 
@@ -49,39 +49,34 @@ def covering_number(g: FiniteTopGroup, k: int, u: int) -> int:
     """(K:U): the fewest left translates of the atoms selected by u whose
     union holds the atoms selected by k.
 
-    Iterative deepening on the module's recurrence: a search of depth d
-    gives up once the uncovered atoms outnumber what d translates hold,
-    or once the same uncovered atoms were refuted at depth d or deeper,
-    in this pass or an earlier one (fewer translates cover no more).
-    The empty target needs zero translates by convention (the measure
-    axioms force mu(empty) = 0 downstream).
+    The module's recurrence, evaluated from K down with one memo keyed by
+    the uncovered remainder, each remainder computed once.  When U's
+    distinct translates tile G/N, each atom lies in exactly one, so the
+    remainders form a chain of at most |K| + 1.  Otherwise they are
+    subsets of K, at most 2^|K| <= 2^16: more than MAX_TABLE_ATOMS atoms
+    raise TooLarge before any remainder is visited.  The empty target
+    needs zero translates by convention (the measure axioms force
+    mu(empty) = 0 downstream).
     """
     _check_selections(g, k, u)
-    if k == 0:
-        return 0
-    # the translates meeting K together cover K (module docstring)
-    cands = [t for t in _translates(g, u) if t & k]
-    max_gain = max((t & k).bit_count() for t in cands)
-    refuted = {}  # remainder -> the largest depth found too small to cover it
+    translates = _translates(g, u)
+    atoms = len(g.atoms)
+    # the translates cover G/N (module docstring): they overlap iff their
+    # sizes sum past the atom count
+    if atoms > MAX_TABLE_ATOMS and sum(t.bit_count() for t in translates) > atoms:
+        raise TooLarge(
+            f"{atoms} atoms exceed the bound {MAX_TABLE_ATOMS} for overlapping translates"
+        )
+    cands = [t for t in translates if t & k]  # the rest hold no atom of K
+    best = {0: 0}  # uncovered remainder -> (remainder : U)
 
-    def covers(missing, depth):
-        """Whether depth more candidates cover the atoms in missing."""
-        if not missing:
-            return True
-        if missing.bit_count() > depth * max_gain or refuted.get(missing, 0) >= depth:
-            return False
-        low = missing & -missing
-        if any(covers(missing & ~t, depth - 1) for t in cands if t & low):
-            return True
-        refuted[missing] = depth
-        return False
+    def count(rest):
+        if rest not in best:
+            low = rest & -rest
+            best[rest] = 1 + min(count(rest & ~t) for t in cands if t & low)
+        return best[rest]
 
-    # every smaller depth failed, so the first that covers is the minimum;
-    # the candidates together cover K, so some depth up to len(cands) does
-    depth = 1
-    while not covers(k, depth):
-        depth += 1
-    return depth
+    return count(k)
 
 
 def _translates(g: FiniteTopGroup, sel: int) -> list:

@@ -2,13 +2,14 @@ import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from haarlab import cli, groups, measure, plane
@@ -1099,17 +1100,30 @@ RATIONAL_SPELLINGS = [
     0.5, 3, 1e300,
 ]
 
+def readme_fraction(text):
+    """Fraction(text) as Python 3.11 reads it, which is the README grammar,
+    on every supported Python: 3.10's Fraction refuses underscores between
+    digits, and from 3.12 on it accepts whitespace around '/'."""
+    if sys.version_info < (3, 11):
+        text = re.sub(r"(?<=\d)_(?=\d)", "", text)
+    elif sys.version_info >= (3, 12) and re.search(r"\s/|/\s", text):
+        raise ValueError(f"whitespace around '/' in {text!r}")
+    return Fraction(text)
+
 @pytest.mark.parametrize("spelling", RATIONAL_SPELLINGS, ids=repr)
 def test_rational_spellings_match_fraction(spelling):
-    assert cli.parse_frac(spelling) == Fraction(str(spelling))
+    assert cli.parse_frac(spelling) == readme_fraction(str(spelling))
 
 @given(st.text(alphabet="0123456789_./eE+- \t\u0663", max_size=7))
+@example("0/ 1")
+@example("1_000")
 @settings(max_examples=400, deadline=None)
 def test_rational_grammar_agrees_with_fraction(text):
-    """Under the caps, parse_frac accepts exactly what Fraction accepts, with
-    the same value; the only extra rejections are named by the caps."""
+    """Under the caps, parse_frac accepts exactly what the README grammar
+    accepts, with the same value; the only extra rejections are named by
+    the caps."""
     try:
-        want = Fraction(text)
+        want = readme_fraction(text)
     except (ValueError, ZeroDivisionError):
         want = None
     try:
@@ -1118,6 +1132,34 @@ def test_rational_grammar_agrees_with_fraction(text):
         assert want is None or "exceeds the cap" in str(exc), text
     else:
         assert got == want, text
+
+VERSION_SENSITIVE_SPELLINGS = {
+    "1_000": 1000,
+    "1_0/2_0": Fraction(1, 2),
+    "1e1_0": 10**10,
+    "-1_5.2_5e-1": Fraction(-61, 40),
+    "1__0": None,
+    "_1": None,
+    "1_": None,
+    "1 / 2": None,
+    "0/ 1": None,
+}
+
+@pytest.mark.parametrize("text", VERSION_SENSITIVE_SPELLINGS, ids=repr)
+def test_version_sensitive_spellings(text):
+    """The spellings that Fraction reads differently across Pythons, pinned
+    to the README grammar on every one: single underscores between digits
+    are accepted, as 3.10's Fraction does not, and whitespace around '/'
+    is refused, as 3.12's Fraction does not."""
+    want = VERSION_SENSITIVE_SPELLINGS[text]
+    if want is None:
+        with pytest.raises(cli.InputError) as info:
+            cli.parse_frac(text)
+        assert str(info.value) == (
+            f"bad rational {text!r}: Invalid literal for Fraction: {text!r}"
+        )
+    else:
+        assert cli.parse_frac(text) == want
 
 def counterexample_on(tmp_path, capsys, text):
     """Exit code and report of counterexample --probe-bound 3/10 on an

@@ -289,26 +289,49 @@ def test_covering_table_atom_cap(monkeypatch):
 
 @pytest.mark.parametrize("w", range(2, 11))
 def test_deep_search_matches_arc_cover(w):
-    """covering_number past 16 atoms with U neither N nor G: on discrete Z64
-    with U the arc of w atoms, against the arc-greedy reference, for three
-    seeded 16-point K's per w; for w = 6 also four K's of 27 to 35 points,
-    and for w = 2, 3, 4 the 32-point K's on which the search without its
-    refutation memo took seconds, whose counts are pinned."""
+    """covering_number with U the arc of w atoms, neither N nor G, against
+    the arc-greedy reference on discrete Z16, the atom cap, for 20 seeded
+    K's per w.  Past the cap such a U has overlapping translates, so on
+    discrete Z64 each earlier case is refused with TooLarge: three seeded
+    16-point K's per w, for w = 6 four K's of 27 to 35 points, and for
+    w = 2, 3, 4 four K's of 32 points."""
+    z16 = FiniteTopGroup(cyclic(16), 0b1)
+    rng = random.Random(1600 + w)
+    for _ in range(20):
+        k = rng.randrange(1 << 16)
+        assert covering_number(z16, k, (1 << w) - 1) == literal_arc_cover(16, k, w), hex(k)
     tg = FiniteTopGroup(cyclic(64), 0b1)
     assert tg.atoms == tuple(1 << x for x in range(64))  # atom i is the point i
     rng = random.Random(3800 + w)
     cases = [mask_of(rng.sample(range(64), 16)) for _ in range(3)]
-    pinned = {
-        2: {0x5569CF653A8B24A6: 24},
-        3: {0x231989BB9A663EB1: 17},
-        4: {0x1104FA73FB1179B4: 14, 0x665A434E9D664BE2: 14},
-        6: {0x6BCEFAB3A3B48C4A: 10, 0xC12776E46DD451B2: 10, 0x1A004483B96BA5CB: 9,
-            0x5DCC39D710F48BB9: 9},
-    }.get(w, {})
-    cases += pinned
-    counts = [covering_number(tg, k, (1 << w) - 1) for k in cases]
-    assert counts == [literal_arc_cover(64, k, w) for k in cases]
-    assert counts[3:] == list(pinned.values())
+    cases += {
+        2: [0x5569CF653A8B24A6],
+        3: [0x231989BB9A663EB1],
+        4: [0x1104FA73FB1179B4, 0x665A434E9D664BE2],
+        6: [0x6BCEFAB3A3B48C4A, 0xC12776E46DD451B2, 0x1A004483B96BA5CB, 0x5DCC39D710F48BB9],
+    }.get(w, [])
+    for k in cases:
+        with pytest.raises(
+            TooLarge, match=r"^64 atoms exceed the bound 16 for overlapping translates$"
+        ):
+            covering_number(tg, k, (1 << w) - 1)
+
+def test_covering_number_atom_cap():
+    """At MAX_TABLE_ATOMS = 16 atoms an overlapping U is counted; past it,
+    it is refused even for the empty K, so before the recurrence visits
+    any remainder.  A U whose translates tile G/N, N or G, is counted
+    past the cap."""
+    z16 = FiniteTopGroup(cyclic(16), 0b1)
+    assert covering_number(z16, (1 << 16) - 1, 0b111) == 6
+    z17 = FiniteTopGroup(cyclic(17), 0b1)
+    every = (1 << 17) - 1
+    for k in (0, 0b1, every):
+        with pytest.raises(
+            TooLarge, match=r"^17 atoms exceed the bound 16 for overlapping translates$"
+        ):
+            covering_number(z17, k, 0b11)
+    assert covering_number(z17, every, 0b1) == 17
+    assert covering_number(z17, every, every) == 1
 
 @pytest.mark.parametrize(
     "group",
