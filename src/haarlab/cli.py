@@ -434,22 +434,28 @@ def cmd_fubini(data, opts):
 def cmd_plane(data, opts):
     _require_keys(data, {"intervals", "shift", "eps"}, {"intervals"}, "input")
     e = load_cylinder(data["intervals"])
-    results = {"base": intervals_json(e)}
-    mass = plane_mod.haar_v(e)
-    results["mass"] = frac_str(mass)
-    ok = True
+    given = []  # the rationals besides e that enter the report's rationals
     if "shift" in data:
         shift = data["shift"]
         if not isinstance(shift, list) or len(shift) != 2:
             raise InputError("shift must be a pair of rationals")
         a, b = (parse_frac(s) for s in shift)
+        given.append(a)
+    if "eps" in data:
+        eps = parse_frac(data["eps"])
+        given.append(eps)
+    plane_mod.check_budget(e, *given)
+    results = {"base": intervals_json(e)}
+    mass = plane_mod.haar_v(e)
+    results["mass"] = frac_str(mass)
+    ok = True
+    if "shift" in data:
         moved = plane_mod.translate_v(e, a, b)
         results["shifted"] = intervals_json(moved)
         moved_mass = plane_mod.haar_v(moved)
         results["shifted_mass"] = frac_str(moved_mass)
         ok = moved_mass == mass
     if "eps" in data:
-        eps = parse_frac(data["eps"])
         inner, outer = plane_mod.regularity_gap(e, eps)
         results["inner"] = intervals_json(inner)
         inner_mass = plane_mod.haar_v(inner)

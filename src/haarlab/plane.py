@@ -10,6 +10,7 @@ the unit square UNIT_SIDE x UNIT_SIDE listed by their offsets, and an
 independent verifier for it.
 """
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -64,6 +65,59 @@ class IntervalUnion(Record):
             else:
                 merged.append(iv)
         self._assign(tuple(merged))
+
+
+#: Most merged intervals a checked base may have.  At the cap, 256
+#: intervals of 1,000-character endpoints with a shift and an eps make a
+#: `plane` report of 5 MB in about 0.4 s.
+MAX_INTERVALS = 256
+
+#: Python converts an int of at most 4,300 digits to text by default, and
+#: every int below 2^14284 has at most 4,300 digits: 2^14284 < 10^4300.
+MAX_REPORT_BITS = 14284
+
+BUDGET_TEXT = (
+    f"plane input exceeds the budget of {MAX_INTERVALS} merged intervals "
+    "and 4300-digit report rationals"
+)
+
+
+def check_budget(e: IntervalUnion, *rationals) -> None:
+    """Refuse with TooLarge a base e, and the other rationals of a `plane`
+    input (its shift and eps), whose masses, translates or regularity gaps
+    could hold a numerator or denominator of more than 4,300 digits, or a
+    base of more than MAX_INTERVALS merged intervals.  Only denominators
+    are multiplied and only bit lengths compared: it sums no interval.
+
+    Let L be the lcm of the denominators of e's endpoints and the
+    rationals, and M = 2·max(m, 1)·L for m merged intervals.  Every
+    rational derived from them has a denominator dividing M: the endpoints
+    of e and of its translate, the masses that sum their lengths,
+    `regularity_gap`'s δ = eps/2m, its midpoints, and the m = 0 outer base
+    [0, eps/2].  (M and not lcm(L, 2m): eps = 1/2 with m = 1 gives
+    δ = 1/4.)  With A the largest magnitude given, every such rational is
+    at most 3A in magnitude (a translate's endpoint 2A, the outer mass the
+    span of e plus eps), and A < 2^b for b the largest of
+    numerator.bit_length() - denominator.bit_length() + 1.  So each
+    numerator and denominator is below 2^(b + 2) · M, and a bit length of
+    b + 2 + M.bit_length() within MAX_REPORT_BITS keeps them within 4,300
+    digits.  L is built one lcm at a time and the check stops as soon as
+    M alone passes the budget."""
+    m = len(e.intervals)
+    if m > MAX_INTERVALS:
+        raise TooLarge(BUDGET_TEXT)
+    values = [*rationals]
+    for iv in e.intervals:
+        values += (iv.lo, iv.hi)
+    lcm, b, twice_m = 1, 0, 2 * max(m, 1)
+    for x in values:
+        den = x.denominator
+        lcm = math.lcm(lcm, den)
+        b = max(b, x.numerator.bit_length() - den.bit_length() + 1)
+        if (twice_m * lcm).bit_length() > MAX_REPORT_BITS:
+            raise TooLarge(BUDGET_TEXT)
+    if b + 2 + (twice_m * lcm).bit_length() > MAX_REPORT_BITS:
+        raise TooLarge(BUDGET_TEXT)
 
 
 def haar_v(e: IntervalUnion) -> Fraction:

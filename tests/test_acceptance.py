@@ -4,10 +4,7 @@ Every numeric check is an exact rational equality unless the criterion
 itself states a bound (the runtime budget in criterion 1).
 """
 
-import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -40,7 +37,7 @@ from haarlab import (
 )
 from haarlab.topology import TOPOLOGY_COUNTS, bit_indices
 
-from conftest import brute_force_covering_count, random_fraction, src_env, write_fresh
+from conftest import brute_force_covering_count, random_fraction, src_env
 from literal import closed_sets, opens
 
 
@@ -268,7 +265,7 @@ def test_criterion_9_riesz(corpus_instances, verdict):
     verdict(9, ok, "riesz_check agrees with measure equality over 20 random Radon measures per instance")
 
 
-def test_criterion_10_determinism(tmp_path, verdict):
+def test_criterion_10_determinism(tmp_path, child, verdict):
     inputs = {
         "enumerate": {"group": {"family": "cyclic", "params": {"n": 4}}},
         "verify-haar": {
@@ -284,21 +281,11 @@ def test_criterion_10_determinism(tmp_path, verdict):
     }
     ok = True
     for command, payload in inputs.items():
-        in_path = tmp_path / f"{command}.json"
-        write_fresh(in_path, json.dumps(payload))
         reports = []
         for run_id, seed in enumerate(("0", "31337")):
             out_path = tmp_path / f"{command}-{run_id}.json"
             env = src_env(PYTHONHASHSEED=seed)
-            proc = subprocess.run(
-                [
-                    sys.executable, "-m", "haarlab.cli", command,
-                    "--input", str(in_path), "--output", str(out_path),
-                ],
-                capture_output=True,
-                env=env,
-            )
-            if proc.returncode != 0:
+            if child(command, payload, "--output", str(out_path), env=env).returncode != 0:
                 ok = False
             reports.append(out_path.read_bytes())
         if reports[0] != reports[1]:

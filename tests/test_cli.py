@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import os
@@ -16,25 +15,8 @@ from haarlab import cli, groups, measure, plane
 from haarlab.errors import InternalInconsistency, TooLarge
 from haarlab.topology import FiniteSpace, bit_indices
 
-from conftest import SRC, src_env, write_fresh
+from conftest import CLI, SRC, python_child, run_python, src_env
 from literal import closed_sets, opens
-
-
-def run_cli(tmp_path, command, payload, *extra, name="input.json"):
-    """Run the CLI on payload, written as JSON, or as is when it is bytes."""
-    path = tmp_path / name
-    write_fresh(path, payload if isinstance(payload, bytes) else json.dumps(payload))
-    proc = subprocess.run(
-        [sys.executable, "-m", "haarlab.cli", command, "--input", str(path), *extra],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-    )
-    try:
-        report = json.loads(proc.stdout)
-    except json.JSONDecodeError:
-        report = None
-    return proc, report
 
 
 Z4_COSET = {
@@ -43,111 +25,96 @@ Z4_COSET = {
 }
 
 
-def test_verify_haar_pass(tmp_path):
+def test_verify_haar_pass(in_process):
     payload = dict(Z4_COSET, measure={"atom_masses": ["1/1", "1/1"]})
-    proc, report = run_cli(tmp_path, "verify-haar", payload)
+    proc = in_process("verify-haar", payload)
     assert proc.returncode == 0
+    report = proc.report
     assert report["passed"] is True
     assert report["results"]["is_haar"] is True
     assert report["schema_version"] == "1"
 
-def test_verify_haar_fail_with_witness(tmp_path):
+def test_verify_haar_fail_with_witness(in_process):
     payload = dict(Z4_COSET, measure={"atom_masses": ["1/1", "2/1"]})
-    proc, report = run_cli(tmp_path, "verify-haar", payload)
+    proc = in_process("verify-haar", payload)
     assert proc.returncode == 1
-    assert report["passed"] is False
-    w = report["results"]["witnesses"][0]
+    assert proc.report["passed"] is False
+    w = proc.report["results"]["witnesses"][0]
     assert w["set"] == [0, 2]
     assert w["element"] == 1
 
-def test_counterexample_zero_mass(tmp_path):
-    proc, report = run_cli(tmp_path, "counterexample", {"c": "0/1"})
+def test_counterexample_zero_mass(in_process):
+    proc = in_process("counterexample", {"c": "0/1"})
     assert proc.returncode == 0
-    assert report["results"]["verdict"] == "NonzeroViolated"
-    assert report["results"]["verified"] is True
+    assert proc.report["results"]["verdict"] == "NonzeroViolated"
+    assert proc.report["results"]["verified"] is True
 
-def test_counterexample_probe_bound_flag(tmp_path):
-    proc, report = run_cli(
-        tmp_path, "counterexample", {"c": "1/1"}, "--probe-bound", "10/1"
-    )
+def test_counterexample_probe_bound_flag(in_process):
+    proc = in_process("counterexample", {"c": "1/1"}, "--probe-bound", "10/1")
     assert proc.returncode == 0
-    assert report["results"]["verdict"] == "FinitenessViolated"
-    assert report["results"]["translate_count"] == 11
+    assert proc.report["results"]["verdict"] == "FinitenessViolated"
+    assert proc.report["results"]["translate_count"] == 11
 
-def test_empty_probe_bound_flag_exits_2(tmp_path):
+def test_empty_probe_bound_flag_exits_2(in_process):
     # an empty flag is a bad rational, as an empty "probe_bound" is
-    proc, report = run_cli(
-        tmp_path, "counterexample", {"c": "1/1"}, "--probe-bound", ""
-    )
-    assert (proc.returncode, proc.stderr) == (2, "")
-    assert sorted(report) == ["command", "error", "schema_version"]
-    assert report["error"].startswith("bad rational ''")
+    proc = in_process("counterexample", {"c": "1/1"}, "--probe-bound", "")
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert sorted(proc.report) == ["command", "error", "schema_version"]
+    assert proc.report["error"].startswith("bad rational ''")
 
-def test_input_probe_bound_is_checked_under_the_flag(tmp_path):
+def test_input_probe_bound_is_checked_under_the_flag(in_process):
     """The flag takes the place of the input's probe_bound, which must
     still be a rational."""
     payload = {"c": "1/2", "probe_bound": "banana"}
-    proc, report = run_cli(tmp_path, "counterexample", payload, "--probe-bound", "1")
+    proc = in_process("counterexample", payload, "--probe-bound", "1")
     assert proc.returncode == 2
-    assert report["error"] == "bad rational 'banana': Invalid literal for Fraction: 'banana'"
-    payload = {"c": "1/1", "probe_bound": "2"}
-    proc, report = run_cli(tmp_path, "counterexample", payload, "--probe-bound", "10/1")
-    assert proc.returncode == 0
-    assert report["results"]["translate_count"] == 11
-
-def test_enumerate_z4(tmp_path):
-    proc, report = run_cli(
-        tmp_path, "enumerate", {"group": {"family": "cyclic", "params": {"n": 4}}}
+    assert proc.report["error"] == (
+        "bad rational 'banana': Invalid literal for Fraction: 'banana'"
     )
+    payload = {"c": "1/1", "probe_bound": "2"}
+    proc = in_process("counterexample", payload, "--probe-bound", "10/1")
     assert proc.returncode == 0
-    topos = report["results"]["topologies"]
+    assert proc.report["results"]["translate_count"] == 11
+
+def test_enumerate_z4(in_process):
+    proc = in_process("enumerate", {"group": {"family": "cyclic", "params": {"n": 4}}})
+    assert proc.returncode == 0
+    topos = proc.report["results"]["topologies"]
     assert len(topos) == 3
     assert all(t["haar_dimension"] == 1 for t in topos)
 
-def test_enumerate_custom_table(tmp_path):
-    payload = {"group": {"order": 2, "table": [[0, 1], [1, 0]]}}
-    proc, report = run_cli(tmp_path, "enumerate", payload)
+def test_enumerate_custom_table(in_process):
+    proc = in_process("enumerate", {"group": {"order": 2, "table": [[0, 1], [1, 0]]}})
     assert proc.returncode == 0
-    assert len(report["results"]["topologies"]) == 2
+    assert len(proc.report["results"]["topologies"]) == 2
 
-def test_construct_examples(tmp_path):
-    payload = dict(Z4_COSET, k0=[0, 2])
-    proc, report = run_cli(tmp_path, "construct", payload)
+def test_construct_examples(in_process):
+    proc = in_process("construct", dict(Z4_COSET, k0=[0, 2]))
     assert proc.returncode == 0
-    assert report["results"]["measure"] == ["1/1", "1/1"]
-    assert report["results"]["canonical_scalar"] == "1/1"
-    payload = dict(Z4_COSET, k0=[0, 1, 2, 3])
-    proc, report = run_cli(tmp_path, "construct", payload)
+    assert proc.report["results"]["measure"] == ["1/1", "1/1"]
+    assert proc.report["results"]["canonical_scalar"] == "1/1"
+    proc = in_process("construct", dict(Z4_COSET, k0=[0, 1, 2, 3]))
     assert proc.returncode == 0
-    assert report["results"]["canonical_scalar"] == "1/2"
+    assert proc.report["results"]["canonical_scalar"] == "1/2"
 
-def test_quotient(tmp_path):
-    proc, report = run_cli(tmp_path, "quotient", dict(Z4_COSET))
+def test_quotient(in_process):
+    proc = in_process("quotient", dict(Z4_COSET))
     assert proc.returncode == 0
-    r = report["results"]
+    r = proc.report["results"]
     assert r["quotient_order"] == 2
     assert r["projection"] == [0, 1, 0, 1]
     assert r["pullback_roundtrip_ok"] is True
 
-def test_counterexample_verifies_once(tmp_path, monkeypatch):
-    path = tmp_path / "in.json"
-    write_fresh(path, json.dumps({"c": "1/3", "probe_bound": "10/1"}))
-    out = tmp_path / "out.json"
-    verdicts = []
-    verify = plane.verify_bk_certificate
-
-    def counting_verify(cert):
-        verdicts.append(verify(cert))
-        return verdicts[-1]
-
-    monkeypatch.setattr(plane, "verify_bk_certificate", counting_verify)
-    argv = ["counterexample", "--input", str(path), "--output", str(out)]
-    assert cli.run(argv) == 0
-    assert verdicts == [True]
+def test_counterexample_verifies_once(in_process, count_calls, monkeypatch):
+    verdicts = count_calls(plane, "verify_bk_certificate")
+    payload = {"c": "1/3", "probe_bound": "10/1"}
+    assert in_process("counterexample", payload).returncode == 0
+    assert [call.result for call in verdicts] == [True]
     # a certificate that fails verification is reported, with exit 1
     monkeypatch.setattr(plane, "verify_bk_certificate", lambda cert: False)
-    assert cli.run(argv) == 1
-    assert json.loads(out.read_text())["results"]["verified"] is False
+    proc = in_process("counterexample", payload)
+    assert proc.returncode == 1
+    assert proc.report["results"]["verified"] is False
 
 class UnlistedStep(Fraction):
     """A certificate step that refuses to make a tile offset from it."""
@@ -157,9 +124,10 @@ class UnlistedStep(Fraction):
 
     __rmul__ = __add__ = __radd__ = __mul__
 
-def test_counterexample_over_listing_cap(tmp_path, monkeypatch):
+def test_counterexample_over_listing_cap(in_process, monkeypatch):
     build = plane.counterexample_bk
 
+    # rebuilds the certificate around a step that refuses arithmetic
     def unlisted(c, probe_bound):
         cert = build(c, probe_bound)
         fields = dict(zip(cert._fields, cert._values()), step=UnlistedStep(cert.step))
@@ -172,46 +140,41 @@ def test_counterexample_over_listing_cap(tmp_path, monkeypatch):
     assert plane.verify_bk_certificate(cert)
     # the CLI rejects the listing before building an offset
     payload = {"c": "1/1000000000000", "probe_bound": "1/1"}
-    path = tmp_path / "in.json"
-    write_fresh(path, json.dumps(payload))
-    out = tmp_path / "out.json"
-    assert cli.run(["counterexample", "--input", str(path), "--output", str(out)]) == 2
-    assert json.loads(out.read_text())["error"] == (
-        "TooLarge: 1000000000001 tiles exceeds the listing cap 131072"
-    )
+    want = {
+        "schema_version": "1",
+        "command": "counterexample",
+        "error": "TooLarge: 1000000000001 tiles exceeds the listing cap 131072",
+    }
+    proc = in_process("counterexample", payload)
+    assert (proc.returncode, proc.stderr, proc.report) == (2, b"", want)
     monkeypatch.undo()
-    proc, report = run_cli(tmp_path, "counterexample", payload)
-    assert proc.returncode == 2 and proc.stderr == ""
-    assert set(report) == {"schema_version", "command", "error"}
+    proc = in_process("counterexample", payload)
+    assert (proc.returncode, proc.stderr, proc.report) == (2, b"", want)
 
-def test_counterexample_listing_builds_three_fractions_per_tile(tmp_path, monkeypatch):
+def test_counterexample_listing_builds_three_fractions_per_tile(in_process, count_calls):
     """Listing a certificate builds at most 3 Fractions per tile: the
     1,000-tile report builds at most 3 * 999 more than the one-tile report
-    of the same mass.  A count of constructions, not a timing."""
-    new = Fraction.__new__
-    built = 0
+    of the same mass.  A count of constructions, not a timing.
 
-    def counting_new(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
-        return new(cls, *args, **kwargs)
+    counterexample's heaviest input under the caps is c = 1 with probe
+    bound 131071: 131,072 tiles, `plane.MAX_LISTED_TILES`, all listed.
+    Its work is one certificate, an O(1) verification and a listing linear
+    in the tile count, so this bound covers it: at most 3 * 131,071
+    Fractions past the one-tile report."""
+    built = count_calls(Fraction, "__new__")
 
     def fractions_built(probe_bound, tiles):
-        nonlocal built
-        path, out = tmp_path / "in.json", tmp_path / "out.json"
-        write_fresh(path, json.dumps({"c": "1", "probe_bound": probe_bound}))
-        built = 0
-        with monkeypatch.context() as m:
-            m.setattr(Fraction, "__new__", staticmethod(counting_new))
-            code = cli.run(["counterexample", "--input", str(path), "--output", str(out)])
-        assert code == 0
-        assert json.loads(out.read_text())["results"]["translate_count"] == tiles
-        return built
+        built.clear()
+        proc = in_process("counterexample", {"c": "1", "probe_bound": probe_bound})
+        assert proc.returncode == 0
+        n = len(built)
+        assert proc.report["results"]["translate_count"] == tiles
+        return n
 
     one = fractions_built("1/2", 1)
     assert fractions_built("999", 1000) - one <= 3 * 999
 
-def test_fubini(tmp_path):
+def test_fubini(in_process):
     payload = {
         "group1": dict(Z4_COSET),
         "group2": {
@@ -219,19 +182,19 @@ def test_fubini(tmp_path):
             "topology": {"normal_subgroup": [0]},
         },
     }
-    proc, report = run_cli(tmp_path, "fubini", payload)
+    proc = in_process("fubini", payload)
     assert proc.returncode == 0
-    assert all(c["equal"] for c in report["results"]["checks"])
+    assert all(c["equal"] for c in proc.report["results"]["checks"])
 
-def test_plane(tmp_path):
+def test_plane(in_process):
     payload = {
         "intervals": [{"lo": "0/1", "hi": "1/1", "lo_closed": False, "hi_closed": False}],
         "shift": ["3/1", "-7/1"],
         "eps": "1/10",
     }
-    proc, report = run_cli(tmp_path, "plane", payload)
+    proc = in_process("plane", payload)
     assert proc.returncode == 0
-    r = report["results"]
+    r = proc.report["results"]
     assert r["mass"] == "1/1"
     assert r["shifted_mass"] == "1/1"
     assert r["inner"] == [
@@ -241,41 +204,31 @@ def test_plane(tmp_path):
         {"lo": "-1/20", "hi": "21/20", "lo_closed": False, "hi_closed": False}
     ]
 
-def test_plane_inner_midpoint(tmp_path):
+def test_plane_inner_midpoint(in_process):
     """An eps wider than an open interval collapses its inner interval to
     the midpoint; both masses stay within eps, so the report passes."""
-    path, out = tmp_path / "in.json", tmp_path / "out.json"
     payload = {
         "intervals": [{"lo": "0", "hi": "1", "lo_closed": False, "hi_closed": False}],
         "eps": "10",
     }
-    write_fresh(path, json.dumps(payload))
-    assert cli.run(["plane", "--input", str(path), "--output", str(out)]) == 0
-    r = json.loads(out.read_text())["results"]
+    proc = in_process("plane", payload)
+    assert proc.returncode == 0
+    r = proc.report["results"]
     assert r["inner"] == [{"lo": "1/2", "hi": "1/2", "lo_closed": True, "hi_closed": True}]
     assert r["inner_mass"] == "0/1"
     assert r["outer"] == [{"lo": "-5/1", "hi": "6/1", "lo_closed": False, "hi_closed": False}]
     assert r["outer_mass"] == "11/1"
 
-def test_plane_computes_each_mass_once(tmp_path, monkeypatch):
+def test_plane_computes_each_mass_once(in_process, count_calls):
     """With a shift and an eps, `plane` reports four masses (base, shifted,
     inner and outer) and calls haar_v at most once for each."""
-    haar_v = plane.haar_v
-    calls = 0
-
-    def counting_haar_v(e):
-        nonlocal calls
-        calls += 1
-        return haar_v(e)
-
-    monkeypatch.setattr(plane, "haar_v", counting_haar_v)
-    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    calls = count_calls(plane, "haar_v")
     payload = {"intervals": [{"lo": "0", "hi": "1"}, {"lo": "2", "hi": "5/2"}],
                "shift": ["1/3", "0"], "eps": "1/10"}
-    write_fresh(path, json.dumps(payload))
-    assert cli.run(["plane", "--input", str(path), "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["results"]["mass"] == "3/2"
-    assert calls <= 4
+    proc = in_process("plane", payload)
+    assert proc.returncode == 0
+    assert proc.report["results"]["mass"] == "3/2"
+    assert len(calls) <= 4
 
 
 # Normal subgroup counts: divisors of 24 and 64; Z2xZ16 has 10 cyclic
@@ -301,10 +254,10 @@ LARGE_GROUPS = [
 @pytest.mark.parametrize(
     "group,order,n_normal", LARGE_GROUPS, ids=["Z24", "Z2xZ16", "Z64"]
 )
-def test_more_than_16_atoms(tmp_path, group, order, n_normal):
-    proc, report = run_cli(tmp_path, "enumerate", {"group": group})
-    assert proc.returncode == 0 and proc.stderr == ""
-    topos = report["results"]["topologies"]
+def test_more_than_16_atoms(in_process, group, order, n_normal):
+    proc = in_process("enumerate", {"group": group})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    topos = proc.report["results"]["topologies"]
     assert len(topos) == n_normal
     assert len({tuple(t["normal_subgroup"]) for t in topos}) == n_normal
     for t in topos:
@@ -313,23 +266,23 @@ def test_more_than_16_atoms(tmp_path, group, order, n_normal):
     # the discrete topology has one atom per element, more than 16: the
     # quotient is G itself and every translate check passes
     base = {"group": group, "topology": {"normal_subgroup": [0]}}
-    proc, report = run_cli(tmp_path, "quotient", base)
-    assert proc.returncode == 0 and proc.stderr == ""
-    results = report["results"]
+    proc = in_process("quotient", base)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    results = proc.report["results"]
     assert results["atoms"] == [[x] for x in range(order)]
     assert results["quotient_order"] == order
     assert results["projection"] == list(range(order))
     assert results["pushforward_masses"] == ["1/1"] * order
     assert results["pullback_roundtrip_ok"] and results["pushforward_is_haar"]
     payload = dict(base, measure={"atom_masses": ["1/1"] * order})
-    proc, report = run_cli(tmp_path, "verify-haar", payload)
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert report["results"]["is_haar"] and report["results"]["witnesses"] == []
+    proc = in_process("verify-haar", payload)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.report["results"]["is_haar"] and proc.report["results"]["witnesses"] == []
     # past 6 atoms the covering table is truncated to the atoms and G
     # against {0} and G; covering G by singletons takes all of them
-    proc, report = run_cli(tmp_path, "construct", dict(base, k0=[0]))
-    assert proc.returncode == 0 and proc.stderr == ""
-    results = report["results"]
+    proc = in_process("construct", dict(base, k0=[0]))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    results = proc.report["results"]
     assert results["measure"] == ["1/1"] * order
     assert results["canonical_scalar"] == "1/1"
     assert results["table_truncated"] is True
@@ -341,67 +294,53 @@ def test_more_than_16_atoms(tmp_path, group, order, n_normal):
     ]
 
 
-def test_quotient_atom_cap_checked_before_quotient(tmp_path, capsys):
+def test_quotient_atom_cap_checked_before_quotient(in_process):
     """No atom cap stands before the quotient: a discrete cyclic group past
     16 atoms gets its quotient, and the pushforward of the canonical
     measure is Haar on it."""
-    path = tmp_path / "input.json"
     for n in (17, 24, 64):
         payload = {
             "group": {"family": "cyclic", "params": {"n": n}},
             "topology": {"normal_subgroup": [0]},
         }
-        write_fresh(path, json.dumps(payload))
-        assert cli.run(["quotient", "--input", str(path)]) == 0
-        results = json.loads(capsys.readouterr().out)["results"]
+        proc = in_process("quotient", payload)
+        assert proc.returncode == 0
+        results = proc.report["results"]
         assert results["quotient_order"] == n
         assert results["pushforward_masses"] == ["1/1"] * n
         assert results["pushforward_is_haar"] is True
 
 
-def test_fubini_atom_cap(tmp_path, capsys):
+def test_fubini_atom_cap(in_process):
     """A factor past 16 atoms is checked like any other: Z24 x Z2, under
     the order cap, in both orders, gives 48 equal iterated integrals."""
     z24 = {"group": {"family": "cyclic", "params": {"n": 24}}, "topology": {"normal_subgroup": [0]}}
     z2 = {"group": {"family": "cyclic", "params": {"n": 2}}, "topology": {"normal_subgroup": [0]}}
-    path = tmp_path / "input.json"
     for payload in ({"group1": z24, "group2": z2}, {"group1": z2, "group2": z24}):
-        write_fresh(path, json.dumps(payload))
-        assert cli.run(["fubini", "--input", str(path)]) == 0
-        checks = json.loads(capsys.readouterr().out)["results"]["checks"]
+        proc = in_process("fubini", payload)
+        assert proc.returncode == 0
+        checks = proc.report["results"]["checks"]
         assert len(checks) == 48
         assert all(
             c["equal"] and c["lhs"] == c["rhs"] == "1/1" for c in checks
         )
 
 
-def test_fubini_worst_case_counters(tmp_path, capsys, monkeypatch):
+def test_fubini_worst_case_counters(in_process, count_calls):
     """Counter bound at the order cap: fubini on discrete Z8 x discrete Z8
     checks each of its 64 product atoms once, and lists the product atoms
     once for the command and once in each check."""
-    calls = {"fubini_check": 0, "product_cells": 0}
-
-    def counting(name):
-        method = getattr(measure, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return method(*args)
-
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(measure, name, counting(name))
+    checks = count_calls(measure, "fubini_check")
+    cells = count_calls(measure, "product_cells")
     z8 = {"group": {"family": "cyclic", "params": {"n": 8}}, "topology": {"normal_subgroup": [0]}}
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps({"group1": z8, "group2": z8}))
-    assert cli.run(["fubini", "--input", str(path)]) == 0
-    assert len(json.loads(capsys.readouterr().out)["results"]["checks"]) == 64
-    assert calls["fubini_check"] == 64
-    assert calls["product_cells"] <= 65
+    proc = in_process("fubini", {"group1": z8, "group2": z8})
+    assert proc.returncode == 0
+    assert len(proc.report["results"]["checks"]) == 64
+    assert len(checks) == 64
+    assert len(cells) <= 65
 
 
-def test_verify_haar_witness_past_16_atoms(tmp_path, capsys):
+def test_verify_haar_witness_past_16_atoms(in_process):
     """A perturbed measure on discrete Z64 fails with the first light atom
     that translation by 1 moves onto the heavy atom 40, on both sides."""
     masses = ["1/1"] * 64
@@ -411,10 +350,9 @@ def test_verify_haar_witness_past_16_atoms(tmp_path, capsys):
         "topology": {"normal_subgroup": [0]},
         "measure": {"atom_masses": masses},
     }
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps(payload))
-    assert cli.run(["verify-haar", "--input", str(path)]) == 1
-    results = json.loads(capsys.readouterr().out)["results"]
+    proc = in_process("verify-haar", payload)
+    assert proc.returncode == 1
+    results = proc.report["results"]
     assert not results["left_invariant"] and not results["right_invariant"]
     assert results["witnesses"] == [
         {"kind": "left", "set": [39], "element": 1},
@@ -425,39 +363,20 @@ def test_verify_haar_witness_past_16_atoms(tmp_path, capsys):
 def table_spec(group):
     return {"order": group.order, "table": [list(r) for r in group.table]}
 
-def test_partition_once_per_top_group(corpus, monkeypatch):
+def test_partition_once_per_top_group(corpus, count_calls):
     """Counter bound: the partition is built once per topological group, and
     N, the atoms and the representatives are all read from it.  Every
     FiniteTopGroup that enumerate, quotient, construct and verify-haar
     build, quotients included, computes _partition exactly once, and no
-    closure runs inside it: the atoms are the distinct minimal opens."""
-    built, calls = [], []
-    closures = {"active": False, "inside": 0}
-    init, partition = groups.FiniteTopGroup.__init__, groups.FiniteTopGroup._partition.func
-    closure = FiniteSpace.closure
+    closure runs inside it (nor anywhere else in these commands): the
+    atoms are the distinct minimal opens."""
+    built = count_calls(groups.FiniteTopGroup, "__init__")
+    calls = count_calls(groups.FiniteTopGroup._partition, "func")
+    closures = count_calls(FiniteSpace, "closure")
 
-    def recording_init(self, group, n_mask):
-        init(self, group, n_mask)
-        built.append(self)
+    def selves(records):
+        return [id(call.args[0]) for call in records]
 
-    def counting_partition(self):
-        calls.append(self)
-        closures["active"] = True
-        try:
-            return partition(self)
-        finally:
-            closures["active"] = False
-
-    def counting_closure(self, mask):
-        if closures["active"]:
-            closures["inside"] += 1
-        return closure(self, mask)
-
-    prop = functools.cached_property(counting_partition)
-    prop.__set_name__(groups.FiniteTopGroup, "_partition")
-    monkeypatch.setattr(groups.FiniteTopGroup, "__init__", recording_init)
-    monkeypatch.setattr(groups.FiniteTopGroup, "_partition", prop)
-    monkeypatch.setattr(FiniteSpace, "closure", counting_closure)
     z48 = groups.cyclic(48)
     n8 = z48.generated_subgroup([6])
     cases = [(g, n) for g in corpus for n in g.normal_subgroups()] + [(z48, n8)]
@@ -467,7 +386,7 @@ def test_partition_once_per_top_group(corpus, monkeypatch):
         calls.clear()
         cli.cmd_enumerate({"group": table_spec(group)}, opts)
         assert len(calls) == len(built) == len(group.normal_subgroups())
-        assert {id(tg) for tg in calls} == {id(tg) for tg in built}
+        assert set(selves(calls)) == set(selves(built))
     for group, n_mask in cases:
         base = {"group": table_spec(group), "topology": {"normal_subgroup": list(bit_indices(n_mask))}}
         k = group.order // bin(n_mask).count("1")
@@ -480,20 +399,13 @@ def test_partition_once_per_top_group(corpus, monkeypatch):
             calls.clear()
             command(payload, opts)
             assert len(calls) == len(built) >= 1, (group.name, command.__name__)
-            assert {id(tg) for tg in calls} == {id(tg) for tg in built}
-    assert closures["inside"] == 0
+            assert set(selves(calls)) == set(selves(built))
+    assert closures == []
 
-def test_quotient_builds_two_groups(corpus, monkeypatch):
+def test_quotient_builds_two_groups(corpus, count_calls):
     """Counter bound: quotient builds exactly two groups, G and G/N, as
     pushforward and pullback read the G/N that quotient(tg) holds."""
-    built = []
-    init = groups.FiniteGroup.__init__
-
-    def recording_init(self, table, name="group"):
-        init(self, table, name)
-        built.append(name)
-
-    monkeypatch.setattr(groups.FiniteGroup, "__init__", recording_init)
+    built = count_calls(groups.FiniteGroup, "__init__")
     opts = cli.Options()
     for group in corpus:
         for n_mask in group.normal_subgroups():
@@ -505,77 +417,53 @@ def test_quotient_builds_two_groups(corpus, monkeypatch):
                 },
                 opts,
             )
-            assert built == [group.name, f"{group.name}/N"], (group.name, n_mask)
+            names = [call.args[0].name for call in built]
+            assert names == [group.name, f"{group.name}/N"], (group.name, n_mask)
 
-def test_enumerate_makes_no_normality_test(corpus, monkeypatch):
+def test_enumerate_makes_no_normality_test(corpus, count_calls):
     """Counter bound: enumerate builds no FiniteSpace, as each topology is
     stored as the normal subgroup the lattice found, whose normality the
     constructor checks in one pass per coset; and past that lattice it
     makes at most 2n translate calls per topology: one per coset builds
     the atoms."""
-    counts = {"spaces": 0, "translate": 0, "lattice": False}
-    space_init, translate = FiniteSpace.__init__, groups.FiniteGroup.translate
-    normal_subgroups = groups.FiniteGroup.normal_subgroups
-
-    def counting_space_init(self, n, min_open):
-        counts["spaces"] += 1
-        space_init(self, n, min_open)
-
-    def counting_translate(self, g, mask):
-        if not counts["lattice"]:
-            counts["translate"] += 1
-        return translate(self, g, mask)
-
-    def lattice(self):
-        counts["lattice"] = True
-        try:
-            return normal_subgroups(self)
-        finally:
-            counts["lattice"] = False
-
+    spaces = count_calls(FiniteSpace, "__init__")
+    translates = count_calls(groups.FiniteGroup, "translate")
     z2 = groups.cyclic(2)
     z2_4 = groups.direct_product(groups.direct_product(z2, z2), groups.direct_product(z2, z2))
-    monkeypatch.setattr(FiniteSpace, "__init__", counting_space_init)
-    monkeypatch.setattr(groups.FiniteGroup, "translate", counting_translate)
-    monkeypatch.setattr(groups.FiniteGroup, "normal_subgroups", lattice)
     opts = cli.Options()
     for group in [*corpus, z2_4]:
-        counts.update(spaces=0, translate=0)
-        results, _ = cli.cmd_enumerate({"group": table_spec(group)}, opts)
+        spec = {"group": table_spec(group)}
+        translates.clear()
+        cli.load_group(spec["group"]).normal_subgroups()
+        lattice = len(translates)
+        spaces.clear()
+        translates.clear()
+        results, _ = cli.cmd_enumerate(spec, opts)
         n_topologies = len(results["topologies"])
-        assert counts["spaces"] == 0, group.name
-        assert counts["translate"] <= 2 * group.order * n_topologies, group.name
+        assert spaces == [], group.name
+        assert len(translates) - lattice <= 2 * group.order * n_topologies, group.name
     assert n_topologies == 67  # (Z2)^4, abelian: one per subgroup
 
-def test_spaces_built_per_command(corpus, monkeypatch):
+def test_spaces_built_per_command(corpus, count_calls):
     """Counter bound: FiniteSpace.__init__ runs 0 times for enumerate on
     each corpus group, and, on each of its topologies given as a normal
     subgroup, 0 times for quotient, verify-haar and construct, whose
     reference set K0 is checked to be closed on the atoms."""
-    built = []
-    init = FiniteSpace.__init__
-
-    def counting_init(self, n, min_open):
-        built.append(n)
-        init(self, n, min_open)
-
-    monkeypatch.setattr(FiniteSpace, "__init__", counting_init)
+    built = count_calls(FiniteSpace, "__init__")
     for group in corpus:
-        built.clear()
         cli.cmd_enumerate({"group": table_spec(group)}, cli.Options())
         assert built == [], group.name
         for n_mask in group.normal_subgroups():
             n_points = list(bit_indices(n_mask))
             base = {"group": table_spec(group), "topology": {"normal_subgroup": n_points}}
             k = group.order // len(n_points)
-            for command, payload, want in (
-                ("quotient", base, []),
-                ("verify-haar", dict(base, measure={"atom_masses": ["1"] * k}), []),
-                ("construct", dict(base, k0=n_points), []),
+            for command, payload in (
+                ("quotient", base),
+                ("verify-haar", dict(base, measure={"atom_masses": ["1"] * k})),
+                ("construct", dict(base, k0=n_points)),
             ):
-                built.clear()
                 cli.COMMANDS[command](payload, cli.Options())
-                assert built == want, (group.name, n_mask, command)
+                assert built == [], (group.name, n_mask, command)
 
 def test_construct_never_lists_the_open_family(corpus_instances):
     """construct runs over atom selections, and its table has the sets of
@@ -638,71 +526,59 @@ def test_opens_form_matches_normal_subgroup_form(corpus_instances):
 
 # -- input errors -> exit 2 ---------------------------------------------------
 
-def test_malformed_json(tmp_path):
-    path = tmp_path / "bad.json"
-    write_fresh(path, "{not json")
-    proc = subprocess.run(
-        [sys.executable, "-m", "haarlab.cli", "verify-haar", "--input", str(path)],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-    )
+def test_malformed_json(in_process):
+    proc = in_process("verify-haar", "{not json")
     assert proc.returncode == 2
-    assert "error" in json.loads(proc.stdout)
+    assert "error" in proc.report
 
-def test_unknown_field_rejected(tmp_path):
+def test_unknown_field_rejected(in_process):
     payload = dict(Z4_COSET, measure={"atom_masses": ["1/1", "1/1"]}, bogus=1)
-    proc, report = run_cli(tmp_path, "verify-haar", payload)
+    proc = in_process("verify-haar", payload)
     assert proc.returncode == 2
-    assert "bogus" in report["error"]
+    assert "bogus" in proc.report["error"]
 
-def test_bad_rational(tmp_path):
+def test_bad_rational(in_process):
     payload = dict(Z4_COSET, measure={"atom_masses": ["1/1", "one"]})
-    proc, report = run_cli(tmp_path, "verify-haar", payload)
-    assert proc.returncode == 2
+    assert in_process("verify-haar", payload).returncode == 2
 
-def test_incompatible_topology(tmp_path):
+def test_incompatible_topology(in_process):
     payload = {
         "group": {"family": "cyclic", "params": {"n": 4}},
         "topology": {"opens": [[], [0], [0, 1, 2, 3]]},
         "measure": {"atom_masses": ["1/1"]},
     }
-    proc, report = run_cli(tmp_path, "verify-haar", payload)
+    proc = in_process("verify-haar", payload)
     assert proc.returncode == 2
-    assert "incompatible" in report["error"]
+    assert "incompatible" in proc.report["error"]
 
-def test_env_order_cap_is_ignored(tmp_path):
+def test_env_order_cap_is_ignored(child):
     """The CLI reads no environment variable: HAARLAB_MAX_ORDER=4 leaves
     enumerate on Z5 at exit 0, with the bytes of a run without it."""
-    path = tmp_path / "in.json"
-    write_fresh(path, json.dumps({"group": {"family": "cyclic", "params": {"n": 5}}}))
-    argv = [sys.executable, "-m", "haarlab.cli", "enumerate", "--input", str(path)]
+    payload = {"group": {"family": "cyclic", "params": {"n": 5}}}
     procs = [
-        subprocess.run(argv, capture_output=True, env=env)
+        child("enumerate", payload, env=env)
         for env in (src_env(), src_env(HAARLAB_MAX_ORDER="4"))
     ]
     assert [(p.returncode, p.stderr) for p in procs] == [(0, b"")] * 2
     assert procs[0].stdout == procs[1].stdout
 
 @pytest.mark.parametrize("setting", ["flag", "env"])
-def test_order_cap_stays_at_64(tmp_path, capsys, monkeypatch, setting):
+def test_order_cap_stays_at_64(in_process, count_calls, monkeypatch, setting):
     """Neither old way of raising the cap lifts it: with HAARLAB_MAX_ORDER
     at 4096, fubini on discrete Z16 x Z16, of order 256, exits 2 with the
     cap error; --max-order 4096 exits 2 as an unknown flag. Neither run
     reaches fubini_check."""
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps({"group1": DISCRETE_Z16, "group2": DISCRETE_Z16}))
-    calls = []
-    monkeypatch.setattr(measure, "fubini_check", lambda *args: calls.append(args))
+    calls = count_calls(measure, "fubini_check")
     if setting == "env":
         monkeypatch.setenv("HAARLAB_MAX_ORDER", "4096")
     flags = ["--max-order", "4096"] if setting == "flag" else []
-    assert cli.run(["fubini", "--input", str(path), *flags]) == 2
+    proc = in_process("fubini", {"group1": DISCRETE_Z16, "group2": DISCRETE_Z16}, *flags)
+    assert proc.returncode == 2
     error = {
         "env": "combined order exceeds the cap",
         "flag": "unknown flag '--max-order'",
     }[setting]
-    assert json.loads(capsys.readouterr().out) == {
+    assert proc.report == {
         "schema_version": "1",
         "command": "fubini",
         "error": error,
@@ -788,10 +664,10 @@ MALFORMED = {
 }
 
 @pytest.mark.parametrize("command,payload", MALFORMED.values(), ids=MALFORMED)
-def test_malformed_input_exits_2(tmp_path, command, payload):
-    proc, report = run_cli(tmp_path, command, payload)
-    assert proc.returncode == 2 and proc.stderr == ""
-    assert set(report) == {"schema_version", "command", "error"}
+def test_malformed_input_exits_2(in_process, command, payload):
+    proc = in_process(command, payload)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert set(proc.report) == {"schema_version", "command", "error"}
 
 FAMILY_PARAMS_ERRORS = [
     ({"family": "trivial", "params": {"x": 1}}, "trivial params: unknown fields ['x']"),
@@ -825,8 +701,9 @@ def z4_opens(*opens):
     return dict(Z4_HAAR, topology={"opens": [[], *opens, [0, 1, 2, 3]]})
 
 # 12 intervals [i + 1/q, i + 2/q], q = 10^494 + 3 + 2i: each endpoint has at
-# most 992 characters, under the cap, but the mass, the sum of the 1/q, has a
-# denominator of 5,924 digits, more than an int converts to text
+# most 992 characters, under the cap, but the mass, the sum of the 1/q, would
+# have a denominator of 5,924 digits, more than an int converts to text, so
+# plane.check_budget refuses it
 PLANE_MASS_PAST_INT_TEXT = {
     "intervals": [
         {"lo": f"{i * q + 1}/{q}", "hi": f"{i * q + 2}/{q}"}
@@ -835,6 +712,11 @@ PLANE_MASS_PAST_INT_TEXT = {
     "shift": ["1/2", "0"],
     "eps": "1/10",
 }
+
+PLANE_BUDGET_TEXT = (
+    "TooLarge: plane input exceeds the budget of 256 merged intervals and "
+    "4300-digit report rationals"
+)
 
 #: One input per precondition the library checks, and the error text of its
 #: exit-2 report.
@@ -1049,48 +931,127 @@ ERROR_TEXTS = {
     "eps_zero": (
         "plane", {"intervals": [{"lo": "0", "hi": "1"}], "eps": "0"}, "eps must be positive"
     ),
-    "plane_mass_past_int_text": (
+    "plane_mass_past_int_text": ("plane", PLANE_MASS_PAST_INT_TEXT, PLANE_BUDGET_TEXT),
+    "plane_over_interval_cap": (
         "plane",
-        PLANE_MASS_PAST_INT_TEXT,
-        "TooLarge: a rational in the report has a numerator or denominator of more than "
-        "4300 digits",
+        {"intervals": [{"lo": str(2 * i), "hi": str(2 * i + 1)} for i in range(257)]},
+        PLANE_BUDGET_TEXT,
     ),
 }
 
 @pytest.mark.parametrize("command,payload,message", ERROR_TEXTS.values(), ids=ERROR_TEXTS)
-def test_error_texts(tmp_path, capsys, command, payload, message):
+def test_error_texts(in_process, command, payload, message):
     """Each broken precondition exits 2 with exactly its error text."""
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps(payload))
-    assert cli.run([command, "--input", str(path)]) == 2
-    assert json.loads(capsys.readouterr().out) == {
+    proc = in_process(command, payload)
+    assert proc.returncode == 2
+    assert proc.report == {
         "schema_version": "1",
         "command": command,
         "error": message,
     }
 
-def test_plane_mass_past_int_text_as_process(tmp_path):
-    """The same input through `python -m haarlab.cli`: exit 2 and the same
-    report, with no traceback."""
-    proc, report = run_cli(tmp_path, "plane", PLANE_MASS_PAST_INT_TEXT)
-    assert (proc.returncode, proc.stderr) == (2, "")
-    assert report["error"] == ERROR_TEXTS["plane_mass_past_int_text"][2]
+def test_plane_refuses_over_budget_input_before_any_sum(in_process, count_calls):
+    """1,000 intervals [i + 1/q_i, i + 2/q_i], q_i = 10^494 + 3 + 2i, with
+    eps = 1/10^400: each endpoint is under the rational caps, and the
+    library calls on them once took 13.2 s before the report failed to
+    print.  plane.check_budget refuses them before any interval sum, with
+    no haar_v call, and the twelve intervals of the same shape too."""
+    sums = count_calls(plane, "haar_v")
+    payload = {
+        "intervals": [
+            {"lo": f"{i * q + 1}/{q}", "hi": f"{i * q + 2}/{q}"}
+            for i, q in ((i, 10**494 + 3 + 2 * i) for i in range(1000))
+        ],
+        "eps": f"1/{10**400}",
+    }
+    for payload in (payload, PLANE_MASS_PAST_INT_TEXT):
+        proc = in_process("plane", payload)
+        assert (proc.returncode, proc.report["error"]) == (2, PLANE_BUDGET_TEXT)
+    assert sums == []
 
-def test_rational_caps_checked_before_fraction(tmp_path, monkeypatch):
+def test_frac_str_refuses_a_rational_past_int_text():
+    """frac_str's TooLarge stays as a guard behind plane.check_budget: a
+    rational whose numerator or denominator has more than 4,300 digits
+    raises it, with a message that formats no number."""
+    for value in (Fraction(1, 10**4300), Fraction(10**4300, 3)):
+        with pytest.raises(TooLarge) as info:
+            cli.frac_str(value)
+        assert str(info.value) == (
+            "a rational in the report has a numerator or denominator of more "
+            "than 4300 digits"
+        )
+    assert cli.frac_str(Fraction(1, 10**4299)) == f"1/{10**4299}"
+
+def plane_heaviest():
+    """plane's heaviest input under the caps: plane.MAX_INTERVALS open
+    intervals whose endpoints have up to 999 characters over one 497-digit
+    denominator, a shift and an eps of about 1,000 characters over two
+    more.  The digit budget holds (L has about 6,600 bits), and the work,
+    after a sort of the input intervals, is linear in the interval count
+    with arithmetic on rationals of at most 4,300 digits."""
+    d = 10**496 + 1
+    return {
+        "intervals": [
+            {"lo": f"{2 * i * d + d // 3}/{d}", "hi": f"{2 * i * d + 2 * d // 3}/{d}",
+             "lo_closed": False, "hi_closed": False}
+            for i in range(plane.MAX_INTERVALS)
+        ],
+        "shift": [f"{10**497 + 1}/{10**498 + 3}", "0"],
+        "eps": f"1/{10**997 + 7}",
+    }
+
+def test_plane_worst_case_counters(in_process, count_calls):
+    """Counter bound on plane's heaviest input: four intervals built per
+    input interval (the base, its translate and the two gaps), and at most
+    four masses."""
+    built = count_calls(plane.Interval, "__init__")
+    sums = count_calls(plane, "haar_v")
+    proc = in_process("plane", plane_heaviest())
+    assert proc.returncode == 0
+    assert len(proc.report["results"]["outer"]) == plane.MAX_INTERVALS
+    assert len(built) <= 4 * plane.MAX_INTERVALS
+    assert len(sums) <= 4
+
+@pytest.mark.parametrize("family", [
+    {"family": "cyclic", "params": {"n": 64}}, {"family": "dihedral", "params": {"n": 32}},
+], ids=["Z64", "D32"])
+def test_verify_haar_and_quotient_worst_case_counters(in_process, count_calls, family):
+    """Counter bound on the heaviest input of verify-haar and of quotient
+    under the caps: a group of order 64 with the discrete topology, 64
+    atoms.  verify-haar builds one group and one topological group, whose
+    partition it reads once, and runs the invariance check once a side,
+    at most 64^2 comparisons each (test_is_haar_work_is_linear_in_atoms);
+    quotient builds G and G/N, and checks the pushforward on G/N the same
+    way.  The table validation is O(n^2) row reads for an order-n group."""
+    tables = count_calls(groups.FiniteGroup, "__init__")
+    top_groups = count_calls(groups.FiniteTopGroup, "__init__")
+    partitions = count_calls(groups.FiniteTopGroup._partition, "func")
+    sides = count_calls(measure, "_check_invariance")
+    base = {"group": family, "topology": {"normal_subgroup": [0]}}
+    for command, payload, want in (
+        ("verify-haar", dict(base, measure={"atom_masses": ["1"] * 64}), (1, 1, 1, 2)),
+        ("quotient", base, (2, 2, 2, 2)),
+    ):
+        for calls in (tables, top_groups, partitions, sides):
+            calls.clear()
+        proc = in_process(command, payload)
+        assert proc.returncode == 0, command
+        counts = tuple(map(len, (tables, top_groups, partitions, sides)))
+        assert counts == want, (command, counts)
+
+def test_rational_caps_checked_before_fraction(in_process, monkeypatch):
     def no_fraction(*args):
         raise AssertionError("a Fraction was built")
 
     monkeypatch.setattr(cli, "Fraction", no_fraction)
-    path = tmp_path / "in.json"
-    write_fresh(path, json.dumps({"c": "1e999999999"}))
-    out = tmp_path / "out.json"
-    argv = ["counterexample", "--input", str(path), "--output", str(out)]
-    assert cli.run(argv) == 2
-    assert json.loads(out.read_text())["error"] == (
+    proc = in_process("counterexample", {"c": "1e999999999"})
+    assert proc.returncode == 2
+    assert proc.report["error"] == (
         "bad rational '1e999999999': exponent exceeds the cap 1000"
     )
-    assert cli.run([*argv, "--probe-bound", "1/1" + "0" * 1000]) == 2
-    assert json.loads(out.read_text())["error"] == (
+    proc = in_process("counterexample", {"c": "1e999999999"}, "--probe-bound", "1/1" + "0" * 1000)
+    assert proc.returncode == 2
+    assert proc.report["error"] == (
         "bad rational: 1003 characters exceeds the cap 1000"
     )
 
@@ -1161,16 +1122,11 @@ def test_version_sensitive_spellings(text):
     else:
         assert cli.parse_frac(text) == want
 
-def counterexample_on(tmp_path, capsys, text):
-    """Exit code and report of counterexample --probe-bound 3/10 on an
-    input file whose text is given."""
-    path = tmp_path / "input.json"
-    write_fresh(path, text)
-    code = cli.run(["counterexample", "--input", str(path), "--probe-bound", "3/10"])
-    return code, json.loads(capsys.readouterr().out)
+#: The flag every JSON-number case runs counterexample with.
+PROBE_BOUND = ("--probe-bound", "3/10")
 
 @pytest.mark.parametrize("number", ["1e-400", "0.30000000000000001", "1e400"])
-def test_lossy_json_number_exits_2(tmp_path, capsys, number):
+def test_lossy_json_number_exits_2(in_process, number):
     """A JSON number whose float is another rational is refused by name:
     1e-400 loads as 0.0 and 0.30000000000000001 as 0.3, which would be
     verified in its place.  The check runs as the file loads, so it also
@@ -1181,44 +1137,53 @@ def test_lossy_json_number_exits_2(tmp_path, capsys, number):
         "not the rational written; give it as a string"
     )
     for text in (f'{{"c": {number}}}', f'{{"c": "1", "probe_bound": {number}}}'):
-        code, report = counterexample_on(tmp_path, capsys, text)
-        assert (code, report["error"]) == (2, message), text
+        proc = in_process("counterexample", text, *PROBE_BOUND)
+        assert (proc.returncode, proc.report["error"]) == (2, message), text
 
 @pytest.mark.parametrize("number", ["0.5", "1e300", "0.1", "2.5e-3", "1E+2"])
-def test_exact_json_number_is_the_rational_written(tmp_path, capsys, number):
+def test_exact_json_number_is_the_rational_written(in_process, number):
     """A JSON number whose float's repr spells the rational written is
     verified as that rational: the results are those of its string, and
     the report echoes the float."""
-    code, report = counterexample_on(tmp_path, capsys, f'{{"c": {number}}}')
-    want_code, want = counterexample_on(tmp_path, capsys, f'{{"c": "{number}"}}')
-    assert code == want_code == 0
-    assert report["results"] == want["results"]
-    assert report["inputs"] == {"c": float(number)}
+    proc = in_process("counterexample", f'{{"c": {number}}}', *PROBE_BOUND)
+    want = in_process("counterexample", f'{{"c": "{number}"}}', *PROBE_BOUND)
+    assert proc.returncode == want.returncode == 0
+    assert proc.report["results"] == want.report["results"]
+    assert proc.report["inputs"] == {"c": float(number)}
 
-def test_cli_import_skips_dataclasses_and_inspect(tmp_path):
-    """Neither importing the CLI nor running a command, a usage error or
-    --help loads dataclasses, inspect, argparse or gettext."""
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps(Z4_HAAR))
+#: What `import haarlab.cli` adds to the modules that importing only the
+#: standard library modules cli.py names loads: haarlab's own nine.
+HAARLAB_MODULES = [
+    "haarlab", "haarlab.cli", "haarlab.covering", "haarlab.errors", "haarlab.groups",
+    "haarlab.measure", "haarlab.plane", "haarlab.records", "haarlab.topology",
+]
+
+def test_cli_import_skips_dataclasses_and_inspect(write_input):
+    """Importing the CLI loads haarlab's own nine modules and nothing else
+    past the standard library modules cli.py imports, and neither that
+    import nor running a command, a usage error or --help loads
+    dataclasses, inspect, argparse or gettext.  A fresh interpreter
+    without site, as `setup_s` in bench/ times the import."""
+    path = write_input(Z4_HAAR)
     code = (
-        "import io, sys\n"
+        "import sys\n"
+        "import io, json, math, os, re, sys, fractions\n"
+        "stdlib = set(sys.modules)\n"
         "import haarlab.cli as cli\n"
+        "print(sorted(set(sys.modules) - stdlib))\n"
         "heavy = {'dataclasses', 'inspect', 'argparse', 'gettext'}\n"
         "loaded = [sorted(heavy & set(sys.modules))]\n"
         "out, sys.stdout = sys.stdout, io.StringIO()\n"
-        f"for argv in (['verify-haar', '--input', {str(path)!r}], ['verify-haar'], ['--help']):\n"
+        f"for argv in (['verify-haar', '--input', {path!r}], ['verify-haar'], ['--help']):\n"
         "    loaded.append((cli.run(argv), sorted(heavy & set(sys.modules))))\n"
         "sys.stdout = out\n"
         "print(loaded)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-    )
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout == "[[], (0, []), (2, []), (0, [])]\n"
+    proc = run_python("-S", "-c", code)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    added, loaded = proc.stdout.decode().splitlines()
+    assert added == repr(HAARLAB_MODULES)
+    assert loaded == "[[], (0, []), (2, []), (0, [])]"
 
 SIZE_CAP_SPECS = {
     "cyclic": {"family": "cyclic", "params": {"n": 10**9}},
@@ -1227,61 +1192,51 @@ SIZE_CAP_SPECS = {
 }
 
 @pytest.mark.parametrize("spec", SIZE_CAP_SPECS.values(), ids=SIZE_CAP_SPECS)
-def test_order_cap_checked_before_tables(spec, monkeypatch):
+def test_order_cap_checked_before_tables(spec, count_calls):
     """An order past groups.MAX_ORDER raises TooLarge before a FiniteGroup
     of that order is built; the product's factors, under the cap, are."""
-    orders = []
-    init = groups.FiniteGroup.__init__
-
-    def recording_init(self, table, *args, **kwargs):
-        orders.append(len(table))
-        init(self, table, *args, **kwargs)
-
-    monkeypatch.setattr(groups.FiniteGroup, "__init__", recording_init)
+    built = count_calls(groups.FiniteGroup, "__init__")
     with pytest.raises(TooLarge):
         cli.load_group(spec)
-    assert all(order <= groups.MAX_ORDER for order in orders)
+    assert all(len(call.args[1]) <= groups.MAX_ORDER for call in built)
 
-@pytest.mark.parametrize("readable", [True, False], ids=["success", "error"])
+#: The --input of each case: a valid one, a missing file and malformed JSON.
+UNWRITABLE_OUTPUT_INPUTS = {"success": Z4_HAAR, "error": None, "malformed": b"{not json"}
+
+@pytest.mark.parametrize(
+    "payload", UNWRITABLE_OUTPUT_INPUTS.values(), ids=UNWRITABLE_OUTPUT_INPUTS
+)
 @pytest.mark.parametrize("where", ["directory", "missing_parent"])
-def test_unwritable_output_exits_2(tmp_path, readable, where):
+def test_unwritable_output_exits_2(tmp_path, write_input, capsys, payload, where):
     """An --output that cannot be opened: an error report on stdout, exit
-    2 and no traceback, whether the command succeeded or failed."""
-    path = tmp_path / "input.json"
-    if readable:
-        write_fresh(path, json.dumps(Z4_HAAR))
+    2 and no traceback, whether the command succeeded or failed, and
+    whether its input was missing or unreadable."""
     output = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "haarlab.cli", "verify-haar",
-            "--input", str(path), "--output", str(output),
-        ],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-    )
-    assert (proc.returncode, proc.stderr) == (2, "")
-    report = json.loads(proc.stdout)
+    path = str(tmp_path / "absent.json") if payload is None else write_input(payload)
+    code = cli.run(["verify-haar", "--input", path, "--output", str(output)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    report = json.loads(out)
     assert sorted(report) == ["command", "error", "schema_version"]
     assert report["command"] == "verify-haar"
     assert report["error"].startswith("cannot write output: ")
 
-def test_empty_output_path_exits_2(tmp_path):
+def test_empty_output_path_exits_2(in_process):
     """--output "" names no file: an error report on stdout and exit 2,
     not the report on stdout with exit 0."""
-    proc, report = run_cli(tmp_path, "verify-haar", Z4_HAAR, "--output", "")
-    assert (proc.returncode, proc.stderr) == (2, "")
-    assert sorted(report) == ["command", "error", "schema_version"]
-    assert report["error"].startswith("cannot write output: ")
+    proc = in_process("verify-haar", Z4_HAAR, "--output", "")
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert sorted(proc.report) == ["command", "error", "schema_version"]
+    assert proc.report["error"].startswith("cannot write output: ")
 
-def test_report_is_streamed(tmp_path):
+def test_report_is_streamed(tmp_path, in_process):
     """Writing the 1.9 MB counterexample report of 40,960 tiles never holds
     the whole text: under 256 KiB of peak allocation into a sink that only
     counts characters."""
     payload = {"c": "1/40959", "probe_bound": "1/1"}
     out = tmp_path / "report.json"
-    proc, _ = run_cli(tmp_path, "counterexample", payload, "--output", str(out))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    proc = in_process("counterexample", payload, "--output", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     text = out.read_text(encoding="utf-8")
     report = json.loads(text)
 
@@ -1301,30 +1256,18 @@ def test_report_is_streamed(tmp_path):
     assert sink.chars == len(text) > 1_500_000
     assert peak < 256 * 1024
 
-def test_construct_bad_k0(tmp_path):
-    payload = dict(Z4_COSET, k0=[0])
-    proc, report = run_cli(tmp_path, "construct", payload)
-    assert proc.returncode == 2
+def test_construct_bad_k0(in_process):
+    assert in_process("construct", dict(Z4_COSET, k0=[0])).returncode == 2
 
 
 # -- determinism --------------------------------------------------------------
 
-def test_byte_identical_reports(tmp_path):
+def test_byte_identical_reports(tmp_path, child):
     payload = dict(Z4_COSET, measure={"atom_masses": ["1/1", "1/1"]})
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps(payload))
     outputs = []
     for seed in ("0", "1", "12345"):
         out = tmp_path / f"out-{seed}.json"
-        env = src_env(PYTHONHASHSEED=seed)
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "haarlab.cli", "verify-haar",
-                "--input", str(path), "--output", str(out),
-            ],
-            capture_output=True,
-            env=env,
-        )
+        proc = child("verify-haar", payload, "--output", str(out), env=src_env(PYTHONHASHSEED=seed))
         assert proc.returncode == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
@@ -1335,25 +1278,21 @@ def test_report_digest_is_unchanged():
     """Every report and exit code of the seed-1 benchmark rounds, byte for
     byte.  A change that alters reports on purpose updates this digest and
     says so in CHANGES.md."""
-    tool = SRC.parent / "tools" / "report_digest.py"
-    proc = subprocess.run(
-        [sys.executable, str(tool), "1"], capture_output=True, text=True
-    )
+    proc = run_python(str(SRC.parent / "tools" / "report_digest.py"), "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "42db73986d2506d74043c6f4732f83e6d4adaa27647f06016ccfa533af6f7420\n"
+        b"42db73986d2506d74043c6f4732f83e6d4adaa27647f06016ccfa533af6f7420\n"
     )
 
-def test_enumerate_z2_to_the_5_report_is_unchanged(tmp_path):
+def test_enumerate_z2_to_the_5_report_is_unchanged(tmp_path, in_process):
     """The enumerate report of (Z2)^5, 374 topologies (one per subgroup, as
     the group is abelian), byte for byte: no benchmark round has a group
     with hundreds of normal subgroups."""
     spec = {"family": "cyclic", "params": {"n": 2}}
     for _ in range(4):
         spec = {"family": "product", "params": {"factors": [spec, {"family": "cyclic", "params": {"n": 2}}]}}
-    path, out = tmp_path / "input.json", tmp_path / "report.json"
-    write_fresh(path, json.dumps({"group": spec}))
-    assert cli.run(["enumerate", "--input", str(path), "--output", str(out)]) == 0
+    out = tmp_path / "report.json"
+    assert in_process("enumerate", {"group": spec}, "--output", str(out)).returncode == 0
     report = out.read_bytes()
     assert len(json.loads(report)["results"]["topologies"]) == 374
     assert len(report) == 85578
@@ -1496,33 +1435,23 @@ def cli_inputs(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-def test_fuzz_inputs_never_crash(tmp_path, capsys, case):
+def test_fuzz_inputs_never_crash(in_process, case):
     """Any JSON under each command's keys, nested deep or holding integers
     past the digit limit, gives exit 0, 1 or 2 and a report that parses;
     exit 2 carries exactly the error report."""
     command, payload, flags = case
-    path = tmp_path / "input.json"
-    write_fresh(path, to_json(payload))
-    code = cli.run([command, "--input", str(path), *flags])
-    report = json.loads(capsys.readouterr().out)
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert set(report) == {"schema_version", "command", "error"}
+    proc = in_process(command, to_json(payload), *flags)
+    assert proc.returncode in (0, 1, 2)
+    if proc.returncode == 2:
+        assert set(proc.report) == {"schema_version", "command", "error"}
     else:
-        assert report["passed"] is (code == 0)
+        assert proc.report["passed"] is (proc.returncode == 0)
 
 
 # -- how the CLI process ends ----------------------------------------------------
 
 # 4,096 tiles: a report of about 180 kB, more than a pipe buffer holds
 BIG_REPORT = ("counterexample", {"c": "1/4095", "probe_bound": "1/1"})
-
-def in_process(tmp_path, capsys, command, payload, *extra):
-    """Exit code and report bytes of cli.run in this process."""
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps(payload))
-    code = cli.run([command, "--input", str(path), *extra])
-    return code, capsys.readouterr().out.encode()
 
 def env_buffering(unbuffered):
     """src_env with PYTHONUNBUFFERED set to 1, or unset."""
@@ -1532,56 +1461,62 @@ def env_buffering(unbuffered):
         env["PYTHONUNBUFFERED"] = "1"
     return env
 
-def child(tmp_path, command, payload, *extra, env=None):
-    """The same command as `python -m haarlab.cli` in a child process."""
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps(payload))
-    argv = [sys.executable, "-m", "haarlab.cli", command, "--input", str(path), *extra]
-    return subprocess.run(argv, capture_output=True, env=env or src_env())
-
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_large_report_arrives_whole(tmp_path, capsys, unbuffered):
-    code, want = in_process(tmp_path, capsys, *BIG_REPORT)
-    assert code == 0 and len(want) > 1 << 17
+def test_large_report_arrives_whole(tmp_path, in_process, child, unbuffered):
+    want = in_process(*BIG_REPORT)
+    assert want.returncode == 0 and len(want.stdout) > 1 << 17
     env = env_buffering(unbuffered)
-    proc = child(tmp_path, *BIG_REPORT, env=env)
-    assert proc.returncode == 0 and proc.stderr == b""
-    assert proc.stdout == want
+    proc = child(*BIG_REPORT, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want.stdout, b"")
     out = tmp_path / "out.json"
-    proc = child(tmp_path, *BIG_REPORT, "--output", str(out), env=env)
+    proc = child(*BIG_REPORT, "--output", str(out), env=env)
     assert proc.returncode == 0 and proc.stdout == proc.stderr == b""
-    assert out.read_bytes() == want
+    assert out.read_bytes() == want.stdout
 
+#: For each command, an input for each exit code it can give.  Only
+#: verify-haar has a check that an input can fail; counterexample's exit
+#: 2 is nesting past a fresh interpreter's recursion limit.
 EXIT_CASES = {
+    "enumerate_passed": ("enumerate", {"group": Z4_COSET["group"]}, 0),
+    "enumerate_malformed": ("enumerate", table_input([[0, 1], [0, 1]]), 2),
     "passed": ("verify-haar", Z4_HAAR, 0),
     "check_failed": ("verify-haar", dict(Z4_COSET, measure={"atom_masses": ["1/1", "2/1"]}), 1),
     "malformed": ("verify-haar", dict(Z4_HAAR, side="up"), 2),
+    "construct_passed": ("construct", dict(Z4_COSET, k0=[0, 2]), 0),
+    "construct_malformed": ("construct", dict(Z4_COSET, k0=[0]), 2),
+    "quotient_passed": ("quotient", Z4_COSET, 0),
+    "quotient_malformed": ("quotient", ERROR_TEXTS["subgroup_not_normal"][1], 2),
+    "counterexample_passed": ("counterexample", {"c": "1/3", "probe_bound": "2"}, 0),
+    "counterexample_malformed": ("counterexample", MALFORMED["nesting_over_recursion_limit"][1], 2),
+    "fubini_passed": ("fubini", VALID_INPUTS["fubini"][0], 0),
+    "fubini_malformed": ("fubini", ERROR_TEXTS["fubini_over_cap"][1], 2),
+    "plane_passed": ("plane", VALID_INPUTS["plane"][0], 0),
+    "plane_malformed": ("plane", PLANE_MASS_PAST_INT_TEXT, 2),
 }
 
 @pytest.mark.parametrize("command,payload,want_code", EXIT_CASES.values(), ids=EXIT_CASES)
-def test_child_exit_code_and_bytes_match_run(tmp_path, capsys, command, payload, want_code):
-    code, want = in_process(tmp_path, capsys, command, payload)
-    assert code == want_code
-    proc = child(tmp_path, command, payload)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (want_code, want, b"")
+def test_child_exit_code_and_bytes_match_run(in_process, child, command, payload, want_code):
+    """`python -m haarlab.cli` ends with the exit code of cli.run, its
+    report bytes on stdout and nothing on stderr."""
+    want = in_process(command, payload)
+    assert want.returncode == want_code
+    proc = child(command, payload)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (want_code, want.stdout, b"")
 
-def test_exception_in_handler_gives_traceback_and_exit_1(tmp_path):
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps({"c": "1/2"}))
+def test_exception_in_handler_gives_traceback_and_exit_1(write_input):
+    path = write_input({"c": "1/2"})
     code = (
         "import sys\n"
         "from haarlab import cli\n"
         "def boom(data, opts):\n"
         "    raise RuntimeError('boom')\n"
         "cli.COMMANDS['counterexample'] = boom\n"
-        f"sys.argv = ['haarlab', 'counterexample', '--input', {str(path)!r}]\n"
+        f"sys.argv = ['haarlab', 'counterexample', '--input', {path!r}]\n"
         "cli.main()\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env()
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert "Traceback" in proc.stderr and "RuntimeError: boom" in proc.stderr
+    proc = run_python("-c", code)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"Traceback" in proc.stderr and b"RuntimeError: boom" in proc.stderr
 
 #: A library call made to fail as a bug would, and an input that reaches it.
 Z2_GROUP = {"group": Z2_TABLE["group"]}
@@ -1600,7 +1535,7 @@ LIBRARY_BUGS = {
     "owner,name,error,command,payload", LIBRARY_BUGS.values(), ids=LIBRARY_BUGS
 )
 def test_library_bug_is_not_malformed_input(
-    tmp_path, monkeypatch, owner, name, error, command, payload
+    tmp_path, in_process, monkeypatch, owner, name, error, command, payload
 ):
     """A bare ValueError or KeyError, or an InternalInconsistency, from the
     library is a bug, not a malformed input: run lets it propagate, and no
@@ -1609,11 +1544,9 @@ def test_library_bug_is_not_malformed_input(
         raise error("bug")
 
     monkeypatch.setattr(owner, name, bug)
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps(payload))
     out = tmp_path / "out.json"
     with pytest.raises(error) as info:
-        cli.run([command, "--input", str(path), "--output", str(out)])
+        in_process(command, payload, "--output", str(out))
     assert type(info.value) is error and not out.exists()
 
 # Command lines outside the grammar; "P" stands for the input's path.
@@ -1638,84 +1571,74 @@ USAGE_ERRORS = {
 }
 
 @pytest.mark.parametrize("argv,command,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
-def test_usage_error_exits_2(tmp_path, argv, command, message):
+def test_usage_error_exits_2(tmp_path, write_input, capsys, argv, command, message):
     """Exit 2 with a JSON error report on stdout and nothing on stderr,
     even when the command line names an --output, which is not created."""
-    path, out = tmp_path / "input.json", tmp_path / "out.json"
-    write_fresh(path, json.dumps({"c": "1/2"}))
-    argv = [{"P": str(path), "O": str(out)}.get(a, a) for a in argv]
-    proc = subprocess.run(
-        [sys.executable, "-m", "haarlab.cli", *argv], capture_output=True, text=True, env=src_env()
-    )
-    assert (proc.returncode, proc.stderr) == (2, "")
-    report = json.loads(proc.stdout)
+    out = tmp_path / "out.json"
+    names = {"P": write_input({"c": "1/2"}), "O": str(out)}
+    assert cli.run([names.get(a, a) for a in argv]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stderr == ""
+    report = json.loads(stdout)
     assert sorted(report) == ["command", "error", "schema_version"]
     assert report["command"] == command
     assert message in report["error"]
     assert not out.exists()
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["plane", "--help"]])
-def test_help_exits_0(argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "haarlab.cli", *argv], capture_output=True, text=True, env=src_env()
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.startswith("usage: haarlab <command> --input PATH")
-    assert all(command in proc.stdout for command in cli.COMMANDS)
+def test_help_exits_0(capsys, argv):
+    assert cli.run(argv) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stderr == ""
+    assert stdout.startswith("usage: haarlab <command> --input PATH")
+    assert all(command in stdout for command in cli.COMMANDS)
 
-def test_flag_spellings_give_the_same_bytes(tmp_path):
+def test_flag_spellings_give_the_same_bytes(write_input, capsys):
     """--flag=value and --flag value, in any order; a repeated flag keeps
     its last value."""
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps({"c": "1/3"}))
+    path = write_input({"c": "1/3"})
     spellings = [
-        ["--input", str(path), "--probe-bound", "2"],
+        ["--input", path, "--probe-bound", "2"],
         [f"--input={path}", "--probe-bound=2"],
-        ["--probe-bound", "2", "--input", str(path)],
+        ["--probe-bound", "2", "--input", path],
         ["--input", "missing.json", "--probe-bound=5", f"--input={path}", "--probe-bound", "2"],
     ]
     outputs = set()
     for flags in spellings:
-        proc = subprocess.run(
-            [sys.executable, "-m", "haarlab.cli", "counterexample", *flags],
-            capture_output=True,
-            env=src_env(),
-        )
-        assert (proc.returncode, proc.stderr) == (0, b"")
-        outputs.add(proc.stdout)
+        assert cli.run(["counterexample", *flags]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""
+        outputs.add(stdout)
     assert len(outputs) == 1
     assert json.loads(outputs.pop())["results"]["translate_count"] == 7
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("big", [False, True], ids=["flush", "write"])
-def test_closed_stdout_never_exits_0(tmp_path, big, unbuffered):
+def test_closed_stdout_never_exits_0(write_input, big, unbuffered):
     """A reader that closes the pipe early: the small report fails at the
     final flush, the large one while it is written."""
     command, payload = BIG_REPORT if big else ("counterexample", {"c": "1/2"})
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps(payload))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "haarlab.cli", command, "--input", str(path)],
+    with python_child(
+        *CLI, command, "--input", write_input(payload),
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         env=env_buffering(unbuffered),
-    )
-    if big:
-        assert proc.stdout.read(100)
-    proc.stdout.close()
-    assert proc.wait(timeout=60) != 0
+    ) as proc:
+        if big:
+            assert proc.stdout.read(100)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) != 0
 
-def test_main_flushes_then_ends_with_the_code_of_run(tmp_path, capsys, monkeypatch):
+def test_main_flushes_then_ends_with_the_code_of_run(write_input, capsys, monkeypatch):
     class Exited(Exception):
         pass
 
     def fake_exit(code):
         raise Exited(code)
 
-    path = tmp_path / "input.json"
-    write_fresh(path, json.dumps(dict(Z4_COSET, measure={"atom_masses": ["1/1", "2/1"]})))
+    path = write_input(dict(Z4_COSET, measure={"atom_masses": ["1/1", "2/1"]}))
     monkeypatch.setattr(os, "_exit", fake_exit)
-    monkeypatch.setattr(sys, "argv", ["haarlab", "verify-haar", "--input", str(path)])
+    monkeypatch.setattr(sys, "argv", ["haarlab", "verify-haar", "--input", path])
     with pytest.raises(Exited) as exited:
         cli.main()
     assert exited.value.args == (1,)

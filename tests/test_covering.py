@@ -24,18 +24,14 @@ from haarlab import (
 from haarlab.errors import InputError, TooLarge
 from haarlab.topology import bit_indices, mask_of
 
-from conftest import LARGE_INSTANCES, brute_force_covering_count
+from conftest import (
+    LARGE_INSTANCES,
+    brute_force_covering_count,
+    discrete_instance,
+    z4_coset_instance,
+)
 from literal import closed_sets, literal_arc_cover, literal_set_product, opens
 
-
-def z4_coset_instance():
-    z4 = cyclic(4)
-    return FiniteTopGroup(z4, 0b0101)
-
-def discrete_instance(group):
-    return FiniteTopGroup.from_space(
-        group, FiniteSpace.from_opens(group.order, range(1 << group.order))
-    )
 
 def count(tg, k, s):
     """(K:S) for the point masks k and s, through their atom selections."""
@@ -360,33 +356,18 @@ def construct_input(tg):
         "k0": list(bit_indices(n_mask)),
     }
 
-def test_covering_work_is_bounded(corpus_instances, monkeypatch):
+def test_covering_work_is_bounded(corpus_instances, count_calls):
     """Counter bound: existence makes k + 1 covering searches, and construct
     up to 6 atoms reads exactly one table of 2^k entries per neighbourhood
     U, with no search inside the table.  Past 6 atoms construct's worst
     case, discrete Z64 with K0 = G, makes 3(k + 1) searches: k + 1 for
     existence and k + 1 for each of U = N and U = G, and reads no table."""
-    searches = tables = entries = 0
-    search, table_of = covering.covering_number, covering.covering_table
-
-    def counting_search(*args):
-        nonlocal searches
-        searches += 1
-        return search(*args)
-
-    def counting_table(*args):
-        nonlocal tables, entries
-        table = table_of(*args)
-        tables += 1
-        entries += len(table)
-        return table
-
-    monkeypatch.setattr(covering, "covering_number", counting_search)
-    monkeypatch.setattr(covering, "covering_table", counting_table)
+    searches = count_calls(covering, "covering_number")
+    tables = count_calls(covering, "covering_table")
     for tg in corpus_instances:
-        searches = 0
+        searches.clear()
         existence_via_covering(tg, identity_closure(tg))
-        assert searches == len(tg.atoms) + 1, tg.group.name
+        assert len(searches) == len(tg.atoms) + 1, tg.group.name
 
     z48 = cyclic(48)
     instances = [tg for tg in corpus_instances if len(tg.atoms) <= 6]
@@ -395,47 +376,36 @@ def test_covering_work_is_bounded(corpus_instances, monkeypatch):
     for tg in instances:
         k = len(tg.atoms)
         n_nbhds = sum(u >> tg.group.identity & 1 for u in opens(tg.space))
-        searches = tables = entries = 0
+        searches.clear()
+        tables.clear()
         results, ok = cli.cmd_construct(construct_input(tg), opts)
         assert ok and not results["table_truncated"]
-        assert searches == k + 1, tg.group.name  # all from existence
-        assert tables == n_nbhds, tg.group.name
-        assert entries == n_nbhds * 2**k, tg.group.name
+        assert len(searches) == k + 1, tg.group.name  # all from existence
+        assert len(tables) == n_nbhds, tg.group.name
+        assert sum(len(call.result) for call in tables) == n_nbhds * 2**k, tg.group.name
 
     z64 = FiniteTopGroup(cyclic(64), 0b1)
-    searches = tables = 0
+    searches.clear()
+    tables.clear()
     results, ok = cli.cmd_construct(dict(construct_input(z64), k0=list(range(64))), opts)
     assert ok and results["table_truncated"]
-    assert (searches, tables) == (3 * 65, 0)
+    assert (len(searches), len(tables)) == (3 * 65, 0)
 
 
 @pytest.mark.parametrize("n,gen", [(48, 6), (12, 0)], ids=["Z48-N8", "Z12-discrete"])
-def test_construct_checks_only_k0_on_points(monkeypatch, n, gen):
+def test_construct_checks_only_k0_on_points(count_calls, n, gen):
     """Counter bound: construct's covering runs on atom selections, so its
     only point-mask checks are those of the input k0: at most one call
     each of FiniteSpace.is_open and interior, with the full table (Z48/N8,
     6 atoms) and with the truncated one (discrete Z12)."""
-    calls = {}
-
-    def counting(name):
-        method = getattr(FiniteSpace, name)
-
-        def counted(self, mask):
-            calls[name] += 1
-            return method(self, mask)
-
-        return counted
-
-    for name in ("is_open", "interior"):
-        calls[name] = 0
-        monkeypatch.setattr(FiniteSpace, name, counting(name))
+    calls = {name: count_calls(FiniteSpace, name) for name in ("is_open", "interior")}
     group = cyclic(n)
     tg = FiniteTopGroup(group, group.generated_subgroup([gen]))
     opts = cli.Options()
     results, ok = cli.cmd_construct(construct_input(tg), opts)
     assert ok and results["table_truncated"] == (len(tg.atoms) > 6)
     assert len(tg.atoms) == {48: 6, 12: 12}[n]
-    assert all(c <= 1 for c in calls.values()), calls
+    assert all(len(c) <= 1 for c in calls.values()), calls
 
 
 def test_construct_truncated_table():

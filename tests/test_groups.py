@@ -28,22 +28,18 @@ from haarlab.errors import InputError, InternalInconsistency, TooLarge
 from haarlab.measure import product_cells
 from haarlab.topology import bit_indices, mask_of
 
-from conftest import LARGE_INSTANCES, random_fraction
+from conftest import (
+    LARGE_INSTANCES,
+    discrete_instance,
+    indiscrete_instance,
+    random_fraction,
+    z4_coset_instance,
+)
 from literal import coset_space, hausdorff, literal_associativity_error, literal_continuity
 from literal import literal_partition, opens
 from literal import literal_identity_and_inverses, literal_is_normal, literal_is_subgroup
 from literal import product_group, reference_atom_perm, reference_borel_atoms, reference_quotient
 from literal import literal_pullback, literal_pushforward
-
-
-def discrete_group(group):
-    return FiniteTopGroup.from_space(
-        group, FiniteSpace.from_opens(group.order, range(1 << group.order))
-    )
-
-def indiscrete_group(group):
-    full = (1 << group.order) - 1
-    return FiniteTopGroup.from_space(group, FiniteSpace.from_opens(group.order, [0, full]))
 
 
 # -- FiniteGroup validation and constructors ---------------------------------
@@ -253,21 +249,10 @@ def test_is_subgroup_matches_literal():
         for mask in range(1 << group.order):
             assert group.is_subgroup(mask) == literal_is_subgroup(group, mask), (group, mask)
 
-def count_generated_subgroup(monkeypatch):
-    """A counter of `generated_subgroup` calls, and of their table lookups:
-    one per member of the result and generator, |J|·|gens| per call."""
-    calls = {"n": 0, "lookups": 0}
-    generate = FiniteGroup.generated_subgroup
-
-    def counting(self, gens):
-        calls["n"] += 1
-        gens = list(gens)
-        j = generate(self, gens)
-        calls["lookups"] += j.bit_count() * len(gens)
-        return j
-
-    monkeypatch.setattr(FiniteGroup, "generated_subgroup", counting)
-    return calls
+def lookups(calls):
+    """The table lookups of the recorded `generated_subgroup` calls: one
+    per member of the result and generator, |J|·|gens| for each."""
+    return sum(call.result.bit_count() * len(call.args[1]) for call in calls)
 
 def power_of_z2(k):
     group = cyclic(2)
@@ -275,51 +260,42 @@ def power_of_z2(k):
         group = direct_product(group, cyclic(2))
     return group
 
-def test_subgroups_try_one_element_per_coset(monkeypatch):
+def test_subgroups_try_one_element_per_coset(count_calls, monkeypatch):
     """(Z2)^4, where every subgroup is normal: one join per left coset
     outside each normal subgroup h, so 1 + sum over h of (|G|/|h| - 1) =
     1 + 15 + 15*7 + 35*3 + 15 = 241 `generated_subgroup` calls, not one
     per element outside h."""
     group = power_of_z2(4)
-    calls = count_generated_subgroup(monkeypatch)
+    calls = count_calls(FiniteGroup, "generated_subgroup")
     normals = group.normal_subgroups()
-    assert calls["n"] == 1 + sum(16 // h.bit_count() - 1 for h in normals) == 241
+    assert len(calls) == 1 + sum(16 // h.bit_count() - 1 for h in normals) == 241
     monkeypatch.undo()
     assert normals == brute_force_subgroups(group)
 
-def test_normal_subgroups_worst_case_counters(monkeypatch):
+def test_normal_subgroups_worst_case_counters(count_calls):
     """Counter bound on enumerate's heaviest input, (Z2)^6: 2,825 normal
     subgroups from exactly 23,563 joins and no space built; D32, with 9
     normal subgroups among its many subgroups, takes 123 joins.  Each join
     starts from the generators its parent was joined from, not from every
     member of the parent, and its table lookups are pinned: 1,211,742 on
     (Z2)^6 and 40,110 on D32."""
-    spaces_built = 0
-    init = FiniteSpace.__init__
-
-    def counting_init(self, n, min_open):
-        nonlocal spaces_built
-        spaces_built += 1
-        init(self, n, min_open)
-
-    monkeypatch.setattr(FiniteSpace, "__init__", counting_init)
-    calls = count_generated_subgroup(monkeypatch)
+    spaces_built = count_calls(FiniteSpace, "__init__")
+    calls = count_calls(FiniteGroup, "generated_subgroup")
     for group, n_normal, n_calls, n_lookups in (
         (power_of_z2(6), 2825, 23563, 1211742), (dihedral(32), 9, 123, 40110)
     ):
-        calls.update(n=0, lookups=0)
+        calls.clear()
         normals = group.normal_subgroups()
         assert len(normals) == n_normal, group.name
-        assert calls["n"] == 1 + sum(group.order // h.bit_count() - 1 for h in normals) == n_calls
-        assert calls["lookups"] == n_lookups, group.name
-    assert spaces_built == 0
+        assert len(calls) == 1 + sum(group.order // h.bit_count() - 1 for h in normals) == n_calls
+        assert lookups(calls) == n_lookups, group.name
+    assert spaces_built == []
 
 
 # -- compatible topologies ---------------------------------------------------
 
 def test_validate_z4_coset_topology():
-    z4 = cyclic(4)
-    tg = FiniteTopGroup(z4, 0b0101)
+    tg = z4_coset_instance()
     assert identity_closure(tg) == 0b0101
 
 def test_validate_rejects_sierpinski_style_opens():
@@ -335,7 +311,7 @@ def test_from_space_refuses_a_space_on_other_points():
 
 def test_discrete_always_valid():
     for group in (cyclic(5), symmetric3(), quaternion8()):
-        discrete_group(group)
+        discrete_instance(group)
 
 def random_preorder_space(n, rng):
     """The space of the reflexive-transitive closure of a random relation,
@@ -428,9 +404,9 @@ def test_continuity_witness_fails_literally():
 
 def test_identity_closure_examples():
     z4 = cyclic(4)
-    assert identity_closure(discrete_group(z4)) == 0b0001
-    assert identity_closure(indiscrete_group(z4)) == 0b1111
-    tg = FiniteTopGroup(z4, 0b0101)
+    assert identity_closure(discrete_instance(z4)) == 0b0001
+    assert identity_closure(indiscrete_instance(z4)) == 0b1111
+    tg = z4_coset_instance()
     assert identity_closure(tg) == 0b0101
 
 def test_group_topologies_counts():
@@ -511,7 +487,7 @@ def test_subgroup_predicates_answer_false_outside_the_group(mask):
 def test_image_and_preimage_refuse_sets_outside_their_points():
     """image takes a set of the group's points, preimage a set of atom
     indices."""
-    tg = FiniteTopGroup(cyclic(4), 0b0101)
+    tg = z4_coset_instance()
     with pytest.raises(InputError, match=r"^subset 0x10 not valid for 4 points$"):
         tg.image(0b10000)
     with pytest.raises(InputError, match=r"^subset -0x1 not valid for 4 points$"):
@@ -526,8 +502,7 @@ def test_image_and_preimage_refuse_sets_outside_their_points():
 # -- quotient ----------------------------------------------------------------
 
 def test_quotient_z4_mod_n():
-    z4 = cyclic(4)
-    tg = FiniteTopGroup(z4, 0b0101)
+    tg = z4_coset_instance()
     assert quotient(tg).group.order == 2
     assert tg.atom_of == (0, 1, 0, 1)
     assert tg.atom_of[0] == tg.atom_of[2]
@@ -541,34 +516,27 @@ def test_quotient_is_built_once_per_group(corpus_instances):
 
 def test_quotient_discrete_is_identity():
     z3 = cyclic(3)
-    tg = discrete_group(z3)
+    tg = discrete_instance(z3)
     assert quotient(tg).group.order == 3
     assert tg.atom_of == (0, 1, 2)
     assert quotient(tg).group.table == z3.table
 
 def test_quotient_indiscrete_is_trivial():
-    assert quotient(indiscrete_group(cyclic(4))).group.order == 1
+    assert quotient(indiscrete_instance(cyclic(4))).group.order == 1
 
 def test_quotient_projection_open_closed_hausdorff(corpus_instances):
     # the constructor re-verifies statements (i)-(v); just exercise it
     for tg in corpus_instances:
         assert hausdorff(quotient(tg).space)
 
-def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
+def test_quotient_work_is_linear_in_order(corpus, count_calls, monkeypatch):
     """Counter bound: no closure call per quotient or per reading of the
     atoms, and no separation flag."""
-    calls = 0
-    closure = FiniteSpace.closure
-
-    def counting_closure(self, mask):
-        nonlocal calls
-        calls += 1
-        return closure(self, mask)
+    calls = count_calls(FiniteSpace, "closure")
 
     def unexpected_flag(self):
         raise AssertionError("quotient read a separation flag")
 
-    monkeypatch.setattr(FiniteSpace, "closure", counting_closure)
     for name in (
         "regular",
         "normal",
@@ -583,14 +551,14 @@ def test_quotient_work_is_linear_in_order(corpus, monkeypatch):
     for group, space in instances:
         for fn in (quotient, lambda tg: tg.atoms):
             tg = FiniteTopGroup.from_space(group, space)
-            calls = 0
+            calls.clear()
             fn(tg)
             # the atoms are the distinct minimal opens, read with no closure
-            assert calls == 0, (group.name, fn.__name__, calls)
+            assert calls == [], (group.name, fn.__name__)
 
 def test_quotient_of_hausdorff_group_is_isomorphic_copy():
     for group in (cyclic(5), symmetric3()):
-        tg = discrete_group(group)
+        tg = discrete_instance(group)
         assert tg.atom_of == tuple(range(group.order))
         assert quotient(tg).atom_of == tuple(range(group.order))
 
@@ -623,11 +591,10 @@ def test_push_pull_relabel_matches_point_level_reference(corpus_instances):
 # -- borel atoms -------------------------------------------------------------
 
 def test_borel_atoms_examples():
-    z4 = cyclic(4)
-    tg = FiniteTopGroup(z4, 0b0101)
+    tg = z4_coset_instance()
     assert tg.atoms == (0b0101, 0b1010)
-    assert discrete_group(cyclic(3)).atoms == (0b001, 0b010, 0b100)
-    assert indiscrete_group(cyclic(3)).atoms == (0b111,)
+    assert discrete_instance(cyclic(3)).atoms == (0b001, 0b010, 0b100)
+    assert indiscrete_instance(cyclic(3)).atoms == (0b111,)
 
 def test_borel_atoms_partition(corpus_instances):
     for tg in corpus_instances:
@@ -758,7 +725,7 @@ def test_selection_inverts_preimage(corpus_instances):
             assert all(tg.selection(tg.preimage(s)) == s for s in range(1 << k))
 
 def test_selection_rejects_sets_that_are_not_unions_of_atoms():
-    tg = FiniteTopGroup(cyclic(4), 0b0101)
+    tg = z4_coset_instance()
     with pytest.raises(InputError, match=r"^set 0x7 cuts atom 0xa$"):
         tg.selection(0b0111)
     # bit 4 lies past the 4 points
@@ -786,20 +753,20 @@ def test_product_cells_are_the_product_atoms(corpus_instances):
     assert direct_product(s3, trivial_group()).table == s3.table
 
 def test_product_discrete_times_indiscrete():
-    g, h = discrete_group(cyclic(2)), indiscrete_group(cyclic(2))
+    g, h = discrete_instance(cyclic(2)), indiscrete_instance(cyclic(2))
     p = product_group(g, h)
     assert identity_closure(p) == 0b0011  # {e} x Z2
     assert len(p.atoms) == 2
     assert product_cells(g, h) == [0b0011, 0b1100]
 
 def test_product_with_trivial_is_copy():
-    g = discrete_group(symmetric3())
-    p = product_group(g, discrete_group(trivial_group()))
+    g = discrete_instance(symmetric3())
+    p = product_group(g, discrete_instance(trivial_group()))
     assert p.group.table == g.group.table
     assert len(p.atoms) == 6
 
 def test_product_indiscrete_squared():
-    g = indiscrete_group(cyclic(2))
+    g = indiscrete_instance(cyclic(2))
     p = product_group(g, g)
     assert len(p.atoms) == 1
     assert opens(p.space) == (0, 0b1111)

@@ -7,7 +7,6 @@ import pytest
 from haarlab import (
     FiniteGroup,
     FiniteMeasure,
-    FiniteSpace,
     FiniteTopGroup,
     PointFunction,
     canonical_haar,
@@ -30,23 +29,15 @@ from haarlab import measure
 from haarlab.measure import HaarReport
 from haarlab.topology import bit_indices
 
-from conftest import LARGE_INSTANCES, random_fraction
+from conftest import (
+    LARGE_INSTANCES,
+    discrete_instance,
+    indiscrete_instance,
+    random_fraction,
+    z4_coset_instance,
+)
 from literal import literal_is_haar, literal_regularity
 from literal import literal_singleton_invariance, literal_solution_space
-
-
-def z4_coset_instance():
-    z4 = cyclic(4)
-    return FiniteTopGroup(z4, 0b0101)
-
-def discrete_instance(group):
-    return FiniteTopGroup.from_space(
-        group, FiniteSpace.from_opens(group.order, range(1 << group.order))
-    )
-
-def indiscrete_instance(group):
-    full = (1 << group.order) - 1
-    return FiniteTopGroup.from_space(group, FiniteSpace.from_opens(group.order, [0, full]))
 
 
 # -- FiniteMeasure basics ----------------------------------------------------
@@ -250,14 +241,16 @@ def test_is_haar_matches_singleton_reference_past_16_atoms():
     assert is_haar(tg, mu).witnesses == witnesses
     assert tg.preimage(1 << 39) == 1 << 39
 
-def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
+def test_is_haar_work_is_linear_in_atoms(corpus_instances, count_calls, monkeypatch):
     """Counter bound: each side compares at most k pairs of atom weights
     for each of the k atoms of elements, so at most 2k^2 comparisons (two
     weight reads each), and no table over the 2^k atom selections is
     built: past 10 atoms is_haar's peak allocation stays under the 8 KiB
-    that a 2^10-entry list of pointers alone would take."""
-    weight_lists = []
-    int_weights = measure._int_weights
+    that a 2^10-entry list of pointers alone would take.
+
+    verify-haar's heaviest input under the caps is a group of order 64
+    with the discrete topology, 64 atoms, among them discrete Z64 here:
+    at most 2 * 64^2 comparisons."""
 
     class CountingList(list):
         reads = 0
@@ -267,25 +260,28 @@ def test_is_haar_work_is_linear_in_atoms(corpus_instances, monkeypatch):
             self.reads += 1
             return super().__getitem__(i)
 
-    def counting_weights(g, mu):
-        weight_lists.append(CountingList(int_weights(g, mu)))
-        return weight_lists[-1]
-
     z48 = cyclic(48)
     n4 = z48.generated_subgroup([12])
     instances = list(corpus_instances)
     instances.append(FiniteTopGroup(z48, n4))
     assert len(instances[-1].atoms) == 12
     instances += past_16_atoms()
-    monkeypatch.setattr(measure, "_int_weights", counting_weights)
+    sides = count_calls(measure, "_check_invariance")
     for tg in instances:
         k = len(tg.atoms)
-        mu = canonical_haar(tg)
-        weight_lists.clear()
-        assert is_haar(tg, mu).is_haar
-        [weights] = weight_lists
-        assert 0 < weights.reads <= 2 * (2 * k * k), tg
-        if k >= 10:
+        sides.clear()
+        assert is_haar(tg, canonical_haar(tg)).is_haar
+        assert [call.args[2] for call in sides] == ["left", "right"]
+        reads = 0
+        for g, weights, side in [call.args for call in sides]:
+            weights = CountingList(weights)
+            assert measure._check_invariance(g, weights, side) is None
+            reads += weights.reads
+        assert 0 < reads <= 2 * (2 * k * k), tg
+    monkeypatch.undo()
+    for tg in instances:
+        if len(tg.atoms) >= 10:
+            mu = canonical_haar(tg)
             tracemalloc.start()
             try:
                 assert is_haar(tg, mu).is_haar

@@ -308,3 +308,57 @@ def test_listing_cap(monkeypatch):
     with pytest.raises(TooLarge, match="5 tiles exceeds the listing cap 4"):
         over.translates
     assert verify_bk_certificate(over)
+
+
+# -- the report budget ---------------------------------------------------------
+
+def test_report_bits_are_the_int_text_limit():
+    """Every int under 2^MAX_REPORT_BITS has at most 4,300 digits, and one
+    more bit would allow 4,301."""
+    assert 2**plane.MAX_REPORT_BITS < 10**4300 <= 2 ** (plane.MAX_REPORT_BITS + 1)
+
+def test_budget_boundaries():
+    """The base [0, 1/q] with q = 2^t passes exactly while 2 + (2q)'s
+    bit length stays within MAX_REPORT_BITS; MAX_INTERVALS merged intervals
+    pass and one more is refused, counted after merging."""
+    t = plane.MAX_REPORT_BITS - 4
+    plane.check_budget(cyl(Interval(0, Fraction(1, 2**t))))
+    for e, rationals in (
+        (cyl(Interval(0, Fraction(1, 2 ** (t + 1)))), ()),
+        (cyl(Interval(0, 1)), (Fraction(1, 2 ** (t + 1)),)),
+        (IntervalUnion(Interval(2 * i, 2 * i + 1) for i in range(plane.MAX_INTERVALS + 1)), ()),
+    ):
+        with pytest.raises(TooLarge) as info:
+            plane.check_budget(e, *rationals)
+        assert str(info.value) == plane.BUDGET_TEXT == (
+            "plane input exceeds the budget of 256 merged intervals and "
+            "4300-digit report rationals"
+        )
+    plane.check_budget(IntervalUnion(Interval(2 * i, 2 * i + 1) for i in range(plane.MAX_INTERVALS)))
+    plane.check_budget(IntervalUnion(Interval(0, i + 1) for i in range(1000)))
+
+big_rationals = st.builds(
+    lambda num, bits: Fraction(num, (1 << bits) - 1),
+    st.integers(-(1 << 4000), 1 << 4000),
+    st.integers(1, 5000),
+)
+
+@given(st.lists(st.tuples(big_rationals, big_rationals), max_size=4), big_rationals, big_rationals)
+@settings(max_examples=100, deadline=None)
+def test_budget_bounds_every_report_rational(ends, shift, eps):
+    """When the budget passes, every rational of the report (endpoints,
+    the translate, both gaps and all four masses) has a numerator and a
+    denominator under 2^MAX_REPORT_BITS, as check_budget's argument says."""
+    e = IntervalUnion(Interval(min(a, b), max(a, b)) for a, b in ends)
+    eps = abs(eps) or Fraction(1)
+    try:
+        plane.check_budget(e, shift, eps)
+    except TooLarge:
+        return
+    values = [haar_v(e)]
+    for base in (e, translate_v(e, shift), *regularity_gap(e, eps)):
+        values.append(haar_v(base))
+        values += (x for iv in base.intervals for x in (iv.lo, iv.hi))
+    for x in values:
+        assert abs(x.numerator).bit_length() <= plane.MAX_REPORT_BITS
+        assert x.denominator.bit_length() <= plane.MAX_REPORT_BITS

@@ -26,17 +26,12 @@ from haarlab.errors import InputError
 from haarlab.measure import HaarReport
 from haarlab.records import Record
 
-from conftest import SRC
-
-
-def z4():
-    g = cyclic(4)
-    return FiniteTopGroup(g, 0b0101)
+from conftest import SRC, z4_coset_instance
 
 
 def samples():
     """Two unequal instances of each of the nine record classes."""
-    tg = z4()
+    tg = z4_coset_instance()
     canon = canonical_haar(tg)
     cert = counterexample_bk(1, 10)
     cert.translates  # a cached listing must not take part in eq or repr
@@ -99,7 +94,7 @@ def test_different_classes_never_equal():
 
 def test_constructors_validate():
     """Each record's own __init__ checks and converts its fields."""
-    tg = z4()
+    tg = z4_coset_instance()
     assert PointFunction(("1/2",)).values == (Fraction(1, 2),)
     with pytest.raises(InputError, match=r"^1 masses for 2 atoms$"):
         FiniteMeasure(tg, (1,))
@@ -122,7 +117,7 @@ def test_parts_of_a_top_group_are_frozen():
     """The group and N a checked FiniteTopGroup holds, and the space it
     derives from them, cannot be changed under it, nor can the group's
     derived order."""
-    tg = z4()
+    tg = z4_coset_instance()
     with pytest.raises(AttributeError):
         tg.normal_subgroup = 0b1111
     with pytest.raises(AttributeError):
