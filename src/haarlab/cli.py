@@ -152,9 +152,17 @@ _FAMILIES = {
 }
 
 
-def load_group(spec) -> groups_mod.FiniteGroup:
-    """Build a group from its JSON spec; the library checks every order
-    against groups.MAX_ORDER before any Cayley table is built."""
+#: The most product specs that may nest inside one another.  Factors of
+#: order 1 pass every order cap at any depth, while each level is a
+#: `load_group` call and three levels of JSON in the report's echo of the
+#: input; past this depth TooLarge is raised before any deeper call.
+MAX_PRODUCT_DEPTH = 64
+
+
+def load_group(spec, depth=0) -> groups_mod.FiniteGroup:
+    """Build a group from its JSON spec, which depth product specs enclose;
+    the library checks every order against groups.MAX_ORDER before any
+    Cayley table is built."""
     if not isinstance(spec, dict):
         raise InputError("group spec must be an object")
     if "family" in spec:
@@ -166,11 +174,13 @@ def load_group(spec) -> groups_mod.FiniteGroup:
             raise InputError(f"unknown family {family!r}")
         make, keys = entry
         if family == "product":  # factors is optional here, counted below
+            if depth == MAX_PRODUCT_DEPTH:
+                raise TooLarge(f"group spec nests product past depth {MAX_PRODUCT_DEPTH}")
             _require_keys(params, keys, (), "product params")
             factors = params.get("factors", [])
             if not isinstance(factors, list) or len(factors) != 2:
                 raise InputError("product family needs exactly two factors")
-            g = make(load_group(factors[0]), load_group(factors[1]))
+            g = make(load_group(factors[0], depth + 1), load_group(factors[1], depth + 1))
         else:
             _require_keys(params, keys, keys, f"{family} params")
             g = make(*(_int_value(params[k], f"{family} params: {k}") for k in keys))
@@ -261,7 +271,7 @@ def intervals_json(iu: plane_mod.IntervalUnion):
 
 def cmd_enumerate(data, opts):
     """Every compatible topology with its Haar data.  It passes on every
-    valid input: each column of G/N's atom table holds every atom, so
+    valid input: each column of G/N's Cayley table holds every atom, so
     translation has one orbit on the atoms, and `haar_dimension` is 1."""
     _require_keys(data, {"group"}, {"group"}, "input")
     group = load_group(data["group"])
@@ -619,12 +629,36 @@ def run(argv=None) -> int:
 def _write_report(report, fh):
     """Stream the report's canonical text to fh, chunk by chunk, so that no
     copy of the whole text is ever built: compact JSON with sorted keys and
-    no whitespace between tokens, then one LF.
+    no whitespace between tokens, then one LF, the text json.dump writes.
 
-    json.dumps would encode the whole text at once in C, several times
-    faster, but it builds that whole text: a peak allocation the size of
-    the report, where json.dump's chunks keep it to kilobytes."""
-    json.dump(report, fh, sort_keys=True, separators=(",", ":"))
+    Dicts, whose keys are strings, are walked in key order, and lists and
+    tuples one element at a time; the C encoder writes each key, scalar and
+    list element in one call, with the separator before it.  So the
+    largest write is one such value, in practice a list element: one
+    topology, one covering row, one tile or one row of an echoed table,
+    never the report.  json.dump
+    would walk every value in Python, several times slower, and
+    json.dumps would build the whole text at once."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+    def write(value):
+        if isinstance(value, dict) and value:
+            sep = "{"
+            for key in sorted(value):
+                fh.write(f"{sep}{encode(key)}:")
+                write(value[key])
+                sep = ","
+            fh.write("}")
+        elif isinstance(value, (list, tuple)) and value:
+            sep = "["
+            for item in value:
+                fh.write(sep + encode(item))
+                sep = ","
+            fh.write("]")
+        else:
+            fh.write(encode(value))
+
+    write(report)
     fh.write("\n")
 
 

@@ -10,10 +10,10 @@ K at once for one neighbourhood U of the identity, bottom up.
 
 The left translates of every nonempty union of atoms cover G, so no
 search here can fail: for an atom i in the selection u and any atom j,
-the row of `FiniteTopGroup.atom_table` for the atom j * i^-1 sends i to j
-(Folland, A Course in Abstract Harmonic Analysis, 2.2).  A nonempty
-target then needs at least one translate and at most k, the number of
-distinct translates.
+the row of G/N's Cayley table (`groups.quotient`) for the atom j * i^-1
+sends i to j (Folland, A Course in Abstract Harmonic Analysis, 2.2).  A
+nonempty target then needs at least one translate and at most k, the
+number of distinct translates.
 
 Both compute one recurrence: every cover of a nonempty K holds a
 translate t containing K's lowest atom, and the rest of it covers K - t,
@@ -23,7 +23,7 @@ so (K:U) = 1 + min (K - t : U) over those t.
 from fractions import Fraction
 
 from .errors import InputError, TooLarge
-from .groups import FiniteTopGroup
+from .groups import FiniteTopGroup, quotient
 from .measure import FiniteMeasure
 from .topology import bit_indices, mask_of
 
@@ -82,8 +82,10 @@ def covering_number(g: FiniteTopGroup, k: int, u: int) -> int:
 def _translates(g: FiniteTopGroup, sel: int) -> list:
     """The distinct left translates of the union of the atoms in sel, as
     sorted atom selections.  Every member of atom i carries atom j to
-    atom_table[i][j], so there are at most k of them for k atoms."""
-    return sorted({mask_of(row[j] for j in bit_indices(sel)) for row in g.atom_table})
+    entry (i, j) of G/N's table, so there are at most k of them for k
+    atoms."""
+    table = quotient(g).group.table
+    return sorted({mask_of(row[j] for j in bit_indices(sel)) for row in table})
 
 
 def covering_table(g: FiniteTopGroup, u: int) -> tuple:

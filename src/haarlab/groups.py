@@ -291,7 +291,8 @@ class FiniteTopGroup(Record):
         Structures, 2008): for y in U_a, induction on j gives y^j in U_a^j
         <= U_{a^j}, so y^-1 = y^(m-1) lies in U_{a^(m-1)} = U_{a^-1}.
         Past the check, U_e is a subgroup N, normal as aN = U_a = Na, and
-        the space is its coset topology.
+        the space is its coset topology.  That is all the constructor
+        checks, so the record is stored without running it.
         """
         if group.order != space.n:
             raise InputError("group and space must share the index set")
@@ -315,7 +316,7 @@ class FiniteTopGroup(Record):
                 fail(inverse[a], a)
             if mask_of(table[x][a] for x in members) & ~u_a:  # U_e * a
                 fail(e, a)
-        return cls(group, u_e)
+        return cls._trusted(group, u_e)
 
     @cached_property
     def _partition(self):
@@ -352,16 +353,6 @@ class FiniteTopGroup(Record):
         """The smallest member of each atom."""
         return tuple(next(bit_indices(a)) for a in self.atoms)
 
-    @cached_property
-    def atom_table(self):
-        """The Cayley table of G/N on atom indices: entry (i, j) is the atom
-        of reps[i] * reps[j].  As (aN)(bN) = abN (class docstring), any
-        members of atoms i and j may stand in for the representatives:
-        atom_of[a * b] == table[atom_of[a]][atom_of[b]] for all a, b."""
-        proj, reps = self.atom_of, self.reps
-        rows = self.group.table
-        return tuple(tuple(proj[rows[r][s]] for s in reps) for r in reps)
-
     def image(self, mask: int) -> int:
         """Atom-index mask of the atoms meeting a point mask."""
         check_mask(mask, self.group.order)
@@ -389,8 +380,19 @@ class FiniteTopGroup(Record):
 
     @cached_property
     def _quotient(self):
-        """G/N, built on first use (`quotient`)."""
-        return FiniteTopGroup(FiniteGroup(self.atom_table, name=f"{self.group.name}/N"), 1)
+        """G/N, built on first use (`quotient`) straight from the partition.
+
+        Its Cayley table has entry (i, j) the atom of reps[i] * reps[j].  As
+        (aN)(bN) = abN (class docstring), any members of atoms i and j may
+        stand in for the representatives, atom_of[a * b] ==
+        table[atom_of[a]][atom_of[b]] for all a, b, so the table is the
+        group law of G/N, the image of G's under the projection, with
+        identity 0, the atom N.  Its N is then {0}, a normal subgroup.  That
+        proves every check of both constructors, so neither runs."""
+        proj, reps, rows = self.atom_of, self.reps, self.group.table
+        table = tuple(tuple(proj[rows[r][s]] for s in reps) for r in reps)
+        group = FiniteGroup._trusted(table, f"{self.group.name}/N")
+        return FiniteTopGroup._trusted(group, 1)
 
 
 def identity_closure(g: FiniteTopGroup) -> int:
@@ -404,8 +406,11 @@ def coset_topology(group: FiniteGroup, n_mask: int) -> FiniteSpace:
 
 
 def group_topologies(group: FiniteGroup):
-    """All compatible topologies on the group, one per normal subgroup."""
-    return [FiniteTopGroup(group, n_mask) for n_mask in group.normal_subgroups()]
+    """All compatible topologies on the group, one per normal subgroup.
+    Each N that `normal_subgroups` finds is generated by a union of
+    conjugacy classes, which conjugation permutes, so it is normal and
+    the constructor's check is not run."""
+    return [FiniteTopGroup._trusted(group, n_mask) for n_mask in group.normal_subgroups()]
 
 
 def quotient(g: FiniteTopGroup) -> FiniteTopGroup:
@@ -419,14 +424,16 @@ def quotient(g: FiniteTopGroup) -> FiniteTopGroup:
 
     - surjectivity: atom i is the image of its representative;
     - open and closed projection: every image is open and closed;
-    - homomorphism: `atom_table`, the quotient's Cayley table, is the
-      group law the projection carries;
+    - homomorphism: the quotient's Cayley table is the group law the
+      projection carries (`FiniteTopGroup._quotient`);
     - Hausdorff quotient: the space is discrete;
     - compact lifting: the preimage of a set of labels is a union of
       atoms, closed and, the space being finite, compact.
 
     The labelling: point i is atom i of G, so the projection is `atom_of`.
-    G/N has identity 0, as row 0 of `atom_table` is that of atom 0 = N, so
+    G/N has identity 0, as row 0 of its table is that of atom 0 = N, so
     its N is {0} and its atoms are the singletons: atom i of G/N is point i.
+    The atom-level functions of `measure` and `covering` read G's group
+    law on atoms as quotient(g).group.table.
     """
     return g._quotient

@@ -81,8 +81,9 @@ def _check_invariance(g, weights, side):
     """The witness (side, selection, element) of the first translation on
     this side that moves some atom's mass, or None if none does.
 
-    An element of atom i moves atom j to atom table[i][j] on the left and
-    to table[j][i] on the right: a permutation perm, row i or column i.
+    In G/N's table, quotient(g).group.table, an element of atom i moves
+    atom j to atom table[i][j] on the left and to table[j][i] on the
+    right: a permutation perm, row i or column i.
     Mass is additive over atoms, so every Borel set keeps its mass under
     the translation iff weights[perm[j]] == weights[j] for every j
     (Halmos, Measure Theory, 58; Folland, A Course in Abstract Harmonic
@@ -93,7 +94,7 @@ def _check_invariance(g, weights, side):
     passes, and the other atoms are in order of their smallest members, so
     reps[i] of the first failing atom is the smallest failing element.
     """
-    table = g.atom_table
+    table = quotient(g).group.table
     for i, rep in enumerate(g.reps):
         perm = table[i] if side == "left" else [row[i] for row in table]
         for j, moved in enumerate(perm):
@@ -145,14 +146,14 @@ def haar_solution_space(g: FiniteTopGroup):
 
     Translation by any element permutes atoms, forcing equal masses along
     each orbit; the solution cone is spanned by the orbit indicators.  Row
-    i of the atom table is the left translation by atom i, and these rows
+    i of G/N's table is the left translation by atom i, and these rows
     compose by the table itself (row i after row i' is row table[i][i']),
     so they form a group and the orbit of atom j is the set of entries in
     column j.  The basis is the distinct column sets, ordered by their
     smallest atom.  Returns (dimension, basis measures).
     """
     k = len(g.atoms)
-    orbits = sorted({frozenset(col) for col in zip(*g.atom_table)}, key=min)
+    orbits = sorted({frozenset(col) for col in zip(*quotient(g).group.table)}, key=min)
     basis = [
         FiniteMeasure(g, tuple(Fraction(i in orbit) for i in range(k)))
         for orbit in orbits

@@ -19,10 +19,21 @@ class Record:
     and hashing use the field values, and only instances of the same class
     compare equal; ``repr`` has the form ``Name(field=value, ...)``.  A
     record with other values is built by the constructor, so that every
-    check runs.
+    check runs, unless a theorem at the call site already proves each of
+    them (`_trusted`).
     """
 
     _fields: tuple = ()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The record of values, in ``_fields`` order, stored without
+        running ``__init__``.  Each caller names the theorem that proves
+        every check ``__init__`` would run, and passes the values in the
+        form ``__init__`` would store."""
+        self = object.__new__(cls)
+        self._assign(*values)
+        return self
 
     def _assign(self, *values):
         """Store values in the fields, in ``_fields`` order.  Stores go

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -364,52 +365,70 @@ def table_spec(group):
     return {"order": group.order, "table": [list(r) for r in group.table]}
 
 def test_partition_once_per_top_group(corpus, count_calls):
-    """Counter bound: the partition is built once per topological group, and
-    N, the atoms and the representatives are all read from it.  Every
-    FiniteTopGroup that enumerate, quotient, construct and verify-haar
-    build, quotients included, computes _partition exactly once, and no
-    closure runs inside it (nor anywhere else in these commands): the
-    atoms are the distinct minimal opens."""
-    built = count_calls(groups.FiniteTopGroup, "__init__")
+    """Counter bound: the partition is built at most once per topological
+    group, and N, the atoms, the representatives and G/N are all read from
+    it.  A group is built either by the checked constructor or, where a
+    theorem proves its checks, by `_trusted`; every group whose partition
+    enumerate, quotient, construct and verify-haar compute is one they
+    built, and they compute it once for each topology they report on (and
+    once more for G/N in quotient, whose pushforward is checked on it).
+    The other groups they build are quotients whose table alone is read.
+    No closure runs inside the partition (nor anywhere else in these
+    commands): the atoms are the distinct minimal opens."""
+    checked = count_calls(groups.FiniteTopGroup, "__init__")
+    trusted = count_calls(groups.FiniteTopGroup, "_trusted")
     calls = count_calls(groups.FiniteTopGroup._partition, "func")
     closures = count_calls(FiniteSpace, "closure")
 
-    def selves(records):
-        return [id(call.args[0]) for call in records]
+    def clear():
+        for records in (checked, trusted, calls):
+            records.clear()
+
+    def built():
+        return {id(call.args[0]) for call in checked} | {id(call.result) for call in trusted}
 
     z48 = groups.cyclic(48)
     n8 = z48.generated_subgroup([6])
     cases = [(g, n) for g in corpus for n in g.normal_subgroups()] + [(z48, n8)]
     opts = cli.Options()
     for group in [*corpus, z48]:
-        built.clear()
-        calls.clear()
+        clear()
         cli.cmd_enumerate({"group": table_spec(group)}, opts)
-        assert len(calls) == len(built) == len(group.normal_subgroups())
-        assert set(selves(calls)) == set(selves(built))
+        partitioned = [id(call.args[0]) for call in calls]
+        n_topologies = len(group.normal_subgroups())
+        assert len(partitioned) == len(set(partitioned)) == n_topologies, group.name
+        assert set(partitioned) <= built(), group.name
+        # each topology and its G/N, both by theorem
+        assert (len(checked), len(trusted)) == (0, 2 * n_topologies), group.name
     for group, n_mask in cases:
         base = {"group": table_spec(group), "topology": {"normal_subgroup": list(bit_indices(n_mask))}}
         k = group.order // bin(n_mask).count("1")
-        for command, payload in (
-            (cli.cmd_quotient, base),
-            (cli.cmd_construct, dict(base, k0=list(bit_indices(n_mask)))),
-            (cli.cmd_verify_haar, dict(base, measure={"atom_masses": ["1"] * k})),
+        for command, payload, want in (
+            (cli.cmd_quotient, base, 2),
+            (cli.cmd_construct, dict(base, k0=list(bit_indices(n_mask))), 1),
+            (cli.cmd_verify_haar, dict(base, measure={"atom_masses": ["1"] * k}), 1),
         ):
-            built.clear()
-            calls.clear()
+            clear()
             command(payload, opts)
-            assert len(calls) == len(built) >= 1, (group.name, command.__name__)
-            assert set(selves(calls)) == set(selves(built))
+            partitioned = [id(call.args[0]) for call in calls]
+            assert len(partitioned) == len(set(partitioned)) == want, (group.name, command.__name__)
+            assert set(partitioned) <= built(), (group.name, command.__name__)
+            # G checked; G/N, and in quotient the G/N of G/N, by theorem
+            assert (len(checked), len(trusted)) == (1, want), (group.name, command.__name__)
     assert closures == []
 
-def test_quotient_builds_two_groups(corpus, count_calls):
-    """Counter bound: quotient builds exactly two groups, G and G/N, as
-    pushforward and pullback read the G/N that quotient(tg) holds."""
-    built = count_calls(groups.FiniteGroup, "__init__")
+def test_quotient_validates_one_group(corpus, count_calls):
+    """Counter bound: quotient validates exactly one Cayley table, G's.
+    G/N, which pushforward and pullback read as quotient(tg) holds it, is
+    built from the partition with no validation, as is the G/N of G/N
+    whose table is_haar reads on the pushforward."""
+    validated = count_calls(groups.FiniteGroup, "__init__")
+    trusted = count_calls(groups.FiniteGroup, "_trusted")
     opts = cli.Options()
     for group in corpus:
         for n_mask in group.normal_subgroups():
-            built.clear()
+            validated.clear()
+            trusted.clear()
             cli.cmd_quotient(
                 {
                     "group": dict(table_spec(group), name=group.name),
@@ -417,8 +436,9 @@ def test_quotient_builds_two_groups(corpus, count_calls):
                 },
                 opts,
             )
-            names = [call.args[0].name for call in built]
-            assert names == [group.name, f"{group.name}/N"], (group.name, n_mask)
+            assert [call.args[0].name for call in validated] == [group.name], (group.name, n_mask)
+            names = [call.result.name for call in trusted]
+            assert names == [f"{group.name}/N", f"{group.name}/N/N"], (group.name, n_mask)
 
 def test_enumerate_makes_no_normality_test(corpus, count_calls):
     """Counter bound: enumerate builds no FiniteSpace, as each topology is
@@ -700,6 +720,13 @@ def table_input(table):
 def z4_opens(*opens):
     return dict(Z4_HAAR, topology={"opens": [[], *opens, [0, 1, 2, 3]]})
 
+def nested_product(depth):
+    """A spec of order 1 with depth product specs nested in one another."""
+    spec = {"family": "trivial"}
+    for _ in range(depth):
+        spec = {"family": "product", "params": {"factors": [{"family": "trivial"}, spec]}}
+    return spec
+
 # 12 intervals [i + 1/q, i + 2/q], q = 10^494 + 3 + 2i: each endpoint has at
 # most 992 characters, under the cap, but the mass, the sum of the 1/q, would
 # have a denominator of 5,924 digits, more than an int converts to text, so
@@ -931,6 +958,11 @@ ERROR_TEXTS = {
     "eps_zero": (
         "plane", {"intervals": [{"lo": "0", "hi": "1"}], "eps": "0"}, "eps must be positive"
     ),
+    "product_nesting_over_cap": (
+        "enumerate",
+        {"group": nested_product(cli.MAX_PRODUCT_DEPTH + 1)},
+        "TooLarge: group spec nests product past depth 64",
+    ),
     "plane_mass_past_int_text": ("plane", PLANE_MASS_PAST_INT_TEXT, PLANE_BUDGET_TEXT),
     "plane_over_interval_cap": (
         "plane",
@@ -1021,8 +1053,9 @@ def test_verify_haar_and_quotient_worst_case_counters(in_process, count_calls, f
     atoms.  verify-haar builds one group and one topological group, whose
     partition it reads once, and runs the invariance check once a side,
     at most 64^2 comparisons each (test_is_haar_work_is_linear_in_atoms);
-    quotient builds G and G/N, and checks the pushforward on G/N the same
-    way.  The table validation is O(n^2) row reads for an order-n group."""
+    quotient validates G alone, builds G/N from its partition with no
+    check, and checks the pushforward on G/N the same way.  The table
+    validation is O(n^2) row reads for an order-n group."""
     tables = count_calls(groups.FiniteGroup, "__init__")
     top_groups = count_calls(groups.FiniteTopGroup, "__init__")
     partitions = count_calls(groups.FiniteTopGroup._partition, "func")
@@ -1030,7 +1063,7 @@ def test_verify_haar_and_quotient_worst_case_counters(in_process, count_calls, f
     base = {"group": family, "topology": {"normal_subgroup": [0]}}
     for command, payload, want in (
         ("verify-haar", dict(base, measure={"atom_masses": ["1"] * 64}), (1, 1, 1, 2)),
-        ("quotient", base, (2, 2, 2, 2)),
+        ("quotient", base, (1, 1, 2, 2)),
     ):
         for calls in (tables, top_groups, partitions, sides):
             calls.clear()
@@ -1255,6 +1288,92 @@ def test_report_is_streamed(tmp_path, in_process):
         tracemalloc.stop()
     assert sink.chars == len(text) > 1_500_000
     assert peak < 256 * 1024
+
+def test_deepest_product_spec_reports(in_process, child, count_calls):
+    """The deepest product nesting accepted, 64 levels of order 1, writes
+    its report in process under pytest and in a fresh interpreter alike.
+    One level more is refused at depth 64, before any deeper call: the 65
+    product specs raise, and only the trivial first factors of the 64
+    outer ones were loaded."""
+    deepest = {"group": nested_product(cli.MAX_PRODUCT_DEPTH)}
+    want = in_process("enumerate", deepest)
+    assert (want.returncode, want.stderr) == (0, b"")
+    assert want.report["results"]["order"] == 1
+    proc = child("enumerate", deepest)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want.stdout, b"")
+    calls = count_calls(cli, "load_group")
+    with pytest.raises(TooLarge):
+        cli.load_group(nested_product(cli.MAX_PRODUCT_DEPTH + 1))
+    depths = sorted(call.args[1] if len(call.args) > 1 else 0 for call in calls)
+    assert depths == sorted([*range(1, 65), *range(65)])
+    assert sum(isinstance(call.result, TooLarge) for call in calls) == 65
+
+#: JSON values of every kind a report holds: strings with escapes and past
+#: ASCII, big ints, bools, None, the finite floats that `cli._json_float`
+#: admits, and lists, tuples and dicts, empty and nested.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+@given(JSON_VALUES)
+@example({"": [], "a": {}, "b": [[], {}, ()], "\u2028\"\\\x00": "\u00e9\U0001f600"})
+@example([10**70, -(10**70), True, False, None, 1e-300, -0.0, 0.1])
+@example(((1, (2, ())), {"z": (), "a": [{}]}))
+@settings(max_examples=300, deadline=None)
+def test_report_writer_matches_json_dumps(value):
+    """_write_report writes the text json.dumps encodes, byte for byte."""
+    sink = io.StringIO()
+    cli._write_report(value, sink)
+    assert sink.getvalue() == json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+
+def test_report_writes_one_list_element_at_a_time(in_process, count_calls):
+    """Counter bound: writing the Z48/N8 construct report, 2,016 covering
+    rows, no write is longer than its longest list element with the comma
+    or bracket before it."""
+    n8 = list(range(0, 48, 6))
+    payload = {
+        "group": {"family": "cyclic", "params": {"n": 48}},
+        "topology": {"normal_subgroup": n8},
+        "k0": n8,
+    }
+    proc = in_process("construct", payload)
+    assert proc.returncode == 0
+    report = proc.report
+    assert len(report["results"]["covering_table"]) == 2016
+
+    def lists(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        elif isinstance(value, list):
+            yield value
+        else:
+            return
+        for item in value:
+            yield from lists(item)
+
+    longest = max(
+        len(json.dumps(item, sort_keys=True, separators=(",", ":")))
+        for items in lists(report)
+        for item in items
+    )
+
+    class Sink:
+        def write(self, chunk):
+            pass
+
+    writes = count_calls(Sink, "write")
+    cli._write_report(report, Sink())
+    assert "".join(call.args[1] for call in writes).encode() == proc.stdout
+    assert max(len(call.args[1]) for call in writes) <= longest + 1
+    assert longest + 1 < len(proc.stdout) // 1000  # 292 of 343,176 bytes
 
 def test_construct_bad_k0(in_process):
     assert in_process("construct", dict(Z4_COSET, k0=[0])).returncode == 2

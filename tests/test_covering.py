@@ -19,6 +19,7 @@ from haarlab import (
     fubini_check,
     identity_closure,
     is_haar,
+    quotient,
     symmetric3,
 )
 from haarlab.errors import InputError, TooLarge
@@ -432,13 +433,13 @@ def test_construct_truncated_table():
 def test_covering_reads_translates_off_the_atom_table(corpus_instances, monkeypatch):
     """Counter bound: once the partition is built, covering_number,
     covering_table and fubini_check translate no point set; every translate
-    they use is a row of the atom table."""
+    they use is a row of G/N's table, the atom table."""
     z48 = cyclic(48)
     instances = list(corpus_instances)
     instances.append(FiniteTopGroup(z48, z48.generated_subgroup([6])))
     z2 = discrete_instance(cyclic(2))
     for tg in [*instances, z2]:
-        assert tg.atom_table and tg.reps  # builds the partition, which translates N
+        assert quotient(tg).group.table and tg.reps  # builds the partition, which translates N
 
     def no_translate(self, g, mask):
         raise AssertionError("a point set was translated")

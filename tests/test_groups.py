@@ -455,7 +455,8 @@ def test_constructor_accepts_exactly_the_normal_subgroups():
             if literal_is_normal(group, h):
                 tg = FiniteTopGroup(group, h)
                 assert identity_closure(tg) == tg.atoms[0] == h
-                assert (tg.atoms, tg.atom_of, tg.atom_table) == literal_partition(tg)
+                law = quotient(tg).group.table
+                assert (tg.atoms, tg.atom_of, law) == literal_partition(tg)
             else:
                 with pytest.raises(InputError, match=r"^mask is not a normal subgroup$"):
                     FiniteTopGroup(group, h)
@@ -513,6 +514,44 @@ def test_quotient_is_built_once_per_group(corpus_instances):
     for tg in corpus_instances:
         assert quotient(tg) is quotient(tg)
         assert quotient(tg) == quotient(FiniteTopGroup.from_space(tg.group, tg.space))
+
+def test_quotient_runs_no_constructor_check(corpus_instances, count_calls):
+    """Counter bound: quotient(tg) runs neither FiniteGroup.__init__ nor
+    FiniteTopGroup.__init__, on the corpus and past 16 atoms, as
+    (aN)(bN) = abN proves G/N's table a group law with N = {0}; the record
+    it builds equals the one both constructors check."""
+    validated = count_calls(FiniteGroup, "__init__")
+    checked = count_calls(FiniteTopGroup, "__init__")
+    instances = [*corpus_instances, *(FiniteTopGroup(g, n) for g, n in LARGE_INSTANCES)]
+    for tg in instances:
+        validated.clear()
+        checked.clear()
+        q = quotient(tg)
+        assert (validated, checked) == ([], []), tg.group.name
+        assert q == FiniteTopGroup(FiniteGroup(q.group.table, q.group.name), 1)
+
+def test_group_topologies_and_from_space_run_no_normality_check(corpus, count_calls):
+    """Counter bound: group_topologies and from_space run no
+    FiniteTopGroup.__init__.  Each N of `normal_subgroups` is generated by
+    conjugacy classes, and from_space's continuity checks prove U_e a
+    normal subgroup; each record built so equals the checked one, on the
+    corpus and on every space from_space accepts among
+    `continuity_cases`."""
+    checked = count_calls(FiniteTopGroup, "__init__")
+    for group in corpus:
+        checked.clear()
+        tgs = group_topologies(group)
+        spaces = [tg.space for tg in tgs]
+        assert checked == [], group.name
+        assert tgs == [FiniteTopGroup(group, n) for n in group.normal_subgroups()]
+        checked.clear()
+        assert [FiniteTopGroup.from_space(group, s) for s in spaces] == tgs
+        assert checked == [], group.name
+    checked.clear()
+    accepted = accepted_cases.__wrapped__()
+    assert checked == []
+    for tg in accepted:
+        assert tg == FiniteTopGroup(tg.group, tg.normal_subgroup)
 
 def test_quotient_discrete_is_identity():
     z3 = cyclic(3)
@@ -630,11 +669,13 @@ def accepted_cases():
 def test_generator_checks_match_literal_references(corpus_instances):
     """On the corpus, and on every space FiniteTopGroup accepts among
     `continuity_cases` (every topology of at most 4 points with every group
-    of that order, and the random preorders), the atoms, atom_of, the atom
-    table and the quotient equal the literal references."""
+    of that order, and the random preorders), the atoms, atom_of, G/N's
+    table and the quotient equal the literal references, which validate
+    the quotient's table and check its topology."""
     accepted = accepted_cases()
     for tg in [*corpus_instances, *accepted]:
-        assert (tg.atoms, tg.atom_of, tg.atom_table) == literal_partition(tg)
+        law = quotient(tg).group.table
+        assert (tg.atoms, tg.atom_of, law) == literal_partition(tg)
         assert reference_borel_atoms(tg) == tg.atoms
         q, ref = quotient(tg), reference_quotient(tg)
         assert q == ref and q.group.name == ref.group.name
@@ -705,8 +746,11 @@ def test_quotient_checks_hausdorff():
 # -- the atom table ------------------------------------------------------------
 
 def test_atom_table_matches_per_element_permutations(corpus_instances):
+    """G/N's table, the group law on atoms that `measure` and `covering`
+    read, holds in row i and column i the left and right translations by
+    every element of atom i."""
     for tg in corpus_instances:
-        table = tg.atom_table
+        table = quotient(tg).group.table
         assert tg.reps == tuple(min(bit_indices(a)) for a in tg.atoms)
         for elem in range(tg.group.order):
             i = tg.atom_of[elem]

@@ -179,3 +179,44 @@ def test_value_classes_are_records():
         for name in classes_with_value_dunders(path.read_text(encoding="utf-8"))
     ]
     assert found == [], "make a value class a records.Record"
+
+
+def trusted_call_sites(source: str) -> list:
+    """(enclosing definition, record class) of each `X._trusted(...)` call
+    in source, the definition named as Class.method or function."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            name = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{where}.{child.name}" if where else child.name
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "_trusted"
+            ):
+                sites.append((where, ast.unparse(child.func.value)))
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_trusted_records_only_at_theorem_sites():
+    """A record skips its constructor's checks only where a theorem in the
+    caller proves them: G/N's table and its N = {0} by (aN)(bN) = abN, each
+    N that normal_subgroups joins from conjugacy classes, and the U_e that
+    from_space's continuity checks prove normal."""
+    found = [
+        (path.stem, *site)
+        for path in sorted((SRC / "haarlab").glob("*.py"))
+        for site in trusted_call_sites(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [
+        ("groups", "FiniteTopGroup.from_space", "cls"),
+        ("groups", "FiniteTopGroup._quotient", "FiniteGroup"),
+        ("groups", "FiniteTopGroup._quotient", "FiniteTopGroup"),
+        ("groups", "group_topologies", "FiniteTopGroup"),
+    ]
+    assert trusted_call_sites("def f():\n    return A._trusted(1)\n") == [("f", "A")]
